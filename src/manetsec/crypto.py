@@ -34,6 +34,11 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def digest_stream(data: bytes):
+    """Incremental digest(): update() with more bytes, then digest()."""
+    return hashlib.sha256(data)
+
+
 def digest_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
@@ -51,6 +56,14 @@ class RsaKeyPair:
     n: int
     e: int
     d: int
+    # CRT form of d (RFC 8017 section 3.2): the primes N = p * q,
+    # dp = d mod (p - 1), dq = d mod (q - 1) and qinv = q^-1 mod p.
+    # Hand-built keys leave them 0 and take the plain pow path.
+    p: int = 0
+    q: int = 0
+    dp: int = 0
+    dq: int = 0
+    qinv: int = 0
 
     @property
     def public(self) -> Tuple[int, int]:
@@ -148,7 +161,9 @@ def generate_keypair(bits: int, rng: random.Random,
         phi = (p - 1) * (q - 1)
         if phi % e == 0 or _gcd(e, phi) != 1:
             continue
-        return RsaKeyPair(n=n, e=e, d=pow(e, -1, phi))
+        d = pow(e, -1, phi)
+        return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, dp=d % (p - 1),
+                          dq=d % (q - 1), qinv=pow(q, -1, p))
 
 
 def _gcd(a: int, b: int) -> int:
@@ -177,9 +192,23 @@ def generate_node_keys(seed: int, key_bits: int = DEFAULT_KEY_BITS
 
 # --- sequential aggregate signatures ---------------------------------------
 
+def _private_pow(x: int, key: RsaKeyPair) -> int:
+    """x^d mod N for 0 <= x < N.
+
+    With the factors on the key this is two half-width exponentiations
+    recombined by Garner's formula (RFC 8017 section 5.1.2); the result is
+    exactly the integer the plain pow() gives.
+    """
+    if not key.p:
+        return pow(x, key.d, key.n)
+    m1 = pow(x, key.dp, key.p)
+    m2 = pow(x, key.dq, key.q)
+    return m2 + key.q * ((m1 - m2) * key.qinv % key.p)
+
+
 def rsa_sign_first(h: int, key: RsaKeyPair) -> AggregateSignature:
     """Originator signature: sigma = (h mod N)^d mod N."""
-    value = pow(h % key.n, key.d, key.n)
+    value = _private_pow(h % key.n, key)
     return AggregateSignature(value=value, overflow_bits=(), signer_count=1)
 
 
@@ -196,7 +225,7 @@ def sas_aggregate_step(prev: AggregateSignature, h: int,
     if carried >= key.n:
         carried -= key.n
         bit = 1
-    value = pow((carried + h % key.n) % key.n, key.d, key.n)
+    value = _private_pow((carried + h % key.n) % key.n, key)
     return AggregateSignature(value=value,
                               overflow_bits=prev.overflow_bits + (bit,),
                               signer_count=prev.signer_count + 1)
@@ -250,7 +279,7 @@ def rsa_encrypt(m: int, public: Tuple[int, int]) -> int:
 def rsa_decrypt(c: int, key: RsaKeyPair) -> int:
     if not 0 <= c < key.n:
         raise ValueError("ciphertext block out of range for modulus")
-    return pow(c, key.d, key.n)
+    return _private_pow(c, key)
 
 
 # --- session key exchange ---------------------------------------------------

@@ -105,8 +105,11 @@ def registry_from_json(text: str) -> Registry:
     reg = Registry()
     required = {"id_hex", "N_hex", "e_hex", "PK_N_hex", "PK_e_hex", "ip"}
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or not required.issubset(entry):
-            missing = required - set(entry or ())
+        if not isinstance(entry, dict):
+            raise ValueError("entry %d must be an object, got %s"
+                             % (i, type(entry).__name__))
+        if not required.issubset(entry):
+            missing = required - set(entry)
             raise ValueError("entry %d missing fields: %s"
                              % (i, ", ".join(sorted(missing))))
         try:

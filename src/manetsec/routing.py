@@ -227,13 +227,10 @@ class RouterNode:
         if self.config.sec_level == 1:
             if agg.signer_count != len(msg.hops) + 1:
                 return "malformed"
-            per_signer = [(wire.signer_hash(core, msg.hops, 0,
-                                            origin.signing_public),
-                           origin.signing_public)]
-            for i, ident in enumerate(hop_ids, start=1):
-                per_signer.append((wire.signer_hash(core, msg.hops, i,
-                                                    ident.signing_public),
-                                   ident.signing_public))
+            publics = [origin.signing_public]
+            publics += [ident.signing_public for ident in hop_ids]
+            per_signer = list(zip(wire.signer_hashes(core, msg.hops, publics),
+                                  publics))
             try:
                 ok = sas_unwind_verify(agg, per_signer)
             except ValueError:

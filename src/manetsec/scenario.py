@@ -152,6 +152,11 @@ def parse(doc) -> Scenario:
     if key_bits % 2:
         raise ScenarioError("scenario.key_bits: must be even")
     dh_bits = _int_field(doc, "dh_bits", "scenario", default=64, minimum=16)
+    if dh_bits >= key_bits:
+        # a discovery encrypts DH values mod p under a peer's key_bits-wide
+        # modulus, so the group must be narrower than every key
+        raise ScenarioError("scenario.dh_bits: must be below key_bits (%d), "
+                            "got %d" % (key_bits, dh_bits))
     mode = _str_field(doc, "mode", "scenario", default="secure")
     if mode not in MODES:
         raise ScenarioError("scenario.mode: expected one of %s, got %r"

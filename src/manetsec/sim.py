@@ -171,6 +171,8 @@ class Network:
         for nb in self._neighbors[src]:
             link = self._links[frozenset((src, nb))]
             if link.up:
+                if kind is None:
+                    kind = wire.describe(payload)   # once per broadcast
                 self._transmit(src, nb, payload, link, kind)
 
     def unicast(self, src: str, dst: str, payload: bytes,

@@ -9,9 +9,11 @@ first offending field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .crypto import AggregateSignature, DIGEST_BYTES, digest, digest_int
+from .crypto import (
+    AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
+)
 
 KIND_RREQ = 0x01
 KIND_RREP = 0x02
@@ -416,3 +418,25 @@ def signer_hash(core: RouteCore, hops: Tuple[bytes, ...], index: int,
     """Hash that signer `index` actually signs: its view plus its own key."""
     return digest_int(digest(signing_view(core, hops, index)
                              + encode_public(public)))
+
+
+def signer_hashes(core: RouteCore, hops: Tuple[bytes, ...],
+                  publics: Sequence[Tuple[int, int]]) -> List[int]:
+    """signer_hash(core, hops, i, publics[i]) for every signer of a chain.
+
+    One running hash takes the core and then one hop per signer, and is
+    copied for each signer's key, so a chain of k hops hashes O(k) bytes
+    instead of re-hashing every prefix.
+    """
+    if len(publics) != len(hops) + 1:
+        raise ValueError("%d public keys for %d signers"
+                         % (len(publics), len(hops) + 1))
+    running = digest_stream(encode_core(core))
+    out = []
+    for i, public in enumerate(publics):
+        if i:
+            running.update(hops[i - 1])
+        h = running.copy()
+        h.update(encode_public(public))
+        out.append(digest_int(h.digest()))
+    return out

@@ -148,6 +148,27 @@ def test_node_keys_modulus_width_and_distinctness():
             assert pow(pow(m, key.e, key.n), key.d, key.n) == m
 
 
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_crt_private_operations_equal_plain_pow(bits):
+    sign, enc = crypto.generate_node_keys(crypto.derive_seed("crt", bits),
+                                          key_bits=bits)
+    rng = random.Random(bits)
+    for key in (sign, enc):
+        assert key.p * key.q == key.n
+        assert key.p != key.q
+        assert (key.q * key.qinv) % key.p == 1
+        samples = [0, 1, key.p, key.q, key.n - 1]
+        samples += [rng.randrange(key.n) for _ in range(20)]
+        for x in samples:
+            # oracle: the plain exponentiation with the full private exponent
+            want = pow(x, key.d, key.n)
+            assert crypto.rsa_sign_first(x, key).value == want
+            assert crypto.rsa_decrypt(x, key) == want
+            prev = AggregateSignature(value=0, overflow_bits=(),
+                                      signer_count=1)
+            assert crypto.sas_aggregate_step(prev, x, key).value == want
+
+
 def test_odd_key_width_rejected():
     with pytest.raises(ValueError):
         crypto.generate_node_keys(1, key_bits=63)

@@ -120,3 +120,8 @@ def test_json_load_rejects_missing_fields():
         identity.registry_from_json(json.dumps([{"ip": "n0"}]))
     with pytest.raises(ValueError):
         identity.registry_from_json("{}")
+
+
+def test_json_load_rejects_non_object_entries_by_index():
+    with pytest.raises(ValueError, match="entry 0"):
+        identity.registry_from_json("[5]")

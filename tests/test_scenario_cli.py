@@ -107,6 +107,7 @@ BAD_DOCS = [
                     "dst": "b"}}]),
      "adversary"),
     (doc_two_nodes(tcp={"rto": 0}), "must be >= 1"),
+    (doc_two_nodes(key_bits=64, dh_bits=80), "below key_bits"),
 ]
 
 
@@ -167,6 +168,17 @@ def test_cli_rejects_malformed_scenarios_without_writing(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_exchange_group_as_wide_as_keys(tmp_path, capsys):
+    # a DH group as wide as the peers' moduli cannot be sealed to them
+    doc = doc_two_nodes(key_bits=64, dh_bits=64, mode="secure")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "dh_bits" in capsys.readouterr().err
 
 
 def test_cli_exit_flags_a_secure_mode_failure(tmp_path, capsys):

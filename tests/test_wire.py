@@ -1,6 +1,7 @@
 """Wire codec tests: canonical encodings, strict decoding, signing views."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,22 @@ def test_signer_hash_binds_public_key():
     view = wire.encode_core(core)
     blob = view + b"\x00\x00\x00\x01\xbb" + b"\x00\x00\x00\x01\x07"
     assert h1 == int.from_bytes(hashlib.sha256(blob).digest(), "big")
+
+
+def test_signer_hashes_equal_per_index_signer_hash():
+    rng = random.Random(5)
+    for k in range(15):
+        hops = tuple(rng.randbytes(32) for _ in range(k))
+        publics = [(rng.getrandbits(128) | 1, 65537) for _ in range(k + 1)]
+        core = _rreq(src_seq=k)
+        want = [wire.signer_hash(core, hops, i, publics[i])
+                for i in range(k + 1)]
+        assert wire.signer_hashes(core, hops, publics) == want
+
+
+def test_signer_hashes_need_one_key_per_signer():
+    with pytest.raises(ValueError):
+        wire.signer_hashes(_rreq(), (ID_B,), [(187, 7)])
 
 
 # --- segments ---------------------------------------------------------------
