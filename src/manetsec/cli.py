@@ -8,7 +8,8 @@ Three subcommands:
 
 `run` exits 1 when a secure-mode run ends with any attack judged successful
 (that is the regression signal); baseline runs are expected to be harmed and
-exit 0. Malformed scenarios exit 2 without writing anything.
+exit 0. Malformed scenarios exit 2 without writing anything, and any other
+error exits 3 with a one-line "internal error:" message.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import identity, scenario, sim
-from .crypto import derive_seed, generate_node_keys
 
 _DISPOSITION_PREFIX = "dropped_by_receiver("
 
@@ -71,17 +72,21 @@ def main(argv=None) -> int:
     except scenario.ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except Exception as err:
+        # a bug, not bad input: one line naming where it was raised, in
+        # place of a traceback
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print("internal error: %s: %s (%s:%d)"
+              % (type(err).__name__, " ".join(str(err).split()),
+                 os.path.basename(where.filename), where.lineno),
+              file=sys.stderr)
+        return 3
 
 
 def cmd_keygen(args) -> int:
     sc = scenario.parse(scenario.load_file(args.scenario))
     seed = sc.seed if args.seed is None else args.seed
-    reg = identity.Registry()
-    for name in sc.nodes:
-        sig, enc = generate_node_keys(derive_seed(seed, "keys", name),
-                                      sc.key_bits)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, name))
+    reg, _ = scenario.build_registry(sc, seed)
     text = identity.registry_to_json(reg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ widths so tests can pin hand-checkable values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import random
@@ -182,6 +183,13 @@ def generate_node_keys(seed: int, key_bits: int = DEFAULT_KEY_BITS
     """
     if key_bits < 64 or key_bits % 2 != 0:
         raise ValueError("key_bits must be even and >= 64, got %d" % key_bits)
+    return _node_keys(seed, key_bits)
+
+
+# The keys are a pure function of (seed, key_bits) and frozen, so reruns of
+# a scenario share them. 256 entries of 512-bit pairs hold about 0.4 MB.
+@functools.lru_cache(maxsize=256)
+def _node_keys(seed: int, key_bits: int) -> Tuple[RsaKeyPair, RsaKeyPair]:
     rng = random.Random(seed)
     signing = generate_keypair(key_bits, rng)
     while True:

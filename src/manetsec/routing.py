@@ -451,8 +451,6 @@ class RouterNode:
         reason = self._verify(msg, sender, terminal)
         if reason:
             return reason
-        if len(core.originator_id) != 32:
-            return "malformed"
         try:
             src_node_id = self.registry.by_ip(core.dst_ip).node_id
             unreachable = self.registry.get(core.originator_id)

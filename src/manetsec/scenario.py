@@ -18,6 +18,14 @@ from .crypto import derive_seed, generate_node_keys
 
 MODES = ("secure", "baseline")
 
+# Widest keys and exchange groups a scenario may ask for. Every discovery
+# generates a fresh safe-prime group, which gets steeply slower with width
+# (about 0.2 s at 256 bits, 2-3 s at 512; 4000 bits did not finish in 5
+# minutes), and a 2048-bit node key takes about 1.5 s, so wider values
+# would make a run hang rather than fail.
+MAX_KEY_BITS = 2048
+MAX_DH_BITS = 512
+
 _TOP_FIELDS = {"seed", "key_bits", "dh_bits", "mode", "sec_level",
                "half_open_capacity", "run_until", "nodes", "links", "events",
                "tcp"}
@@ -95,7 +103,8 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _int_field(doc: dict, key: str, where: str, default=None, minimum=0):
+def _int_field(doc: dict, key: str, where: str, default=None, minimum=0,
+               maximum=None):
     if key not in doc:
         if default is None:
             raise ScenarioError("%s: missing required field %r" % (where, key))
@@ -106,6 +115,8 @@ def _int_field(doc: dict, key: str, where: str, default=None, minimum=0):
                             % (where, key, v))
     if v < minimum:
         raise ScenarioError("%s.%s: must be >= %d" % (where, key, minimum))
+    if maximum is not None and v > maximum:
+        raise ScenarioError("%s.%s: must be <= %d" % (where, key, maximum))
     return v
 
 
@@ -148,10 +159,12 @@ def parse(doc) -> Scenario:
             raise ScenarioError("unknown top-level field %r" % key)
 
     seed = _int_field(doc, "seed", "scenario")
-    key_bits = _int_field(doc, "key_bits", "scenario", default=256, minimum=64)
+    key_bits = _int_field(doc, "key_bits", "scenario", default=256, minimum=64,
+                          maximum=MAX_KEY_BITS)
     if key_bits % 2:
         raise ScenarioError("scenario.key_bits: must be even")
-    dh_bits = _int_field(doc, "dh_bits", "scenario", default=64, minimum=16)
+    dh_bits = _int_field(doc, "dh_bits", "scenario", default=64, minimum=16,
+                         maximum=MAX_DH_BITS)
     if dh_bits >= key_bits:
         # a discovery encrypts DH values mod p under a peer's key_bits-wide
         # modulus, so the group must be narrower than every key
@@ -377,6 +390,23 @@ def _key_agreement(metrics: sim.Metrics, registry: identity.Registry) -> bool:
     return all(len(vals) == 1 for vals in groups.values())
 
 
+def build_registry(sc: Scenario, seed: int) -> Tuple[identity.Registry, dict]:
+    """Registry and {name: (signing, encryption)} for the nodes of `sc`.
+
+    `seed` is the master seed the keys derive from; a seed override makes
+    it differ from sc.seed.
+    """
+    reg = identity.Registry()
+    keys = {}
+    for name in sc.nodes:
+        sig, enc = generate_node_keys(derive_seed(seed, "keys", name),
+                                      sc.key_bits)
+        keys[name] = (sig, enc)
+        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
+                                      sig.public, enc.public, name))
+    return reg, keys
+
+
 def run_scenario(doc, *, mode: Optional[str] = None,
                  sec_level: Optional[int] = None,
                  seed: Optional[int] = None) -> RunResult:
@@ -397,16 +427,9 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     specs = [_finalize_spec(s, sc) for s in sc.attack_specs]
     sc = replace(sc, attack_specs=specs)
 
-    reg = identity.Registry()
+    reg, keys = build_registry(sc, sc.seed)
     metrics = sim.Metrics()
     net = sim.Network(seed=sc.seed, metrics=metrics)
-    keys = {}
-    for name in sc.nodes:
-        sig, enc = generate_node_keys(derive_seed(sc.seed, "keys", name),
-                                      sc.key_bits)
-        keys[name] = (sig, enc)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, name))
     bad = sc.attacker_names()
     secure = sc.mode == "secure"
     tcp_cfg = transport.TcpConfig(mss=sc.mss, rto=sc.rto,

@@ -8,7 +8,8 @@ first offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .crypto import (
@@ -365,6 +366,22 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
+    """Strict decode of one frame; raises ParseError at the first bad byte.
+
+    Every neighbour of a broadcast receives the same bytes, and the trace
+    labels them too, so decodes are memoized by payload. The messages are
+    frozen all the way down (ints, strings, bytes, tuples), so callers can
+    share them. A ParseError is raised afresh on every call, never cached.
+    """
+    if not isinstance(data, bytes):
+        # a hashable, immutable copy of a bytearray or memoryview; unlike
+        # bytes(data), memoryview() refuses an int instead of zero-filling
+        data = bytes(memoryview(data))
+    return _decode(data)
+
+
+@functools.lru_cache(maxsize=64)
+def _decode(data: bytes) -> Message:
     if not data:
         raise ParseError(0, "empty message")
     kind = data[0]

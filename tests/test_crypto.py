@@ -170,10 +170,24 @@ def test_crt_private_operations_equal_plain_pow(bits):
 
 
 def test_odd_key_width_rejected():
-    with pytest.raises(ValueError):
-        crypto.generate_node_keys(1, key_bits=63)
-    with pytest.raises(ValueError):
-        crypto.generate_node_keys(1, key_bits=62)
+    # twice: a rejected width must fail on every call, never be memoized
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            crypto.generate_node_keys(1, key_bits=63)
+        with pytest.raises(ValueError):
+            crypto.generate_node_keys(1, key_bits=62)
+
+
+def test_node_keys_are_memoized_by_seed_and_width():
+    keys = crypto.generate_node_keys(41, key_bits=128)
+    # positional and keyword calls share one entry keyed by (seed, key_bits)
+    assert crypto.generate_node_keys(41, 128) is keys
+    # the memo returns exactly what a fresh generation gives
+    assert crypto._node_keys.__wrapped__(41, 128) == keys
+    wider = crypto.generate_node_keys(41, key_bits=192)
+    assert wider != keys
+    assert wider[0].n.bit_length() == 192
+    assert crypto._node_keys.cache_info().maxsize is not None
 
 
 # --- session key bootstrap ------------------------------------------------

@@ -108,7 +108,17 @@ BAD_DOCS = [
      "adversary"),
     (doc_two_nodes(tcp={"rto": 0}), "must be >= 1"),
     (doc_two_nodes(key_bits=64, dh_bits=80), "below key_bits"),
+    (doc_two_nodes(key_bits=2050), "key_bits: must be <= 2048"),
+    (doc_two_nodes(key_bits=2048, dh_bits=4000), "dh_bits: must be <= 512"),
+    (doc_two_nodes(key_bits=2048, dh_bits=514), "dh_bits: must be <= 512"),
 ]
+
+
+def test_widest_allowed_widths_parse():
+    # parse only: a run at these widths takes seconds per key and group
+    sc = scenario.parse(doc_two_nodes(key_bits=scenario.MAX_KEY_BITS,
+                                      dh_bits=scenario.MAX_DH_BITS))
+    assert (sc.key_bits, sc.dh_bits) == (2048, 512)
 
 
 @pytest.mark.parametrize("doc,fragment", BAD_DOCS)
@@ -181,6 +191,22 @@ def test_cli_rejects_exchange_group_as_wide_as_keys(tmp_path, capsys):
     assert "dh_bits" in capsys.readouterr().err
 
 
+def test_cli_reports_an_unexpected_failure_in_one_line(tmp_path, capsys,
+                                                        monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated\nfailure")
+    monkeypatch.setattr(scenario, "run_scenario", broken)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc_two_nodes()),
+                   "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: simulated failure "
+                          "(test_scenario_cli.py:")
+    assert err.count("\n") == 1
+
+
 def test_cli_exit_flags_a_secure_mode_failure(tmp_path, capsys):
     # a transfer that cannot finish before the run ends counts as harm for
     # the injection attack, which must flip the exit code in secure mode
@@ -210,6 +236,14 @@ def test_cli_keygen_is_deterministic_and_loadable(tmp_path, capsys):
     assert len(reg.entries()) == 2
     assert cli.main(["keygen", "--scenario", path, "--seed", "9"]) == 0
     assert capsys.readouterr().out != first
+
+
+def test_cli_keygen_prints_the_registry_a_run_uses(tmp_path, capsys):
+    path = write(tmp_path, doc_two_nodes())
+    assert cli.main(["keygen", "--scenario", path, "--seed", "9"]) == 0
+    printed = capsys.readouterr().out
+    run = scenario.run_scenario(doc_two_nodes(), seed=9)
+    assert printed == identity.registry_to_json(run.registry)
 
 
 def test_cli_verify_trace_accepts_then_catches_tampering(tmp_path, capsys):

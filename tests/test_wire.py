@@ -163,6 +163,50 @@ def test_decode_rejects_bit_count_mismatch():
         wire.decode_message(bad)
 
 
+def _cache_samples():
+    seg = Segment(role=wire.ROLE_DATA, src_port=5000, dst_port=80, seq=9,
+                  ack=4, payload=b"cached", tag=ID_C)
+    return [_msg(_rreq()), seg,
+            DataPacket(src_ip="n0", dst_ip="n4", segment=seg)]
+
+
+def test_repeated_decodes_return_equal_messages():
+    for msg in _cache_samples():
+        data = wire.encode_message(msg)
+        first = wire.decode_message(data)
+        assert first == msg
+        assert wire.decode_message(data) == first
+        # equal bytes in a different object decode to the same message
+        assert wire.decode_message(bytes(bytearray(data))) == first
+    assert wire._decode.cache_info().maxsize is not None   # bounded memo
+
+
+def test_decode_accepts_bytearray_and_memoryview():
+    for msg in _cache_samples():
+        data = wire.encode_message(msg)
+        for view in (bytearray(data), memoryview(data)):
+            assert wire.decode_message(view) == msg
+    with pytest.raises(TypeError):
+        wire.decode_message(3)
+    seg = _cache_samples()[1]
+    buf = bytearray(wire.encode_message(seg))
+    got = wire.decode_message(buf)
+    assert type(got.payload) is bytes and type(got.tag) is bytes
+    # the decode keeps no reference to the caller's mutable buffer
+    buf[-1] ^= 0xFF
+    assert wire.decode_message(wire.encode_message(seg)) == got == seg
+
+
+def test_malformed_bytes_fail_at_the_same_position_on_every_call():
+    data = wire.encode_message(_msg(_rreq())) + b"\x00"
+    seen = set()
+    for arg in (data, data, bytearray(data), memoryview(data), data):
+        with pytest.raises(ParseError) as err:
+            wire.decode_message(arg)
+        seen.add((err.value.position, err.value.reason))
+    assert seen == {(len(data) - 1, "1 trailing bytes")}
+
+
 def test_off_kind_fields_rejected_at_encode():
     with pytest.raises(ValueError):
         wire.encode_message(_msg(_rreq(dst_seq=5)))
