@@ -5,8 +5,9 @@ and full knowledge of the protocol, but not other nodes' private keys or
 session keys. The judge classifies a finished run:
 
 * succeeded   - the kind-specific harm state was reached;
-* detected    - no harm, and receivers dropped traffic for reasons that
-                identify this kind of tampering;
+* detected    - no harm, and receivers dropped frames the attacker (or its
+                wormhole partner) sent, for reasons that identify this
+                kind of tampering;
 * neutralized - no harm and no such drops (the attack simply had no grip,
                 e.g. a relay wormhole that secure nodes treat as ordinary
                 duplicates, or a flood against a stateless listener).
@@ -18,16 +19,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from . import wire
-from .crypto import (
-    AggregateSignature,
-    digest,
-    rsa_encrypt,
-    rsa_sign_first,
-    sas_aggregate_step,
-    RsaKeyPair,
-)
+from .crypto import AggregateSignature, digest, rsa_encrypt, RsaKeyPair
 from .identity import Registry, derive_id
-from .sim import Network
+from .routing import append_signer, sign_origin
+from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
 
 ATTACK_KINDS = ("seq_inflate", "hop_shorten", "redirect", "tunnel",
@@ -92,12 +87,6 @@ class AttackerNode:
                            "ack_inject"):
             net.timer(spec.start, name, "atk", ("fire", None))
 
-    @property
-    def sig_mode(self) -> int:
-        if self.spec.sec_level == 1:
-            return wire.MODE_AGGREGATE_FULL
-        return wire.MODE_SOURCE_PLUS_LAST
-
     # --- sim handler interface ----------------------------------------------
 
     def on_receive(self, sender: str, payload: bytes) -> Optional[str]:
@@ -161,18 +150,9 @@ class AttackerNode:
         elif core.kind == wire.KIND_RREP:
             self._forward_as_is(msg)
 
-    def _append_self(self, core, hops, agg):
-        new_hops = hops + (self.node_id,)
-        if agg is None:
-            return new_hops, None
-        h = wire.signer_hash(core, new_hops, len(new_hops),
-                             self.signing.public)
-        return new_hops, sas_aggregate_step(agg, h, self.signing)
-
     def _forward_inflated(self, msg: wire.RouteMessage) -> None:
         core = replace(msg.core, src_seq=self.spec.inflate_to)
-        hops, agg = self._append_self(core, msg.hops, msg.aggregate)
-        self._broadcast_route(core, hops, agg, msg.source_sig)
+        self._sign_and_send(core, msg.hops, msg.aggregate, msg.source_sig)
 
     def _forward_shortened(self, msg: wire.RouteMessage) -> None:
         # pretend the chain so far is a bare origin signature and that the
@@ -181,12 +161,10 @@ class AttackerNode:
         if agg is not None:
             agg = AggregateSignature(value=agg.value, overflow_bits=(),
                                      signer_count=1)
-        hops, agg = self._append_self(msg.core, (), agg)
-        self._broadcast_route(msg.core, hops, agg, msg.source_sig)
+        self._sign_and_send(msg.core, (), agg, msg.source_sig)
 
     def _forward_as_is(self, msg: wire.RouteMessage) -> None:
-        hops, agg = self._append_self(msg.core, msg.hops, msg.aggregate)
-        self._broadcast_route(msg.core, hops, agg, msg.source_sig)
+        self._sign_and_send(msg.core, msg.hops, msg.aggregate, msg.source_sig)
 
     def _forge_reply(self, victim: str, req: wire.RouteCore) -> None:
         target = self.registry.by_ip(self.spec.dst)
@@ -195,27 +173,29 @@ class AttackerNode:
                               src_seq=self.spec.inflate_to,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
-        hops, agg, src_sig = self._forge_chain(core, target.signing_public)
-        msg = wire.RouteMessage(core=core, hops=hops, sig_mode=self.sig_mode,
-                                sec_level=self.spec.sec_level, aggregate=agg,
-                                source_sig=src_sig)
-        self.net.unicast(self.ip, victim, wire.encode_message(msg))
+        self._sign_and_send(core, (), *self._fake_origin(core, target),
+                            to=victim)
 
-    def _forge_chain(self, core, claimed_public):
-        """Chain that claims another node's origin; its first link is fake."""
-        hops = (self.node_id,)
-        fake = rsa_sign_first(wire.signer_hash(core, hops, 0, claimed_public),
-                              self.signing)
-        h = wire.signer_hash(core, hops, 1, self.signing.public)
-        agg = sas_aggregate_step(fake, h, self.signing)
-        src_sig = fake.value if self.spec.sec_level == 0 else None
-        return hops, agg, src_sig
+    def _fake_origin(self, core, claimed):
+        """(aggregate, standalone signature) claiming `claimed` as origin,
+        though made with this node's key, so it cannot verify."""
+        fake = sign_origin(core, self.signing, claimed.signing_public)
+        return fake, fake.value if self.spec.sec_level == 0 else None
 
-    def _broadcast_route(self, core, hops, agg, src_sig) -> None:
-        msg = wire.RouteMessage(core=core, hops=hops, sig_mode=self.sig_mode,
-                                sec_level=self.spec.sec_level, aggregate=agg,
-                                source_sig=src_sig)
-        self.net.broadcast(self.ip, wire.encode_message(msg))
+    def _sign_and_send(self, core, hops, agg, src_sig, to=None) -> None:
+        """Append this node as a signing hop; unicast to `to` or broadcast."""
+        hops, agg = append_signer(core, hops, agg, self.signing, self.node_id)
+        self._send(core, hops, agg, src_sig, to)
+
+    def _send(self, core, hops, agg, src_sig, to) -> None:
+        level = self.spec.sec_level
+        payload = wire.encode_message(wire.RouteMessage(
+            core=core, hops=hops, sig_mode=wire.sig_mode_for(level),
+            sec_level=level, aggregate=agg, source_sig=src_sig))
+        if to is None:
+            self.net.broadcast(self.ip, payload)
+        else:
+            self.net.unicast(self.ip, to, payload)
 
     # --- one-shot forgeries -------------------------------------------------------
 
@@ -227,8 +207,7 @@ class AttackerNode:
                               src_id=claimed.node_id, src_seq=50, bct_id=7700,
                               dst_ip=self.spec.dst, dh_p=23, dh_g=5,
                               dh_payload=sealed)
-        hops, agg, src_sig = self._forge_chain(core, claimed.signing_public)
-        self._broadcast_route(core, hops, agg, src_sig)
+        self._sign_and_send(core, (), *self._fake_origin(core, claimed))
 
     def _fire_fake_rerr(self) -> None:
         reporter = self.registry.by_ip(self.spec.through)
@@ -237,14 +216,8 @@ class AttackerNode:
                               src_id=reporter.node_id, src_seq=7777, bct_id=0,
                               dst_ip=self.spec.src,
                               originator_id=unreachable.node_id)
-        fake = rsa_sign_first(
-            wire.signer_hash(core, (), 0, reporter.signing_public),
-            self.signing)
-        src_sig = fake.value if self.spec.sec_level == 0 else None
-        msg = wire.RouteMessage(core=core, hops=(), sig_mode=self.sig_mode,
-                                sec_level=self.spec.sec_level, aggregate=fake,
-                                source_sig=src_sig)
-        self.net.unicast(self.ip, self.spec.through, wire.encode_message(msg))
+        self._send(core, (), *self._fake_origin(core, reporter),
+                   to=self.spec.through)
 
     def _fire_session_hijack(self) -> None:
         seq = (CLIENT_ISN_BASE + 1) & MASK    # first connection, no data yet
@@ -297,10 +270,14 @@ def deploy(spec: AttackSpec, signing_keys: Dict[str, RsaKeyPair],
 
 # --- outcome oracle -----------------------------------------------------------
 
-def judge(spec: AttackSpec, metrics, registry: Registry) -> str:
+def judge(spec: AttackSpec, metrics, registry: Registry, trace) -> str:
+    """Verdict of a finished run; `trace` is its Network.trace."""
     if _harm(spec, metrics, registry):
         return "succeeded"
-    if any(metrics.drops.get(r, 0) for r in DETECTION[spec.kind]):
+    senders = {spec.attacker, spec.partner}
+    telltale = {dropped(reason) for reason in DETECTION[spec.kind]}
+    if any(rec.src in senders and rec.disposition in telltale
+           for rec in trace):
         return "detected"
     return "neutralized"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .crypto import DIGEST_BYTES, digest
 from .wire import encode_public
@@ -63,12 +63,6 @@ class Registry:
 
     def __contains__(self, node_id: bytes) -> bool:
         return node_id in self._by_id
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[NodeIdentity]:
-        return iter(self.entries())
 
     def entries(self) -> List[NodeIdentity]:
         return sorted(self._by_id.values(), key=lambda n: n.ip)

@@ -19,7 +19,7 @@ what makes replayed or re-attributed messages detectable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import wire
@@ -45,6 +45,35 @@ from .identity import Registry, UnknownIdentityError, derive_id
 from .sim import Network
 
 MAX_CASE2_HOPS = 1
+DISCOVERY_TIMEOUT = 50        # ticks before a discovery attempt is retired
+MAX_DISCOVERY_ATTEMPTS = 3
+SEND_QUEUE_LIMIT = 16         # segments held per target awaiting a route
+
+
+def sign_origin(core: wire.RouteCore, key: RsaKeyPair,
+                public: Optional[Tuple[int, int]] = None
+                ) -> AggregateSignature:
+    """Signer 0's signature over `core`, bound to `public`.
+
+    `public` defaults to the signer's own key; a forger names another
+    node's key here, which makes the signature claim that node as origin.
+    """
+    h = wire.signer_hash(core, (), 0, public or key.public)
+    return rsa_sign_first(h, key)
+
+
+def append_signer(core: wire.RouteCore, hops: Tuple[bytes, ...],
+                  agg: Optional[AggregateSignature], key: RsaKeyPair,
+                  node_id: bytes):
+    """(hops + node_id, agg with that hop's signature folded in).
+
+    An unsigned message (agg None) gets the hop record and stays unsigned.
+    """
+    new_hops = hops + (node_id,)
+    if agg is None:
+        return new_hops, None
+    h = wire.signer_hash(core, new_hops, len(new_hops), key.public)
+    return new_hops, sas_aggregate_step(agg, h, key)
 
 
 @dataclass
@@ -56,11 +85,6 @@ class NodeConfig:
     sec_level: int = 1
     master_seed: int = 0
     dh_bits: int = 64
-    discovery_timeout: int = 50
-    max_discovery_retries: int = 3
-    send_queue_limit: int = 16
-    # fixed responder exponent, for pinning key-exchange vectors in tests
-    responder_secret: Optional[int] = None
 
 
 @dataclass
@@ -104,19 +128,16 @@ class RouterNode:
         self.seen: set = set()
         self.session_keys: Dict[Tuple[bytes, int], SessionKey] = {}
         self.latest_key: Dict[bytes, int] = {}
-        self.received_payloads: List[Tuple[str, bytes]] = []
         self.active_targets: set = set()
         self.send_queue: Dict[str, List[wire.Segment]] = {}
         self.transport = None
         self.rng = random.Random(
             derive_seed(config.master_seed, "node", config.name))
+        # bases for testing requesters' groups; a stream of its own, so the
+        # checks move no other draw
+        self._group_rng = random.Random(
+            derive_seed(config.master_seed, "group-check", config.name))
         net.add_node(config.name, self)
-
-    @property
-    def sig_mode(self) -> int:
-        if self.config.sec_level == 1:
-            return wire.MODE_AGGREGATE_FULL
-        return wire.MODE_SOURCE_PLUS_LAST
 
     # --- discovery ----------------------------------------------------------
 
@@ -128,6 +149,7 @@ class RouterNode:
         self._bct_counter += 1
         bct = self._bct_counter
         params = None
+        exchange = {}
         if self.config.secure:
             params = dh_override
             if params is None:
@@ -136,28 +158,25 @@ class RouterNode:
             if params.p >= dest.encryption_public[0]:
                 raise ValueError("exchange group too wide for peer key")
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
-            core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=self.ip,
-                                  src_id=self.node_id, src_seq=self.seq,
-                                  bct_id=bct, dst_ip=dst_ip, dh_p=params.p,
-                                  dh_g=params.g, dh_payload=sealed)
-        else:
-            core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=self.ip,
-                                  src_id=self.node_id, src_seq=self.seq,
-                                  bct_id=bct, dst_ip=dst_ip)
-        hops, agg, src_sig = self._sign_origin(core)
-        msg = wire.RouteMessage(core=core, hops=hops, sig_mode=self.sig_mode,
-                                sec_level=self.config.sec_level,
-                                aggregate=agg, source_sig=src_sig)
+            exchange = dict(dh_p=params.p, dh_g=params.g, dh_payload=sealed)
+        core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=self.ip,
+                              src_id=self.node_id, src_seq=self.seq,
+                              bct_id=bct, dst_ip=dst_ip, **exchange)
+        msg = self._originate(core)
         self.pending[bct] = PendingDiscovery(dst_ip, bct, params,
                                              self.net.tick, _attempt)
         self.active_targets.add(dst_ip)
-        self.seen.add(self._seen_key(core))
         self.metrics.discoveries.append(dict(node=self.ip, target=dst_ip,
                                              bct=bct, tick=self.net.tick,
                                              attempt=_attempt))
-        self.net.broadcast(self.ip, wire.encode_message(msg))
-        self.net.timer(self.config.discovery_timeout, self.ip, "disc", bct)
+        self._send(msg)
+        self.net.timer(DISCOVERY_TIMEOUT, self.ip, "disc", bct)
         return bct
+
+    def ensure_discovery(self, dst_ip: str) -> None:
+        """Start a discovery for dst_ip unless one is already pending."""
+        if not any(pd.target_ip == dst_ip for pd in self.pending.values()):
+            self.start_discovery(dst_ip)
 
     def session_key_for(self, peer_ip: str) -> Optional[SessionKey]:
         try:
@@ -169,35 +188,47 @@ class RouterNode:
             return None
         return self.session_keys.get((peer_id, bct))
 
-    # --- signing ------------------------------------------------------------
+    # --- sending ------------------------------------------------------------
 
-    def _sign_origin(self, core):
-        if not self.config.secure:
-            return (), None, None
-        h0 = wire.signer_hash(core, (), 0, self.config.signing.public)
-        agg = rsa_sign_first(h0, self.config.signing)
-        self.metrics.signed += 1
-        src_sig = agg.value if self.config.sec_level == 0 else None
-        return (), agg, src_sig
-
-    def _sign_forward(self, core, hops, agg, src_sig):
-        if not self.config.secure:
-            return hops + (self.node_id,), None, None
-        if self.config.sec_level == 1:
-            new_hops = hops + (self.node_id,)
-            h = wire.signer_hash(core, new_hops, len(new_hops),
-                                 self.config.signing.public)
-            out = sas_aggregate_step(agg, h, self.config.signing)
+    def _originate(self, core: wire.RouteCore) -> wire.RouteMessage:
+        """A message that starts at this node: signed as origin, seen."""
+        level = self.config.sec_level
+        agg = src_sig = None
+        if self.config.secure:
+            agg = sign_origin(core, self.config.signing)
             self.metrics.signed += 1
-            return new_hops, out, None
-        # level 0: strip the predecessor, rebind over the origin signature
-        base = AggregateSignature(value=src_sig, overflow_bits=(),
-                                  signer_count=1)
-        new_hops = (self.node_id,)
-        h = wire.signer_hash(core, new_hops, 1, self.config.signing.public)
-        out = sas_aggregate_step(base, h, self.config.signing)
-        self.metrics.signed += 1
-        return new_hops, out, src_sig
+            if level == 0:
+                src_sig = agg.value
+        self.seen.add(self._seen_key(core))
+        return wire.RouteMessage(core=core, hops=(),
+                                 sig_mode=wire.sig_mode_for(level),
+                                 sec_level=level, aggregate=agg,
+                                 source_sig=src_sig)
+
+    def _forward(self, msg: wire.RouteMessage) -> wire.RouteMessage:
+        """`msg` with this node appended as the newest hop and signer."""
+        hops, agg, src_sig = msg.hops, msg.aggregate, None
+        if not self.config.secure:
+            agg = None
+        elif self.config.sec_level == 0:
+            # strip the predecessor, rebind over the origin signature
+            src_sig = msg.source_sig
+            hops = ()
+            agg = AggregateSignature(value=src_sig, overflow_bits=(),
+                                     signer_count=1)
+        hops, agg = append_signer(msg.core, hops, agg, self.config.signing,
+                                  self.node_id)
+        if agg is not None:
+            self.metrics.signed += 1
+        return replace(msg, hops=hops, aggregate=agg, source_sig=src_sig)
+
+    def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
+        """Unicast to the neighbour `to`, or broadcast when it is None."""
+        payload = wire.encode_message(msg)
+        if to is None:
+            self.net.broadcast(self.ip, payload)
+        else:
+            self.net.unicast(self.ip, to, payload)
 
     # --- verification -------------------------------------------------------
 
@@ -211,7 +242,7 @@ class RouterNode:
             return "unknown_identity"
         if not self.config.secure:
             return None
-        if (msg.sig_mode != self.sig_mode
+        if (msg.sig_mode != wire.sig_mode_for(self.config.sec_level)
                 or msg.sec_level != self.config.sec_level):
             return "malformed"
         try:
@@ -274,15 +305,22 @@ class RouterNode:
             msg = wire.decode_message(payload)
         except wire.ParseError:
             return "malformed"
-        if isinstance(msg, wire.RouteMessage):
-            if msg.core.kind == wire.KIND_RREQ:
-                return self._on_rreq(sender, msg)
-            if msg.core.kind == wire.KIND_RREP:
-                return self._on_rrep(sender, msg)
-            return self._on_rerr(sender, msg)
         if isinstance(msg, wire.DataPacket):
             return self._on_data(sender, msg, payload)
-        return "malformed"   # bare segments never travel node to node
+        if not isinstance(msg, wire.RouteMessage):
+            return "malformed"   # bare segments never travel node to node
+        core = msg.core
+        if self._seen_key(core) in self.seen:
+            return "duplicate"
+        terminal = core.dst_ip == self.ip
+        reason = self._verify(msg, sender, terminal)
+        if reason:
+            return reason
+        if core.kind == wire.KIND_RREQ:
+            return self._on_rreq(sender, msg, terminal)
+        if core.kind == wire.KIND_RREP:
+            return self._on_rrep(sender, msg, terminal)
+        return self._on_rerr(sender, msg, terminal)
 
     def on_timer(self, tag, data) -> None:
         if tag != "disc":
@@ -292,7 +330,7 @@ class RouterNode:
         pd = self.pending.pop(data, None)
         if pd is None:
             return
-        if pd.attempt < self.config.max_discovery_retries:
+        if pd.attempt < MAX_DISCOVERY_ATTEMPTS:
             self.start_discovery(pd.target_ip, _attempt=pd.attempt + 1)
         else:
             self.active_targets.discard(pd.target_ip)
@@ -301,14 +339,9 @@ class RouterNode:
     def _seen_key(self, core: wire.RouteCore):
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
 
-    def _on_rreq(self, sender: str, msg: wire.RouteMessage) -> Optional[str]:
+    def _on_rreq(self, sender: str, msg: wire.RouteMessage,
+                 terminal: bool) -> Optional[str]:
         core = msg.core
-        if self._seen_key(core) in self.seen:
-            return "duplicate"
-        terminal = core.dst_ip == self.ip
-        reason = self._verify(msg, sender, terminal)
-        if reason:
-            return reason
         try:
             dst_id = self.registry.by_ip(core.dst_ip).node_id
         except UnknownIdentityError:
@@ -322,12 +355,7 @@ class RouterNode:
         flow.toward_src = sender
         if terminal:
             return self._answer_request(core)
-        hops, agg, src_sig = self._sign_forward(core, msg.hops,
-                                                msg.aggregate, msg.source_sig)
-        fwd = wire.RouteMessage(core=core, hops=hops, sig_mode=msg.sig_mode,
-                                sec_level=msg.sec_level, aggregate=agg,
-                                source_sig=src_sig)
-        self.net.broadcast(self.ip, wire.encode_message(fwd))
+        self._send(self._forward(msg))
         return None
 
     def _answer_request(self, core: wire.RouteCore) -> Optional[str]:
@@ -341,22 +369,15 @@ class RouterNode:
                                src_id=self.node_id, src_seq=self.seq,
                                bct_id=core.bct_id, dst_ip=core.src_ip,
                                dst_seq=core.src_seq, dh_payload=sealed)
-        hops, agg, src_sig = self._sign_origin(reply)
-        msg = wire.RouteMessage(core=reply, hops=hops, sig_mode=self.sig_mode,
-                                sec_level=self.config.sec_level,
-                                aggregate=agg, source_sig=src_sig)
-        self.seen.add(self._seen_key(reply))
+        msg = self._originate(reply)
         route = self.routes.get(core.src_id)
         if route is not None:
-            self.net.unicast(self.ip, route.next_hop,
-                             wire.encode_message(msg))
+            self._send(msg, route.next_hop)
         return None
 
     def _respond_key_exchange(self, core) -> Tuple[Optional[str], int]:
         p, g = core.dh_p, core.dh_g
         if p < 7 or p % 2 == 0 or not 2 <= g <= p - 2:
-            return "malformed", 0
-        if not is_probable_prime(p):
             return "malformed", 0
         try:
             origin = self.registry.get(core.src_id)
@@ -367,10 +388,13 @@ class RouterNode:
             return "malformed", 0
         if p >= origin.encryption_public[0]:
             return "malformed", 0
-        secret = self.config.responder_secret
-        if secret is None:
-            secret = self.rng.randrange(2, p - 1)
-        params = DhParams(p=p, g=g, r=secret)
+        # p must be a safe prime 2q + 1, tested last so its width is bounded
+        # by the key check; random bases, because a requester can pick a
+        # composite that passes any fixed set
+        if not (is_probable_prime(p, self._group_rng)
+                and is_probable_prime((p - 1) // 2, self._group_rng)):
+            return "malformed", 0
+        params = DhParams(p=p, g=g, r=self.rng.randrange(2, p - 1))
         key = dh_shared(theirs, params)
         self._store_key(core.src_id, core.bct_id, key)
         sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
@@ -384,14 +408,9 @@ class RouterNode:
             node=self.ip, peer=peer_id.hex(), bct=bct, key=key.value,
             initiated=initiated, tick=self.net.tick))
 
-    def _on_rrep(self, sender: str, msg: wire.RouteMessage) -> Optional[str]:
+    def _on_rrep(self, sender: str, msg: wire.RouteMessage,
+                 terminal: bool) -> Optional[str]:
         core = msg.core
-        if self._seen_key(core) in self.seen:
-            return "duplicate"
-        terminal = core.dst_ip == self.ip
-        reason = self._verify(msg, sender, terminal)
-        if reason:
-            return reason
         try:
             src_node_id = self.registry.by_ip(core.dst_ip).node_id
         except UnknownIdentityError:
@@ -404,32 +423,22 @@ class RouterNode:
                 reason = self._finish_key_exchange(core, pd)
                 if reason:
                     return reason
-            self.seen.add(self._seen_key(core))
-            self._install(core.src_id, sender, len(msg.hops) + 1,
-                          core.src_seq, core.bct_id, via="RREP")
-            flow = self.flows.setdefault((src_node_id, core.src_id),
-                                         FlowState(bct_id=core.bct_id))
-            flow.toward_dst = sender
-            del self.pending[core.bct_id]
-            self.metrics.discovery_latency_ticks.append(
-                self.net.tick - pd.start_tick)
-            self._flush_queue(pd.target_ip)
-            return None
         self.seen.add(self._seen_key(core))
         self._install(core.src_id, sender, len(msg.hops) + 1, core.src_seq,
                       core.bct_id, via="RREP")
         flow = self.flows.setdefault((src_node_id, core.src_id),
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
+        if terminal:
+            del self.pending[core.bct_id]
+            self.metrics.discovery_latency_ticks.append(
+                self.net.tick - pd.start_tick)
+            self._flush_queue(pd.target_ip)
+            return None
         route = self.routes.get(src_node_id)
         if route is None:
             return "no_route"
-        hops, agg, src_sig = self._sign_forward(core, msg.hops,
-                                                msg.aggregate, msg.source_sig)
-        fwd = wire.RouteMessage(core=core, hops=hops, sig_mode=msg.sig_mode,
-                                sec_level=msg.sec_level, aggregate=agg,
-                                source_sig=src_sig)
-        self.net.unicast(self.ip, route.next_hop, wire.encode_message(fwd))
+        self._send(self._forward(msg), route.next_hop)
         return None
 
     def _finish_key_exchange(self, core, pd: PendingDiscovery) -> Optional[str]:
@@ -443,14 +452,9 @@ class RouterNode:
                         initiated=True)
         return None
 
-    def _on_rerr(self, sender: str, msg: wire.RouteMessage) -> Optional[str]:
+    def _on_rerr(self, sender: str, msg: wire.RouteMessage,
+                 terminal: bool) -> Optional[str]:
         core = msg.core
-        if self._seen_key(core) in self.seen:
-            return "duplicate"
-        terminal = core.dst_ip == self.ip
-        reason = self._verify(msg, sender, terminal)
-        if reason:
-            return reason
         try:
             src_node_id = self.registry.by_ip(core.dst_ip).node_id
             unreachable = self.registry.get(core.originator_id)
@@ -473,17 +477,13 @@ class RouterNode:
             if unreachable.ip in self.active_targets:
                 self.start_discovery(unreachable.ip)
             return None
-        hops, agg, src_sig = self._sign_forward(core, msg.hops,
-                                                msg.aggregate, msg.source_sig)
-        fwd = wire.RouteMessage(core=core, hops=hops, sig_mode=msg.sig_mode,
-                                sec_level=msg.sec_level, aggregate=agg,
-                                source_sig=src_sig)
+        fwd = self._forward(msg)
         target = flow.toward_src if flow is not None else None
         if target is None:
             route = self.routes.get(src_node_id)
             target = route.next_hop if route else None
         if target is not None:
-            self.net.unicast(self.ip, target, wire.encode_message(fwd))
+            self._send(fwd, target)
         return None
 
     def _report_break(self, src_node_id: bytes, dst_node_id: bytes) -> None:
@@ -495,22 +495,12 @@ class RouterNode:
                               src_id=self.node_id, src_seq=self.seq,
                               bct_id=flow.bct_id if flow else 0,
                               dst_ip=src.ip, originator_id=dst_node_id)
-        hops, agg, src_sig = self._sign_origin(core)
-        msg = wire.RouteMessage(core=core, hops=hops, sig_mode=self.sig_mode,
-                                sec_level=self.config.sec_level,
-                                aggregate=agg, source_sig=src_sig)
-        self.seen.add(self._seen_key(core))
+        msg = self._originate(core)
         self.metrics.rerr_sent += 1
         if flow is not None and flow.toward_src is not None:
-            self.net.unicast(self.ip, flow.toward_src,
-                             wire.encode_message(msg))
+            self._send(msg, flow.toward_src)
 
     # --- data path ----------------------------------------------------------
-
-    def send_payload(self, dst_ip: str, data: bytes) -> None:
-        seg = wire.Segment(role=wire.ROLE_DATA, src_port=0, dst_port=0,
-                           seq=0, ack=0, payload=data, tag=b"\x00" * 32)
-        self.send_segment(dst_ip, seg)
 
     def send_segment(self, dst_ip: str, seg: wire.Segment) -> None:
         try:
@@ -520,11 +510,10 @@ class RouterNode:
         route = self.routes.get(dst_id)
         if route is None:
             queue = self.send_queue.setdefault(dst_ip, [])
-            if len(queue) >= self.config.send_queue_limit:
+            if len(queue) >= SEND_QUEUE_LIMIT:
                 queue.pop(0)
             queue.append(seg)
-            if not any(pd.target_ip == dst_ip for pd in self.pending.values()):
-                self.start_discovery(dst_ip)
+            self.ensure_discovery(dst_ip)
             return
         pkt = wire.DataPacket(src_ip=self.ip, dst_ip=dst_ip, segment=seg)
         if not self.net.unicast(self.ip, route.next_hop,
@@ -540,7 +529,6 @@ class RouterNode:
     def _on_data(self, sender: str, pkt: wire.DataPacket,
                  raw: bytes) -> Optional[str]:
         if pkt.dst_ip == self.ip:
-            self.received_payloads.append((pkt.src_ip, pkt.segment.payload))
             if self.transport is not None:
                 return self.transport.on_segment(pkt.src_ip, pkt.segment)
             return None

@@ -471,7 +471,8 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     net.run(until=sc.run_until)
 
     for spec in specs:
-        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg)
+        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg,
+                                                           net.trace)
     return RunResult(scenario=sc, net=net, metrics=metrics, registry=reg,
                      routers=routers, endpoints=endpoints)
 

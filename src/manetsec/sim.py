@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .crypto import derive_seed
 from . import wire
@@ -54,6 +54,11 @@ class LinkState:
     tunnel: bool = False
 
 
+def dropped(reason: str) -> str:
+    """Trace disposition of a frame its receiver dropped for `reason`."""
+    return "dropped_by_receiver(%s)" % reason
+
+
 @dataclass
 class TraceRecord:
     tick: int
@@ -81,8 +86,6 @@ class Network:
         self._links: Dict[frozenset, LinkState] = {}
         self._neighbors: Dict[str, List[str]] = {}
         self._loss_rng = random.Random(derive_seed(seed, "loss"))
-        # optional observer for every transmitted payload (tests, sniffers)
-        self.tap: Optional[Callable[[str, str, bytes], None]] = None
 
     # --- topology ---------------------------------------------------------
 
@@ -91,9 +94,6 @@ class Network:
             raise ValueError("duplicate node name %s" % name)
         self._handlers[name] = handler
         self._neighbors[name] = []
-
-    def handler(self, name: str):
-        return self._handlers[name]
 
     def add_link(self, a: str, b: str, latency: int = 1, loss: float = 0.0,
                  tunnel: bool = False) -> None:
@@ -114,17 +114,11 @@ class Network:
             self._neighbors[a] = sorted(self._neighbors[a] + [b])
             self._neighbors[b] = sorted(self._neighbors[b] + [a])
 
-    def link(self, a: str, b: str) -> Optional[LinkState]:
-        return self._links.get(frozenset((a, b)))
-
     def set_link(self, a: str, b: str, up: bool) -> None:
         key = frozenset((a, b))
         if key not in self._links:
             raise ValueError("no such link %s-%s" % (a, b))
         self._links[key].up = up
-
-    def neighbors(self, name: str) -> List[str]:
-        return list(self._neighbors.get(name, ()))
 
     # --- scheduling ---------------------------------------------------------
 
@@ -158,8 +152,6 @@ class Network:
     def _transmit(self, src: str, dst: str, payload: bytes, link: LinkState,
                   kind: Optional[str]) -> None:
         rec = self._record(src, dst, payload, kind)
-        if self.tap is not None:
-            self.tap(src, dst, payload)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
         idx = len(self.trace) - 1
@@ -220,7 +212,7 @@ class Network:
         if reason is None:
             rec.disposition = "delivered"
         else:
-            rec.disposition = "dropped_by_receiver(%s)" % reason
+            rec.disposition = dropped(reason)
             self.metrics.drop(reason)
 
     # --- outputs ------------------------------------------------------------

@@ -18,7 +18,7 @@ the protocol behavior under window management.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from . import wire
@@ -88,9 +88,7 @@ class TcpEndpoint:
         self._event("connect", key)
         if self.secure and self.router.session_key_for(peer_ip) is None:
             try:
-                if not any(pd.target_ip == peer_ip
-                           for pd in self.router.pending.values()):
-                    self.router.start_discovery(peer_ip)
+                self.router.ensure_discovery(peer_ip)
             except UnknownIdentityError:
                 conn.state = "failed"
                 return key
@@ -286,10 +284,7 @@ class TcpEndpoint:
         if conn is None:
             return "out_of_phase"
         if conn.state == "established":
-            # our final ack was lost; repeat it
-            self._ship(conn, self._make(conn, wire.ROLE_ACK,
-                                        seq=conn.snd_nxt, ack=conn.rcv_nxt),
-                       arm=False)
+            self._ack(conn)   # our final ack was lost; repeat it
             return None
         if conn.state != "syn_sent":
             return "out_of_phase"
@@ -300,8 +295,7 @@ class TcpEndpoint:
         conn.inflight = None
         conn.state = "established"
         self._event("established", self._key(conn))
-        self._ship(conn, self._make(conn, wire.ROLE_ACK, seq=conn.snd_nxt,
-                                    ack=conn.rcv_nxt), arm=False)
+        self._ack(conn)
         self._pump(conn)
         return None
 

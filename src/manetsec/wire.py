@@ -138,6 +138,12 @@ class RouteMessage:
     source_sig: Optional[int]
 
 
+def sig_mode_for(sec_level: int) -> int:
+    """Signature mode of a security level: the full chain at level 1, the
+    origin signature plus the last hop's binding at level 0."""
+    return MODE_AGGREGATE_FULL if sec_level == 1 else MODE_SOURCE_PLUS_LAST
+
+
 @dataclass(frozen=True)
 class Segment:
     role: int

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import FixedRng
 from manetsec import attacks, cli, identity, routing, scenario, sim, transport, wire
 from manetsec.crypto import (
     AggregateSignature,
@@ -144,12 +145,13 @@ def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
                                       sig.public, enc.public, n))
     for n in names:
         sig, enc = _node_keys(n)
-        secret = (responder_secrets or {}).get(n)
         cfg = routing.NodeConfig(name=n, signing=sig, encryption=enc,
                                  secure=secure, sec_level=sec_level,
-                                 master_seed=seed, dh_bits=dh_bits,
-                                 responder_secret=secret)
+                                 master_seed=seed, dh_bits=dh_bits)
         routers[n] = routing.RouterNode(cfg, reg, net)
+        if n in (responder_secrets or {}):
+            # pin the responder's exponent: its rng draws nothing else here
+            routers[n].rng = FixedRng(responder_secrets[n])
     for a, b in links:
         net.add_link(a, b)
     return net, routers, reg, metrics

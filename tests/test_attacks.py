@@ -5,9 +5,12 @@ frames dropped with a telltale reason) or neutralized (no effect at all) on
 the secured one.
 """
 
+import json
+import os
+
 import pytest
 
-from manetsec import attacks, identity, routing, sim, transport
+from manetsec import attacks, identity, routing, scenario, sim, transport
 from manetsec.crypto import derive_seed, generate_node_keys
 
 EXPECTED_SECURE = {
@@ -23,6 +26,8 @@ EXPECTED_SECURE = {
 }
 
 PAYLOAD = b"the real payload"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCEN = os.path.join(ROOT, "scenarios")
 
 
 def topology(kind):
@@ -110,7 +115,7 @@ def run_attack(kind, secure, seed=17, until=400):
     for delay, fn in plan:
         net.action(delay, lambda fn=fn: fn(routers, endpoints))
     net.run(until=until)
-    verdict = attacks.judge(spec, metrics, reg)
+    verdict = attacks.judge(spec, metrics, reg, net.trace)
     return verdict, metrics, routers, endpoints, reg, spec
 
 
@@ -165,3 +170,19 @@ def test_forged_handshake_reply_wedges_only_the_plain_connection():
     assert ("b", "a", 80, 5000) not in m.delivered_payloads
     _, m2, *_ = run_attack("ack_inject", secure=True)
     assert m2.delivered_payloads[("b", "a", 80, 5000)] == PAYLOAD
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+def test_only_drops_of_the_attackers_own_frames_count_as_detection(sec_level):
+    # z has no links, so it never sends a frame; the impersonator's
+    # id_mismatch/verify_failed drops must not be credited to z's redirect
+    with open(os.path.join(SCEN, "attack_impersonate.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["nodes"].append("z")
+    doc["events"].append({"tick": 5, "kind": "attach_attack", "attack": {
+        "kind": "redirect", "attacker": "z", "src": "a", "dst": "d"}})
+    result = scenario.run_scenario(doc, sec_level=sec_level)
+    assert not [rec for rec in result.net.trace if rec.src == "z"]
+    assert result.metrics.attack_verdicts == {"impersonate": "detected",
+                                              "redirect": "neutralized"}

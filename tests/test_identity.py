@@ -84,7 +84,7 @@ def test_json_round_trip_and_stability():
     text2 = identity.registry_to_json(reg)
     assert text1 == text2
     loaded = identity.registry_from_json(text1)
-    assert len(loaded) == 3
+    assert len(loaded.entries()) == 3
     for ip in ("n0", "n1", "n2"):
         assert loaded.by_ip(ip) == reg.by_ip(ip)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import FixedRng
 from manetsec import identity, routing, sim, wire
 from manetsec.crypto import (
     DhParams,
@@ -27,6 +28,27 @@ class Puppet:
         pass
 
 
+class Inbox:
+    """Stub transport: records (source, payload) of each delivered segment."""
+
+    def __init__(self):
+        self.received = []
+
+    def on_segment(self, peer_ip, seg):
+        self.received.append((peer_ip, seg.payload))
+        return None
+
+    def on_timer(self, tag, data):
+        pass
+
+
+def send_payload(router, dst_ip, data):
+    """Hand one bare data segment to the router's data path."""
+    router.send_segment(dst_ip, wire.Segment(
+        role=wire.ROLE_DATA, src_port=0, dst_port=0, seq=0, ack=0,
+        payload=data, tag=b"\x00" * 32))
+
+
 def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
           stubs=(), responder_secrets=None):
     reg = identity.Registry()
@@ -47,9 +69,11 @@ def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
             continue
         cfg = routing.NodeConfig(
             name=n, signing=keys[n][0], encryption=keys[n][1],
-            secure=secure, sec_level=sec_level, master_seed=seed,
-            responder_secret=(responder_secrets or {}).get(n))
+            secure=secure, sec_level=sec_level, master_seed=seed)
         routers[n] = routing.RouterNode(cfg, reg, net)
+        routers[n].transport = Inbox()
+        if n in (responder_secrets or {}):
+            routers[n].rng = FixedRng(responder_secrets[n])
     for a, b in links:
         net.add_link(a, b)
     return net, routers, reg, metrics, keys
@@ -85,6 +109,20 @@ def test_two_node_discovery_with_pinned_key_exchange():
     kinds = [rec.kind for rec in net.trace]
     assert kinds == ["RREQ", "RREP"]
     assert all(rec.disposition == "delivered" for rec in net.trace)
+
+
+# 3317044064679887385961981 is composite but a strong pseudoprime to every
+# prime base up to 37 (Sorenson and Webster, 2015); 29 is prime, 14 is not
+@pytest.mark.parametrize("p", [3317044064679887385961981, 29])
+def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
+    net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
+    r["a"].start_discovery("b", dh_override=DhParams(p=p, g=2, r=6))
+    net.run(until=10)
+
+    assert m.drops == {"malformed": 1}
+    assert m.session_key_records == []
+    assert r["b"].session_key_for("a") is None
+    assert r["a"].session_key_for("b") is None
 
 
 @pytest.mark.parametrize("sec_level,exp_signed,exp_verified",
@@ -231,12 +269,12 @@ def test_link_break_reports_travel_back_and_trigger_rediscovery():
     net, r, reg, m, keys = build(names, line(names))
     r["a"].start_discovery("c")
     net.run(until=10)
-    r["a"].send_payload("c", b"hi")
+    send_payload(r["a"], "c", b"hi")
     net.run(until=12)
-    assert r["c"].received_payloads == [("a", b"hi")]
+    assert r["c"].transport.received == [("a", b"hi")]
 
     net.set_link("b", "c", up=False)
-    r["a"].send_payload("c", b"again")
+    send_payload(r["a"], "c", b"again")
     net.run(until=30)
 
     c_id = r["c"].node_id
@@ -250,7 +288,7 @@ def test_link_break_reports_travel_back_and_trigger_rediscovery():
     assert len(m.discovery_latency_ticks) == 2
     assert r["a"].routes[c_id].next_hop == "b"
     # the in-flight payload died at the break; reliability is not this layer's job
-    assert r["c"].received_payloads == [("a", b"hi")]
+    assert r["c"].transport.received == [("a", b"hi")]
 
 
 def test_break_report_from_off_path_node_is_rejected():
@@ -266,9 +304,10 @@ def test_break_report_from_off_path_node_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RERR, src_ip="x", src_id=x.node_id,
                           src_seq=x.seq, bct_id=1, dst_ip="a",
                           originator_id=c_id)
-    hops, agg, src_sig = x._sign_origin(core)
-    msg = wire.RouteMessage(core=core, hops=hops, sig_mode=x.sig_mode,
-                            sec_level=1, aggregate=agg, source_sig=src_sig)
+    msg = wire.RouteMessage(core=core, hops=(),
+                            sig_mode=wire.sig_mode_for(1), sec_level=1,
+                            aggregate=routing.sign_origin(core, keys["x"][0]),
+                            source_sig=None)
     net.unicast("x", "b", wire.encode_message(msg))
     net.run(until=20)
 
@@ -291,16 +330,16 @@ def test_data_for_unknown_destination_is_unroutable():
 def test_send_before_discovery_queues_then_flushes():
     names = ["a", "b", "c"]
     net, r, reg, m, keys = build(names, line(names))
-    r["a"].send_payload("c", b"first")
+    send_payload(r["a"], "c", b"first")
     net.run(until=20)
-    assert r["c"].received_payloads == [("a", b"first")]
+    assert r["c"].transport.received == [("a", b"first")]
     assert m.discovery_latency_ticks == [4]
 
 
 def test_discovery_gives_up_after_bounded_retries():
     names = ["a", "b", "f"]
     net, r, reg, m, keys = build(names, [("a", "b")])   # f is unreachable
-    r["a"].send_payload("f", b"lost")
+    send_payload(r["a"], "f", b"lost")
     net.run(until=400)
     attempts = [d for d in m.discoveries if d["target"] == "f"]
     assert [d["attempt"] for d in attempts] == [1, 2, 3]
@@ -338,7 +377,7 @@ def test_same_seed_runs_produce_identical_traces():
         net, r, reg, m, keys = build(names, line(names), seed=99)
         r["a"].start_discovery("e")
         net.run(until=20)
-        r["a"].send_payload("e", b"data!")
+        send_payload(r["a"], "e", b"data!")
         net.run(until=40)
         return net.trace_text()
 

@@ -171,11 +171,9 @@ def test_plain_mode_accepts_spoofed_data_at_predicted_numbers():
     assert m.delivered_payloads[("b", "a", 80, 5000)] == b"EVIL"
 
 
-def test_replayed_segment_is_detected():
-    captured = []
+def test_replayed_segment_is_detected(frames):
     net, r, ep, reg, m, keys = build(["a", "b", "x"],
                                      [("a", "b"), ("x", "b")], stubs=("x",))
-    net.tap = lambda s, d, p: captured.append((s, d, p))
     r["a"].start_discovery("b")
     net.run(until=5)
     ep["b"].listen(80)
@@ -183,7 +181,7 @@ def test_replayed_segment_is_detected():
     net.run(until=50)
     assert m.delivered_payloads[("b", "a", 80, 5000)] == b"secret payload"
 
-    datas = [p for s, d, p in captured
+    datas = [p for s, d, p in frames
              if d == "b" and wire.describe(p) == "DATA"]
     net.unicast("x", "b", datas[0])
     net.run(until=60)
@@ -192,17 +190,15 @@ def test_replayed_segment_is_detected():
     assert m.delivered_payloads[("b", "a", 80, 5000)] == b"secret payload"
 
 
-def test_duplicate_data_in_plain_mode_resyncs_silently():
-    captured = []
+def test_duplicate_data_in_plain_mode_resyncs_silently(frames):
     net, r, ep, reg, m, keys = build(["a", "b", "x"],
                                      [("a", "b"), ("x", "b")], secure=False,
                                      stubs=("x",))
-    net.tap = lambda s, d, p: captured.append((s, d, p))
     ep["b"].listen(80)
     ep["a"].connect("b", 5000, 80, data=b"dup me", close=False)
     net.run(until=50)
 
-    datas = [p for s, d, p in captured
+    datas = [p for s, d, p in frames
              if d == "b" and wire.describe(p) == "DATA"]
     net.unicast("x", "b", datas[0])
     net.run(until=60)
