@@ -288,34 +288,34 @@ def _id_hex(registry: Registry, ip: str) -> str:
 
 def _harm(spec: AttackSpec, metrics, registry: Registry) -> bool:
     kind = spec.kind
-    installs = metrics.route_installs
+    installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
     if kind == "seq_inflate":
-        return any(i["seq"] >= spec.inflate_to and i["node"] != spec.attacker
-                   for i in installs)
+        return any(i["seq"] >= spec.inflate_to and n != spec.attacker
+                   for n, i in installs)
     if kind == "hop_shorten":
         origin = _id_hex(registry, spec.src)
-        return any(i["node"] == spec.dst and i["dst"] == origin
-                   and i["distance"] <= spec.max_distance for i in installs)
+        return any(n == spec.dst and i["dst"] == origin
+                   and i["distance"] <= spec.max_distance for n, i in installs)
     if kind == "redirect":
         target = _id_hex(registry, spec.dst)
-        return any(i["node"] == spec.src and i["dst"] == target
-                   and i["next_hop"] == spec.attacker for i in installs)
+        return any(n == spec.src and i["dst"] == target
+                   and i["next_hop"] == spec.attacker for n, i in installs)
     if kind == "tunnel":
         colluders = {spec.attacker, spec.partner}
         s_hex = _id_hex(registry, spec.src)
         d_hex = _id_hex(registry, spec.dst)
         return any(
-            (i["node"] == spec.src and i["dst"] == d_hex
+            (n == spec.src and i["dst"] == d_hex
              and i["next_hop"] in colluders)
-            or (i["node"] == spec.dst and i["dst"] == s_hex
+            or (n == spec.dst and i["dst"] == s_hex
                 and i["next_hop"] in colluders)
-            for i in installs)
+            for n, i in installs)
     if kind == "impersonate":
         claimed = _id_hex(registry, spec.src)
-        return any(i["node"] == spec.dst and i["dst"] == claimed
-                   and i["next_hop"] == spec.attacker for i in installs)
+        return any(n == spec.dst and i["dst"] == claimed
+                   and i["next_hop"] == spec.attacker for n, i in installs)
     if kind == "fake_rerr":
-        return any(r["node"] == spec.src for r in metrics.rerr_accepted)
+        return any(ev.node == spec.src for ev in metrics.of("rerr_accepted"))
     if kind == "syn_flood":
         return metrics.peak_half_open >= spec.capacity
     if kind == "session_hijack":

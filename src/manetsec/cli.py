@@ -21,7 +21,7 @@ import traceback
 
 from . import identity, scenario, sim
 
-_DISPOSITION_PREFIX = "dropped_by_receiver("
+_DROP_HEAD, _DROP_TAIL = sim.dropped("\0").split("\0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +143,7 @@ def _lint_trace(text: str):
                             % (lineno, len(parts)))
             continue
         tick_s, src, dst, kind, size_s, disp = parts
-        if not tick_s.isdigit():
+        if not (tick_s.isascii() and tick_s.isdigit()):
             problems.append("line %d: tick is not an integer" % lineno)
             continue
         tick = int(tick_s)
@@ -155,10 +155,10 @@ def _lint_trace(text: str):
         if kind not in known_kinds:
             problems.append("line %d: unknown message kind %r"
                             % (lineno, kind))
-        if not size_s.isdigit():
+        if not (size_s.isascii() and size_s.isdigit()):
             problems.append("line %d: size is not an integer" % lineno)
         if disp not in ("delivered", "lost") and not (
-                disp.startswith(_DISPOSITION_PREFIX) and disp.endswith(")")):
+                disp.startswith(_DROP_HEAD) and disp.endswith(_DROP_TAIL)):
             problems.append("line %d: unrecognized disposition %r"
                             % (lineno, disp))
     return problems

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -160,17 +161,11 @@ def generate_keypair(bits: int, rng: random.Random,
         if n.bit_length() != bits:
             continue
         phi = (p - 1) * (q - 1)
-        if phi % e == 0 or _gcd(e, phi) != 1:
+        if math.gcd(e, phi) != 1:
             continue
         d = pow(e, -1, phi)
         return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, dp=d % (p - 1),
                           dq=d % (q - 1), qinv=pow(q, -1, p))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def generate_node_keys(seed: int, key_bits: int = DEFAULT_KEY_BITS

@@ -166,9 +166,8 @@ class RouterNode:
         self.pending[bct] = PendingDiscovery(dst_ip, bct, params,
                                              self.net.tick, _attempt)
         self.active_targets.add(dst_ip)
-        self.metrics.discoveries.append(dict(node=self.ip, target=dst_ip,
-                                             bct=bct, tick=self.net.tick,
-                                             attempt=_attempt))
+        self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
+                         bct=bct, attempt=_attempt)
         self._send(msg)
         self.net.timer(DISCOVERY_TIMEOUT, self.ip, "disc", bct)
         return bct
@@ -404,9 +403,9 @@ class RouterNode:
                    initiated: bool = False) -> None:
         self.session_keys[(peer_id, bct)] = key
         self.latest_key[peer_id] = bct
-        self.metrics.session_key_records.append(dict(
-            node=self.ip, peer=peer_id.hex(), bct=bct, key=key.value,
-            initiated=initiated, tick=self.net.tick))
+        self.metrics.log(self.net.tick, self.ip, "session_key",
+                         peer=peer_id.hex(), bct=bct, key=key.value,
+                         initiated=initiated)
 
     def _on_rrep(self, sender: str, msg: wire.RouteMessage,
                  terminal: bool) -> Optional[str]:
@@ -467,9 +466,9 @@ class RouterNode:
         elif flow is None and core.originator_id not in self.routes:
             return "no_route"
         self.seen.add(self._seen_key(core))
-        self.metrics.rerr_accepted.append(dict(
-            node=self.ip, reporter=core.src_id.hex(),
-            unreachable=core.originator_id.hex(), tick=self.net.tick))
+        self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
+                         reporter=core.src_id.hex(),
+                         unreachable=core.originator_id.hex())
         self.routes.pop(core.originator_id, None)
         if flow is not None:
             flow.toward_dst = None
@@ -496,7 +495,7 @@ class RouterNode:
                               bct_id=flow.bct_id if flow else 0,
                               dst_ip=src.ip, originator_id=dst_node_id)
         msg = self._originate(core)
-        self.metrics.rerr_sent += 1
+        self.metrics.log(self.net.tick, self.ip, "rerr_sent")
         if flow is not None and flow.toward_src is not None:
             self._send(msg, flow.toward_src)
 
@@ -561,7 +560,6 @@ class RouterNode:
         self.routes[dst_id] = RouteEntry(next_hop=next_hop, distance=distance,
                                          seq=seq, bct_id=bct,
                                          tick=self.net.tick)
-        self.metrics.routes_installed += 1
-        self.metrics.route_installs.append(dict(
-            node=self.ip, dst=dst_id.hex(), next_hop=next_hop,
-            distance=distance, seq=seq, via=via, tick=self.net.tick))
+        self.metrics.log(self.net.tick, self.ip, "route", dst=dst_id.hex(),
+                         next_hop=next_hop, distance=distance, seq=seq,
+                         via=via)

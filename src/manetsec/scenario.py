@@ -371,7 +371,7 @@ class RunResult:
             "drops": dict(sorted(m.drops.items())),
             "key_agreement": _key_agreement(m, self.registry),
             "peak_half_open": m.peak_half_open,
-            "routes_installed": m.routes_installed,
+            "routes_installed": len(m.of("route")),
             "signature_ops": {"signed": m.signed, "verified": m.verified},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -380,12 +380,12 @@ class RunResult:
 def _key_agreement(metrics: sim.Metrics, registry: identity.Registry) -> bool:
     """True iff every completed exchange derived the same key at both ends."""
     groups: Dict[tuple, set] = {}
-    for rec in metrics.session_key_records:
+    for _, node, _, rec in metrics.of("session_key"):
         peer_ip = registry.get(bytes.fromhex(rec["peer"])).ip
         if rec["initiated"]:
-            key = (rec["node"], peer_ip, rec["bct"])
+            key = (node, peer_ip, rec["bct"])
         else:
-            key = (peer_ip, rec["node"], rec["bct"])
+            key = (peer_ip, node, rec["bct"])
         groups.setdefault(key, set()).add(rec["key"])
     return all(len(vals) == 1 for vals in groups.values())
 

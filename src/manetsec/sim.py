@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .crypto import derive_seed
 from . import wire
@@ -19,9 +19,17 @@ ROUTING_KINDS = frozenset(wire.ROUTE_KIND_NAMES.values())
 SEGMENT_KINDS = frozenset(wire.ROLE_NAMES.values())
 
 
+class Event(NamedTuple):
+    """One entry of the run's event log; README "Event log" lists the kinds."""
+    tick: int
+    node: str
+    kind: str
+    fields: dict
+
+
 @dataclass
 class Metrics:
-    """Run-wide counters plus the detail records verdict oracles consume."""
+    """Run-wide counters plus the event log verdict oracles consume."""
 
     control_bytes: int = 0
     data_bytes: int = 0
@@ -31,19 +39,26 @@ class Metrics:
     drops: Dict[str, int] = field(default_factory=dict)
     attack_verdicts: Dict[str, str] = field(default_factory=dict)
     peak_half_open: int = 0
-    routes_installed: int = 0
-    # detail streams, kept out of the exported document
-    route_installs: List[dict] = field(default_factory=list)
-    discoveries: List[dict] = field(default_factory=list)
-    session_key_records: List[dict] = field(default_factory=list)
-    tcp_events: List[tuple] = field(default_factory=list)
-    delivered_payloads: Dict[tuple, bytes] = field(default_factory=dict)
-    resync_acks: int = 0
-    rerr_sent: int = 0
-    rerr_accepted: List[dict] = field(default_factory=list)
+    # append-only, kept out of the exported document
+    events: List[Event] = field(default_factory=list)
 
     def drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
+
+    def log(self, tick: int, node: str, kind: str, **fields) -> None:
+        self.events.append(Event(tick, node, kind, fields))
+
+    def of(self, kind: str) -> List[Event]:
+        return [ev for ev in self.events if ev.kind == kind]
+
+    @property
+    def delivered_payloads(self) -> Dict[tuple, bytes]:
+        """Bytes handed up per (node, peer, local_port, remote_port)."""
+        chunks: Dict[tuple, list] = {}
+        for _, node, _, f in self.of("deliver"):
+            chunks.setdefault((node, f["peer"], f["local_port"],
+                               f["remote_port"]), []).append(f["data"])
+        return {key: b"".join(parts) for key, parts in chunks.items()}
 
 
 @dataclass

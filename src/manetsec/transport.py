@@ -18,7 +18,7 @@ the protocol behavior under window management.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from . import wire
@@ -52,11 +52,10 @@ class Connection:
     snd_nxt: int = 0
     snd_una: int = 0
     rcv_nxt: int = 0
-    send_buf: bytes = b""
+    send_buf: bytearray = field(default_factory=bytearray)
     inflight: Optional[wire.Segment] = None
     retries: int = 0
     close_after_drain: bool = False
-    recv_bytes: bytes = b""
 
 
 class TcpEndpoint:
@@ -82,10 +81,10 @@ class TcpEndpoint:
                 data: bytes = b"", close: bool = False) -> ConnKey:
         key = (peer_ip, local_port, remote_port)
         conn = Connection(peer_ip=peer_ip, local_port=local_port,
-                          remote_port=remote_port, send_buf=data,
+                          remote_port=remote_port, send_buf=bytearray(data),
                           close_after_drain=close)
         self.conns[key] = conn
-        self._event("connect", key)
+        self._event("connect", conn)
         if self.secure and self.router.session_key_for(peer_ip) is None:
             try:
                 self.router.ensure_discovery(peer_ip)
@@ -115,7 +114,7 @@ class TcpEndpoint:
         conn.snd_una = conn.isn
         conn.snd_nxt = (conn.isn + 1) & MASK
         conn.state = "syn_sent"
-        self._event("syn_sent", self._key(conn))
+        self._event("syn_sent", conn)
         syn = self._make(conn, wire.ROLE_SYN, seq=conn.isn, ack=0)
         self._ship(conn, syn)
 
@@ -192,7 +191,7 @@ class TcpEndpoint:
                 self._begin_handshake(conn)
             elif detail + 1 >= KEY_WAIT_LIMIT:
                 conn.state = "failed"
-                self._event("failed", self._key(conn))
+                self._event("failed", conn)
             else:
                 self._arm("kw", key, detail + 1)
             return
@@ -204,7 +203,7 @@ class TcpEndpoint:
         if conn.retries >= self.config.max_retries:
             conn.state = "failed"
             conn.inflight = None
-            self._event("failed", self._key(conn))
+            self._event("failed", conn)
             return
         conn.retries += 1
         # re-tag: a route repair may have rotated the session key since the
@@ -271,7 +270,6 @@ class TcpEndpoint:
             self.half_open[key] = isn_s
             if len(self.half_open) > self.metrics.peak_half_open:
                 self.metrics.peak_half_open = len(self.half_open)
-            self._event("half_open", len(self.half_open))
         reply = wire.Segment(role=wire.ROLE_SYN_ACK, src_port=seg.dst_port,
                              dst_port=seg.src_port, seq=isn_s,
                              ack=(seg.seq + 1) & MASK, payload=b"",
@@ -294,7 +292,7 @@ class TcpEndpoint:
         conn.snd_una = seg.ack
         conn.inflight = None
         conn.state = "established"
-        self._event("established", self._key(conn))
+        self._event("established", conn)
         self._ack(conn)
         self._pump(conn)
         return None
@@ -321,8 +319,8 @@ class TcpEndpoint:
                           isn=isn_s, snd_nxt=(isn_s + 1) & MASK,
                           snd_una=(isn_s + 1) & MASK, rcv_nxt=seg.seq)
         self.conns[key] = conn
-        self._event("alloc", self._key(conn))
-        self._event("established", self._key(conn))
+        self._event("alloc", conn)
+        self._event("established", conn)
         return conn
 
     def _on_ack(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
@@ -343,11 +341,7 @@ class TcpEndpoint:
             return "out_of_phase"
         if seg.seq == conn.rcv_nxt:
             conn.rcv_nxt = (conn.rcv_nxt + len(seg.payload)) & MASK
-            conn.recv_bytes += seg.payload
-            record = (self.router.ip, conn.peer_ip, conn.local_port,
-                      conn.remote_port)
-            existing = self.metrics.delivered_payloads.get(record, b"")
-            self.metrics.delivered_payloads[record] = existing + seg.payload
+            self._event("deliver", conn, data=seg.payload)
             self._ack(conn)
             return None
         behind = (conn.rcv_nxt - seg.seq) & MASK
@@ -355,7 +349,7 @@ class TcpEndpoint:
             self._ack(conn)   # resynchronize the sender
             if self.secure:
                 return "replay"
-            self.metrics.resync_acks += 1
+            self._event("resync_ack", conn)
             return None
         return "out_of_phase"
 
@@ -370,7 +364,7 @@ class TcpEndpoint:
         self._ship(conn, self._make(conn, wire.ROLE_FIN_ACK, seq=conn.snd_nxt,
                                     ack=conn.rcv_nxt), arm=False)
         conn.state = "closed"
-        self._event("closed", self._key(conn))
+        self._event("closed", conn)
         return None
 
     def _on_fin_ack(self, seg: wire.Segment,
@@ -382,7 +376,7 @@ class TcpEndpoint:
         conn.snd_una = seg.ack
         conn.inflight = None
         conn.state = "closed"
-        self._event("closed", self._key(conn))
+        self._event("closed", conn)
         return None
 
     # --- send side --------------------------------------------------------------
@@ -391,8 +385,8 @@ class TcpEndpoint:
         if conn.state != "established" or conn.inflight is not None:
             return
         if conn.send_buf:
-            chunk = conn.send_buf[:self.config.mss]
-            conn.send_buf = conn.send_buf[len(chunk):]
+            chunk = bytes(conn.send_buf[:self.config.mss])
+            del conn.send_buf[:len(chunk)]
             seg = self._make(conn, wire.ROLE_DATA, seq=conn.snd_nxt,
                              ack=conn.rcv_nxt, payload=chunk)
             conn.snd_nxt = (conn.snd_nxt + len(chunk)) & MASK
@@ -407,9 +401,7 @@ class TcpEndpoint:
 
     # --- bookkeeping --------------------------------------------------------------
 
-    def _key(self, conn: Connection) -> str:
-        return "%s:%d-%d" % (conn.peer_ip, conn.local_port, conn.remote_port)
-
-    def _event(self, event: str, info) -> None:
-        self.metrics.tcp_events.append((self.net.tick, self.router.ip,
-                                        event, info))
+    def _event(self, kind: str, conn: Connection, **fields) -> None:
+        self.metrics.log(self.net.tick, self.router.ip, kind,
+                         peer=conn.peer_ip, local_port=conn.local_port,
+                         remote_port=conn.remote_port, **fields)

@@ -282,11 +282,12 @@ def test_criterion_6_no_state_before_the_third_segment():
     assert kinds == ["RREQ", "RREP", "SYN", "SYN_ACK", "ACK"]
     assert all(rec.disposition == "delivered" for rec in r.net.trace)
     assert r.metrics.peak_half_open == 0
-    assert not [e for e in r.metrics.tcp_events if e[2] == "half_open"]
-    allocs = [e for e in r.metrics.tcp_events
-              if e[1] == "b" and e[2] == "alloc"]
+    # the responder logs nothing about the connection before allocating it
+    responder = [ev for ev in r.metrics.events
+                 if ev.node == "b" and "local_port" in ev.fields]
+    assert [ev.kind for ev in responder] == ["alloc", "established"]
     ack_tick = r.net.trace[4].tick
-    assert len(allocs) == 1 and allocs[0][0] == ack_tick + 1
+    assert responder[0].tick == ack_tick + 1
     assert r.endpoints["a"].conns[("b", 5000, 80)].state == "established"
     assert r.endpoints["b"].conns[("a", 80, 5000)].state == "established"
     _report(6, "responder allocates exactly once, after the verified third "
@@ -297,11 +298,11 @@ def test_criterion_7_break_report_and_rediscovery_both_levels():
     doc = scenario.load_file(os.path.join(SCEN, "line5_maintenance.json"))
     for sec_level in (1, 0):
         r = scenario.run_scenario(doc, sec_level=sec_level)
-        assert r.metrics.rerr_sent >= 1
-        assert any(rec["node"] == "a" for rec in r.metrics.rerr_accepted), \
+        assert r.metrics.of("rerr_sent")
+        assert any(ev.node == "a" for ev in r.metrics.of("rerr_accepted")), \
             "level %d: source never accepted the break report" % sec_level
-        a_runs = [d for d in r.metrics.discoveries
-                  if d["node"] == "a" and d["target"] == "e"]
+        a_runs = [ev for ev in r.metrics.of("discovery")
+                  if ev.node == "a" and ev.fields["target"] == "e"]
         assert len(a_runs) >= 2, "level %d: no re-discovery" % sec_level
         assert len(r.metrics.discovery_latency_ticks) >= 2
         assert r.metrics.delivered_payloads[("e", "a", 80, 5000)] == \

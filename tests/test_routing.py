@@ -95,11 +95,11 @@ def test_two_node_discovery_with_pinned_key_exchange():
     assert r["a"].routes[b_id].distance == 1
     assert r["b"].routes[a_id].next_hop == "a"
 
-    recs = m.session_key_records
+    recs = m.of("session_key")
     assert len(recs) == 2
-    assert all(rec["key"] == 2 for rec in recs)
-    assert all(rec["bct"] == bct for rec in recs)
-    assert {rec["node"] for rec in recs} == {"a", "b"}
+    assert all(rec.fields["key"] == 2 for rec in recs)
+    assert all(rec.fields["bct"] == bct for rec in recs)
+    assert {rec.node for rec in recs} == {"a", "b"}
     assert r["a"].session_key_for("b").value == 2
     assert r["b"].session_key_for("a").value == 2
 
@@ -120,7 +120,7 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     net.run(until=10)
 
     assert m.drops == {"malformed": 1}
-    assert m.session_key_records == []
+    assert m.of("session_key") == []
     assert r["b"].session_key_for("a") is None
     assert r["a"].session_key_for("b") is None
 
@@ -146,13 +146,13 @@ def test_line_of_five_multihop(sec_level, exp_signed, exp_verified):
     assert r["a"].routes[e_id].distance == expected_distance
     assert r["e"].routes[a_id].distance == expected_distance
 
-    keys_by_node = {rec["node"]: rec["key"] for rec in m.session_key_records}
+    keys_by_node = {ev.node: ev.fields["key"] for ev in m.of("session_key")}
     assert keys_by_node["a"] == keys_by_node["e"]
 
     assert m.signed == exp_signed
     assert m.verified == exp_verified
     assert m.drops == {"duplicate": 3}
-    assert m.routes_installed == 8
+    assert len(m.of("route")) == 8
 
 
 def test_baseline_discovery_installs_routes_without_crypto():
@@ -165,7 +165,7 @@ def test_baseline_discovery_installs_routes_without_crypto():
     assert r["a"].routes[c_id].distance == 2
     assert m.signed == 0
     assert m.verified == 0
-    assert m.session_key_records == []
+    assert m.of("session_key") == []
     assert m.discovery_latency_ticks == [4]
 
 
@@ -278,8 +278,8 @@ def test_link_break_reports_travel_back_and_trigger_rediscovery():
     net.run(until=30)
 
     c_id = r["c"].node_id
-    assert m.rerr_sent == 1
-    assert [rec["node"] for rec in m.rerr_accepted] == ["a"]
+    assert [ev.node for ev in m.of("rerr_sent")] == ["b"]
+    assert [ev.node for ev in m.of("rerr_accepted")] == ["a"]
     assert c_id not in r["b"].routes
     # automatic retry is pending; heal the link and let it fire
     net.set_link("b", "c", up=True)
@@ -341,7 +341,8 @@ def test_discovery_gives_up_after_bounded_retries():
     net, r, reg, m, keys = build(names, [("a", "b")])   # f is unreachable
     send_payload(r["a"], "f", b"lost")
     net.run(until=400)
-    attempts = [d for d in m.discoveries if d["target"] == "f"]
+    attempts = [ev.fields for ev in m.of("discovery")
+                if ev.fields["target"] == "f"]
     assert [d["attempt"] for d in attempts] == [1, 2, 3]
     assert r["a"].pending == {}
     assert not r["a"].send_queue.get("f")

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from manetsec import cli, identity, scenario
+from manetsec import cli, identity, scenario, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -144,11 +144,24 @@ def test_shipped_redirect_flips_verdict_by_mode():
 def test_shipped_maintenance_run_heals_and_delivers():
     doc = scenario.load_file(os.path.join(SCEN, "line5_maintenance.json"))
     r = scenario.run_scenario(doc)
-    assert r.metrics.rerr_sent >= 1
-    assert any(rec["node"] == "a" for rec in r.metrics.rerr_accepted)
+    assert r.metrics.of("rerr_sent")
+    assert any(ev.node == "a" for ev in r.metrics.of("rerr_accepted"))
     assert r.metrics.delivered_payloads[("e", "a", 80, 5000)] == \
         b"the route heals"
     assert len(r.metrics.discovery_latency_ticks) >= 2   # initial + repair
+
+
+def test_event_log_is_deterministic_and_in_tick_order():
+    doc = scenario.load_file(os.path.join(SCEN, "line5_maintenance.json"))
+    for sec_level in (1, 0):
+        events = scenario.run_scenario(doc, sec_level=sec_level).metrics.events
+        again = scenario.run_scenario(doc, sec_level=sec_level).metrics.events
+        assert events == again, "level %d" % sec_level
+        ticks = [ev.tick for ev in events]
+        assert ticks == sorted(ticks), "level %d" % sec_level
+        assert {"discovery", "route", "session_key", "rerr_sent",
+                "rerr_accepted", "connect", "established",
+                "deliver"} <= {ev.kind for ev in events}
 
 
 def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):
@@ -268,3 +281,23 @@ def test_cli_verify_trace_lints_structure_first(tmp_path, capsys):
     rc = cli.main(["verify-trace", "--scenario", path, "--trace", str(bad)])
     assert rc == 1
     assert "structurally invalid" in capsys.readouterr().err
+
+
+def test_cli_verify_trace_rejects_non_ascii_digits(tmp_path, capsys):
+    # U+00B2 passes str.isdigit() but int() refuses it
+    path = write(tmp_path, doc_two_nodes())
+    bad = tmp_path / "digits.tsv"
+    bad.write_text("\u00b2\ta\tb\tRREQ\t10\tdelivered\n"
+                   "1\ta\tb\tRREQ\t\u00b2\tdelivered\n", encoding="utf-8")
+    rc = cli.main(["verify-trace", "--scenario", path, "--trace", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "line 1: tick is not an integer" in err
+    assert "line 2: size is not an integer" in err
+    assert "internal error" not in err
+
+
+def test_trace_lint_accepts_the_drop_disposition_sim_writes():
+    line = "1\ta\tb\tRREQ\t10\t%s\n"
+    assert cli._lint_trace(line % sim.dropped("replay")) == []
+    assert cli._lint_trace(line % "dropped_by_receiver(replay") != []

@@ -66,12 +66,13 @@ def test_secure_handshake_is_three_segments_with_late_allocation():
     assert a_conn.state == "established"
     assert b_conn.state == "established"
 
-    allocs = [e for e in m.tcp_events if e[1] == "b" and e[2] == "alloc"]
+    allocs = [ev for ev in m.of("alloc") if ev.node == "b"]
     ack_send_tick = net.trace[4].tick
     assert len(allocs) == 1
-    assert allocs[0][0] == ack_send_tick + 1   # only after the third segment
+    assert allocs[0].tick == ack_send_tick + 1   # only after the third segment
+    assert allocs[0].fields == {"peer": "a", "local_port": 80,
+                                "remote_port": 5000}
     assert m.peak_half_open == 0
-    assert not [e for e in m.tcp_events if e[2] == "half_open"]
 
 
 def test_plain_mode_tracks_half_open_state_until_completion():
@@ -114,7 +115,9 @@ def test_transfer_chunks_acks_and_closes():
     assert kinds.count("ACK") == 4            # handshake + one per chunk
     assert kinds.count("FIN") == 1
     assert kinds.count("FIN_ACK") == 1
-    assert m.resync_acks == 0
+    chunks = [len(ev.fields["data"]) for ev in m.of("deliver")]
+    assert chunks == [512, 512, 260]
+    assert m.of("resync_ack") == []
 
 
 def test_lossy_link_recovers_through_retransmission():
@@ -203,7 +206,7 @@ def test_duplicate_data_in_plain_mode_resyncs_silently(frames):
     net.unicast("x", "b", datas[0])
     net.run(until=60)
 
-    assert m.resync_acks == 1
+    assert [ev.node for ev in m.of("resync_ack")] == ["b"]
     assert "replay" not in m.drops
     assert m.delivered_payloads[("b", "a", 80, 5000)] == b"dup me"
 
