@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from . import wire
-from .crypto import AggregateSignature, digest, rsa_encrypt, RsaKeyPair
+from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
+                     RsaKeyPair)
 from .identity import Registry, derive_id
 from .routing import append_signer, sign_origin
 from .sim import Network, dropped
@@ -254,17 +255,16 @@ class AttackerNode:
                              wire.encode_message(pkt))
 
 
-def deploy(spec: AttackSpec, signing_keys: Dict[str, RsaKeyPair],
-           registry: Registry, net: Network):
+def deploy(spec: AttackSpec, keys: Dict[str, NodeKeys], registry: Registry,
+           net: Network):
     """Instantiate the attacker node(s) an AttackSpec calls for."""
-    nodes = [AttackerNode(spec.attacker, signing_keys[spec.attacker],
+    nodes = [AttackerNode(spec.attacker, keys[spec.attacker].signing,
                           registry, net, spec)]
     if spec.kind == "tunnel":
         mirrored = replace(spec, attacker=spec.partner,
                            partner=spec.attacker)
-        nodes.append(AttackerNode(spec.partner,
-                                  signing_keys[spec.partner], registry, net,
-                                  mirrored))
+        nodes.append(AttackerNode(spec.partner, keys[spec.partner].signing,
+                                  registry, net, mirrored))
     return nodes
 
 

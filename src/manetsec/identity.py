@@ -8,10 +8,9 @@ encryption key and address token against substitution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .crypto import DIGEST_BYTES, digest
+from .crypto import DIGEST_BYTES, NodeKeys, digest
 from .wire import encode_public
 
 
@@ -23,12 +22,42 @@ def derive_id(signing_public: Tuple[int, int]) -> bytes:
     return digest(encode_public(signing_public))
 
 
-@dataclass(frozen=True)
 class NodeIdentity:
-    node_id: bytes
-    signing_public: Tuple[int, int]
-    encryption_public: Tuple[int, int]
-    ip: str
+    """One registered node.
+
+    `encryption` returns the node's encryption public key and is called on
+    each read of `encryption_public`, so a key made on first use (see
+    crypto.NodeKeys) is made only when someone encrypts to the node.
+    """
+
+    def __init__(self, node_id: bytes, signing_public: Tuple[int, int],
+                 encryption: Callable[[], Tuple[int, int]], ip: str):
+        self.node_id = node_id
+        self.signing_public = signing_public
+        self._encryption = encryption
+        self.ip = ip
+
+    @classmethod
+    def from_keys(cls, keys: NodeKeys, ip: str) -> "NodeIdentity":
+        public = keys.signing.public
+        return cls(derive_id(public), public, lambda: keys.encryption.public,
+                   ip)
+
+    @property
+    def encryption_public(self) -> Tuple[int, int]:
+        return self._encryption()
+
+    def _fields(self) -> tuple:
+        return (self.node_id, self.signing_public, self.encryption_public,
+                self.ip)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NodeIdentity):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self.node_id)
 
 
 class Registry:
@@ -113,7 +142,8 @@ def registry_from_json(text: str) -> Registry:
                           int(entry["PK_e_hex"], 16))
         except ValueError:
             raise ValueError("entry %d has malformed hex" % i) from None
-        ident = NodeIdentity(node_id=node_id, signing_public=signing,
-                             encryption_public=encryption, ip=entry["ip"])
+        ident = NodeIdentity(node_id, signing,
+                             lambda encryption=encryption: encryption,
+                             entry["ip"])
         reg.add(ident)   # re-derives and checks the id
     return reg

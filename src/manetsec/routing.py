@@ -33,6 +33,7 @@ from .crypto import (
     generate_dh_group,
     is_probable_prime,
     make_dh_params,
+    NodeKeys,
     rsa_decrypt,
     rsa_encrypt,
     rsa_sign_first,
@@ -79,8 +80,7 @@ def append_signer(core: wire.RouteCore, hops: Tuple[bytes, ...],
 @dataclass
 class NodeConfig:
     name: str
-    signing: RsaKeyPair
-    encryption: RsaKeyPair
+    keys: NodeKeys    # keys.encryption is made on first read
     secure: bool = True
     sec_level: int = 1
     master_seed: int = 0
@@ -118,7 +118,7 @@ class RouterNode:
         self.registry = registry
         self.net = net
         self.metrics = net.metrics
-        self.node_id = derive_id(config.signing.public)
+        self.node_id = derive_id(config.keys.signing.public)
         self.ip = config.name
         self.seq = 0
         self._bct_counter = 0
@@ -194,7 +194,7 @@ class RouterNode:
         level = self.config.sec_level
         agg = src_sig = None
         if self.config.secure:
-            agg = sign_origin(core, self.config.signing)
+            agg = sign_origin(core, self.config.keys.signing)
             self.metrics.signed += 1
             if level == 0:
                 src_sig = agg.value
@@ -215,8 +215,8 @@ class RouterNode:
             hops = ()
             agg = AggregateSignature(value=src_sig, overflow_bits=(),
                                      signer_count=1)
-        hops, agg = append_signer(msg.core, hops, agg, self.config.signing,
-                                  self.node_id)
+        hops, agg = append_signer(msg.core, hops, agg,
+                                  self.config.keys.signing, self.node_id)
         if agg is not None:
             self.metrics.signed += 1
         return replace(msg, hops=hops, aggregate=agg, source_sig=src_sig)
@@ -380,7 +380,7 @@ class RouterNode:
             return "malformed", 0
         try:
             origin = self.registry.get(core.src_id)
-            theirs = rsa_decrypt(core.dh_payload, self.config.encryption)
+            theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
         except (UnknownIdentityError, ValueError):
             return "malformed", 0
         if not 0 < theirs < p:
@@ -442,7 +442,7 @@ class RouterNode:
 
     def _finish_key_exchange(self, core, pd: PendingDiscovery) -> Optional[str]:
         try:
-            theirs = rsa_decrypt(core.dh_payload, self.config.encryption)
+            theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
         except ValueError:
             return "malformed"
         if pd.params is None or not 0 < theirs < pd.params.p:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import attacks, identity, routing, sim, transport
-from .crypto import derive_seed, generate_node_keys
+from .crypto import NodeKeys, derive_seed, generate_node_keys
 
 MODES = ("secure", "baseline")
 
@@ -390,20 +390,31 @@ def _key_agreement(metrics: sim.Metrics, registry: identity.Registry) -> bool:
     return all(len(vals) == 1 for vals in groups.values())
 
 
-def build_registry(sc: Scenario, seed: int) -> Tuple[identity.Registry, dict]:
-    """Registry and {name: (signing, encryption)} for the nodes of `sc`.
+def build_registry(sc: Scenario,
+                   seed: int) -> Tuple[identity.Registry, Dict[str, NodeKeys]]:
+    """Registry and {name: NodeKeys} for the nodes of `sc`.
 
     `seed` is the master seed the keys derive from; a seed override makes
-    it differ from sc.seed.
+    it differ from sc.seed. Every node's signing pair is made here. Its
+    encryption pair is made on first use, and only the endpoints of a
+    discovery use one, so it is made here for each node that a flow
+    (client, server), a discovery (node, target) or an attack (src, dst)
+    names: that keeps key generation out of Network.run. Any other node's
+    pair is made only if something reads it.
     """
     reg = identity.Registry()
     keys = {}
     for name in sc.nodes:
-        sig, enc = generate_node_keys(derive_seed(seed, "keys", name),
-                                      sc.key_bits)
-        keys[name] = (sig, enc)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, name))
+        keys[name] = generate_node_keys(derive_seed(seed, "keys", name),
+                                        sc.key_bits)
+        reg.add(identity.NodeIdentity.from_keys(keys[name], name))
+    endpoints = {name for f in sc.flows for name in (f.client, f.server)}
+    endpoints.update(name for _, node, target in sc.discoveries
+                     for name in (node, target))
+    endpoints.update(name for s in sc.attack_specs for name in (s.src, s.dst)
+                     if name is not None)
+    for name in endpoints:
+        keys[name].encryption    # made now, outside the run
     return reg, keys
 
 
@@ -440,15 +451,13 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     for name in sc.nodes:
         if name in bad:
             continue
-        cfg = routing.NodeConfig(name=name, signing=keys[name][0],
-                                 encryption=keys[name][1], secure=secure,
+        cfg = routing.NodeConfig(name=name, keys=keys[name], secure=secure,
                                  sec_level=sc.sec_level, master_seed=sc.seed,
                                  dh_bits=sc.dh_bits)
         routers[name] = routing.RouterNode(cfg, reg, net)
         endpoints[name] = transport.TcpEndpoint(routers[name], tcp_cfg)
-    signing = {n: keys[n][0] for n in bad}
     for spec in specs:
-        attacks.deploy(spec, signing, reg, net)
+        attacks.deploy(spec, keys, reg, net)
         if spec.kind == "syn_flood":
             # the flood aims at a listener; open the port it targets
             endpoints[spec.dst].listen(spec.server_port)

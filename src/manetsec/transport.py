@@ -90,6 +90,7 @@ class TcpEndpoint:
                 self.router.ensure_discovery(peer_ip)
             except UnknownIdentityError:
                 conn.state = "failed"
+                self._event("failed", conn)
                 return key
             self._arm("kw", key, 0)
             return key

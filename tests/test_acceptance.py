@@ -140,14 +140,11 @@ def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
     net = sim.Network(seed=seed, metrics=metrics)
     routers = {}
     for n in names:
-        sig, enc = _node_keys(n)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, n))
+        reg.add(identity.NodeIdentity.from_keys(_node_keys(n), n))
     for n in names:
-        sig, enc = _node_keys(n)
-        cfg = routing.NodeConfig(name=n, signing=sig, encryption=enc,
-                                 secure=secure, sec_level=sec_level,
-                                 master_seed=seed, dh_bits=dh_bits)
+        cfg = routing.NodeConfig(name=n, keys=_node_keys(n), secure=secure,
+                                 sec_level=sec_level, master_seed=seed,
+                                 dh_bits=dh_bits)
         routers[n] = routing.RouterNode(cfg, reg, net)
         if n in (responder_secrets or {}):
             # pin the responder's exponent: its rng draws nothing else here

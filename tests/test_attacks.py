@@ -95,19 +95,16 @@ def run_attack(kind, secure, seed=17, until=400):
     net = sim.Network(seed=seed, metrics=metrics)
     keys = {}
     for n in honest + bad:
-        sig, enc = generate_node_keys(derive_seed(seed, "keys", n), 256)
-        keys[n] = (sig, enc)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, n))
+        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), 256)
+        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
     routers, endpoints = {}, {}
     tcp_cfg = transport.TcpConfig(half_open_capacity=spec.capacity)
     for n in honest:
-        cfg = routing.NodeConfig(name=n, signing=keys[n][0],
-                                 encryption=keys[n][1], secure=secure,
+        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
                                  sec_level=1, master_seed=seed)
         routers[n] = routing.RouterNode(cfg, reg, net)
         endpoints[n] = transport.TcpEndpoint(routers[n], tcp_cfg)
-    attacks.deploy(spec, {n: keys[n][0] for n in bad}, reg, net)
+    attacks.deploy(spec, keys, reg, net)
     for item in links:
         net.add_link(*item[:2], **(item[2] if len(item) > 2 else {}))
     if kind in ("syn_flood", "session_hijack", "ack_inject"):

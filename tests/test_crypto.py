@@ -131,15 +131,16 @@ def test_sign_reduces_hash_before_exponentiation():
 # --- key generation -------------------------------------------------------
 
 def test_node_keys_are_deterministic_per_seed():
-    a = crypto.generate_node_keys(7, key_bits=128)
-    b = crypto.generate_node_keys(7, key_bits=128)
-    c = crypto.generate_node_keys(8, key_bits=128)
-    assert a == b
-    assert a != c
+    a = crypto.NodeKeys(7, key_bits=128)
+    b = crypto.NodeKeys(7, key_bits=128)
+    c = crypto.NodeKeys(8, key_bits=128)
+    assert (a.signing, a.encryption) == (b.signing, b.encryption)
+    assert (a.signing, a.encryption) != (c.signing, c.encryption)
 
 
 def test_node_keys_modulus_width_and_distinctness():
-    sign, enc = crypto.generate_node_keys(3, key_bits=128)
+    keys = crypto.generate_node_keys(3, key_bits=128)
+    sign, enc = keys.signing, keys.encryption
     assert sign.n.bit_length() == 128
     assert enc.n.bit_length() == 128
     assert sign.n != enc.n
@@ -150,10 +151,10 @@ def test_node_keys_modulus_width_and_distinctness():
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
 def test_crt_private_operations_equal_plain_pow(bits):
-    sign, enc = crypto.generate_node_keys(crypto.derive_seed("crt", bits),
-                                          key_bits=bits)
+    keys = crypto.generate_node_keys(crypto.derive_seed("crt", bits),
+                                     key_bits=bits)
     rng = random.Random(bits)
-    for key in (sign, enc):
+    for key in (keys.signing, keys.encryption):
         assert key.p * key.q == key.n
         assert key.p != key.q
         assert (key.q * key.qinv) % key.p == 1
@@ -183,11 +184,195 @@ def test_node_keys_are_memoized_by_seed_and_width():
     # positional and keyword calls share one entry keyed by (seed, key_bits)
     assert crypto.generate_node_keys(41, 128) is keys
     # the memo returns exactly what a fresh generation gives
-    assert crypto._node_keys.__wrapped__(41, 128) == keys
+    fresh = crypto._node_keys.__wrapped__(41, 128)
+    assert fresh is not keys
+    assert (fresh.signing, fresh.encryption) == (keys.signing, keys.encryption)
     wider = crypto.generate_node_keys(41, key_bits=192)
-    assert wider != keys
-    assert wider[0].n.bit_length() == 192
+    assert (wider.signing, wider.encryption) != (keys.signing, keys.encryption)
+    assert wider.signing.n.bit_length() == 192
     assert crypto._node_keys.cache_info().maxsize is not None
+
+
+def _eager_node_keys(seed, key_bits):
+    """Both pairs at once, in the order NodeKeys draws them."""
+    rng = random.Random(seed)
+    signing = crypto.generate_keypair(key_bits, rng)
+    while True:
+        encryption = crypto.generate_keypair(key_bits, rng)
+        if encryption.n != signing.n:
+            return signing, encryption
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_lazy_encryption_pair_equals_eager_generation(bits, monkeypatch):
+    made = []
+    keypair = crypto.generate_keypair
+
+    def counted(*args):
+        made.append(args[0])
+        return keypair(*args)
+
+    for i in range(20):
+        seed = crypto.derive_seed("lazy", bits, i)
+        # oracle: an eager generation with the primality test as it was
+        # before the gcd sieve
+        with monkeypatch.context() as m:
+            m.setattr(crypto, "is_probable_prime", reference_is_probable_prime)
+            want_signing, want_encryption = _eager_node_keys(seed, bits)
+        with monkeypatch.context() as m:
+            m.setattr(crypto, "generate_keypair", counted)
+            made.clear()
+            keys = crypto.NodeKeys(seed, bits)
+            assert made == [bits]          # the signing pair only
+            assert keys.signing == want_signing
+            assert keys.encryption == want_encryption
+            assert keys.encryption is keys.encryption
+            assert len(made) >= 2
+            first_read = len(made)
+            keys.encryption
+            assert len(made) == first_read   # made once, then kept
+
+
+# --- primality --------------------------------------------------------------
+
+# A copy of is_probable_prime, generate_prime and generate_dh_group as they
+# were before the gcd sieve: trial division by the primes up to 251, then
+# the same 12 fixed and 8 drawn Miller-Rabin bases. The library must give
+# the same verdicts and outputs and draw the same values from the stream.
+_REF_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                     53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
+                     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
+                     173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
+                     233, 239, 241, 251]
+_REF_MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def _reference_miller_rabin(n, base):
+    if base % n == 0:
+        return True
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_probable_prime(n, rng=None):
+    if n < 2:
+        return False
+    for p in _REF_SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    for base in _REF_MR_BASES:
+        if not _reference_miller_rabin(n, base):
+            return False
+    if rng is not None and n.bit_length() > 80:
+        for _ in range(8):
+            if not _reference_miller_rabin(n, rng.randrange(2, n - 1)):
+                return False
+    return True
+
+
+def reference_generate_prime(bits, rng):
+    while True:
+        cand = rng.getrandbits(bits)
+        cand |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        if reference_is_probable_prime(cand, rng):
+            return cand
+
+
+def reference_generate_dh_group(bits, rng):
+    while True:
+        q = rng.getrandbits(bits - 1)
+        q |= (1 << (bits - 2)) | 1
+        p = 2 * q + 1
+        if any(p % s == 0 for s in _REF_SMALL_PRIMES if p > s):
+            continue
+        if (not reference_is_probable_prime(q, rng)
+                or not reference_is_probable_prime(p, rng)):
+            continue
+        for g in (2, 3, 5, 7, 11, 13):
+            if pow(g, 2, p) != 1 and pow(g, q, p) != 1:
+                return p, g
+
+
+def _same_verdict_and_draws(n, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert crypto.is_probable_prime(n, ours) == \
+        reference_is_probable_prime(n, theirs), n
+    assert ours.getstate() == theirs.getstate(), n
+    assert crypto.is_probable_prime(n) == reference_is_probable_prime(n), n
+
+
+def test_primality_matches_reference_below_2_to_17():
+    for n in range(-3, 1 << 17):
+        assert crypto.is_probable_prime(n) == \
+            reference_is_probable_prime(n), n
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_primality_matches_reference_on_seeded_candidates(bits):
+    rng = random.Random(bits)
+    cands = [rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+             for _ in range(300)]
+    primes = [reference_generate_prime(bits // 2, rng) for _ in range(6)]
+    cands += primes
+    # composites with no factor below the sieve bound
+    cands += [a * b for a, b in zip(primes, primes[1:])]
+    cands += [p * 2039 for p in primes]    # a factor just below the bound
+    for i, n in enumerate(cands):
+        _same_verdict_and_draws(n, bits * 1000 + i)
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751,
+                               318665857834031151167461,
+                               3317044064679887385961981])
+def test_primality_matches_reference_on_pseudoprimes(n):
+    for seed in range(5):
+        _same_verdict_and_draws(n, seed)
+
+
+def test_primality_draws_eight_bases_only_for_accepted_wide_primes():
+    wide = reference_generate_prime(128, random.Random(5))
+    narrow = reference_generate_prime(64, random.Random(6))
+    rng = random.Random(9)
+    assert crypto.is_probable_prime(wide, rng)
+    expected = random.Random(9)
+    for _ in range(8):
+        expected.randrange(2, wide - 1)
+    assert rng.getstate() == expected.getstate()
+    # rejected candidates, and accepted ones of 80 bits or fewer, draw none
+    rejected = [wide + 1, wide * 2039, wide * narrow, narrow * narrow,
+                3215031751 * wide]
+    for n in rejected + [narrow]:
+        rng = random.Random(9)
+        crypto.is_probable_prime(n, rng)
+        assert rng.getstate() == random.Random(9).getstate(), n
+    assert not any(crypto.is_probable_prime(n, random.Random(9))
+                   for n in rejected)
+
+
+@pytest.mark.parametrize("bits,seeds", [(8, 60), (16, 60), (64, 30),
+                                        (128, 8), (256, 2)])
+def test_prime_and_group_generation_match_reference(bits, seeds):
+    for seed in range(seeds):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert crypto.generate_prime(bits, ours) == \
+            reference_generate_prime(bits, theirs)
+        assert ours.getstate() == theirs.getstate()
+        assert crypto.generate_dh_group(bits, ours) == \
+            reference_generate_dh_group(bits, theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 # --- session key bootstrap ------------------------------------------------

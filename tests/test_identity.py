@@ -10,11 +10,12 @@ from manetsec.identity import NodeIdentity, Registry, UnknownIdentityError
 
 
 def _node(seed, ip, key_bits=128):
-    sign, enc = crypto.generate_node_keys(seed, key_bits=key_bits)
-    ident = NodeIdentity(node_id=identity.derive_id(sign.public),
-                         signing_public=sign.public,
-                         encryption_public=enc.public, ip=ip)
-    return ident, sign, enc
+    keys = crypto.generate_node_keys(seed, key_bits=key_bits)
+    ident = NodeIdentity.from_keys(keys, ip)
+    assert ident.node_id == identity.derive_id(keys.signing.public)
+    assert ident.signing_public == keys.signing.public
+    assert ident.encryption_public == keys.encryption.public
+    return ident, keys.signing, keys.encryption
 
 
 def test_derive_id_matches_documented_concatenation():
@@ -43,21 +44,28 @@ def test_registry_add_and_lookup():
         reg.by_ip("n9")
 
 
+def test_identity_equality_covers_the_encryption_key():
+    a, _, enc_a = _node(1, "n0")
+    b, _, _ = _node(2, "n1")
+    assert NodeIdentity(a.node_id, a.signing_public, lambda: enc_a.public,
+                        "n0") == a
+    assert NodeIdentity(a.node_id, a.signing_public,
+                        lambda: b.encryption_public, "n0") != a
+
+
 def test_registry_rejects_duplicates_and_bad_ids():
     a, _, _ = _node(1, "n0")
     b, _, _ = _node(2, "n1")
     reg = Registry()
     reg.add(a)
     with pytest.raises(ValueError):
-        reg.add(NodeIdentity(node_id=a.node_id,
-                             signing_public=b.signing_public,
-                             encryption_public=b.encryption_public, ip="n2"))
+        reg.add(NodeIdentity(a.node_id, b.signing_public,
+                             lambda: b.encryption_public, "n2"))
     with pytest.raises(ValueError):
-        reg.add(NodeIdentity(node_id=b.node_id,
-                             signing_public=b.signing_public,
-                             encryption_public=b.encryption_public, ip="n0"))
-    forged = NodeIdentity(node_id=bytes(32), signing_public=b.signing_public,
-                          encryption_public=b.encryption_public, ip="n3")
+        reg.add(NodeIdentity(b.node_id, b.signing_public,
+                             lambda: b.encryption_public, "n0"))
+    forged = NodeIdentity(bytes(32), b.signing_public,
+                          lambda: b.encryption_public, "n3")
     with pytest.raises(ValueError):
         reg.add(forged)
 

@@ -56,10 +56,8 @@ def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
     net = sim.Network(seed=seed, metrics=metrics)
     keys = {}
     for n in names:
-        sig, enc = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        keys[n] = (sig, enc)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, n))
+        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
+        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
     routers = {}
     for n in names:
         if n in stubs:
@@ -67,9 +65,8 @@ def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
             net.add_node(n, handler)
             routers[n] = handler
             continue
-        cfg = routing.NodeConfig(
-            name=n, signing=keys[n][0], encryption=keys[n][1],
-            secure=secure, sec_level=sec_level, master_seed=seed)
+        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
+                                 sec_level=sec_level, master_seed=seed)
         routers[n] = routing.RouterNode(cfg, reg, net)
         routers[n].transport = Inbox()
         if n in (responder_secrets or {}):
@@ -187,13 +184,13 @@ def test_first_verified_copy_wins_on_diamond():
 def test_impersonated_origin_fails_final_check():
     names = ["a", "b", "m"]
     net, r, reg, m, keys = build(names, [("a", "b"), ("m", "b")], stubs=("m",))
-    a_pub = keys["a"][0].public
-    m_sig = keys["m"][0]
+    a_pub = keys["a"].signing.public
+    m_sig = keys["m"].signing
     m_id = identity.derive_id(m_sig.public)
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a",
                           src_id=r["a"].node_id, src_seq=99, bct_id=777,
                           dst_ip="b", dh_p=23, dh_g=5,
-                          dh_payload=rsa_encrypt(8, keys["b"][1].public))
+                          dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
     hops = (m_id,)
     fake_origin = rsa_sign_first(wire.signer_hash(core, hops, 0, a_pub), m_sig)
     agg = sas_aggregate_step(fake_origin,
@@ -215,9 +212,9 @@ def test_claimed_last_hop_must_match_physical_sender():
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a",
                           src_id=r["a"].node_id, src_seq=5, bct_id=42,
                           dst_ip="b", dh_p=23, dh_g=5,
-                          dh_payload=rsa_encrypt(8, keys["b"][1].public))
-    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["a"][0].public),
-                         keys["m"][0])
+                          dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
+    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["a"].signing.public),
+                         keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sig_mode=0, sec_level=1,
                             aggregate=sig, source_sig=None)
     net.broadcast("m", wire.encode_message(msg))
@@ -231,8 +228,8 @@ def test_unknown_origin_identity_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="zz",
                           src_id=b"\x42" * 32, src_seq=1, bct_id=1,
                           dst_ip="b", dh_p=23, dh_g=5, dh_payload=9)
-    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["m"][0].public),
-                         keys["m"][0])
+    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["m"].signing.public),
+                         keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sig_mode=0, sec_level=1,
                             aggregate=sig, source_sig=None)
     net.broadcast("m", wire.encode_message(msg))
@@ -252,7 +249,7 @@ def test_unsolicited_reply_needs_a_pending_discovery():
     names = ["a", "b"]
     net, r, reg, m, keys = build(names, [("a", "b")], secure=False,
                                  stubs=("b",))
-    b_sig = keys["b"][0]
+    b_sig = keys["b"].signing
     core = wire.RouteCore(kind=wire.KIND_RREP, src_ip="b",
                           src_id=identity.derive_id(b_sig.public), src_seq=3,
                           bct_id=999, dst_ip="a", dst_seq=1, dh_payload=0)
@@ -304,10 +301,10 @@ def test_break_report_from_off_path_node_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RERR, src_ip="x", src_id=x.node_id,
                           src_seq=x.seq, bct_id=1, dst_ip="a",
                           originator_id=c_id)
+    agg = routing.sign_origin(core, keys["x"].signing)
     msg = wire.RouteMessage(core=core, hops=(),
                             sig_mode=wire.sig_mode_for(1), sec_level=1,
-                            aggregate=routing.sign_origin(core, keys["x"][0]),
-                            source_sig=None)
+                            aggregate=agg, source_sig=None)
     net.unicast("x", "b", wire.encode_message(msg))
     net.run(until=20)
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from manetsec import cli, identity, scenario, sim
+from manetsec import cli, crypto, identity, scenario, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -162,6 +162,65 @@ def test_event_log_is_deterministic_and_in_tick_order():
         assert {"discovery", "route", "session_key", "rerr_sent",
                 "rerr_accepted", "connect", "established",
                 "deliver"} <= {ev.kind for ev in events}
+
+
+@pytest.fixture
+def keygen(monkeypatch):
+    """Counts of crypto.generate_keypair calls, in all and inside
+    Network.run, starting from an empty node key memo."""
+    counts = {"total": 0, "in_run": 0}
+    running = []
+    keypair, run = crypto.generate_keypair, sim.Network.run
+
+    def counted_keypair(*args):
+        counts["total"] += 1
+        counts["in_run"] += bool(running)
+        return keypair(*args)
+
+    def counted_run(net, until):
+        running.append(net)
+        try:
+            return run(net, until)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(crypto, "generate_keypair", counted_keypair)
+    monkeypatch.setattr(sim.Network, "run", counted_run)
+    crypto._node_keys.cache_clear()
+    yield counts
+    crypto._node_keys.cache_clear()
+
+
+def test_grid_run_makes_encryption_pairs_for_its_endpoints_only(keygen):
+    names = ["g%d%d" % (r, c) for r in range(8) for c in range(8)]
+    links = [{"a": "g%d%d" % (r, c), "b": "g%d%d" % (r + dr, c + dc)}
+             for r in range(8) for c in range(8)
+             for dr, dc in ((0, 1), (1, 0)) if r + dr < 8 and c + dc < 8]
+    flows = [("g00", "g77"), ("g07", "g70"), ("g33", "g45")]
+    events = [{"tick": 1 + 5 * i, "kind": "start_flow", "client": a,
+               "server": b, "client_port": 5000 + i, "payload": "x" * 600}
+              for i, (a, b) in enumerate(flows)]
+    events.append({"tick": 2, "kind": "start_discovery", "node": "g62",
+                   "target": "g16"})
+    endpoints = {"g00", "g77", "g07", "g70", "g33", "g45", "g62", "g16"}
+    doc = {"seed": 9, "key_bits": 128, "nodes": names, "links": links,
+           "run_until": 300, "events": events}
+    result = scenario.run_scenario(doc)
+    assert keygen == {"total": 64 + len(endpoints), "in_run": 0}
+    # every endpoint's pair was used: each exchange completed at both ends
+    assert {ev.node for ev in result.metrics.of("session_key")} == endpoints
+    for i, (a, b) in enumerate(flows):
+        assert result.metrics.delivered_payloads[(b, a, 80, 5000 + i)] == \
+            b"x" * 600
+
+
+@pytest.mark.parametrize("mode", scenario.MODES)
+@pytest.mark.parametrize("name", sorted(os.listdir(SCEN)))
+def test_shipped_scenarios_make_no_keys_inside_the_run(name, mode, keygen):
+    doc = scenario.load_file(os.path.join(SCEN, name))
+    scenario.run_scenario(doc, mode=mode)
+    assert keygen["total"] > 0
+    assert keygen["in_run"] == 0
 
 
 def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):

@@ -28,17 +28,14 @@ def build(names, links, *, secure=True, sec_level=1, seed=11, key_bits=256,
     routers, endpoints = {}, {}
     keys = {}
     for n in names:
-        sig, enc = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        keys[n] = (sig, enc)
-        reg.add(identity.NodeIdentity(identity.derive_id(sig.public),
-                                      sig.public, enc.public, n))
+        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
+        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
     for n in names:
         if n in stubs:
             routers[n] = Puppet()
             net.add_node(n, routers[n])
             continue
-        cfg = routing.NodeConfig(name=n, signing=keys[n][0],
-                                 encryption=keys[n][1], secure=secure,
+        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
                                  sec_level=sec_level, master_seed=seed)
         routers[n] = routing.RouterNode(cfg, reg, net)
         endpoints[n] = transport.TcpEndpoint(routers[n], tcp_config)
@@ -280,6 +277,17 @@ def test_connect_to_unreachable_peer_eventually_fails():
     ep["a"].connect("f", 1, 2)
     net.run(until=400)
     assert ep["a"].conns[("f", 1, 2)].state == "failed"
+
+
+def test_connect_to_an_unregistered_peer_logs_its_failure():
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
+    ep["a"].connect("nowhere", 1, 2)
+    assert ep["a"].conns[("nowhere", 1, 2)].state == "failed"
+    events = [ev for ev in m.events if ev.fields.get("peer") == "nowhere"]
+    assert [(ev.node, ev.kind) for ev in events] == [("a", "connect"),
+                                                     ("a", "failed")]
+    assert events[1].fields == {"peer": "nowhere", "local_port": 1,
+                                "remote_port": 2}
 
 
 def test_initial_numbers_plain_counter_vs_keyed_offset():
