@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 DIGEST_BYTES = 32
-DEFAULT_KEY_BITS = 512
-DEFAULT_DH_BITS = 256
 RSA_PUBLIC_EXPONENT = 65537
 
 
@@ -48,10 +46,11 @@ _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
 # today, and so move the stream's draws and the groups it gives.
 _DH_SCREEN_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if p <= 251)
 
-# Deterministic Miller-Rabin bases; enough for the toy widths used in tests,
-# and supplemented with 8 rng-drawn bases above 80 bits. The 20 rounds are
-# fixed on purpose: fewer would buy speed with soundness, and the same test
-# judges the DH groups a requester picks.
+# Deterministic Miller-Rabin bases. Together they are proven to decide
+# primality only below 3.18 * 10^23 (Sorenson and Webster, 2015), so above
+# 78 bits 8 rng-drawn bases join them. The 20 rounds are fixed on purpose:
+# fewer would buy speed with soundness, and the same test judges the DH
+# groups a requester picks.
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -145,7 +144,7 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rng: random.Random) -> bool:
     if n <= SIEVE_BOUND:
         return n in _SIEVE_PRIMES
     if math.gcd(n, _SIEVE_PRODUCT) != 1:
@@ -153,7 +152,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     for base in _MR_BASES:
         if not _miller_rabin(n, base):
             return False
-    if rng is not None and n.bit_length() > 80:
+    if n.bit_length() > 78:
         for _ in range(8):
             if not _miller_rabin(n, rng.randrange(2, n - 1)):
                 return False
@@ -171,8 +170,7 @@ def generate_prime(bits: int, rng: random.Random) -> int:
             return cand
 
 
-def generate_keypair(bits: int, rng: random.Random,
-                     e: int = RSA_PUBLIC_EXPONENT) -> RsaKeyPair:
+def generate_keypair(bits: int, rng: random.Random) -> RsaKeyPair:
     while True:
         p = generate_prime(bits // 2, rng)
         q = generate_prime(bits - bits // 2, rng)
@@ -182,11 +180,11 @@ def generate_keypair(bits: int, rng: random.Random,
         if n.bit_length() != bits:
             continue
         phi = (p - 1) * (q - 1)
-        if math.gcd(e, phi) != 1:
+        if math.gcd(RSA_PUBLIC_EXPONENT, phi) != 1:
             continue
-        d = pow(e, -1, phi)
-        return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, dp=d % (p - 1),
-                          dq=d % (q - 1), qinv=pow(q, -1, p))
+        d = pow(RSA_PUBLIC_EXPONENT, -1, phi)
+        return RsaKeyPair(n=n, e=RSA_PUBLIC_EXPONENT, d=d, p=p, q=q,
+                          dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p))
 
 
 class NodeKeys:
@@ -203,7 +201,7 @@ class NodeKeys:
     sound when every signature value fits within one modulus width.
     """
 
-    def __init__(self, seed: int, key_bits: int = DEFAULT_KEY_BITS):
+    def __init__(self, seed: int, key_bits: int):
         if key_bits < 64 or key_bits % 2 != 0:
             raise ValueError("key_bits must be even and >= 64, got %d"
                              % key_bits)
@@ -224,8 +222,7 @@ class NodeKeys:
         return self._encryption
 
 
-def generate_node_keys(seed: int, key_bits: int = DEFAULT_KEY_BITS
-                       ) -> NodeKeys:
+def generate_node_keys(seed: int, key_bits: int) -> NodeKeys:
     """Deterministic NodeKeys for one node, memoized by (seed, key_bits)."""
     return _node_keys(seed, key_bits)
 

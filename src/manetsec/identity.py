@@ -47,18 +47,6 @@ class NodeIdentity:
     def encryption_public(self) -> Tuple[int, int]:
         return self._encryption()
 
-    def _fields(self) -> tuple:
-        return (self.node_id, self.signing_public, self.encryption_public,
-                self.ip)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeIdentity):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self.node_id)
-
 
 class Registry:
     def __init__(self) -> None:
@@ -90,18 +78,8 @@ class Registry:
         except KeyError:
             raise UnknownIdentityError(ip) from None
 
-    def __contains__(self, node_id: bytes) -> bool:
-        return node_id in self._by_id
-
     def entries(self) -> List[NodeIdentity]:
         return sorted(self._by_id.values(), key=lambda n: n.ip)
-
-    def authenticate_claim(self, claimed_id: bytes,
-                           presented_public: Tuple[int, int]) -> bool:
-        """True iff the presented key hashes to the claimed, registered id."""
-        ident = self.get(claimed_id)
-        return (derive_id(presented_public) == claimed_id
-                and presented_public == ident.signing_public)
 
 
 def registry_to_json(reg: Registry) -> str:

@@ -92,14 +92,11 @@ class RouteEntry:
     next_hop: str
     distance: int
     seq: int
-    bct_id: int
-    tick: int
 
 
 @dataclass
 class PendingDiscovery:
     target_ip: str
-    bct_id: int
     params: Optional[DhParams]
     start_tick: int
     attempt: int
@@ -141,9 +138,7 @@ class RouterNode:
 
     # --- discovery ----------------------------------------------------------
 
-    def start_discovery(self, dst_ip: str,
-                        dh_override: Optional[DhParams] = None,
-                        _attempt: int = 1) -> int:
+    def start_discovery(self, dst_ip: str, _attempt: int = 1) -> int:
         dest = self.registry.by_ip(dst_ip)
         self.seq += 1
         self._bct_counter += 1
@@ -151,10 +146,8 @@ class RouterNode:
         params = None
         exchange = {}
         if self.config.secure:
-            params = dh_override
-            if params is None:
-                p, g = generate_dh_group(self.config.dh_bits, self.rng)
-                params = make_dh_params(p, g, self.rng)
+            p, g = generate_dh_group(self.config.dh_bits, self.rng)
+            params = make_dh_params(p, g, self.rng)
             if params.p >= dest.encryption_public[0]:
                 raise ValueError("exchange group too wide for peer key")
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
@@ -163,8 +156,8 @@ class RouterNode:
                               src_id=self.node_id, src_seq=self.seq,
                               bct_id=bct, dst_ip=dst_ip, **exchange)
         msg = self._originate(core)
-        self.pending[bct] = PendingDiscovery(dst_ip, bct, params,
-                                             self.net.tick, _attempt)
+        self.pending[bct] = PendingDiscovery(dst_ip, params, self.net.tick,
+                                             _attempt)
         self.active_targets.add(dst_ip)
         self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
                          bct=bct, attempt=_attempt)
@@ -347,7 +340,7 @@ class RouterNode:
             return "unknown_identity"
         self.seen.add(self._seen_key(core))
         self._install(core.src_id, sender, len(msg.hops) + 1, core.src_seq,
-                      core.bct_id, via="RREQ")
+                      via="RREQ")
         flow = self.flows.setdefault((core.src_id, dst_id),
                                      FlowState(bct_id=core.bct_id))
         flow.bct_id = core.bct_id
@@ -393,7 +386,7 @@ class RouterNode:
         if not (is_probable_prime(p, self._group_rng)
                 and is_probable_prime((p - 1) // 2, self._group_rng)):
             return "malformed", 0
-        params = DhParams(p=p, g=g, r=self.rng.randrange(2, p - 1))
+        params = make_dh_params(p, g, self.rng)
         key = dh_shared(theirs, params)
         self._store_key(core.src_id, core.bct_id, key)
         sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
@@ -424,7 +417,7 @@ class RouterNode:
                     return reason
         self.seen.add(self._seen_key(core))
         self._install(core.src_id, sender, len(msg.hops) + 1, core.src_seq,
-                      core.bct_id, via="RREP")
+                      via="RREP")
         flow = self.flows.setdefault((src_node_id, core.src_id),
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
@@ -550,7 +543,7 @@ class RouterNode:
     # --- route table --------------------------------------------------------
 
     def _install(self, dst_id: bytes, next_hop: str, distance: int, seq: int,
-                 bct: int, via: str) -> None:
+                 via: str) -> None:
         if dst_id == self.node_id:
             return
         old = self.routes.get(dst_id)
@@ -558,8 +551,7 @@ class RouterNode:
                                 (old.seq == seq and old.distance <= distance)):
             return
         self.routes[dst_id] = RouteEntry(next_hop=next_hop, distance=distance,
-                                         seq=seq, bct_id=bct,
-                                         tick=self.net.tick)
+                                         seq=seq)
         self.metrics.log(self.net.tick, self.ip, "route", dst=dst_id.hex(),
                          next_hop=next_hop, distance=distance, seq=seq,
                          via=via)

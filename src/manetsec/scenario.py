@@ -53,9 +53,9 @@ class ScenarioError(ValueError):
 class LinkSpec:
     a: str
     b: str
-    latency: int = 1
-    loss: float = 0.0
-    tunnel: bool = False
+    latency: int
+    loss: float
+    tunnel: bool
 
 
 @dataclass
@@ -63,10 +63,10 @@ class FlowSpec:
     tick: int
     client: str
     server: str
-    client_port: int = 5000
-    server_port: int = 80
-    payload: bytes = b""
-    close: bool = True
+    client_port: int
+    server_port: int
+    payload: bytes
+    close: bool
 
 
 @dataclass
@@ -74,15 +74,15 @@ class Scenario:
     seed: int
     nodes: List[str]
     links: List[LinkSpec]
-    key_bits: int = 256
-    dh_bits: int = 64
-    mode: str = "secure"
-    sec_level: int = 1
-    half_open_capacity: int = 8
-    run_until: int = 400
-    mss: int = 512
-    rto: int = 10
-    max_retries: int = 2
+    key_bits: int
+    dh_bits: int
+    mode: str
+    sec_level: int
+    half_open_capacity: int
+    run_until: int
+    mss: int
+    rto: int
+    max_retries: int
     discoveries: List[Tuple[int, str, str]] = field(default_factory=list)
     flows: List[FlowSpec] = field(default_factory=list)
     link_changes: List[Tuple[int, str, str, bool]] = field(default_factory=list)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple
 
 from .crypto import derive_seed
 from . import wire
@@ -91,7 +91,6 @@ class TraceRecord:
 
 class Network:
     def __init__(self, seed: int, metrics: Metrics):
-        self.seed = seed
         self.metrics = metrics
         self.tick = 0
         self.trace: List[TraceRecord] = []
@@ -153,8 +152,7 @@ class Network:
     # --- transmission -------------------------------------------------------
 
     def _record(self, src: str, dst: str, payload: bytes,
-                kind: Optional[str]) -> TraceRecord:
-        label = kind if kind is not None else wire.describe(payload)
+                label: str) -> TraceRecord:
         rec = TraceRecord(tick=self.tick, src=src, dst=dst, kind=label,
                           size=len(payload), disposition="lost")
         self.trace.append(rec)
@@ -165,39 +163,37 @@ class Network:
         return rec
 
     def _transmit(self, src: str, dst: str, payload: bytes, link: LinkState,
-                  kind: Optional[str]) -> None:
-        rec = self._record(src, dst, payload, kind)
+                  label: str) -> None:
+        rec = self._record(src, dst, payload, label)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
         idx = len(self.trace) - 1
         self._push(self.tick + link.latency, "deliver",
                    (src, dst, payload, idx))
 
-    def broadcast(self, src: str, payload: bytes,
-                  kind: Optional[str] = None) -> None:
+    def broadcast(self, src: str, payload: bytes) -> None:
+        label = None
         for nb in self._neighbors[src]:
             link = self._links[frozenset((src, nb))]
             if link.up:
-                if kind is None:
-                    kind = wire.describe(payload)   # once per broadcast
-                self._transmit(src, nb, payload, link, kind)
+                if label is None:
+                    label = wire.describe(payload)   # once per broadcast
+                self._transmit(src, nb, payload, link, label)
 
-    def unicast(self, src: str, dst: str, payload: bytes,
-                kind: Optional[str] = None) -> bool:
+    def unicast(self, src: str, dst: str, payload: bytes) -> bool:
         """Send over the direct link; False means no live link (caller's
         signal that the next hop is gone)."""
         link = self._links.get(frozenset((src, dst)))
         if link is None or not link.up or link.tunnel:
             return False
-        self._transmit(src, dst, payload, link, kind)
+        self._transmit(src, dst, payload, link, wire.describe(payload))
         return True
 
-    def tunnel_send(self, src: str, dst: str, payload: bytes,
-                    kind: Optional[str] = None) -> bool:
+    def tunnel_send(self, src: str, dst: str, payload: bytes) -> bool:
         link = self._links.get(frozenset((src, dst)))
         if link is None or not link.tunnel or not link.up:
             return False
-        self._transmit(src, dst, payload, link, kind)
+        self._transmit(src, dst, payload, link, wire.describe(payload))
         return True
 
     # --- main loop ----------------------------------------------------------

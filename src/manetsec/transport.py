@@ -97,17 +97,6 @@ class TcpEndpoint:
         self._begin_handshake(conn)
         return key
 
-    def send(self, peer_ip: str, local_port: int, remote_port: int,
-             data: bytes) -> None:
-        conn = self.conns[(peer_ip, local_port, remote_port)]
-        conn.send_buf += data
-        self._pump(conn)
-
-    def close(self, peer_ip: str, local_port: int, remote_port: int) -> None:
-        conn = self.conns[(peer_ip, local_port, remote_port)]
-        conn.close_after_drain = True
-        self._pump(conn)
-
     # --- handshake ------------------------------------------------------------
 
     def _begin_handshake(self, conn: Connection) -> None:
@@ -165,12 +154,6 @@ class TcpEndpoint:
             conn.retries = 0
             self._arm("rx", (conn.peer_ip, conn.local_port,
                              conn.remote_port), (seg.seq, seg.role))
-
-    def _send_raw(self, peer_ip: str, seg: wire.Segment) -> None:
-        try:
-            self.router.send_segment(peer_ip, self._tagged(peer_ip, seg))
-        except UnknownIdentityError:
-            pass
 
     def _arm(self, what: str, key: ConnKey, detail) -> None:
         self.net.timer(self.config.rto, self.router.ip, "tcp",
@@ -275,7 +258,7 @@ class TcpEndpoint:
                              dst_port=seg.src_port, seq=isn_s,
                              ack=(seg.seq + 1) & MASK, payload=b"",
                              tag=b"\x00" * 32)
-        self._send_raw(peer_ip, reply)
+        self.router.send_segment(peer_ip, self._tagged(peer_ip, reply))
         return None
 
     def _on_syn_ack(self, seg: wire.Segment,

@@ -1,11 +1,11 @@
-"""Shared test helpers that stand in for library hooks: a frame recorder
-and a pinned rng."""
+"""Shared test helpers that stand in for library hooks: a frame recorder,
+a pinned rng and a pinned exchange group."""
 
 import contextlib
 
 import pytest
 
-from manetsec import sim
+from manetsec import routing, sim
 
 
 @contextlib.contextmanager
@@ -18,9 +18,9 @@ def capture_frames():
     frames = []
     original = sim.Network._transmit
 
-    def transmit(self, src, dst, payload, link, kind):
+    def transmit(self, src, dst, payload, link, label):
         frames.append((src, dst, payload))
-        return original(self, src, dst, payload, link, kind)
+        return original(self, src, dst, payload, link, label)
 
     sim.Network._transmit = transmit
     try:
@@ -37,6 +37,23 @@ class FixedRng:
 
     def randrange(self, start, stop):
         return self.value
+
+
+@contextlib.contextmanager
+def pinned_group(router, p, g, r):
+    """Discoveries `router` starts in the block use group (p, g), exponent r.
+
+    generate_dh_group returns (p, g) as routing binds it, and the router's
+    rng is a FixedRng(r), so make_dh_params gives DhParams(p, g, r).
+    """
+    original_group, original_rng = routing.generate_dh_group, router.rng
+    routing.generate_dh_group = lambda bits, rng: (p, g)
+    router.rng = FixedRng(r)
+    try:
+        yield
+    finally:
+        routing.generate_dh_group = original_group
+        router.rng = original_rng
 
 
 @pytest.fixture

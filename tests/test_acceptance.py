@@ -14,11 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FixedRng
+from conftest import FixedRng, pinned_group
 from manetsec import attacks, cli, identity, routing, scenario, sim, transport, wire
 from manetsec.crypto import (
     AggregateSignature,
-    DhParams,
     derive_seed,
     digest,
     digest_int,
@@ -192,7 +191,8 @@ def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
     # the worked key-exchange example: p=23, g=5, secrets 6 and 15 agree on 2
     net, routers, reg, metrics = _build_net(
         ["a", "b"], [("a", "b")], responder_secrets={"b": 15}, seed=5)
-    routers["a"].start_discovery("b", dh_override=DhParams(p=23, g=5, r=6))
+    with pinned_group(routers["a"], p=23, g=5, r=6):
+        routers["a"].start_discovery("b")
     net.run(until=10)
     assert routers["a"].session_key_for("b").value == 2
     assert routers["b"].session_key_for("a").value == 2

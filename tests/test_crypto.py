@@ -237,8 +237,9 @@ def test_lazy_encryption_pair_equals_eager_generation(bits, monkeypatch):
 
 # A copy of is_probable_prime, generate_prime and generate_dh_group as they
 # were before the gcd sieve: trial division by the primes up to 251, then
-# the same 12 fixed and 8 drawn Miller-Rabin bases. The library must give
-# the same verdicts and outputs and draw the same values from the stream.
+# the same 12 fixed Miller-Rabin bases and, above 78 bits, 8 drawn ones.
+# The library must give the same verdicts and outputs and draw the same
+# values from the stream.
 _REF_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
                      109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
@@ -265,7 +266,7 @@ def _reference_miller_rabin(n, base):
     return False
 
 
-def reference_is_probable_prime(n, rng=None):
+def reference_is_probable_prime(n, rng):
     if n < 2:
         return False
     for p in _REF_SMALL_PRIMES:
@@ -276,7 +277,7 @@ def reference_is_probable_prime(n, rng=None):
     for base in _REF_MR_BASES:
         if not _reference_miller_rabin(n, base):
             return False
-    if rng is not None and n.bit_length() > 80:
+    if n.bit_length() > 78:
         for _ in range(8):
             if not _reference_miller_rabin(n, rng.randrange(2, n - 1)):
                 return False
@@ -311,13 +312,16 @@ def _same_verdict_and_draws(n, seed):
     assert crypto.is_probable_prime(n, ours) == \
         reference_is_probable_prime(n, theirs), n
     assert ours.getstate() == theirs.getstate(), n
-    assert crypto.is_probable_prime(n) == reference_is_probable_prime(n), n
 
 
 def test_primality_matches_reference_below_2_to_17():
+    ours, theirs = random.Random(17), random.Random(17)
     for n in range(-3, 1 << 17):
-        assert crypto.is_probable_prime(n) == \
-            reference_is_probable_prime(n), n
+        assert crypto.is_probable_prime(n, ours) == \
+            reference_is_probable_prime(n, theirs), n
+    # no width here reaches the drawn bases
+    assert ours.getstate() == theirs.getstate() == \
+        random.Random(17).getstate()
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
@@ -342,6 +346,15 @@ def test_primality_matches_reference_on_pseudoprimes(n):
         _same_verdict_and_draws(n, seed)
 
 
+def test_79_bit_strong_pseudoprime_to_the_fixed_bases_is_rejected():
+    # 399165290221 * 798330580441, a strong pseudoprime to every prime base
+    # up to 37 (Sorenson and Webster, 2015): only a drawn base exposes it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441 and n.bit_length() == 79
+    for seed in range(5):
+        assert crypto.is_probable_prime(n, random.Random(seed)) is False
+
+
 def test_primality_draws_eight_bases_only_for_accepted_wide_primes():
     wide = reference_generate_prime(128, random.Random(5))
     narrow = reference_generate_prime(64, random.Random(6))
@@ -351,7 +364,7 @@ def test_primality_draws_eight_bases_only_for_accepted_wide_primes():
     for _ in range(8):
         expected.randrange(2, wide - 1)
     assert rng.getstate() == expected.getstate()
-    # rejected candidates, and accepted ones of 80 bits or fewer, draw none
+    # rejected candidates, and accepted ones of 78 bits or fewer, draw none
     rejected = [wide + 1, wide * 2039, wide * narrow, narrow * narrow,
                 3215031751 * wide]
     for n in rejected + [narrow]:

@@ -2,10 +2,9 @@
 
 import pytest
 
-from conftest import FixedRng
+from conftest import FixedRng, pinned_group
 from manetsec import identity, routing, sim, wire
 from manetsec.crypto import (
-    DhParams,
     derive_seed,
     generate_node_keys,
     rsa_encrypt,
@@ -83,7 +82,8 @@ def line(names):
 def test_two_node_discovery_with_pinned_key_exchange():
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")],
                                  responder_secrets={"b": 15})
-    bct = r["a"].start_discovery("b", dh_override=DhParams(p=23, g=5, r=6))
+    with pinned_group(r["a"], p=23, g=5, r=6):
+        bct = r["a"].start_discovery("b")
     net.run(until=10)
 
     b_id = r["b"].node_id
@@ -113,7 +113,8 @@ def test_two_node_discovery_with_pinned_key_exchange():
 @pytest.mark.parametrize("p", [3317044064679887385961981, 29])
 def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
-    r["a"].start_discovery("b", dh_override=DhParams(p=p, g=2, r=6))
+    with pinned_group(r["a"], p=p, g=2, r=6):
+        r["a"].start_discovery("b")
     net.run(until=10)
 
     assert m.drops == {"malformed": 1}

@@ -360,3 +360,46 @@ def test_trace_lint_accepts_the_drop_disposition_sim_writes():
     line = "1\ta\tb\tRREQ\t10\t%s\n"
     assert cli._lint_trace(line % sim.dropped("replay")) == []
     assert cli._lint_trace(line % "dropped_by_receiver(replay") != []
+
+
+# --- known protocol defects (ROADMAP item 1) --------------------------------
+# Both fail today; the fix removes the xfail marks.
+
+def _line_doc(names, **over):
+    doc = {"seed": 1, "key_bits": 256,
+           "nodes": names,
+           "links": [{"a": a, "b": b} for a, b in zip(names, names[1:])],
+           "events": []}
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.xfail(strict=True, reason="a pair's session keys diverge when "
+                   "both ends start a discovery")
+@pytest.mark.parametrize("sec_level", [1, 0])
+def test_reverse_flows_on_one_pair_both_deliver(sec_level):
+    doc = _line_doc(["a", "b", "c"], sec_level=sec_level, events=[
+        {"tick": 1, "kind": "start_flow", "client": "a", "server": "c",
+         "payload": "forward"},
+        {"tick": 2, "kind": "start_flow", "client": "c", "server": "a",
+         "client_port": 5001, "payload": "reverse"}])
+    r = scenario.run_scenario(doc)
+    delivered = r.metrics.delivered_payloads
+    assert delivered.get(("c", "a", 80, 5000)) == b"forward"
+    assert delivered.get(("a", "c", 80, 5001)) == b"reverse"
+    assert "tag_mismatch" not in r.metrics.drops
+    assert json.loads(r.metrics_json())["key_agreement"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="each reply of a discovery over 26 "
+                   "hops arrives after its attempt was retired")
+@pytest.mark.parametrize("sec_level", [1, 0])
+def test_discovery_completes_on_a_line_of_26_nodes(sec_level):
+    names = ["n%d" % i for i in range(26)]
+    doc = _line_doc(names, key_bits=128, dh_bits=32, run_until=1000,
+                    sec_level=sec_level, events=[
+                        {"tick": 1, "kind": "start_discovery", "node": "n0",
+                         "target": "n25"}])
+    r = scenario.run_scenario(doc)
+    assert "no_pending" not in r.metrics.drops
+    assert len(r.metrics.discovery_latency_ticks) == 1

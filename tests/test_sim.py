@@ -2,7 +2,7 @@
 
 import pytest
 
-from manetsec import sim
+from manetsec import sim, wire
 from manetsec.sim import Metrics, Network
 
 
@@ -212,9 +212,20 @@ def test_metrics_byte_counters_follow_kind():
     net.add_node("a", Recorder())
     net.add_node("b", Recorder())
     net.add_link("a", "b", latency=1)
-    net.unicast("a", "b", b"x" * 10, kind="RREQ")
-    net.unicast("a", "b", b"x" * 4, kind="DATA")
-    net.unicast("a", "b", b"x" * 3, kind="RAW")
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a", src_id=bytes(32),
+                          src_seq=1, bct_id=1, dst_ip="b")
+    rreq = wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sig_mode=0, sec_level=0, aggregate=None,
+        source_sig=None))
+    data = wire.encode_message(wire.DataPacket(
+        src_ip="a", dst_ip="b", segment=wire.Segment(
+            role=wire.ROLE_DATA, src_port=1, dst_port=2, seq=0, ack=0,
+            payload=b"x" * 4, tag=bytes(32))))
+    net.unicast("a", "b", rreq)
+    net.unicast("a", "b", data)
+    net.unicast("a", "b", b"x" * 3)
     net.run(until=5)
-    assert metrics.control_bytes == 10
-    assert metrics.data_bytes == 4
+    assert [rec.kind for rec in net.trace] == ["RREQ", "DATA", "RAW"]
+    assert [rec.size for rec in net.trace] == [len(rreq), len(data), 3]
+    assert metrics.control_bytes == len(rreq)
+    assert metrics.data_bytes == len(data)
