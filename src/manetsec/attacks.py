@@ -83,10 +83,10 @@ class AttackerNode:
         self._ghost = 0
         net.add_node(name, self)
         if spec.kind == "syn_flood":
-            net.timer(spec.start, name, "atk", ("flood", spec.duration))
+            net.schedule(spec.start, self.on_timer, "flood", spec.duration)
         elif spec.kind in ("impersonate", "fake_rerr", "session_hijack",
                            "ack_inject"):
-            net.timer(spec.start, name, "atk", ("fire", None))
+            net.schedule(spec.start, self.on_timer, "fire", None)
 
     # --- sim handler interface ----------------------------------------------
 
@@ -104,14 +104,13 @@ class AttackerNode:
                 self._handle_route(sender, msg)
         return None
 
-    def on_timer(self, tag, data) -> None:
-        if tag != "atk":
-            return
-        what, detail = data
+    # --- timers -------------------------------------------------------------
+
+    def on_timer(self, what: str, detail) -> None:
         if what == "flood":
             self._flood_burst()
             if detail > 1:
-                self.net.timer(1, self.ip, "atk", ("flood", detail - 1))
+                self.net.schedule(1, self.on_timer, "flood", detail - 1)
         elif not self._fired:
             self._fired = True
             fire = getattr(self, "_fire_" + self.spec.kind)

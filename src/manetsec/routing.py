@@ -162,7 +162,7 @@ class RouterNode:
         self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
                          bct=bct, attempt=_attempt)
         self._send(msg)
-        self.net.timer(DISCOVERY_TIMEOUT, self.ip, "disc", bct)
+        self.net.schedule(DISCOVERY_TIMEOUT, self._retire, bct)
         return bct
 
     def ensure_discovery(self, dst_ip: str) -> None:
@@ -314,12 +314,9 @@ class RouterNode:
             return self._on_rrep(sender, msg, terminal)
         return self._on_rerr(sender, msg, terminal)
 
-    def on_timer(self, tag, data) -> None:
-        if tag != "disc":
-            if self.transport is not None:
-                self.transport.on_timer(tag, data)
-            return
-        pd = self.pending.pop(data, None)
+    def _retire(self, bct: int) -> None:
+        """Discovery timeout: retry the attempt, or give its target up."""
+        pd = self.pending.pop(bct, None)
         if pd is None:
             return
         if pd.attempt < MAX_DISCOVERY_ATTEMPTS:

@@ -29,6 +29,16 @@ MAX_DH_BITS = 512
 _TOP_FIELDS = {"seed", "key_bits", "dh_bits", "mode", "sec_level",
                "half_open_capacity", "run_until", "nodes", "links", "events",
                "tcp"}
+_LINK_FIELDS = {"a", "b", "latency", "loss", "tunnel"}
+_TCP_FIELDS = {"mss", "rto", "max_retries"}
+_EVENT_FIELDS = {
+    "start_discovery": {"node", "target"},
+    "start_flow": {"client", "server", "client_port", "server_port",
+                   "payload", "close"},
+    "link_down": {"a", "b"},
+    "link_up": {"a", "b"},
+    "attach_attack": {"attack"},
+}
 
 _ATTACK_REQUIRED = {
     "seq_inflate": ("src", "dst"),
@@ -97,6 +107,21 @@ class Scenario:
         return out
 
 
+def _known_fields(doc: dict, allowed, where: str,
+                  what: str = "unexpected field") -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ScenarioError("%s: %s %r" % (where, what, key))
+
+
+def _utf8(text: str, where: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ScenarioError("%s: not encodable as UTF-8 (lone surrogate?)"
+                            % where) from None
+
+
 def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ScenarioError("%s: missing required field %r" % (where, key))
@@ -129,6 +154,7 @@ def _str_field(doc: dict, key: str, where: str, default=None):
     if not isinstance(v, str):
         raise ScenarioError("%s.%s: expected a string, got %r"
                             % (where, key, v))
+    _utf8(v, "%s.%s" % (where, key))
     return v
 
 
@@ -154,9 +180,7 @@ def load_file(path: str) -> dict:
 def parse(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    for key in doc:
-        if key not in _TOP_FIELDS:
-            raise ScenarioError("unknown top-level field %r" % key)
+    _known_fields(doc, _TOP_FIELDS, "scenario", "unknown top-level field")
 
     seed = _int_field(doc, "seed", "scenario")
     key_bits = _int_field(doc, "key_bits", "scenario", default=256, minimum=64,
@@ -193,6 +217,10 @@ def parse(doc) -> Scenario:
         if "\t" in name or "\n" in name:
             raise ScenarioError("%s: node names may not contain tabs or "
                                 "newlines" % where)
+        if len(_utf8(name, where)) > 0xFFFF:
+            # a name travels as a wire token with a 16-bit length
+            raise ScenarioError("%s: node names are at most 65535 UTF-8 "
+                                "bytes" % where)
         if name in nodes:
             raise ScenarioError("%s: duplicate node name %r" % (where, name))
         nodes.append(name)
@@ -203,6 +231,7 @@ def parse(doc) -> Scenario:
         where = "links[%d]" % i
         if not isinstance(item, dict):
             raise ScenarioError("%s: expected an object" % where)
+        _known_fields(item, _LINK_FIELDS, where)
         a = _node_field(item, "a", where, nodes)
         b = _node_field(item, "b", where, nodes)
         if a == b:
@@ -222,18 +251,13 @@ def parse(doc) -> Scenario:
             raise ScenarioError("%s.loss: expected a number" % where)
         if not 0.0 <= loss <= 1.0:
             raise ScenarioError("%s.loss: must be between 0 and 1" % where)
-        for key in item:
-            if key not in ("a", "b", "latency", "loss", "tunnel"):
-                raise ScenarioError("%s: unexpected field %r" % (where, key))
         links.append(LinkSpec(a=a, b=b, latency=latency, loss=float(loss),
                               tunnel=tunnel))
 
     tcp = doc.get("tcp", {})
     if not isinstance(tcp, dict):
         raise ScenarioError("scenario.tcp: expected an object")
-    for key in tcp:
-        if key not in ("mss", "rto", "max_retries"):
-            raise ScenarioError("scenario.tcp: unexpected field %r" % key)
+    _known_fields(tcp, _TCP_FIELDS, "scenario.tcp")
     mss = _int_field(tcp, "mss", "scenario.tcp", default=512, minimum=1)
     rto = _int_field(tcp, "rto", "scenario.tcp", default=10, minimum=1)
     max_retries = _int_field(tcp, "max_retries", "scenario.tcp", default=2)
@@ -252,6 +276,9 @@ def parse(doc) -> Scenario:
             raise ScenarioError("%s: expected an object" % where)
         tick = _int_field(ev, "tick", where)
         kind = _str_field(ev, "kind", where)
+        if kind not in _EVENT_FIELDS:
+            raise ScenarioError("%s: unknown event kind %r" % (where, kind))
+        _known_fields(ev, _EVENT_FIELDS[kind] | {"tick", "kind"}, where)
         if kind == "start_discovery":
             node = _node_field(ev, "node", where, nodes)
             target = _node_field(ev, "target", where, nodes)
@@ -282,13 +309,11 @@ def parse(doc) -> Scenario:
             if frozenset((a, b)) not in seen_links:
                 raise ScenarioError("%s: no such link %s-%s" % (where, a, b))
             sc.link_changes.append((tick, a, b, kind == "link_up"))
-        elif kind == "attach_attack":
+        else:
             raw = ev.get("attack")
             if not isinstance(raw, dict):
                 raise ScenarioError("%s: missing 'attack' object" % where)
             sc.attack_specs.append(_parse_attack(raw, tick, where, nodes))
-        else:
-            raise ScenarioError("%s: unknown event kind %r" % (where, kind))
 
     _cross_validate(sc)
     return sc
@@ -297,9 +322,7 @@ def parse(doc) -> Scenario:
 def _parse_attack(raw: dict, tick: int, where: str,
                   nodes) -> attacks.AttackSpec:
     where = where + ".attack"
-    for key in raw:
-        if key not in _ATTACK_FIELDS:
-            raise ScenarioError("%s: unexpected field %r" % (where, key))
+    _known_fields(raw, _ATTACK_FIELDS, where)
     kind = _str_field(raw, "kind", where)
     if kind not in attacks.ATTACK_KINDS:
         raise ScenarioError("%s.kind: unknown attack kind %r" % (where, kind))
@@ -310,8 +333,10 @@ def _parse_attack(raw: dict, tick: int, where: str,
     fields["rate"] = _int_field(raw, "rate", where, default=50, minimum=1)
     fields["duration"] = _int_field(raw, "duration", where, default=5,
                                     minimum=1)
+    # the forged value travels as an 8-byte src_seq
     fields["inflate_to"] = _int_field(raw, "inflate_to", where,
-                                      default=900000, minimum=1)
+                                      default=900000, minimum=1,
+                                      maximum=(1 << 64) - 1)
     fields["max_distance"] = _int_field(raw, "max_distance", where, default=2,
                                         minimum=1)
     fields["marker"] = _str_field(raw, "marker", where,
@@ -320,6 +345,9 @@ def _parse_attack(raw: dict, tick: int, where: str,
 
 
 def _cross_validate(sc: Scenario) -> None:
+    """Check the events against each other, and bind each attack spec to
+    the half-open capacity and, for a segment forgery, to the flow it
+    targets (its ports and the payload the server should receive)."""
     bad = sc.attacker_names()
     kinds = [s.kind for s in sc.attack_specs]
     if len(kinds) != len(set(kinds)):
@@ -335,11 +363,12 @@ def _cross_validate(sc: Scenario) -> None:
             if name in bad:
                 raise ScenarioError("events: %r is an adversary and cannot "
                                     "be a flow endpoint" % name)
-    for s in sc.attack_specs:
+    for i, s in enumerate(sc.attack_specs):
         for name in (s.src, s.dst, s.through):
             if name is not None and name in bad:
                 raise ScenarioError("events: attack %r names adversary %r as "
                                     "a victim" % (s.kind, name))
+        s = replace(s, capacity=sc.half_open_capacity)
         if s.kind in ("session_hijack", "ack_inject"):
             flow = next((f for f in sc.flows if f.client == s.src
                          and f.server == s.dst), None)
@@ -347,6 +376,10 @@ def _cross_validate(sc: Scenario) -> None:
                 raise ScenarioError("events: attack %r needs a start_flow "
                                     "from %r to %r to target"
                                     % (s.kind, s.src, s.dst))
+            s = replace(s, client_port=flow.client_port,
+                        server_port=flow.server_port,
+                        expected_payload=flow.payload)
+        sc.attack_specs[i] = s
 
 
 @dataclass
@@ -435,7 +468,7 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     if seed is not None:
         sc = replace(sc, seed=seed)
 
-    specs = [_finalize_spec(s, sc) for s in sc.attack_specs]
+    specs = [replace(s, sec_level=sc.sec_level) for s in sc.attack_specs]
     sc = replace(sc, attack_specs=specs)
 
     reg, keys = build_registry(sc, sc.seed)
@@ -465,17 +498,16 @@ def run_scenario(doc, *, mode: Optional[str] = None,
         net.add_link(l.a, l.b, latency=l.latency, loss=l.loss,
                      tunnel=l.tunnel)
     for tick, node, target in sc.discoveries:
-        net.action(tick, lambda node=node, target=target:
-                   routers[node].start_discovery(target))
+        net.schedule(tick, routers[node].start_discovery, target)
     for f in sc.flows:
         def start(f=f):
             endpoints[f.server].listen(f.server_port)
             endpoints[f.client].connect(f.server, f.client_port,
                                         f.server_port, data=f.payload,
                                         close=f.close)
-        net.action(f.tick, start)
+        net.schedule(f.tick, start)
     for tick, a, b, up in sc.link_changes:
-        net.schedule_link(tick, a, b, up)
+        net.schedule(tick, net.set_link, a, b, up)
 
     net.run(until=sc.run_until)
 
@@ -484,17 +516,3 @@ def run_scenario(doc, *, mode: Optional[str] = None,
                                                            net.trace)
     return RunResult(scenario=sc, net=net, metrics=metrics, registry=reg,
                      routers=routers, endpoints=endpoints)
-
-
-def _finalize_spec(spec: attacks.AttackSpec,
-                   sc: Scenario) -> attacks.AttackSpec:
-    """Fill run-dependent spec fields from the scenario configuration."""
-    spec = replace(spec, sec_level=sc.sec_level,
-                   capacity=sc.half_open_capacity)
-    if spec.kind in ("session_hijack", "ack_inject"):
-        flow = next(f for f in sc.flows
-                    if f.client == spec.src and f.server == spec.dst)
-        spec = replace(spec, client_port=flow.client_port,
-                       server_port=flow.server_port,
-                       expected_payload=flow.payload)
-    return spec

@@ -1,8 +1,13 @@
 """Deterministic discrete-event network: integer ticks, seeded loss, traces.
 
-Determinism contract: event order is (tick, insertion sequence); neighbor
-iteration is sorted by name; the only randomness is the seeded per-run loss
-stream. Same topology, same schedule, same seed -> byte-identical trace.
+The queue holds scheduled calls, run in (tick, insertion sequence) order;
+a frame delivery is one of them. A node handler implements only
+on_receive(sender, payload), which returns None or a drop reason; timers
+are calls a node schedules on itself.
+
+Determinism contract: neighbor iteration is sorted by name and the only
+randomness is the seeded per-run loss stream. Same topology, same schedule,
+same seed -> byte-identical trace.
 """
 
 from __future__ import annotations
@@ -136,18 +141,10 @@ class Network:
 
     # --- scheduling ---------------------------------------------------------
 
-    def _push(self, at_tick: int, kind: str, payload) -> None:
-        heapq.heappush(self._queue, (at_tick, self._seq, kind, payload))
+    def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
+        """Call fn(*args) `delay` ticks from now."""
+        heapq.heappush(self._queue, (self.tick + delay, self._seq, fn, args))
         self._seq += 1
-
-    def timer(self, delay: int, node: str, tag, data=None) -> None:
-        self._push(self.tick + delay, "timer", (node, tag, data))
-
-    def action(self, delay: int, fn: Callable[[], None]) -> None:
-        self._push(self.tick + delay, "action", fn)
-
-    def schedule_link(self, delay: int, a: str, b: str, up: bool) -> None:
-        self._push(self.tick + delay, "link", (a, b, up))
 
     # --- transmission -------------------------------------------------------
 
@@ -168,8 +165,7 @@ class Network:
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
         idx = len(self.trace) - 1
-        self._push(self.tick + link.latency, "deliver",
-                   (src, dst, payload, idx))
+        self.schedule(link.latency, self._deliver, src, dst, payload, idx)
 
     def broadcast(self, src: str, payload: bytes) -> None:
         label = None
@@ -200,18 +196,8 @@ class Network:
 
     def run(self, until: int) -> None:
         while self._queue and self._queue[0][0] <= until:
-            tick, _, kind, payload = heapq.heappop(self._queue)
-            self.tick = tick
-            if kind == "deliver":
-                self._deliver(*payload)
-            elif kind == "timer":
-                node, tag, data = payload
-                self._handlers[node].on_timer(tag, data)
-            elif kind == "link":
-                a, b, up = payload
-                self.set_link(a, b, up)
-            elif kind == "action":
-                payload()
+            self.tick, _, fn, args = heapq.heappop(self._queue)
+            fn(*args)
         self.tick = until
 
     def _deliver(self, src: str, dst: str, payload: bytes, idx: int) -> None:

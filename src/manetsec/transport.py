@@ -156,14 +156,14 @@ class TcpEndpoint:
                              conn.remote_port), (seg.seq, seg.role))
 
     def _arm(self, what: str, key: ConnKey, detail) -> None:
-        self.net.timer(self.config.rto, self.router.ip, "tcp",
-                       (what, key, detail))
+        # perfbench/tracer.py counts a retransmission timer from this call's
+        # arguments by position (tag, then data[0] == "rx"); keep both
+        self.net.schedule(self.config.rto, self.on_timer, "tcp",
+                          (what, key, detail))
 
     # --- timers -----------------------------------------------------------------
 
     def on_timer(self, tag, data) -> None:
-        if tag != "tcp":
-            return
         what, key, detail = data
         conn = self.conns.get(key)
         if conn is None or conn.state in ("closed", "failed"):

@@ -110,7 +110,7 @@ def run_attack(kind, secure, seed=17, until=400):
     if kind in ("syn_flood", "session_hijack", "ack_inject"):
         endpoints["b"].listen(80)
     for delay, fn in plan:
-        net.action(delay, lambda fn=fn: fn(routers, endpoints))
+        net.schedule(delay, fn, routers, endpoints)
     net.run(until=until)
     verdict = attacks.judge(spec, metrics, reg, net.trace)
     return verdict, metrics, routers, endpoints, reg, spec

@@ -23,9 +23,6 @@ class Puppet:
         self.received.append((sender, payload))
         return None
 
-    def on_timer(self, tag, data):
-        pass
-
 
 class Inbox:
     """Stub transport: records (source, payload) of each delivered segment."""
@@ -36,9 +33,6 @@ class Inbox:
     def on_segment(self, peer_ip, seg):
         self.received.append((peer_ip, seg.payload))
         return None
-
-    def on_timer(self, tag, data):
-        pass
 
 
 def send_payload(router, dst_ip, data):

@@ -26,6 +26,41 @@ def doc_two_nodes(**over):
     return doc
 
 
+def doc_with_node(name):
+    """Two nodes, "a" and `name`, with one discovery from "a"."""
+    return doc_two_nodes(nodes=["a", name], links=[{"a": "a", "b": name}],
+                         events=[{"tick": 1, "kind": "start_discovery",
+                                  "node": "a", "target": name}])
+
+
+def doc_with_attack(**attack):
+    """A flow a->b and a session hijack by m, with `attack` fields added."""
+    return doc_two_nodes(
+        nodes=["a", "b", "m"],
+        links=[{"a": "a", "b": "b"}, {"a": "m", "b": "b"}],
+        events=[{"tick": 1, "kind": "start_flow", "client": "a",
+                 "server": "b", "client_port": 6001, "server_port": 8080,
+                 "payload": "hello"},
+                {"tick": 2, "kind": "attach_attack",
+                 "attack": dict({"kind": "session_hijack", "attacker": "m",
+                                 "src": "a", "dst": "b"}, **attack)}])
+
+
+# Values of the right JSON type that the wire or UTF-8 cannot carry; unless
+# parse rejects them (exit 2), the run fails inside (exit 3).
+UNENCODABLE_DOCS = [
+    (doc_with_attack(kind="seq_inflate", inflate_to=1 << 64),
+     "inflate_to: must be <= 18446744073709551615"),
+    (doc_with_node("x" * 70000), "at most 65535 UTF-8 bytes"),
+    (doc_with_node("\ud800"), "nodes[1]: not encodable as UTF-8"),
+    (doc_two_nodes(events=[{"tick": 1, "kind": "start_flow", "client": "a",
+                            "server": "b", "payload": "\ud800"}]),
+     "events[0].payload: not encodable as UTF-8"),
+    (doc_with_attack(marker="x\ud800"),
+     "events[1].attack.marker: not encodable as UTF-8"),
+]
+
+
 def write(tmp_path, doc, name="scen.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -111,7 +146,23 @@ BAD_DOCS = [
     (doc_two_nodes(key_bits=2050), "key_bits: must be <= 2048"),
     (doc_two_nodes(key_bits=2048, dh_bits=4000), "dh_bits: must be <= 512"),
     (doc_two_nodes(key_bits=2048, dh_bits=514), "dh_bits: must be <= 512"),
-]
+    (doc_two_nodes(events=[{"tick": 1, "kind": "start_discovery", "node": "a",
+                            "target": "b", "retries": 2}]),
+     "events[0]: unexpected field 'retries'"),
+    (doc_two_nodes(events=[{"tick": 1, "kind": "start_flow", "client": "a",
+                            "server": "b", "clientport": 7001}]),
+     "events[0]: unexpected field 'clientport'"),
+    (doc_two_nodes(events=[{"tick": 3, "kind": "link_down", "a": "a",
+                            "b": "b", "latency": 2}]),
+     "events[0]: unexpected field 'latency'"),
+    (doc_two_nodes(events=[{"tick": 3, "kind": "link_up", "a": "a",
+                            "b": "b", "node": "a"}]),
+     "events[0]: unexpected field 'node'"),
+    (doc_two_nodes(events=[{"tick": 0, "kind": "attach_attack", "dst": "a",
+                            "attack": {"kind": "syn_flood", "attacker": "b",
+                                       "dst": "a"}}]),
+     "events[0]: unexpected field 'dst'"),
+] + UNENCODABLE_DOCS
 
 
 def test_widest_allowed_widths_parse():
@@ -250,6 +301,28 @@ def test_cli_rejects_malformed_scenarios_without_writing(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,fragment", UNENCODABLE_DOCS)
+def test_cli_rejects_values_the_wire_cannot_carry(tmp_path, capsys, doc,
+                                                  fragment):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert fragment in capsys.readouterr().err
+
+
+def test_attack_specs_are_bound_to_their_flow_at_parse():
+    doc = dict(doc_with_attack(), half_open_capacity=3)
+    sc = scenario.parse(doc)
+    flow, = sc.flows
+    spec, = sc.attack_specs
+    assert (spec.client_port, spec.server_port, spec.expected_payload,
+            spec.capacity) == (6001, 8080, b"hello", 3)
+    assert (flow.client_port, flow.server_port, flow.payload) == \
+        (6001, 8080, b"hello")
 
 
 def test_cli_rejects_exchange_group_as_wide_as_keys(tmp_path, capsys):

@@ -12,14 +12,10 @@ class Recorder:
     def __init__(self, drop_with=None):
         self.log = []
         self.drop_with = drop_with
-        self.timers = []
 
     def on_receive(self, sender, payload):
         self.log.append((sender, payload))
         return self.drop_with
-
-    def on_timer(self, tag, data):
-        self.timers.append((tag, data))
 
 
 def _net(seed=1, metrics=None):
@@ -51,15 +47,12 @@ def test_same_tick_events_keep_insertion_order():
         def on_receive(self, sender, payload):
             seen.append(self.name)
 
-        def on_timer(self, tag, data):
-            seen.append(("t", self.name, tag))
-
     net.add_node("x", Probe("x"))
     net.add_node("y", Probe("y"))
     net.add_link("x", "y", latency=1)
-    net.timer(1, "x", "first", None)
+    net.schedule(1, seen.append, ("t", "x", "first"))
     net.unicast("x", "y", b"p")
-    net.timer(1, "x", "second", None)
+    net.schedule(1, seen.append, ("t", "x", "second"))
     net.run(until=5)
     assert seen == [("t", "x", "first"), "y", ("t", "x", "second")]
 
@@ -124,7 +117,7 @@ def test_in_flight_delivery_over_downed_link_is_lost():
     net.add_node("b", rec)
     net.add_link("a", "b", latency=5)
     net.unicast("a", "b", b"x")
-    net.schedule_link(2, "a", "b", up=False)
+    net.schedule(2, net.set_link, "a", "b", False)
     net.run(until=10)
     assert rec.log == []
     assert net.trace[0].disposition == "lost"

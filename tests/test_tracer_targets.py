@@ -5,7 +5,7 @@ import importlib.util
 import inspect
 import os
 
-import manetsec.scenario  # noqa: F401  (imports every traced module)
+from manetsec import scenario, transport  # imports every traced module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +32,29 @@ def test_every_tracer_target_is_a_function_defined_on_its_owner():
     owner, attr = tracer._resolve("transport.TcpEndpoint.on_timer")
     assert list(inspect.signature(vars(owner)[attr]).parameters) == \
         ["self", "tag", "data"]
+
+
+def test_transport_timers_carry_the_arguments_the_tracer_reads(monkeypatch):
+    tracer = _load_tracer()
+    calls = []
+    on_timer = transport.TcpEndpoint.on_timer
+
+    def recorded(self, *args):
+        calls.append((self,) + args)
+        return on_timer(self, *args)
+
+    monkeypatch.setattr(transport.TcpEndpoint, "on_timer", recorded)
+    doc = {"seed": 4, "key_bits": 128, "dh_bits": 32, "run_until": 600,
+           "nodes": ["a", "b", "c"],
+           "links": [{"a": "a", "b": "b", "loss": 0.2},
+                     {"a": "b", "b": "c", "loss": 0.2}],
+           "events": [{"tick": 1, "kind": "start_flow", "client": "a",
+                       "server": "c", "payload": "x" * 4000}]}
+    scenario.run_scenario(doc)
+    assert calls
+    for _, tag, data in calls:
+        assert tag == "tcp"
+        what, key, detail = data
+        assert what in ("kw", "rx")
+    extra = tracer._EXTRA["transport.TcpEndpoint.on_timer"]
+    assert sum(extra(args, None) for args in calls) >= 1

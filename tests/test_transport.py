@@ -16,9 +16,6 @@ class Puppet:
         self.received.append((sender, payload))
         return None
 
-    def on_timer(self, tag, data):
-        pass
-
 
 def build(names, links, *, secure=True, sec_level=1, seed=11, key_bits=256,
           stubs=(), tcp_config=None):
