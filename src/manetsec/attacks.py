@@ -151,7 +151,7 @@ class AttackerNode:
             self._forward_as_is(msg)
 
     def _forward_inflated(self, msg: wire.RouteMessage) -> None:
-        core = replace(msg.core, src_seq=self.spec.inflate_to)
+        core = msg.core._replace(src_seq=self.spec.inflate_to)
         self._sign_and_send(core, msg.hops, msg.aggregate, msg.source_sig)
 
     def _forward_shortened(self, msg: wire.RouteMessage) -> None:

@@ -19,7 +19,7 @@ what makes replayed or re-attributed messages detectable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import wire
@@ -212,7 +212,7 @@ class RouterNode:
                                   self.config.keys.signing, self.node_id)
         if agg is not None:
             self.metrics.signed += 1
-        return replace(msg, hops=hops, aggregate=agg, source_sig=src_sig)
+        return msg._replace(hops=hops, aggregate=agg, source_sig=src_sig)
 
     def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
         """Unicast to the neighbour `to`, or broadcast when it is None."""

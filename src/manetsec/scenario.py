@@ -26,6 +26,11 @@ MODES = ("secure", "baseline")
 MAX_KEY_BITS = 2048
 MAX_DH_BITS = 512
 
+# Most SYNs one syn_flood may forge (rate x duration). The trace keeps a
+# record per frame, at about 50 us and 0.5 KB each, so this bounds a flood
+# near 5 s and 50 MB; it is 20 times the shipped flood of 50 x 100.
+MAX_FLOOD_SYNS = 100_000
+
 _TOP_FIELDS = {"seed", "key_bits", "dh_bits", "mode", "sec_level",
                "half_open_capacity", "run_until", "nodes", "links", "events",
                "tcp"}
@@ -333,6 +338,10 @@ def _parse_attack(raw: dict, tick: int, where: str,
     fields["rate"] = _int_field(raw, "rate", where, default=50, minimum=1)
     fields["duration"] = _int_field(raw, "duration", where, default=5,
                                     minimum=1)
+    syns = fields["rate"] * fields["duration"]
+    if kind == "syn_flood" and syns > MAX_FLOOD_SYNS:
+        raise ScenarioError("%s: rate x duration must be <= %d forged SYNs, "
+                            "got %d" % (where, MAX_FLOOD_SYNS, syns))
     # the forged value travels as an 8-byte src_seq
     fields["inflate_to"] = _int_field(raw, "inflate_to", where,
                                       default=900000, minimum=1,
@@ -376,10 +385,26 @@ def _cross_validate(sc: Scenario) -> None:
                 raise ScenarioError("events: attack %r needs a start_flow "
                                     "from %r to %r to target"
                                     % (s.kind, s.src, s.dst))
+            if s.kind == "session_hijack":
+                _check_marker(s.marker, sc.flows)
             s = replace(s, client_port=flow.client_port,
                         server_port=flow.server_port,
                         expected_payload=flow.payload)
         sc.attack_specs[i] = s
+
+
+def _check_marker(marker: bytes, flows: List[FlowSpec]) -> None:
+    """A hijack counts as harm once its marker shows up in delivered bytes,
+    so no honest payload, the targeted flow's included, may contain it."""
+    if not marker:
+        raise ScenarioError("events: attack 'session_hijack' needs a "
+                            "non-empty marker")
+    for f in flows:
+        if marker in f.payload:
+            raise ScenarioError("events: attack 'session_hijack' marker %r "
+                                "occurs in the payload of the flow %s->%s"
+                                % (marker.decode("utf-8"), f.client,
+                                   f.server))
 
 
 @dataclass

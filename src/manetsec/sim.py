@@ -22,6 +22,7 @@ from . import wire
 
 ROUTING_KINDS = frozenset(wire.ROUTE_KIND_NAMES.values())
 SEGMENT_KINDS = frozenset(wire.ROLE_NAMES.values())
+_NO_LINKS: dict = {}   # the links of a name that is not a node
 
 
 class Event(NamedTuple):
@@ -79,7 +80,7 @@ def dropped(reason: str) -> str:
     return "dropped_by_receiver(%s)" % reason
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     tick: int
     src: str
@@ -102,7 +103,8 @@ class Network:
         self._queue: list = []
         self._seq = 0
         self._handlers: Dict[str, object] = {}
-        self._links: Dict[frozenset, LinkState] = {}
+        # _links[a][b] is _links[b][a]: one state per undirected link
+        self._links: Dict[str, Dict[str, LinkState]] = {}
         self._neighbors: Dict[str, List[str]] = {}
         self._loss_rng = random.Random(derive_seed(seed, "loss"))
 
@@ -112,6 +114,7 @@ class Network:
         if name in self._handlers:
             raise ValueError("duplicate node name %s" % name)
         self._handlers[name] = handler
+        self._links[name] = {}
         self._neighbors[name] = []
 
     def add_link(self, a: str, b: str, latency: int = 1, loss: float = 0.0,
@@ -124,20 +127,20 @@ class Network:
             raise ValueError("link latency must be >= 1 tick")
         if not 0.0 <= loss <= 1.0:
             raise ValueError("loss probability out of range")
-        key = frozenset((a, b))
-        if key in self._links:
+        if b in self._links[a]:
             raise ValueError("duplicate link %s-%s" % (a, b))
-        self._links[key] = LinkState(latency=latency, loss=loss, tunnel=tunnel)
+        link = LinkState(latency=latency, loss=loss, tunnel=tunnel)
+        self._links[a][b] = self._links[b][a] = link
         if not tunnel:
             # broadcast fan-out iterates this; keep it sorted for determinism
             self._neighbors[a] = sorted(self._neighbors[a] + [b])
             self._neighbors[b] = sorted(self._neighbors[b] + [a])
 
     def set_link(self, a: str, b: str, up: bool) -> None:
-        key = frozenset((a, b))
-        if key not in self._links:
+        link = self._links.get(a, _NO_LINKS).get(b)
+        if link is None:
             raise ValueError("no such link %s-%s" % (a, b))
-        self._links[key].up = up
+        link.up = up
 
     # --- scheduling ---------------------------------------------------------
 
@@ -150,13 +153,13 @@ class Network:
 
     def _record(self, src: str, dst: str, payload: bytes,
                 label: str) -> TraceRecord:
-        rec = TraceRecord(tick=self.tick, src=src, dst=dst, kind=label,
-                          size=len(payload), disposition="lost")
+        size = len(payload)
+        rec = TraceRecord(self.tick, src, dst, label, size, "lost")
         self.trace.append(rec)
         if label in ROUTING_KINDS:
-            self.metrics.control_bytes += len(payload)
+            self.metrics.control_bytes += size
         elif label in SEGMENT_KINDS:
-            self.metrics.data_bytes += len(payload)
+            self.metrics.data_bytes += size
         return rec
 
     def _transmit(self, src: str, dst: str, payload: bytes, link: LinkState,
@@ -164,13 +167,13 @@ class Network:
         rec = self._record(src, dst, payload, label)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
-        idx = len(self.trace) - 1
-        self.schedule(link.latency, self._deliver, src, dst, payload, idx)
+        self.schedule(link.latency, self._deliver, src, dst, payload, link, rec)
 
     def broadcast(self, src: str, payload: bytes) -> None:
         label = None
+        links = self._links[src]
         for nb in self._neighbors[src]:
-            link = self._links[frozenset((src, nb))]
+            link = links[nb]
             if link.up:
                 if label is None:
                     label = wire.describe(payload)   # once per broadcast
@@ -179,14 +182,14 @@ class Network:
     def unicast(self, src: str, dst: str, payload: bytes) -> bool:
         """Send over the direct link; False means no live link (caller's
         signal that the next hop is gone)."""
-        link = self._links.get(frozenset((src, dst)))
+        link = self._links.get(src, _NO_LINKS).get(dst)
         if link is None or not link.up or link.tunnel:
             return False
         self._transmit(src, dst, payload, link, wire.describe(payload))
         return True
 
     def tunnel_send(self, src: str, dst: str, payload: bytes) -> bool:
-        link = self._links.get(frozenset((src, dst)))
+        link = self._links.get(src, _NO_LINKS).get(dst)
         if link is None or not link.tunnel or not link.up:
             return False
         self._transmit(src, dst, payload, link, wire.describe(payload))
@@ -200,10 +203,9 @@ class Network:
             fn(*args)
         self.tick = until
 
-    def _deliver(self, src: str, dst: str, payload: bytes, idx: int) -> None:
-        rec = self.trace[idx]
-        link = self._links.get(frozenset((src, dst)))
-        if link is None or not link.up:
+    def _deliver(self, src: str, dst: str, payload: bytes, link: LinkState,
+                 rec: TraceRecord) -> None:
+        if not link.up:
             return   # went down in flight; stays "lost"
         reason = self._handlers[dst].on_receive(src, payload)
         if reason is None:

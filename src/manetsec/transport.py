@@ -18,7 +18,7 @@ the protocol behavior under window management.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from . import wire
@@ -144,7 +144,7 @@ class TcpEndpoint:
         key = self.router.session_key_for(peer_ip)
         peer_id = self.router.registry.by_ip(peer_ip).node_id
         tag = mac_tag(seg.tag_input() + self.router.node_id + peer_id, key)
-        return replace(seg, tag=tag)
+        return seg._replace(tag=tag)
 
     def _ship(self, conn: Connection, seg: wire.Segment,
               arm: bool = True) -> None:

@@ -9,8 +9,8 @@ first offending field.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+import struct
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .crypto import (
     AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
@@ -85,7 +85,10 @@ def _encode_token(text: str) -> bytes:
 
 
 def _read_token(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _read_uint(data, pos, 2)
+    if pos + 2 > len(data):
+        raise ParseError(pos, "truncated 2-byte integer")
+    length = (data[pos] << 8) | data[pos + 1]
+    pos += 2
     if pos + length > len(data):
         raise ParseError(pos, "token truncated")
     try:
@@ -107,8 +110,7 @@ def encode_public(public: Tuple[int, int]) -> bytes:
 
 # --- routing messages -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RouteCore:
+class RouteCore(NamedTuple):
     """Immutable originator-owned part of a routing message.
 
     Per-kind fields stay at their defaults for the other kinds; the encoder
@@ -128,8 +130,7 @@ class RouteCore:
     originator_id: bytes = b""    # error reports only
 
 
-@dataclass(frozen=True)
-class RouteMessage:
+class RouteMessage(NamedTuple):
     core: RouteCore
     hops: Tuple[bytes, ...]
     sig_mode: int
@@ -144,8 +145,7 @@ def sig_mode_for(sec_level: int) -> int:
     return MODE_AGGREGATE_FULL if sec_level == 1 else MODE_SOURCE_PLUS_LAST
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     role: int
     src_port: int
     dst_port: int
@@ -159,8 +159,7 @@ class Segment:
         return _segment_body(self)
 
 
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     """Minimal forwarding envelope; deliberately unauthenticated."""
 
     src_ip: str
@@ -321,17 +320,27 @@ def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
 
 # --- transport segments -----------------------------------------------------
 
+# After the kind byte: role, src_port, dst_port, seq, ack, payload length.
+_SEGMENT_FIELDS = "BQQQQI"
+_SEGMENT_HEAD = struct.Struct(">" + _SEGMENT_FIELDS)
+_SEGMENT_WIDTHS = tuple(struct.calcsize(">" + f) for f in _SEGMENT_FIELDS)
+_SEGMENT_KIND = bytes([KIND_SEGMENT])
+_DATA_KIND = bytes([KIND_DATA])
+
+
 def _segment_body(seg: Segment) -> bytes:
     if seg.role not in ROLE_NAMES:
         raise ValueError("unknown segment role %r" % seg.role)
-    out = bytearray([KIND_SEGMENT, seg.role])
-    out += _encode_uint(seg.src_port, 8)
-    out += _encode_uint(seg.dst_port, 8)
-    out += _encode_uint(seg.seq, 8)
-    out += _encode_uint(seg.ack, 8)
-    out += _encode_uint(len(seg.payload), 4)
-    out += seg.payload
-    return bytes(out)
+    fields = (seg.role, seg.src_port, seg.dst_port, seg.seq, seg.ack,
+              len(seg.payload))
+    try:
+        head = _SEGMENT_HEAD.pack(*fields)
+    except struct.error:
+        # raise the ValueError of the first field that does not fit
+        for value, width in zip(fields, _SEGMENT_WIDTHS):
+            _encode_uint(value, width)
+        raise
+    return _SEGMENT_KIND + head + seg.payload
 
 
 def _encode_segment(seg: Segment) -> bytes:
@@ -341,21 +350,31 @@ def _encode_segment(seg: Segment) -> bytes:
 
 
 def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
-    role, pos = _read_uint(data, pos, 1)
+    if pos + _SEGMENT_HEAD.size > len(data):
+        raise _short_segment_head(data, pos)
+    role, src_port, dst_port, seq, ack, plen = \
+        _SEGMENT_HEAD.unpack_from(data, pos)
     if role not in ROLE_NAMES:
-        raise ParseError(pos - 1, "unknown segment role %d" % role)
-    src_port, pos = _read_uint(data, pos, 8)
-    dst_port, pos = _read_uint(data, pos, 8)
-    seq, pos = _read_uint(data, pos, 8)
-    ack, pos = _read_uint(data, pos, 8)
-    plen, pos = _read_uint(data, pos, 4)
+        raise ParseError(pos, "unknown segment role %d" % role)
+    pos += _SEGMENT_HEAD.size
     if pos + plen > len(data):
         raise ParseError(pos, "payload truncated")
     payload = data[pos:pos + plen]
     pos += plen
     tag, pos = _read_digest(data, pos)
-    return Segment(role=role, src_port=src_port, dst_port=dst_port, seq=seq,
-                   ack=ack, payload=payload, tag=tag), pos
+    return Segment(role, src_port, dst_port, seq, ack, payload, tag), pos
+
+
+def _short_segment_head(data: bytes, pos: int) -> ParseError:
+    """The error of a segment header cut short: a bad role byte first, then
+    the first fixed-width field that does not fit."""
+    if pos < len(data) and data[pos] not in ROLE_NAMES:
+        return ParseError(pos, "unknown segment role %d" % data[pos])
+    for width in _SEGMENT_WIDTHS:
+        if pos + width > len(data):
+            return ParseError(pos, "truncated %d-byte integer" % width)
+        pos += width
+    raise AssertionError("the segment header fits")
 
 
 # --- top level ---------------------------------------------------------------
@@ -366,7 +385,7 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, Segment):
         return _encode_segment(msg)
     if isinstance(msg, DataPacket):
-        return (bytes([KIND_DATA]) + _encode_token(msg.src_ip)
+        return (_DATA_KIND + _encode_token(msg.src_ip)
                 + _encode_token(msg.dst_ip) + _encode_segment(msg.segment))
     raise TypeError("cannot encode %r" % type(msg))
 
@@ -376,8 +395,10 @@ def decode_message(data: bytes) -> Message:
 
     Every neighbour of a broadcast receives the same bytes, and the trace
     labels them too, so decodes are memoized by payload. The messages are
-    frozen all the way down (ints, strings, bytes, tuples), so callers can
-    share them. A ParseError is raised afresh on every call, never cached.
+    immutable tuples all the way down (NamedTuple records holding ints,
+    strings, bytes and tuples), not frozen dataclasses, so callers can share
+    them and change a copy with `._replace`. A ParseError is raised afresh
+    on every call, never cached.
     """
     if not isinstance(data, bytes):
         # a hashable, immutable copy of a bytearray or memoryview; unlike
@@ -402,7 +423,7 @@ def _decode(data: bytes) -> Message:
         if pos >= len(data) or data[pos] != KIND_SEGMENT:
             raise ParseError(pos, "envelope must contain a segment")
         seg, pos = _read_segment(data, pos + 1)
-        msg = DataPacket(src_ip=src_ip, dst_ip=dst_ip, segment=seg)
+        msg = DataPacket(src_ip, dst_ip, seg)
     else:
         raise ParseError(0, "unknown message kind 0x%02x" % kind)
     if pos != len(data):

@@ -33,17 +33,26 @@ def doc_with_node(name):
                                   "node": "a", "target": name}])
 
 
-def doc_with_attack(**attack):
-    """A flow a->b and a session hijack by m, with `attack` fields added."""
+def doc_with_attack(payload="hello", **attack):
+    """A flow a->b carrying `payload` and a session hijack by m, with
+    `attack` fields added."""
     return doc_two_nodes(
         nodes=["a", "b", "m"],
         links=[{"a": "a", "b": "b"}, {"a": "m", "b": "b"}],
         events=[{"tick": 1, "kind": "start_flow", "client": "a",
                  "server": "b", "client_port": 6001, "server_port": 8080,
-                 "payload": "hello"},
+                 "payload": payload},
                 {"tick": 2, "kind": "attach_attack",
                  "attack": dict({"kind": "session_hijack", "attacker": "m",
                                  "src": "a", "dst": "b"}, **attack)}])
+
+
+def flood_doc(**attack):
+    """A SYN flood by b against a, with `attack` fields added."""
+    return doc_two_nodes(events=[
+        {"tick": 0, "kind": "attach_attack",
+         "attack": dict({"kind": "syn_flood", "attacker": "b", "dst": "a"},
+                        **attack)}])
 
 
 # Values of the right JSON type that the wire or UTF-8 cannot carry; unless
@@ -162,6 +171,14 @@ BAD_DOCS = [
                             "attack": {"kind": "syn_flood", "attacker": "b",
                                        "dst": "a"}}]),
      "events[0]: unexpected field 'dst'"),
+    # a hijack marker that honest traffic already delivers proves nothing
+    (doc_with_attack(payload="hi", marker=""), "needs a non-empty marker"),
+    (doc_with_attack(payload="say HIJACKED now"),
+     "marker 'HIJACKED' occurs in the payload of the flow a->b"),
+    (doc_with_attack(marker="ell"), "marker 'ell' occurs in the payload"),
+    (flood_doc(rate=1000000000),
+     "rate x duration must be <= 100000 forged SYNs, got 5000000000"),
+    (flood_doc(rate=20001, duration=5), "rate x duration must be <= 100000"),
 ] + UNENCODABLE_DOCS
 
 
@@ -323,6 +340,34 @@ def test_attack_specs_are_bound_to_their_flow_at_parse():
             spec.capacity) == (6001, 8080, b"hello", 3)
     assert (flow.client_port, flow.server_port, flow.payload) == \
         (6001, 8080, b"hello")
+
+
+def test_flood_at_the_cap_parses():
+    spec, = scenario.parse(flood_doc(rate=20000, duration=5)).attack_specs
+    assert spec.rate * spec.duration == scenario.MAX_FLOOD_SYNS == 100_000
+
+
+def test_cli_rejects_a_flood_beyond_the_cap(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario",
+                   write(tmp_path, flood_doc(rate=1000000000)),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "rate x duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,marker", [("hi", ""),
+                                            ("say HIJACKED now", None)])
+def test_cli_rejects_a_hijack_marker_honest_traffic_delivers(
+        tmp_path, capsys, payload, marker):
+    doc = scenario.load_file(os.path.join(SCEN, "attack_session_hijack.json"))
+    doc["events"][0]["payload"] = payload
+    if marker is not None:
+        doc["events"][1]["attack"]["marker"] = marker
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc)])
+    assert rc == 2
+    assert "marker" in capsys.readouterr().err
 
 
 def test_cli_rejects_exchange_group_as_wide_as_keys(tmp_path, capsys):

@@ -123,6 +123,29 @@ def test_in_flight_delivery_over_downed_link_is_lost():
     assert net.trace[0].disposition == "lost"
 
 
+def test_set_link_needs_an_existing_link():
+    net = _net()
+    for name in ("a", "b", "c"):
+        net.add_node(name, Recorder())
+    net.add_link("a", "b", latency=1)
+    for a, b in (("a", "c"), ("c", "b"), ("a", "zz"), ("zz", "a")):
+        with pytest.raises(ValueError, match="no such link %s-%s" % (a, b)):
+            net.set_link(a, b, up=False)
+    net.set_link("b", "a", up=False)   # either order names the same link
+    assert net.unicast("a", "b", b"x") is False
+
+
+def test_a_link_added_in_either_order_is_a_duplicate():
+    net = _net()
+    net.add_node("a", Recorder())
+    net.add_node("b", Recorder())
+    net.add_link("a", "b", latency=1)
+    with pytest.raises(ValueError, match="duplicate link b-a"):
+        net.add_link("b", "a", latency=2)
+    with pytest.raises(ValueError, match="duplicate link a-b"):
+        net.add_link("a", "b", latency=0, tunnel=True)
+
+
 def test_unicast_over_dead_link_reports_failure_without_record():
     net = _net()
     net.add_node("a", Recorder())
@@ -131,6 +154,8 @@ def test_unicast_over_dead_link_reports_failure_without_record():
     net.set_link("a", "b", up=False)
     assert net.unicast("a", "b", b"x") is False
     assert net.unicast("a", "zz", b"x") is False
+    assert net.unicast("zz", "a", b"x") is False
+    assert net.tunnel_send("zz", "a", b"x") is False
     assert net.trace == []
 
 

@@ -364,3 +364,195 @@ def test_decoder_never_crashes_on_garbage(data):
         wire.decode_message(data)
     except ParseError:
         pass
+
+
+# --- strictness against the field-by-field decoder ---------------------------
+#
+# A test-side copy of the segment and envelope decoder as it read one field
+# at a time. The codec now unpacks the segment header in one call; on every
+# input below both must give the same message, or fail at the same position
+# for the same reason.
+
+def _old_read_uint(data, pos, width):
+    if pos + width > len(data):
+        raise ParseError(pos, "truncated %d-byte integer" % width)
+    return int.from_bytes(data[pos:pos + width], "big"), pos + width
+
+
+def _old_read_token(data, pos):
+    length, pos = _old_read_uint(data, pos, 2)
+    if pos + length > len(data):
+        raise ParseError(pos, "token truncated")
+    try:
+        return data[pos:pos + length].decode("utf-8"), pos + length
+    except UnicodeDecodeError:
+        raise ParseError(pos, "token is not valid utf-8") from None
+
+
+def _old_read_segment(data, pos):
+    role, pos = _old_read_uint(data, pos, 1)
+    if role not in wire.ROLE_NAMES:
+        raise ParseError(pos - 1, "unknown segment role %d" % role)
+    src_port, pos = _old_read_uint(data, pos, 8)
+    dst_port, pos = _old_read_uint(data, pos, 8)
+    seq, pos = _old_read_uint(data, pos, 8)
+    ack, pos = _old_read_uint(data, pos, 8)
+    plen, pos = _old_read_uint(data, pos, 4)
+    if pos + plen > len(data):
+        raise ParseError(pos, "payload truncated")
+    payload = data[pos:pos + plen]
+    pos += plen
+    if pos + 32 > len(data):
+        raise ParseError(pos, "truncated digest")
+    tag = data[pos:pos + 32]
+    return Segment(role=role, src_port=src_port, dst_port=dst_port, seq=seq,
+                   ack=ack, payload=payload, tag=tag), pos + 32
+
+
+def _old_decode(data):
+    """Message or (position, reason) of a frame of kind 0x10 or 0x11."""
+    try:
+        if not data:
+            raise ParseError(0, "empty message")
+        if data[0] == wire.KIND_SEGMENT:
+            msg, pos = _old_read_segment(data, 1)
+        else:
+            assert data[0] == wire.KIND_DATA
+            src_ip, pos = _old_read_token(data, 1)
+            dst_ip, pos = _old_read_token(data, pos)
+            if pos >= len(data) or data[pos] != wire.KIND_SEGMENT:
+                raise ParseError(pos, "envelope must contain a segment")
+            seg, pos = _old_read_segment(data, pos + 1)
+            msg = DataPacket(src_ip=src_ip, dst_ip=dst_ip, segment=seg)
+        if pos != len(data):
+            raise ParseError(pos, "%d trailing bytes" % (len(data) - pos))
+        return msg
+    except ParseError as err:
+        return (err.position, err.reason)
+
+
+def _old_describe(data):
+    got = _old_decode(data)
+    if isinstance(got, DataPacket):
+        return wire.ROLE_NAMES[got.segment.role]
+    if isinstance(got, Segment):
+        return wire.ROLE_NAMES[got.role]
+    return "RAW"
+
+
+def _new_decode(data):
+    try:
+        return wire.decode_message(data)
+    except ParseError as err:
+        return (err.position, err.reason)
+
+
+def _assert_decoders_agree(data):
+    want = _old_decode(data)
+    got = _new_decode(data)
+    assert got == want, data
+    assert type(got) is type(want)
+    assert wire.describe(data) == _old_describe(data)
+
+
+def _valid_frames():
+    syn = Segment(role=wire.ROLE_SYN, src_port=40001, dst_port=80,
+                  seq=7919, ack=0, payload=b"", tag=b"\x5a" * 32)
+    data = Segment(role=wire.ROLE_DATA, src_port=5000, dst_port=80,
+                   seq=2**64 - 1, ack=123456789, payload=b"some bytes",
+                   tag=hashlib.sha256(b"d").digest())
+    pkt = DataPacket(src_ip="ghost1", dst_ip="n4", segment=data)
+    return [wire.encode_message(m) for m in (syn, data, pkt)]
+
+
+def test_every_truncation_fails_like_the_field_by_field_decoder():
+    for frame in _valid_frames():
+        for cut in range(len(frame) + 1):
+            _assert_decoders_agree(frame[:cut])
+
+
+def test_overwritten_bytes_decode_like_the_field_by_field_decoder():
+    rng = random.Random(10)
+    for frame in _valid_frames():
+        for _ in range(600):
+            data = bytearray(frame)
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(1, len(data))] = rng.choice(
+                    [rng.randrange(256), 0, 0xFF, wire.KIND_SEGMENT,
+                     wire.ROLE_FIN_ACK, wire.ROLE_FIN_ACK + 1])
+            _assert_decoders_agree(bytes(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([wire.KIND_SEGMENT, wire.KIND_DATA]),
+       st.binary(max_size=120))
+def test_garbage_segments_decode_like_the_field_by_field_decoder(kind, rest):
+    _assert_decoders_agree(bytes([kind]) + rest)
+
+
+def test_token_reader_fails_like_the_field_by_field_reader():
+    rng = random.Random(11)
+    for _ in range(400):
+        buf = rng.randbytes(rng.randrange(6))
+        if rng.random() < 0.5:
+            buf = rng.randrange(4).to_bytes(2, "big") + buf
+        for pos in range(len(buf) + 1):
+            try:
+                want = _old_read_token(buf, pos)
+            except ParseError as err:
+                want = (err.position, err.reason)
+            try:
+                got = wire._read_token(buf, pos)
+            except ParseError as err:
+                got = (err.position, err.reason)
+            assert got == want
+
+
+class _Huge(bytes):
+    """A payload that reports 2^32 bytes without holding them."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+@pytest.mark.parametrize("field", ["src_port", "dst_port", "seq", "ack"])
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_segment_fields_out_of_range_raise_value_error(field, value):
+    seg = _segment(**{field: value})
+    want = "field out of range for 8 bytes: %r" % value
+    for encode in (wire.encode_message, Segment.tag_input):
+        with pytest.raises(ValueError) as err:
+            encode(seg)
+        assert str(err.value) == want
+
+
+def test_payload_of_four_gibibytes_raises_value_error():
+    with pytest.raises(ValueError) as err:
+        wire.encode_message(_segment(payload=_Huge()))
+    assert str(err.value) == "field out of range for 4 bytes: 4294967296"
+
+
+# --- record semantics --------------------------------------------------------
+
+def _records():
+    seg = _segment(role=wire.ROLE_DATA, payload=b"x")
+    return [_rreq(), _msg(_rreq()), seg,
+            DataPacket(src_ip="n0", dst_ip="n4", segment=seg)]
+
+
+@pytest.mark.parametrize("record", _records(),
+                         ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_hashable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], None)
+    assert hash(record) == hash(type(record)(*record))
+    changed = record._replace(**{type(record)._fields[1]: "n9"})
+    assert changed != record and type(changed) is type(record)
+
+
+@pytest.mark.parametrize("record", _records()[1:],
+                         ids=lambda r: type(r).__name__)
+def test_decode_gives_back_the_record_type(record):
+    got = wire.decode_message(wire.encode_message(record))
+    assert got == record
+    assert type(got) is type(record)
