@@ -171,6 +171,7 @@ BAD_DOCS = [
                             "attack": {"kind": "syn_flood", "attacker": "b",
                                        "dst": "a"}}]),
      "events[0]: unexpected field 'dst'"),
+] + UNENCODABLE_DOCS + [
     # a hijack marker that honest traffic already delivers proves nothing
     (doc_with_attack(payload="hi", marker=""), "needs a non-empty marker"),
     (doc_with_attack(payload="say HIJACKED now"),
@@ -179,7 +180,7 @@ BAD_DOCS = [
     (flood_doc(rate=1000000000),
      "rate x duration must be <= 100000 forged SYNs, got 5000000000"),
     (flood_doc(rate=20001, duration=5), "rate x duration must be <= 100000"),
-] + UNENCODABLE_DOCS
+]
 
 
 def test_widest_allowed_widths_parse():
