@@ -269,14 +269,14 @@ def deploy(spec: AttackSpec, keys: Dict[str, NodeKeys], registry: Registry,
 
 # --- outcome oracle -----------------------------------------------------------
 
-def judge(spec: AttackSpec, metrics, registry: Registry, trace) -> str:
-    """Verdict of a finished run; `trace` is its Network.trace."""
+def judge(spec: AttackSpec, metrics, registry: Registry) -> str:
+    """Verdict of a finished run, read off its Network.metrics."""
     if _harm(spec, metrics, registry):
         return "succeeded"
     senders = {spec.attacker, spec.partner}
     telltale = {dropped(reason) for reason in DETECTION[spec.kind]}
     if any(rec.src in senders and rec.disposition in telltale
-           for rec in trace):
+           for rec in metrics.trace):
         return "detected"
     return "neutralized"
 
@@ -287,10 +287,16 @@ def _id_hex(registry: Registry, ip: str) -> str:
 
 def _harm(spec: AttackSpec, metrics, registry: Registry) -> bool:
     kind = spec.kind
-    installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
     if kind == "seq_inflate":
-        return any(i["seq"] >= spec.inflate_to and n != spec.attacker
-                   for n, i in installs)
+        origin, issued = _id_hex(registry, spec.src), 0
+        for _, n, k, i in metrics.events:   # harm: a seq src never issued
+            if k == "discovery" and n == spec.src:
+                issued = max(issued, i["seq"])
+            elif (k == "route" and n != spec.attacker and i["via"] == "RREQ"
+                  and i["dst"] == origin and i["seq"] > issued):
+                return True
+        return False
+    installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
     if kind == "hop_shorten":
         origin = _id_hex(registry, spec.src)
         return any(n == spec.dst and i["dst"] == origin

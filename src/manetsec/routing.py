@@ -98,7 +98,6 @@ class RouteEntry:
 class PendingDiscovery:
     target_ip: str
     params: Optional[DhParams]
-    start_tick: int
     attempt: int
 
 
@@ -156,11 +155,10 @@ class RouterNode:
                               src_id=self.node_id, src_seq=self.seq,
                               bct_id=bct, dst_ip=dst_ip, **exchange)
         msg = self._originate(core)
-        self.pending[bct] = PendingDiscovery(dst_ip, params, self.net.tick,
-                                             _attempt)
+        self.pending[bct] = PendingDiscovery(dst_ip, params, _attempt)
         self.active_targets.add(dst_ip)
         self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
-                         bct=bct, attempt=_attempt)
+                         bct=bct, attempt=_attempt, seq=self.seq)
         self._send(msg)
         self.net.schedule(DISCOVERY_TIMEOUT, self._retire, bct)
         return bct
@@ -420,8 +418,8 @@ class RouterNode:
         flow.toward_dst = sender
         if terminal:
             del self.pending[core.bct_id]
-            self.metrics.discovery_latency_ticks.append(
-                self.net.tick - pd.start_tick)
+            self.metrics.log(self.net.tick, self.ip, "discovered",
+                             target=pd.target_ip, bct=core.bct_id)
             self._flush_queue(pd.target_ip)
             return None
         route = self.routes.get(src_node_id)

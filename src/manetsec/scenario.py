@@ -422,11 +422,9 @@ class RunResult:
     def metrics_json(self) -> str:
         m = self.metrics
         doc = {
+            **m.trace_totals(),   # control_bytes, data_bytes, drops
             "attack_verdicts": dict(sorted(m.attack_verdicts.items())),
-            "control_bytes": m.control_bytes,
-            "data_bytes": m.data_bytes,
-            "discovery_latency_ticks": list(m.discovery_latency_ticks),
-            "drops": dict(sorted(m.drops.items())),
+            "discovery_latency_ticks": m.discovery_latency_ticks,
             "key_agreement": _key_agreement(m, self.registry),
             "peak_half_open": m.peak_half_open,
             "routes_installed": len(m.of("route")),
@@ -497,8 +495,8 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     sc = replace(sc, attack_specs=specs)
 
     reg, keys = build_registry(sc, sc.seed)
-    metrics = sim.Metrics()
-    net = sim.Network(seed=sc.seed, metrics=metrics)
+    net = sim.Network(seed=sc.seed)
+    metrics = net.metrics
     bad = sc.attacker_names()
     secure = sc.mode == "secure"
     tcp_cfg = transport.TcpConfig(mss=sc.mss, rto=sc.rto,
@@ -537,7 +535,6 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     net.run(until=sc.run_until)
 
     for spec in specs:
-        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg,
-                                                           net.trace)
+        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg)
     return RunResult(scenario=sc, net=net, metrics=metrics, registry=reg,
                      routers=routers, endpoints=endpoints)

@@ -23,6 +23,7 @@ from . import wire
 ROUTING_KINDS = frozenset(wire.ROUTE_KIND_NAMES.values())
 SEGMENT_KINDS = frozenset(wire.ROLE_NAMES.values())
 _NO_LINKS: dict = {}   # the links of a name that is not a node
+_DROPPED = "dropped_by_receiver("
 
 
 class Event(NamedTuple):
@@ -35,27 +36,51 @@ class Event(NamedTuple):
 
 @dataclass
 class Metrics:
-    """Run-wide counters plus the event log verdict oracles consume."""
+    """A run's one record; drops, bytes and latencies are read off its logs."""
 
-    control_bytes: int = 0
-    data_bytes: int = 0
-    discovery_latency_ticks: List[int] = field(default_factory=list)
+    trace: List[TraceRecord] = field(default_factory=list)
     signed: int = 0
     verified: int = 0
-    drops: Dict[str, int] = field(default_factory=dict)
     attack_verdicts: Dict[str, str] = field(default_factory=dict)
     peak_half_open: int = 0
+    evictions: int = 0   # half-open entries evicted from a full table
     # append-only, kept out of the exported document
     events: List[Event] = field(default_factory=list)
-
-    def drop(self, reason: str) -> None:
-        self.drops[reason] = self.drops.get(reason, 0) + 1
 
     def log(self, tick: int, node: str, kind: str, **fields) -> None:
         self.events.append(Event(tick, node, kind, fields))
 
     def of(self, kind: str) -> List[Event]:
         return [ev for ev in self.events if ev.kind == kind]
+
+    def trace_totals(self) -> Dict[str, object]:
+        """control_bytes, data_bytes and drops (by reason) in one pass."""
+        sizes, ends = {}, {}
+        for rec in self.trace:
+            sizes[rec.kind] = sizes.get(rec.kind, 0) + rec.size
+            ends[rec.disposition] = ends.get(rec.disposition, 0) + 1
+        drops = {end[len(_DROPPED):-1]: n for end, n in ends.items()
+                 if end.startswith(_DROPPED)}
+        if self.evictions:   # the evicting SYN itself is delivered
+            drops["table_full"] = self.evictions
+        return {"control_bytes": sum(sizes.get(k, 0) for k in ROUTING_KINDS),
+                "data_bytes": sum(sizes.get(k, 0) for k in SEGMENT_KINDS),
+                "drops": drops}
+
+    control_bytes = property(lambda self: self.trace_totals()["control_bytes"])
+    data_bytes = property(lambda self: self.trace_totals()["data_bytes"])
+    drops = property(lambda self: self.trace_totals()["drops"])
+
+    @property
+    def discovery_latency_ticks(self) -> List[int]:
+        """Ticks from each `discovery` to its `discovered`, in that order."""
+        started, latencies = {}, []
+        for tick, node, kind, f in self.events:
+            if kind == "discovery":
+                started[node, f["bct"]] = tick
+            elif kind == "discovered":
+                latencies.append(tick - started[node, f["bct"]])
+        return latencies
 
     @property
     def delivered_payloads(self) -> Dict[tuple, bytes]:
@@ -77,7 +102,7 @@ class LinkState:
 
 def dropped(reason: str) -> str:
     """Trace disposition of a frame its receiver dropped for `reason`."""
-    return "dropped_by_receiver(%s)" % reason
+    return _DROPPED + reason + ")"
 
 
 @dataclass(slots=True)
@@ -96,10 +121,10 @@ class TraceRecord:
 
 
 class Network:
-    def __init__(self, seed: int, metrics: Metrics):
-        self.metrics = metrics
+    def __init__(self, seed: int):
+        self.metrics = Metrics()
+        self.trace = self.metrics.trace
         self.tick = 0
-        self.trace: List[TraceRecord] = []
         self._queue: list = []
         self._seq = 0
         self._handlers: Dict[str, object] = {}
@@ -151,20 +176,10 @@ class Network:
 
     # --- transmission -------------------------------------------------------
 
-    def _record(self, src: str, dst: str, payload: bytes,
-                label: str) -> TraceRecord:
-        size = len(payload)
-        rec = TraceRecord(self.tick, src, dst, label, size, "lost")
-        self.trace.append(rec)
-        if label in ROUTING_KINDS:
-            self.metrics.control_bytes += size
-        elif label in SEGMENT_KINDS:
-            self.metrics.data_bytes += size
-        return rec
-
     def _transmit(self, src: str, dst: str, payload: bytes, link: LinkState,
                   label: str) -> None:
-        rec = self._record(src, dst, payload, label)
+        rec = TraceRecord(self.tick, src, dst, label, len(payload), "lost")
+        self.trace.append(rec)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
         self.schedule(link.latency, self._deliver, src, dst, payload, link, rec)
@@ -212,7 +227,6 @@ class Network:
             rec.disposition = "delivered"
         else:
             rec.disposition = dropped(reason)
-            self.metrics.drop(reason)
 
     # --- outputs ------------------------------------------------------------
 

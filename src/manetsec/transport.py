@@ -248,7 +248,7 @@ class TcpEndpoint:
         else:
             if len(self.half_open) >= self.config.half_open_capacity:
                 self.half_open.popitem(last=False)
-                self.metrics.drop("table_full")
+                self.metrics.evictions += 1
             isn_s = (SERVER_ISN_BASE + ISN_STEP * self._syn_count) & MASK
             self._syn_count += 1
             self.half_open[key] = isn_s

@@ -135,8 +135,8 @@ def _node_keys(name):
 def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
                responder_secrets=None, dh_bits=32):
     reg = identity.Registry()
-    metrics = sim.Metrics()
-    net = sim.Network(seed=seed, metrics=metrics)
+    net = sim.Network(seed=seed)
+    metrics = net.metrics
     routers = {}
     for n in names:
         reg.add(identity.NodeIdentity.from_keys(_node_keys(n), n))

@@ -91,8 +91,8 @@ def topology(kind):
 def run_attack(kind, secure, seed=17, until=400):
     honest, bad, links, spec, plan = topology(kind)
     reg = identity.Registry()
-    metrics = sim.Metrics()
-    net = sim.Network(seed=seed, metrics=metrics)
+    net = sim.Network(seed=seed)
+    metrics = net.metrics
     keys = {}
     for n in honest + bad:
         keys[n] = generate_node_keys(derive_seed(seed, "keys", n), 256)
@@ -112,7 +112,7 @@ def run_attack(kind, secure, seed=17, until=400):
     for delay, fn in plan:
         net.schedule(delay, fn, routers, endpoints)
     net.run(until=until)
-    verdict = attacks.judge(spec, metrics, reg, net.trace)
+    verdict = attacks.judge(spec, metrics, reg)
     return verdict, metrics, routers, endpoints, reg, spec
 
 
@@ -183,3 +183,19 @@ def test_only_drops_of_the_attackers_own_frames_count_as_detection(sec_level):
     assert not [rec for rec in result.net.trace if rec.src == "z"]
     assert result.metrics.attack_verdicts == {"impersonate": "detected",
                                               "redirect": "neutralized"}
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+def test_inflating_to_a_seq_the_source_issued_is_no_harm(sec_level):
+    # every honest install has seq >= 1, so an attacker that "inflates" the
+    # source's seq to 1 forged nothing a node could be harmed by
+    doc = scenario.load_file(os.path.join(SCEN, "attack_seq_inflate.json"))
+
+    def verdict(mode):
+        result = scenario.run_scenario(doc, mode=mode, sec_level=sec_level)
+        return result.metrics.attack_verdicts["seq_inflate"]
+
+    assert verdict("baseline") == "succeeded"
+    assert verdict("secure") == "detected"
+    doc["events"][0]["attack"]["inflate_to"] = 1
+    assert verdict("secure") != "succeeded"

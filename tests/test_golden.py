@@ -11,12 +11,17 @@ signature of the usual width. To print the digests of the current code (for
 review, not to overwrite blindly):
 
     PYTHONPATH=src python tests/test_golden.py
+
+The same runs also check that the outputs explain themselves: the written
+trace accounts for metrics.json's byte totals and drops, and every event
+kind logged has the fields README's "Event log" table gives it.
 """
 
 import functools
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -47,8 +52,9 @@ def _runs():
 
 
 @functools.lru_cache(maxsize=None)
-def _digests(path, mode, level):
-    """({trace, metrics} digests, frame digest) of one run."""
+def _run(path, mode, level):
+    """(trace.tsv text, metrics.json text, frame digest, the set of
+    (event kind, field names) the run logged) of one run."""
     with capture_frames() as frames:
         result = scenario.run_scenario(scenario.load_file(path), mode=mode,
                                        sec_level=level)
@@ -56,10 +62,17 @@ def _digests(path, mode, level):
     for src, dst, payload in frames:
         h.update(("%s\t%s\t%d\n" % (src, dst, len(payload))).encode())
         h.update(payload)
-    return ({"trace": hashlib.sha256(result.trace_text().encode()).hexdigest(),
-             "metrics": hashlib.sha256(
-                 result.metrics_json().encode()).hexdigest()},
-            h.hexdigest())
+    logged = {(ev.kind, frozenset(ev.fields)) for ev in result.metrics.events}
+    return (result.trace_text(), result.metrics_json(), h.hexdigest(),
+            frozenset(logged))
+
+
+def _digests(path, mode, level):
+    """({trace, metrics} digests, frame digest) of one run."""
+    trace, metrics, frames, _ = _run(path, mode, level)
+    return ({"trace": hashlib.sha256(trace.encode()).hexdigest(),
+             "metrics": hashlib.sha256(metrics.encode()).hexdigest()},
+            frames)
 
 
 def test_every_shipped_combination_is_pinned():
@@ -78,6 +91,58 @@ def test_outputs_match_the_golden_digests(key, path, mode, level):
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_transmitted_frames_match_the_golden_frames(key, path, mode, level):
     assert _digests(path, mode, level)[1] == PINNED_FRAMES[key]
+
+
+# trace.tsv kinds, as README's "Outputs" names them
+ROUTING_FRAMES = {"RREQ", "RREP", "RERR"}
+SEGMENT_FRAMES = {"SYN", "SYN_ACK", "ACK", "DATA", "FIN", "FIN_ACK"}
+DROPPED = re.compile(r"dropped_by_receiver\((\w+)\)\Z")
+
+
+@pytest.mark.parametrize("key,path,mode,level",
+                         list(_runs()), ids=[r[0] for r in _runs()])
+def test_written_trace_explains_the_metrics(key, path, mode, level):
+    trace, metrics, _, _ = _run(path, mode, level)
+    control = data = 0
+    drops = {}
+    for line in trace.splitlines():
+        _, _, _, kind, size, disposition = line.split("\t")
+        if kind in ROUTING_FRAMES:
+            control += int(size)
+        elif kind in SEGMENT_FRAMES:
+            data += int(size)
+        match = DROPPED.match(disposition)
+        if match:
+            drops[match.group(1)] = drops.get(match.group(1), 0) + 1
+    doc = json.loads(metrics)
+    doc["drops"].pop("table_full", None)   # the evicting SYN is delivered
+    assert (control, data, drops) == \
+        (doc["control_bytes"], doc["data_bytes"], doc["drops"])
+
+
+@functools.lru_cache(maxsize=None)
+def _documented_events():
+    """{kind: field names} from the table under README's "Event log"."""
+    with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Event log\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")
+        if len(cells) == 5 and cells[1].strip().startswith("`"):
+            fields = frozenset(re.findall(r"`(\w+)`", cells[3]))
+            for kind in re.findall(r"`(\w+)`", cells[1]):
+                table[kind] = fields
+    return table
+
+
+@pytest.mark.parametrize("key,path,mode,level",
+                         list(_runs()), ids=[r[0] for r in _runs()])
+def test_logged_events_match_the_readme_table(key, path, mode, level):
+    documented = _documented_events()
+    assert "deliver" in documented and documented["rerr_sent"] == set()
+    for kind, fields in _run(path, mode, level)[3]:
+        assert documented.get(kind) == fields, (kind, sorted(fields))
 
 
 if __name__ == "__main__":

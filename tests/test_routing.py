@@ -45,8 +45,8 @@ def send_payload(router, dst_ip, data):
 def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
           stubs=(), responder_secrets=None):
     reg = identity.Registry()
-    metrics = sim.Metrics()
-    net = sim.Network(seed=seed, metrics=metrics)
+    net = sim.Network(seed=seed)
+    metrics = net.metrics
     keys = {}
     for n in names:
         keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)

@@ -3,7 +3,7 @@
 import pytest
 
 from manetsec import sim, wire
-from manetsec.sim import Metrics, Network
+from manetsec.sim import Network
 
 
 class Recorder:
@@ -18,8 +18,8 @@ class Recorder:
         return self.drop_with
 
 
-def _net(seed=1, metrics=None):
-    return Network(seed=seed, metrics=metrics or Metrics())
+def _net(seed=1):
+    return Network(seed=seed)
 
 
 def test_delivery_latency_and_order():
@@ -160,8 +160,8 @@ def test_unicast_over_dead_link_reports_failure_without_record():
 
 
 def test_receiver_drop_reason_recorded_and_counted():
-    metrics = Metrics()
-    net = _net(metrics=metrics)
+    net = _net()
+    metrics = net.metrics
     net.add_node("a", Recorder())
     net.add_node("b", Recorder(drop_with="malformed"))
     net.add_link("a", "b", latency=1)
@@ -190,8 +190,7 @@ def test_tunnel_is_out_of_band():
 
 def test_trace_text_is_stable_and_tab_separated():
     def run_once():
-        metrics = Metrics()
-        net = _net(seed=9, metrics=metrics)
+        net = _net(seed=9)
         net.add_node("a", Recorder())
         net.add_node("b", Recorder())
         net.add_link("a", "b", latency=2, loss=0.3)
@@ -210,8 +209,7 @@ def test_trace_text_is_stable_and_tab_separated():
 
 
 def test_every_record_reaches_a_terminal_disposition():
-    metrics = Metrics()
-    net = _net(seed=3, metrics=metrics)
+    net = _net(seed=3)
     net.add_node("a", Recorder())
     net.add_node("b", Recorder(drop_with="duplicate"))
     net.add_link("a", "b", latency=1, loss=0.4)
@@ -225,8 +223,8 @@ def test_every_record_reaches_a_terminal_disposition():
 
 
 def test_metrics_byte_counters_follow_kind():
-    metrics = Metrics()
-    net = _net(metrics=metrics)
+    net = _net()
+    metrics = net.metrics
     net.add_node("a", Recorder())
     net.add_node("b", Recorder())
     net.add_link("a", "b", latency=1)

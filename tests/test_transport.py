@@ -20,8 +20,8 @@ class Puppet:
 def build(names, links, *, secure=True, sec_level=1, seed=11, key_bits=256,
           stubs=(), tcp_config=None):
     reg = identity.Registry()
-    metrics = sim.Metrics()
-    net = sim.Network(seed=seed, metrics=metrics)
+    net = sim.Network(seed=seed)
+    metrics = net.metrics
     routers, endpoints = {}, {}
     keys = {}
     for n in names:
