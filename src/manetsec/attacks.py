@@ -244,12 +244,11 @@ class AttackerNode:
         for _ in range(self.spec.rate):
             n = self._ghost
             self._ghost += 1
-            seg = wire.Segment(role=wire.ROLE_SYN, src_port=40000 + n,
-                               dst_port=self.spec.server_port,
-                               seq=(7919 * n) & MASK, ack=0, payload=b"",
-                               tag=b"\x5a" * 32)
-            pkt = wire.DataPacket(src_ip="ghost%d" % n, dst_ip=self.spec.dst,
-                                  segment=seg)
+            # positional: building a NamedTuple by keyword costs more
+            seg = wire.Segment(wire.ROLE_SYN, 40000 + n,
+                               self.spec.server_port, (7919 * n) & MASK, 0,
+                               b"", b"\x5a" * 32)
+            pkt = wire.DataPacket("ghost%d" % n, self.spec.dst, seg)
             self.net.unicast(self.ip, self.spec.dst,
                              wire.encode_message(pkt))
 

@@ -13,6 +13,7 @@ import hashlib
 import hmac as _hmac
 import math
 import random
+import struct
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -120,7 +121,7 @@ class DhParams:
 class SessionKey:
     value: int
 
-    @property
+    @functools.cached_property
     def key_bytes(self) -> bytes:
         width = max(1, (self.value.bit_length() + 7) // 8)
         return self.value.to_bytes(width, "big")
@@ -330,10 +331,41 @@ def rsa_decrypt(c: int, key: RsaKeyPair) -> int:
 
 # --- session key exchange ---------------------------------------------------
 
+# Groups already searched, keyed by (bits, the exact stream state the search
+# started from), each with its group and the state the search left. The
+# search is a pure function of that key, so a hit that returns the group and
+# restores the stream leaves every later draw as a fresh search would. Runs
+# that share a node's seed (secure mode at both levels, scenarios that share
+# node names) search the same groups again. The 625 state words are kept
+# packed, 2.5 KB each, instead of as the getstate() tuple of ints (25 KB).
+DH_GROUP_MEMO_SIZE = 64
+_dh_groups: dict = {}
+_STATE_WORDS = struct.Struct("<625I")
+
+
+def _packed_state(rng: random.Random) -> tuple:
+    version, words, gauss_next = rng.getstate()
+    return version, _STATE_WORDS.pack(*words), gauss_next
+
+
 def generate_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
     """Safe prime p = 2q + 1 of exact width, with the smallest usable base."""
     if bits < 8:
         raise ValueError("group width too small: %d" % bits)
+    key = (bits, _packed_state(rng))
+    hit = _dh_groups.get(key)
+    if hit is not None:
+        p, g, (version, words, gauss_next) = hit
+        rng.setstate((version, _STATE_WORDS.unpack(words), gauss_next))
+        return p, g
+    p, g = _search_dh_group(bits, rng)
+    if len(_dh_groups) >= DH_GROUP_MEMO_SIZE:
+        del _dh_groups[next(iter(_dh_groups))]
+    _dh_groups[key] = (p, g, _packed_state(rng))
+    return p, g
+
+
+def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
     while True:
         q = rng.getrandbits(bits - 1)
         q |= (1 << (bits - 2)) | 1
@@ -365,7 +397,7 @@ def dh_shared(peer_public: int, params: DhParams) -> SessionKey:
 # --- authentication tags ----------------------------------------------------
 
 def mac_tag(message: bytes, key: SessionKey) -> bytes:
-    return _hmac.new(key.key_bytes, message, hashlib.sha256).digest()
+    return _hmac.digest(key.key_bytes, message, "sha256")
 
 
 def mac_verify(message: bytes, key: SessionKey, tag: bytes) -> bool:

@@ -67,16 +67,16 @@ class Registry:
         self._by_ip[ident.ip] = ident
 
     def get(self, node_id: bytes) -> NodeIdentity:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise UnknownIdentityError(node_id.hex()) from None
+        ident = self._by_id.get(node_id)
+        if ident is None:
+            raise UnknownIdentityError(node_id.hex())
+        return ident
 
     def by_ip(self, ip: str) -> NodeIdentity:
-        try:
-            return self._by_ip[ip]
-        except KeyError:
-            raise UnknownIdentityError(ip) from None
+        ident = self._by_ip.get(ip)
+        if ident is None:
+            raise UnknownIdentityError(ip)
+        return ident
 
     def entries(self) -> List[NodeIdentity]:
         return sorted(self._by_id.values(), key=lambda n: n.ip)

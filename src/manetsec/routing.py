@@ -502,7 +502,7 @@ class RouterNode:
             queue.append(seg)
             self.ensure_discovery(dst_ip)
             return
-        pkt = wire.DataPacket(src_ip=self.ip, dst_ip=dst_ip, segment=seg)
+        pkt = wire.DataPacket(self.ip, dst_ip, seg)
         if not self.net.unicast(self.ip, route.next_hop,
                                 wire.encode_message(pkt)):
             # next hop gone: forget the route, retry through a fresh discovery

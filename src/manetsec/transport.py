@@ -133,9 +133,8 @@ class TcpEndpoint:
 
     def _make(self, conn: Connection, role: int, seq: int, ack: int,
               payload: bytes = b"") -> wire.Segment:
-        seg = wire.Segment(role=role, src_port=conn.local_port,
-                           dst_port=conn.remote_port, seq=seq, ack=ack,
-                           payload=payload, tag=b"\x00" * 32)
+        seg = wire.Segment(role, conn.local_port, conn.remote_port, seq, ack,
+                           payload, b"\x00" * 32)
         return self._tagged(conn.peer_ip, seg)
 
     def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
@@ -254,10 +253,8 @@ class TcpEndpoint:
             self.half_open[key] = isn_s
             if len(self.half_open) > self.metrics.peak_half_open:
                 self.metrics.peak_half_open = len(self.half_open)
-        reply = wire.Segment(role=wire.ROLE_SYN_ACK, src_port=seg.dst_port,
-                             dst_port=seg.src_port, seq=isn_s,
-                             ack=(seg.seq + 1) & MASK, payload=b"",
-                             tag=b"\x00" * 32)
+        reply = wire.Segment(wire.ROLE_SYN_ACK, seg.dst_port, seg.src_port,
+                             isn_s, (seg.seq + 1) & MASK, b"", b"\x00" * 32)
         self.router.send_segment(peer_ip, self._tagged(peer_ip, reply))
         return None
 

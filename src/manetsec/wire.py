@@ -219,18 +219,19 @@ def _read_core(data: bytes, pos: int) -> Tuple[RouteCore, int]:
     src_seq, pos = _read_uint(data, pos, 8)
     bct_id, pos = _read_uint(data, pos, 8)
     dst_ip, pos = _read_token(data, pos)
-    fields = dict(kind=kind, src_ip=src_ip, src_id=src_id, src_seq=src_seq,
-                  bct_id=bct_id, dst_ip=dst_ip)
+    dst_seq = dh_p = dh_g = dh_payload = 0
+    originator_id = b""
     if kind == KIND_RREQ:
-        fields["dh_p"], pos = read_bigint(data, pos)
-        fields["dh_g"], pos = read_bigint(data, pos)
-        fields["dh_payload"], pos = read_bigint(data, pos)
+        dh_p, pos = read_bigint(data, pos)
+        dh_g, pos = read_bigint(data, pos)
+        dh_payload, pos = read_bigint(data, pos)
     elif kind == KIND_RREP:
-        fields["dst_seq"], pos = _read_uint(data, pos, 8)
-        fields["dh_payload"], pos = read_bigint(data, pos)
+        dst_seq, pos = _read_uint(data, pos, 8)
+        dh_payload, pos = read_bigint(data, pos)
     else:
-        fields["originator_id"], pos = _read_digest(data, pos)
-    return RouteCore(**fields), pos
+        originator_id, pos = _read_digest(data, pos)
+    return RouteCore(kind, src_ip, src_id, src_seq, bct_id, dst_ip, dst_seq,
+                     dh_p, dh_g, dh_payload, originator_id), pos
 
 
 def _encode_route_message(msg: RouteMessage) -> bytes:
@@ -380,14 +381,15 @@ def _short_segment_head(data: bytes, pos: int) -> ParseError:
 # --- top level ---------------------------------------------------------------
 
 def encode_message(msg: Message) -> bytes:
-    if isinstance(msg, RouteMessage):
-        return _encode_route_message(msg)
-    if isinstance(msg, Segment):
-        return _encode_segment(msg)
-    if isinstance(msg, DataPacket):
+    kind = type(msg)
+    if kind is DataPacket:
         return (_DATA_KIND + _encode_token(msg.src_ip)
                 + _encode_token(msg.dst_ip) + _encode_segment(msg.segment))
-    raise TypeError("cannot encode %r" % type(msg))
+    if kind is Segment:
+        return _encode_segment(msg)
+    if kind is RouteMessage:
+        return _encode_route_message(msg)
+    raise TypeError("cannot encode %r" % kind)
 
 
 def decode_message(data: bytes) -> Message:
@@ -437,10 +439,11 @@ def describe(data: bytes) -> str:
         msg = decode_message(data)
     except ParseError:
         return "RAW"
-    if isinstance(msg, RouteMessage):
-        return ROUTE_KIND_NAMES[msg.core.kind]
-    if isinstance(msg, DataPacket):
+    kind = type(msg)
+    if kind is DataPacket:
         return ROLE_NAMES[msg.segment.role]
+    if kind is RouteMessage:
+        return ROUTE_KIND_NAMES[msg.core.kind]
     return ROLE_NAMES[msg.role]
 
 

@@ -1,11 +1,11 @@
 """Shared test helpers that stand in for library hooks: a frame recorder,
-a pinned rng and a pinned exchange group."""
+a pinned rng, a pinned exchange group and a count of group searches."""
 
 import contextlib
 
 import pytest
 
-from manetsec import routing, sim
+from manetsec import crypto, routing, sim
 
 
 @contextlib.contextmanager
@@ -60,3 +60,18 @@ def pinned_group(router, p, g, r):
 def frames():
     with capture_frames() as captured:
         yield captured
+
+
+@pytest.fixture
+def group_searches(monkeypatch):
+    """The widths of the group searches generate_dh_group makes, one per
+    memo miss."""
+    made = []
+    search = crypto._search_dh_group
+
+    def counted(bits, rng):
+        made.append(bits)
+        return search(bits, rng)
+
+    monkeypatch.setattr(crypto, "_search_dh_group", counted)
+    return made

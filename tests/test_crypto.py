@@ -423,6 +423,68 @@ def test_dh_group_generation_is_deterministic_and_safe():
     assert pow(g1, q, p1) != 1
 
 
+class _CountingRandom(random.Random):
+    """A Random that counts randrange draws: the drawn Miller-Rabin bases."""
+
+    randranges = 0
+
+    def randrange(self, *args):
+        self.randranges += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("bits", [16, 64, 96])
+def test_dh_group_memo_hit_equals_a_fresh_search(bits, group_searches):
+    for seed in range(5):
+        crypto._dh_groups.clear()
+        want_rng = random.Random(seed)
+        want = reference_generate_dh_group(bits, want_rng)
+        fresh = _CountingRandom(seed)
+        assert crypto.generate_dh_group(bits, fresh) == want
+        assert fresh.getstate() == want_rng.getstate()
+        # at 96 bits the search draws bases; a hit must restore past them
+        assert (fresh.randranges > 0) == (bits > 78)
+        hit = _CountingRandom(seed)
+        assert crypto.generate_dh_group(bits, hit) == want
+        assert hit.randranges == 0
+        assert hit.getstate() == want_rng.getstate()
+        assert len(group_searches) == seed + 1
+        # every later draw is the one a fresh search leaves
+        assert crypto.make_dh_params(*want, hit) == \
+            crypto.make_dh_params(*want, want_rng)
+        assert hit.getrandbits(64) == want_rng.getrandbits(64)
+
+
+def test_dh_group_memo_keys_on_width_and_the_exact_state(group_searches):
+    crypto._dh_groups.clear()
+    crypto.generate_dh_group(64, random.Random(3))
+    other = random.Random(3)
+    assert crypto.generate_dh_group(65, other) == \
+        reference_generate_dh_group(65, random.Random(3))
+    assert group_searches == [64, 65]
+    moved = random.Random(3)
+    moved.getrandbits(1)
+    crypto.generate_dh_group(64, moved)
+    assert group_searches == [64, 65, 64]
+
+
+def test_dh_group_memo_holds_at_most_its_bound(group_searches):
+    crypto._dh_groups.clear()
+    bound = crypto.DH_GROUP_MEMO_SIZE
+    for seed in range(bound + 10):
+        crypto.generate_dh_group(16, random.Random(seed))
+        assert len(crypto._dh_groups) <= bound
+    assert len(crypto._dh_groups) == bound
+    # the oldest entries went first; an evicted state is searched afresh
+    crypto.generate_dh_group(16, random.Random(bound + 9))
+    assert len(group_searches) == bound + 10
+    rng, want_rng = random.Random(0), random.Random(0)
+    assert crypto.generate_dh_group(16, rng) == \
+        reference_generate_dh_group(16, want_rng)
+    assert rng.getstate() == want_rng.getstate()
+    assert len(group_searches) == bound + 11
+
+
 # --- block encryption -----------------------------------------------------
 
 def test_rsa_encrypt_decrypt_round_trip():
@@ -457,6 +519,25 @@ def test_mac_tag_known_answer():
     assert crypto.mac_verify(b"msg", key, expect)
     assert not crypto.mac_verify(b"msh", key, expect)
     assert not crypto.mac_verify(b"msg", SessionKey(3), expect)
+
+
+def test_mac_tag_rfc4231_case_2():
+    key = SessionKey(0x4A656665)   # "Jefe"
+    assert crypto.mac_tag(b"what do ya want for nothing?", key).hex() == (
+        "5bdcc146bf60754e6a042426089575c7"
+        "5a003f089d2739839dec58b964ec3843")
+
+
+def test_mac_tag_equals_hmac_new_on_random_keys():
+    import hashlib
+    import hmac
+    rng = random.Random(4231)
+    for _ in range(200):
+        key = SessionKey(rng.getrandbits(rng.randrange(1, 1100)))
+        message = rng.randbytes(rng.randrange(0, 300))
+        assert crypto.mac_tag(message, key) == \
+            hmac.new(key.key_bytes, message, hashlib.sha256).digest()
+        assert key.key_bytes is key.key_bytes   # made once per key
 
 
 def test_derive_seed_stable():

@@ -48,6 +48,23 @@ def test_registry_add_and_lookup():
         reg.by_ip("n9")
 
 
+def test_unknown_lookups_raise_one_key_error_naming_the_key():
+    ident, _, _ = _node(1, "n0")
+    reg = Registry()
+    reg.add(ident)
+    missing = b"\x01" * 32
+    for lookup, key, name in ((reg.get, missing, missing.hex()),
+                              (reg.by_ip, "n9", "n9")):
+        with pytest.raises(UnknownIdentityError) as caught:
+            lookup(key)
+        err = caught.value
+        assert isinstance(err, KeyError)
+        assert err.args == (name,)
+        assert str(err) == repr(name)
+        assert err.__cause__ is None
+        assert err.__context__ is None   # raised once, not re-raised
+
+
 def test_registry_rejects_duplicates_and_bad_ids():
     a, _, _ = _node(1, "n0")
     b, _, _ = _node(2, "n1")

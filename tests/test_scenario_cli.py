@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from conftest import capture_frames
 from manetsec import cli, crypto, identity, scenario, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -290,6 +291,35 @@ def test_shipped_scenarios_make_no_keys_inside_the_run(name, mode, keygen):
     scenario.run_scenario(doc, mode=mode)
     assert keygen["total"] > 0
     assert keygen["in_run"] == 0
+
+
+@pytest.mark.parametrize("name", ["attack_seq_inflate.json",
+                                  "attack_hop_shorten.json"])
+def test_the_group_memo_cannot_be_seen_in_a_run(name, group_searches):
+    """Secure runs at level 1, then 0, give the same outputs and frames
+    whether every run starts with an empty group memo or finds the groups of
+    the runs before. Only the frames carry the DH exponents a hit that left
+    the stream behind would change."""
+    doc = scenario.load_file(os.path.join(SCEN, name))
+
+    def outputs(cold):
+        crypto._dh_groups.clear()
+        out = []
+        for level in (1, 0):
+            if cold:
+                crypto._dh_groups.clear()
+            with capture_frames() as frames:
+                result = scenario.run_scenario(doc, mode="secure",
+                                               sec_level=level)
+            out.append((result.trace_text(), result.metrics_json(), frames))
+        return out
+
+    cold = outputs(cold=True)
+    cold_searches = len(group_searches)
+    del group_searches[:]
+    warm = outputs(cold=False)
+    assert warm == cold
+    assert 0 < len(group_searches) < cold_searches   # level 0 found level 1's
 
 
 def test_cli_run_writes_outputs_and_exits_zero(tmp_path, capsys):

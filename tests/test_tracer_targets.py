@@ -5,7 +5,10 @@ import importlib.util
 import inspect
 import os
 
-from manetsec import scenario, transport  # imports every traced module
+import pytest
+
+from manetsec import crypto, scenario, transport  # imports every traced module
+from manetsec.identity import NodeIdentity, Registry, UnknownIdentityError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,3 +61,22 @@ def test_transport_timers_carry_the_arguments_the_tracer_reads(monkeypatch):
         assert what in ("kw", "rx")
     extra = tracer._EXTRA["transport.TcpEndpoint.on_timer"]
     assert sum(extra(args, None) for args in calls) >= 1
+
+
+def test_each_registry_lookup_is_one_traced_call():
+    tracer = _load_tracer()
+    ident = NodeIdentity.from_keys(crypto.generate_node_keys(1, 128), "n0")
+    reg = Registry()
+    reg.add(ident)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        reg.get(ident.node_id)
+        reg.by_ip("n0")
+        for lookup, key in ((reg.get, b"\x01" * 32), (reg.by_ip, "n9")):
+            with pytest.raises(UnknownIdentityError):
+                lookup(key)
+    finally:
+        spans.remove()
+    assert len(spans.spans) == 4
+    assert spans.reduce()["identity.lookup.calls"] == 4
