@@ -296,9 +296,10 @@ def _harm(spec: AttackSpec, metrics, registry: Registry) -> bool:
                 return True
         return False
     installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
-    if kind == "hop_shorten":
+    if kind == "hop_shorten":   # a route its cut-short RREQs taught
         origin = _id_hex(registry, spec.src)
-        return any(n == spec.dst and i["dst"] == origin
+        return any(n == spec.dst and i["dst"] == origin and i["via"] == "RREQ"
+                   and i["next_hop"] == spec.attacker
                    and i["distance"] <= spec.max_distance for n, i in installs)
     if kind == "redirect":
         target = _id_hex(registry, spec.dst)
@@ -318,15 +319,22 @@ def _harm(spec: AttackSpec, metrics, registry: Registry) -> bool:
         claimed = _id_hex(registry, spec.src)
         return any(n == spec.dst and i["dst"] == claimed
                    and i["next_hop"] == spec.attacker for n, i in installs)
-    if kind == "fake_rerr":
-        return any(ev.node == spec.src for ev in metrics.of("rerr_accepted"))
+    if kind == "fake_rerr":   # src accepted reports `through` never sent
+        reporter = _id_hex(registry, spec.through)
+        accepted = sum(n == spec.src and i["reporter"] == reporter
+                       for _, n, _, i in metrics.of("rerr_accepted"))
+        sent = sum(ev.node == spec.through for ev in metrics.of("rerr_sent"))
+        return accepted > sent
     if kind == "syn_flood":
         return metrics.peak_half_open >= spec.capacity
     if kind == "session_hijack":
         return any(spec.marker in v
                    for v in metrics.delivered_payloads.values())
-    if kind == "ack_inject":
+    if kind == "ack_inject":   # src took the forgery and the flow broke
+        forged = any((r.src, r.dst, r.kind, r.disposition)
+                     == (spec.attacker, spec.src, "SYN_ACK", "delivered")
+                     for r in metrics.trace)
         got = metrics.delivered_payloads.get(
             (spec.dst, spec.src, spec.server_port, spec.client_port), b"")
-        return got != spec.expected_payload
+        return forged and got != spec.expected_payload
     raise ValueError("unknown attack kind %r" % kind)

@@ -84,9 +84,8 @@ def main(argv=None) -> int:
 
 
 def cmd_keygen(args) -> int:
-    sc = scenario.parse(scenario.load_file(args.scenario))
-    seed = sc.seed if args.seed is None else args.seed
-    reg, _ = scenario.build_registry(sc, seed)
+    sc = scenario.parse(scenario.load_file(args.scenario), seed=args.seed)
+    reg, _ = scenario.build_registry(sc)
     text = identity.registry_to_json(reg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

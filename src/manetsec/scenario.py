@@ -93,23 +93,17 @@ class Scenario:
     dh_bits: int
     mode: str
     sec_level: int
-    half_open_capacity: int
     run_until: int
-    mss: int
-    rto: int
-    max_retries: int
+    tcp: transport.TcpConfig
     discoveries: List[Tuple[int, str, str]] = field(default_factory=list)
     flows: List[FlowSpec] = field(default_factory=list)
     link_changes: List[Tuple[int, str, str, bool]] = field(default_factory=list)
     attack_specs: List[attacks.AttackSpec] = field(default_factory=list)
 
-    def attacker_names(self) -> set:
-        out = set()
-        for s in self.attack_specs:
-            out.add(s.attacker)
-            if s.partner:
-                out.add(s.partner)
-        return out
+    def attacker_names(self) -> List[str]:
+        """Every attacker and wormhole partner, in spec order."""
+        return [name for s in self.attack_specs
+                for name in (s.attacker, s.partner) if name is not None]
 
 
 def _known_fields(doc: dict, allowed, where: str,
@@ -135,11 +129,9 @@ def _need(doc: dict, key: str, where: str):
 
 def _int_field(doc: dict, key: str, where: str, default=None, minimum=0,
                maximum=None):
-    if key not in doc:
-        if default is None:
-            raise ScenarioError("%s: missing required field %r" % (where, key))
+    if key not in doc and default is not None:
         return default
-    v = doc[key]
+    v = _need(doc, key, where)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ScenarioError("%s.%s: expected an integer, got %r"
                             % (where, key, v))
@@ -151,11 +143,9 @@ def _int_field(doc: dict, key: str, where: str, default=None, minimum=0,
 
 
 def _str_field(doc: dict, key: str, where: str, default=None):
-    if key not in doc:
-        if default is None:
-            raise ScenarioError("%s: missing required field %r" % (where, key))
+    if key not in doc and default is not None:
         return default
-    v = doc[key]
+    v = _need(doc, key, where)
     if not isinstance(v, str):
         raise ScenarioError("%s.%s: expected a string, got %r"
                             % (where, key, v))
@@ -182,9 +172,15 @@ def load_file(path: str) -> dict:
     return doc
 
 
-def parse(doc) -> Scenario:
+def parse(doc, **overrides) -> Scenario:
+    """Check `doc` and bind every setting of its run.
+
+    Each override that is not None replaces the document's own top-level
+    field before any check, so it obeys the rule for that field.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    doc = dict(doc, **{k: v for k, v in overrides.items() if v is not None})
     _known_fields(doc, _TOP_FIELDS, "scenario", "unknown top-level field")
 
     seed = _int_field(doc, "seed", "scenario")
@@ -263,14 +259,15 @@ def parse(doc) -> Scenario:
     if not isinstance(tcp, dict):
         raise ScenarioError("scenario.tcp: expected an object")
     _known_fields(tcp, _TCP_FIELDS, "scenario.tcp")
-    mss = _int_field(tcp, "mss", "scenario.tcp", default=512, minimum=1)
-    rto = _int_field(tcp, "rto", "scenario.tcp", default=10, minimum=1)
-    max_retries = _int_field(tcp, "max_retries", "scenario.tcp", default=2)
+    tcp_cfg = transport.TcpConfig(
+        mss=_int_field(tcp, "mss", "scenario.tcp", default=512, minimum=1),
+        rto=_int_field(tcp, "rto", "scenario.tcp", default=10, minimum=1),
+        max_retries=_int_field(tcp, "max_retries", "scenario.tcp", default=2),
+        half_open_capacity=capacity)
 
     sc = Scenario(seed=seed, nodes=nodes, links=links, key_bits=key_bits,
                   dh_bits=dh_bits, mode=mode, sec_level=sec_level,
-                  half_open_capacity=capacity, run_until=run_until,
-                  mss=mss, rto=rto, max_retries=max_retries)
+                  run_until=run_until, tcp=tcp_cfg)
 
     events = doc.get("events", [])
     if not isinstance(events, list):
@@ -355,13 +352,19 @@ def _parse_attack(raw: dict, tick: int, where: str,
 
 def _cross_validate(sc: Scenario) -> None:
     """Check the events against each other, and bind each attack spec to
-    the half-open capacity and, for a segment forgery, to the flow it
-    targets (its ports and the payload the server should receive)."""
-    bad = sc.attacker_names()
+    the security level, the half-open capacity and, for a segment forgery,
+    to the flow it targets (its ports and the payload the server should
+    receive)."""
     kinds = [s.kind for s in sc.attack_specs]
     if len(kinds) != len(set(kinds)):
         raise ScenarioError("events: at most one attack of each kind per "
                             "scenario (one verdict per kind)")
+    bad = set()
+    for name in sc.attacker_names():
+        if name in bad:
+            raise ScenarioError("events: %r is named as an adversary more "
+                                "than once (one adversary per node)" % name)
+        bad.add(name)
     for tick, node, target in sc.discoveries:
         for name in (node, target):
             if name in bad:
@@ -377,7 +380,8 @@ def _cross_validate(sc: Scenario) -> None:
             if name is not None and name in bad:
                 raise ScenarioError("events: attack %r names adversary %r as "
                                     "a victim" % (s.kind, name))
-        s = replace(s, capacity=sc.half_open_capacity)
+        s = replace(s, capacity=sc.tcp.half_open_capacity,
+                    sec_level=sc.sec_level)
         if s.kind in ("session_hijack", "ack_inject"):
             flow = next((f for f in sc.flows if f.client == s.src
                          and f.server == s.dst), None)
@@ -446,12 +450,11 @@ def _key_agreement(metrics: sim.Metrics, registry: identity.Registry) -> bool:
     return all(len(vals) == 1 for vals in groups.values())
 
 
-def build_registry(sc: Scenario,
-                   seed: int) -> Tuple[identity.Registry, Dict[str, NodeKeys]]:
+def build_registry(sc: Scenario) -> Tuple[identity.Registry,
+                                          Dict[str, NodeKeys]]:
     """Registry and {name: NodeKeys} for the nodes of `sc`.
 
-    `seed` is the master seed the keys derive from; a seed override makes
-    it differ from sc.seed. Every node's signing pair is made here. Its
+    The keys derive from sc.seed. Every node's signing pair is made here. Its
     encryption pair is made on first use, and only the endpoints of a
     discovery use one, so it is made here for each node that a flow
     (client, server), a discovery (node, target) or an attack (src, dst)
@@ -461,7 +464,7 @@ def build_registry(sc: Scenario,
     reg = identity.Registry()
     keys = {}
     for name in sc.nodes:
-        keys[name] = generate_node_keys(derive_seed(seed, "keys", name),
+        keys[name] = generate_node_keys(derive_seed(sc.seed, "keys", name),
                                         sc.key_bits)
         reg.add(identity.NodeIdentity.from_keys(keys[name], name))
     endpoints = {name for f in sc.flows for name in (f.client, f.server)}
@@ -477,31 +480,13 @@ def build_registry(sc: Scenario,
 def run_scenario(doc, *, mode: Optional[str] = None,
                  sec_level: Optional[int] = None,
                  seed: Optional[int] = None) -> RunResult:
-    """Parse (if needed), apply overrides, build, run, and judge."""
-    sc = doc if isinstance(doc, Scenario) else parse(doc)
-    if mode is not None:
-        if mode not in MODES:
-            raise ScenarioError("mode override must be one of %s"
-                                % "/".join(MODES))
-        sc = replace(sc, mode=mode)
-    if sec_level is not None:
-        if sec_level not in (0, 1):
-            raise ScenarioError("sec_level override must be 0 or 1")
-        sc = replace(sc, sec_level=sec_level)
-    if seed is not None:
-        sc = replace(sc, seed=seed)
-
-    specs = [replace(s, sec_level=sc.sec_level) for s in sc.attack_specs]
-    sc = replace(sc, attack_specs=specs)
-
-    reg, keys = build_registry(sc, sc.seed)
+    """Parse with the overrides, build, run, and judge."""
+    sc = parse(doc, mode=mode, sec_level=sec_level, seed=seed)
+    reg, keys = build_registry(sc)
     net = sim.Network(seed=sc.seed)
     metrics = net.metrics
-    bad = sc.attacker_names()
+    bad = set(sc.attacker_names())
     secure = sc.mode == "secure"
-    tcp_cfg = transport.TcpConfig(mss=sc.mss, rto=sc.rto,
-                                  max_retries=sc.max_retries,
-                                  half_open_capacity=sc.half_open_capacity)
     routers: Dict[str, routing.RouterNode] = {}
     endpoints: Dict[str, transport.TcpEndpoint] = {}
     for name in sc.nodes:
@@ -511,8 +496,8 @@ def run_scenario(doc, *, mode: Optional[str] = None,
                                  sec_level=sc.sec_level, master_seed=sc.seed,
                                  dh_bits=sc.dh_bits)
         routers[name] = routing.RouterNode(cfg, reg, net)
-        endpoints[name] = transport.TcpEndpoint(routers[name], tcp_cfg)
-    for spec in specs:
+        endpoints[name] = transport.TcpEndpoint(routers[name], sc.tcp)
+    for spec in sc.attack_specs:
         attacks.deploy(spec, keys, reg, net)
         if spec.kind == "syn_flood":
             # the flood aims at a listener; open the port it targets
@@ -534,7 +519,7 @@ def run_scenario(doc, *, mode: Optional[str] = None,
 
     net.run(until=sc.run_until)
 
-    for spec in specs:
+    for spec in sc.attack_specs:
         metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg)
     return RunResult(scenario=sc, net=net, metrics=metrics, registry=reg,
                      routers=routers, endpoints=endpoints)

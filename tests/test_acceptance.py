@@ -253,7 +253,7 @@ def test_criterion_5_attack_matrix(tmp_path):
         assert sec.metrics.attack_verdicts == {kind: EXPECTED_SECURE[kind]}, \
             "secure %s: %s" % (kind, sec.metrics.attack_verdicts)
         if kind == "syn_flood":
-            capacity = sec.scenario.half_open_capacity
+            capacity = sec.scenario.tcp.half_open_capacity
             assert base.metrics.peak_half_open == capacity == 64
             assert sec.metrics.peak_half_open == 0
     assert cli.main(["run", "--scenario",

@@ -199,3 +199,50 @@ def test_inflating_to_a_seq_the_source_issued_is_no_harm(sec_level):
     assert verdict("secure") == "detected"
     doc["events"][0]["attack"]["inflate_to"] = 1
     assert verdict("secure") != "succeeded"
+
+
+def _hop_to_a_neighbour(doc):
+    # f is a's neighbour, so its honest route to a reads distance 1
+    doc["events"][0]["attack"]["dst"] = "f"
+
+
+def _hop_beside_an_honest_path(doc):
+    # a-g-h-d bypasses m; at level 0 every route reads distance 2
+    doc["nodes"] += ["g", "h"]
+    doc["links"] += [{"a": "a", "b": "g"}, {"a": "g", "b": "h"},
+                     {"a": "h", "b": "d"}]
+
+
+def _rerr_after_a_real_break(doc):
+    # b genuinely reports the break of b-c under a flow a->c
+    doc["events"] += [
+        {"tick": 20, "kind": "start_flow", "client": "a", "server": "c",
+         "payload": "x" * 5000},
+        {"tick": 30, "kind": "link_down", "a": "b", "b": "c"}]
+
+
+def _ack_over_a_dead_link(doc):
+    # the flow cannot finish, whatever the attacker sends
+    doc["events"].append({"tick": 1, "kind": "link_down", "a": "a",
+                          "b": "b"})
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+@pytest.mark.parametrize("kind,change", [
+    ("hop_shorten", _hop_to_a_neighbour),
+    ("hop_shorten", _hop_beside_an_honest_path),
+    ("fake_rerr", _rerr_after_a_real_break),
+    ("ack_inject", _ack_over_a_dead_link),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_honest_routes_and_failures_are_not_credited_to_the_attack(
+        kind, change, sec_level):
+    doc = scenario.load_file(os.path.join(SCEN, "attack_%s.json" % kind))
+
+    def verdict(mode):
+        result = scenario.run_scenario(doc, mode=mode, sec_level=sec_level)
+        return result.metrics.attack_verdicts[kind]
+
+    assert verdict("baseline") == "succeeded"
+    assert verdict("secure") == "detected"
+    change(doc)
+    assert verdict("secure") != "succeeded"

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import capture_frames
-from manetsec import cli, crypto, identity, scenario, sim
+from manetsec import attacks, cli, crypto, identity, scenario, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -55,6 +55,31 @@ def flood_doc(**attack):
          "attack": dict({"kind": "syn_flood", "attacker": "b", "dst": "a"},
                         **attack)}])
 
+
+def attacks_doc(*specs):
+    """Nodes a, b, m and m2, with one attach_attack event per attack."""
+    return doc_two_nodes(nodes=["a", "b", "m", "m2"], events=[
+        {"tick": 0, "kind": "attach_attack", "attack": spec}
+        for spec in specs])
+
+
+# A node named as an adversary twice, by one spec or by two; unless parse
+# rejects it (exit 2), the run fails adding the node again (exit 3).
+TWICE_ADVERSARY_DOCS = [
+    (attacks_doc({"kind": "tunnel", "attacker": "m", "partner": "m",
+                  "src": "a", "dst": "b"}),
+     "'m' is named as an adversary more than once"),
+    (attacks_doc({"kind": "impersonate", "attacker": "m", "src": "a",
+                  "dst": "b"},
+                 {"kind": "redirect", "attacker": "m", "src": "a",
+                  "dst": "b"}),
+     "'m' is named as an adversary more than once"),
+    (attacks_doc({"kind": "tunnel", "attacker": "m", "partner": "m2",
+                  "src": "a", "dst": "b"},
+                 {"kind": "redirect", "attacker": "m2", "src": "a",
+                  "dst": "b"}),
+     "'m2' is named as an adversary more than once"),
+]
 
 # Values of the right JSON type that the wire or UTF-8 cannot carry; unless
 # parse rejects them (exit 2), the run fails inside (exit 3).
@@ -109,6 +134,32 @@ def test_overrides_change_mode_sec_level_and_seed():
     r3 = scenario.run_scenario(doc_two_nodes(), sec_level=0)
     assert r3.scenario.sec_level == 0
     assert json.loads(r3.metrics_json())["key_agreement"] is True
+    # an override replaces the field before it is checked
+    assert scenario.parse(doc_two_nodes(mode="stealth"),
+                          mode="baseline").mode == "baseline"
+
+
+@pytest.mark.parametrize("override,fragment", [
+    ({"sec_level": 2}, "scenario.sec_level: must be 0 or 1"),
+    ({"mode": "stealth"}, "scenario.mode: expected one of secure/baseline"),
+    ({"seed": -1}, "scenario.seed: must be >= 0"),
+])
+def test_an_override_obeys_the_rule_for_its_field(override, fragment):
+    with pytest.raises(scenario.ScenarioError) as err:
+        scenario.run_scenario(doc_two_nodes(), **override)
+    assert fragment in str(err.value)
+
+
+def test_overrides_do_not_hide_a_document_that_is_not_an_object():
+    with pytest.raises(scenario.ScenarioError) as err:
+        scenario.run_scenario([], mode="secure")
+    assert "must be a JSON object" in str(err.value)
+
+
+def test_the_run_level_override_reaches_every_attack_spec():
+    result = scenario.run_scenario(doc_with_attack(), sec_level=0)
+    assert result.scenario.attack_specs
+    assert all(s.sec_level == 0 for s in result.scenario.attack_specs)
 
 
 BAD_DOCS = [
@@ -181,7 +232,7 @@ BAD_DOCS = [
     (flood_doc(rate=1000000000),
      "rate x duration must be <= 100000 forged SYNs, got 5000000000"),
     (flood_doc(rate=20001, duration=5), "rate x duration must be <= 100000"),
-]
+] + TWICE_ADVERSARY_DOCS
 
 
 def test_widest_allowed_widths_parse():
@@ -362,6 +413,26 @@ def test_cli_rejects_values_the_wire_cannot_carry(tmp_path, capsys, doc,
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,fragment", TWICE_ADVERSARY_DOCS)
+def test_cli_rejects_a_node_named_as_an_adversary_twice(tmp_path, capsys, doc,
+                                                        fragment):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_checks_a_seed_override_as_the_field(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc_two_nodes()),
+                   "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "scenario.seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_attack_specs_are_bound_to_their_flow_at_parse():
     doc = dict(doc_with_attack(), half_open_capacity=3)
     sc = scenario.parse(doc)
@@ -428,9 +499,11 @@ def test_cli_reports_an_unexpected_failure_in_one_line(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-def test_cli_exit_flags_a_secure_mode_failure(tmp_path, capsys):
-    # a transfer that cannot finish before the run ends counts as harm for
-    # the injection attack, which must flip the exit code in secure mode
+def test_cli_exit_flags_a_secure_mode_failure(tmp_path, capsys,
+                                              monkeypatch):
+    # an attack judged successful must flip the exit code in secure mode;
+    # no shipped attack succeeds there, so the judge is replaced
+    monkeypatch.setattr(attacks, "judge", lambda *args: "succeeded")
     doc = {
         "seed": 6, "nodes": ["a", "b", "m"], "run_until": 12,
         "links": [{"a": "a", "b": "b"}, {"a": "m", "b": "a"}],
