@@ -16,7 +16,7 @@ session keys. The judge classifies a finished run:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import wire
 from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
@@ -26,23 +26,26 @@ from .routing import append_signer, sign_origin
 from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
 
-ATTACK_KINDS = ("seq_inflate", "hop_shorten", "redirect", "tunnel",
-                "impersonate", "fake_rerr", "syn_flood", "session_hijack",
-                "ack_inject")
 
-# Drop reasons that count as recognizing each attack. Empty sets mean the
-# defense works by denying the attack any effect rather than by flagging
-# packets, so a clean run is judged neutralized.
-DETECTION: Dict[str, Tuple[str, ...]] = {
-    "seq_inflate": ("verify_failed",),
-    "hop_shorten": ("verify_failed", "malformed"),
-    "redirect": ("verify_failed", "id_mismatch"),
-    "impersonate": ("verify_failed", "id_mismatch"),
-    "fake_rerr": ("verify_failed", "id_mismatch"),
-    "session_hijack": ("tag_mismatch",),
-    "ack_inject": ("tag_mismatch",),
-    "tunnel": (),
-    "syn_flood": (),
+class Kind(NamedTuple):
+    nodes: Tuple[str, ...]      # node fields a spec names besides `attacker`
+    # drop reasons that count as recognizing the attack; empty when the
+    # defense works by denying it any effect rather than by flagging
+    # packets, so a clean run is judged neutralized
+    telltale: Tuple[str, ...]
+
+
+KINDS: Dict[str, Kind] = {
+    "seq_inflate": Kind(("src", "dst"), ("verify_failed",)),
+    "hop_shorten": Kind(("src", "dst"), ("verify_failed", "malformed")),
+    "redirect": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
+    "tunnel": Kind(("partner", "src", "dst"), ()),
+    "impersonate": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
+    "fake_rerr": Kind(("src", "dst", "through"),
+                      ("verify_failed", "id_mismatch")),
+    "syn_flood": Kind(("dst",), ()),
+    "session_hijack": Kind(("src", "dst"), ("tag_mismatch",)),
+    "ack_inject": Kind(("src", "dst"), ("tag_mismatch",)),
 }
 
 
@@ -82,11 +85,9 @@ class AttackerNode:
         self._fired = False
         self._ghost = 0
         net.add_node(name, self)
-        if spec.kind == "syn_flood":
-            net.schedule(spec.start, self.on_timer, "flood", spec.duration)
-        elif spec.kind in ("impersonate", "fake_rerr", "session_hijack",
-                           "ack_inject"):
-            net.schedule(spec.start, self.on_timer, "fire", None)
+        if hasattr(self, "_fire_" + spec.kind):
+            rounds = spec.duration if spec.kind == "syn_flood" else 1
+            net.schedule(spec.start, self.on_timer, rounds)
 
     # --- sim handler interface ----------------------------------------------
 
@@ -94,8 +95,7 @@ class AttackerNode:
         kind = self.spec.kind
         if kind == "tunnel":
             self._relay(sender, payload)
-            return None
-        if kind in ("seq_inflate", "hop_shorten", "redirect"):
+        elif kind in ("seq_inflate", "hop_shorten", "redirect"):
             try:
                 msg = wire.decode_message(payload)
             except wire.ParseError:
@@ -106,15 +106,11 @@ class AttackerNode:
 
     # --- timers -------------------------------------------------------------
 
-    def on_timer(self, what: str, detail) -> None:
-        if what == "flood":
-            self._flood_burst()
-            if detail > 1:
-                self.net.schedule(1, self.on_timer, "flood", detail - 1)
-        elif not self._fired:
-            self._fired = True
-            fire = getattr(self, "_fire_" + self.spec.kind)
-            fire()
+    def on_timer(self, rounds: int) -> None:
+        """Fire this kind's forgery; again each tick while rounds are left."""
+        getattr(self, "_fire_" + self.spec.kind)()
+        if rounds > 1:
+            self.net.schedule(1, self.on_timer, rounds - 1)
 
     # --- wormhole relay -------------------------------------------------------
 
@@ -131,7 +127,7 @@ class AttackerNode:
     # --- on-path tampering ------------------------------------------------------
 
     def _handle_route(self, sender: str, msg: wire.RouteMessage) -> None:
-        core = msg.core
+        core, hops, agg = msg.core, msg.hops, msg.aggregate
         key = (core.kind, core.src_id, core.bct_id)
         if key in self._seen:
             return
@@ -144,27 +140,21 @@ class AttackerNode:
             return
         if core.kind == wire.KIND_RREQ:
             if self.spec.kind == "seq_inflate":
-                self._forward_inflated(msg)
+                core = core._replace(src_seq=self.spec.inflate_to)
             else:
-                self._forward_shortened(msg)
-        elif core.kind == wire.KIND_RREP:
-            self._forward_as_is(msg)
-
-    def _forward_inflated(self, msg: wire.RouteMessage) -> None:
-        core = msg.core._replace(src_seq=self.spec.inflate_to)
-        self._sign_and_send(core, msg.hops, msg.aggregate, msg.source_sig)
-
-    def _forward_shortened(self, msg: wire.RouteMessage) -> None:
-        # pretend the chain so far is a bare origin signature and that the
-        # request arrived straight from the source
-        agg = msg.aggregate
-        if agg is not None:
-            agg = AggregateSignature(value=agg.value, overflow_bits=(),
-                                     signer_count=1)
-        self._sign_and_send(msg.core, (), agg, msg.source_sig)
-
-    def _forward_as_is(self, msg: wire.RouteMessage) -> None:
-        self._sign_and_send(msg.core, msg.hops, msg.aggregate, msg.source_sig)
+                if hops:   # the oracle credits only requests actually cut
+                    self.net.metrics.log(self.net.tick, self.ip, "shortened",
+                                         origin=core.src_ip, seq=core.src_seq,
+                                         removed=len(hops))
+                # pretend the chain so far is a bare origin signature and
+                # that the request arrived straight from the source
+                hops = ()
+                if agg is not None:
+                    agg = AggregateSignature(value=agg.value,
+                                             overflow_bits=(), signer_count=1)
+        elif core.kind != wire.KIND_RREP:
+            return
+        self._sign_and_send(core, hops, agg, msg.source_sig)
 
     def _forge_reply(self, victim: str, req: wire.RouteCore) -> None:
         target = self.registry.by_ip(self.spec.dst)
@@ -197,7 +187,7 @@ class AttackerNode:
         else:
             self.net.unicast(self.ip, to, payload)
 
-    # --- one-shot forgeries -------------------------------------------------------
+    # --- timed forgeries ----------------------------------------------------------
 
     def _fire_impersonate(self) -> None:
         claimed = self.registry.by_ip(self.spec.src)
@@ -220,27 +210,25 @@ class AttackerNode:
                    to=self.spec.through)
 
     def _fire_session_hijack(self) -> None:
-        seq = (CLIENT_ISN_BASE + 1) & MASK    # first connection, no data yet
-        seg = wire.Segment(role=wire.ROLE_DATA,
-                           src_port=self.spec.client_port,
-                           dst_port=self.spec.server_port, seq=seq, ack=0,
-                           payload=self.spec.marker, tag=b"\x00" * 32)
-        pkt = wire.DataPacket(src_ip=self.spec.src, dst_ip=self.spec.dst,
-                              segment=seg)
-        self.net.unicast(self.ip, self.spec.dst, wire.encode_message(pkt))
+        # first connection, no data yet
+        self._inject(wire.ROLE_DATA, self.spec.src, self.spec.dst,
+                     (CLIENT_ISN_BASE + 1) & MASK, 0, self.spec.marker)
 
     def _fire_ack_inject(self) -> None:
         # race the real responder with a forged second handshake segment
-        seg = wire.Segment(role=wire.ROLE_SYN_ACK,
-                           src_port=self.spec.server_port,
-                           dst_port=self.spec.client_port, seq=555000,
-                           ack=(CLIENT_ISN_BASE + 1) & MASK, payload=b"",
-                           tag=b"\x00" * 32)
-        pkt = wire.DataPacket(src_ip=self.spec.dst, dst_ip=self.spec.src,
-                              segment=seg)
-        self.net.unicast(self.ip, self.spec.src, wire.encode_message(pkt))
+        self._inject(wire.ROLE_SYN_ACK, self.spec.dst, self.spec.src, 555000,
+                     (CLIENT_ISN_BASE + 1) & MASK, b"")
 
-    def _flood_burst(self) -> None:
+    def _inject(self, role, src, dst, seq, ack, payload) -> None:
+        """Unicast to `dst` a zero-tag segment of the flow as if from `src`."""
+        ports = (self.spec.client_port, self.spec.server_port)
+        if src == self.spec.dst:
+            ports = ports[::-1]
+        seg = wire.Segment(role, *ports, seq, ack, payload, b"\x00" * 32)
+        pkt = wire.DataPacket(src, dst, seg)
+        self.net.unicast(self.ip, dst, wire.encode_message(pkt))
+
+    def _fire_syn_flood(self) -> None:
         for _ in range(self.spec.rate):
             n = self._ghost
             self._ghost += 1
@@ -268,60 +256,53 @@ def deploy(spec: AttackSpec, keys: Dict[str, NodeKeys], registry: Registry,
 
 # --- outcome oracle -----------------------------------------------------------
 
-def judge(spec: AttackSpec, metrics, registry: Registry) -> str:
+def judge(spec: AttackSpec, metrics) -> str:
     """Verdict of a finished run, read off its Network.metrics."""
-    if _harm(spec, metrics, registry):
+    if _harm(spec, metrics):
         return "succeeded"
     senders = {spec.attacker, spec.partner}
-    telltale = {dropped(reason) for reason in DETECTION[spec.kind]}
+    telltale = {dropped(reason) for reason in KINDS[spec.kind].telltale}
     if any(rec.src in senders and rec.disposition in telltale
            for rec in metrics.trace):
         return "detected"
     return "neutralized"
 
 
-def _id_hex(registry: Registry, ip: str) -> str:
-    return registry.by_ip(ip).node_id.hex()
-
-
-def _harm(spec: AttackSpec, metrics, registry: Registry) -> bool:
+def _harm(spec: AttackSpec, metrics) -> bool:
     kind = spec.kind
     if kind == "seq_inflate":
-        origin, issued = _id_hex(registry, spec.src), 0
+        issued = 0
         for _, n, k, i in metrics.events:   # harm: a seq src never issued
             if k == "discovery" and n == spec.src:
                 issued = max(issued, i["seq"])
             elif (k == "route" and n != spec.attacker and i["via"] == "RREQ"
-                  and i["dst"] == origin and i["seq"] > issued):
+                  and i["dst"] == spec.src and i["seq"] > issued):
                 return True
         return False
     installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
-    if kind == "hop_shorten":   # a route its cut-short RREQs taught
-        origin = _id_hex(registry, spec.src)
-        return any(n == spec.dst and i["dst"] == origin and i["via"] == "RREQ"
-                   and i["next_hop"] == spec.attacker
-                   and i["distance"] <= spec.max_distance for n, i in installs)
+    if kind == "hop_shorten":   # a route a request it cut short taught
+        cut = {i["seq"] for _, n, _, i in metrics.of("shortened")
+               if n == spec.attacker and i["origin"] == spec.src}
+        return any(n == spec.dst and i["dst"] == spec.src
+                   and i["via"] == "RREQ" and i["next_hop"] == spec.attacker
+                   and i["seq"] in cut and i["distance"] <= spec.max_distance
+                   for n, i in installs)
     if kind == "redirect":
-        target = _id_hex(registry, spec.dst)
-        return any(n == spec.src and i["dst"] == target
+        return any(n == spec.src and i["dst"] == spec.dst
                    and i["next_hop"] == spec.attacker for n, i in installs)
     if kind == "tunnel":
         colluders = {spec.attacker, spec.partner}
-        s_hex = _id_hex(registry, spec.src)
-        d_hex = _id_hex(registry, spec.dst)
         return any(
-            (n == spec.src and i["dst"] == d_hex
+            (n == spec.src and i["dst"] == spec.dst
              and i["next_hop"] in colluders)
-            or (n == spec.dst and i["dst"] == s_hex
+            or (n == spec.dst and i["dst"] == spec.src
                 and i["next_hop"] in colluders)
             for n, i in installs)
     if kind == "impersonate":
-        claimed = _id_hex(registry, spec.src)
-        return any(n == spec.dst and i["dst"] == claimed
+        return any(n == spec.dst and i["dst"] == spec.src
                    and i["next_hop"] == spec.attacker for n, i in installs)
     if kind == "fake_rerr":   # src accepted reports `through` never sent
-        reporter = _id_hex(registry, spec.through)
-        accepted = sum(n == spec.src and i["reporter"] == reporter
+        accepted = sum(n == spec.src and i["reporter"] == spec.through
                        for _, n, _, i in metrics.of("rerr_accepted"))
         sent = sum(ev.node == spec.through for ev in metrics.of("rerr_sent"))
         return accepted > sent

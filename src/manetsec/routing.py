@@ -122,8 +122,7 @@ class RouterNode:
         self.pending: Dict[int, PendingDiscovery] = {}
         self.flows: Dict[Tuple[bytes, bytes], FlowState] = {}
         self.seen: set = set()
-        self.session_keys: Dict[Tuple[bytes, int], SessionKey] = {}
-        self.latest_key: Dict[bytes, int] = {}
+        self.session_keys: Dict[str, SessionKey] = {}   # newest per peer
         self.active_targets: set = set()
         self.send_queue: Dict[str, List[wire.Segment]] = {}
         self.transport = None
@@ -169,14 +168,7 @@ class RouterNode:
             self.start_discovery(dst_ip)
 
     def session_key_for(self, peer_ip: str) -> Optional[SessionKey]:
-        try:
-            peer_id = self.registry.by_ip(peer_ip).node_id
-        except UnknownIdentityError:
-            return None
-        bct = self.latest_key.get(peer_id)
-        if bct is None:
-            return None
-        return self.session_keys.get((peer_id, bct))
+        return self.session_keys.get(peer_ip)
 
     # --- sending ------------------------------------------------------------
 
@@ -383,16 +375,15 @@ class RouterNode:
             return "malformed", 0
         params = make_dh_params(p, g, self.rng)
         key = dh_shared(theirs, params)
-        self._store_key(core.src_id, core.bct_id, key)
+        self._store_key(origin.ip, core.bct_id, key)
         sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
         return None, sealed
 
-    def _store_key(self, peer_id: bytes, bct: int, key: SessionKey,
+    def _store_key(self, peer_ip: str, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:
-        self.session_keys[(peer_id, bct)] = key
-        self.latest_key[peer_id] = bct
+        self.session_keys[peer_ip] = key
         self.metrics.log(self.net.tick, self.ip, "session_key",
-                         peer=peer_id.hex(), bct=bct, key=key.value,
+                         peer=peer_ip, bct=bct, key=key.value,
                          initiated=initiated)
 
     def _on_rrep(self, sender: str, msg: wire.RouteMessage,
@@ -435,8 +426,9 @@ class RouterNode:
             return "malformed"
         if pd.params is None or not 0 < theirs < pd.params.p:
             return "malformed"
-        self._store_key(core.src_id, core.bct_id, dh_shared(theirs, pd.params),
-                        initiated=True)
+        # _on_rrep has checked the replier's name against the target
+        self._store_key(pd.target_ip, core.bct_id,
+                        dh_shared(theirs, pd.params), initiated=True)
         return None
 
     def _on_rerr(self, sender: str, msg: wire.RouteMessage,
@@ -455,8 +447,8 @@ class RouterNode:
             return "no_route"
         self.seen.add(self._seen_key(core))
         self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
-                         reporter=core.src_id.hex(),
-                         unreachable=core.originator_id.hex())
+                         reporter=self.registry.get(core.src_id).ip,
+                         unreachable=unreachable.ip)
         self.routes.pop(core.originator_id, None)
         if flow is not None:
             flow.toward_dst = None
@@ -547,6 +539,6 @@ class RouterNode:
             return
         self.routes[dst_id] = RouteEntry(next_hop=next_hop, distance=distance,
                                          seq=seq)
-        self.metrics.log(self.net.tick, self.ip, "route", dst=dst_id.hex(),
-                         next_hop=next_hop, distance=distance, seq=seq,
-                         via=via)
+        self.metrics.log(self.net.tick, self.ip, "route",
+                         dst=self.registry.get(dst_id).ip, next_hop=next_hop,
+                         distance=distance, seq=seq, via=via)

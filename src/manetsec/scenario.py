@@ -45,17 +45,6 @@ _EVENT_FIELDS = {
     "attach_attack": {"attack"},
 }
 
-_ATTACK_REQUIRED = {
-    "seq_inflate": ("src", "dst"),
-    "hop_shorten": ("src", "dst"),
-    "redirect": ("src", "dst"),
-    "tunnel": ("partner", "src", "dst"),
-    "impersonate": ("src", "dst"),
-    "fake_rerr": ("src", "dst", "through"),
-    "syn_flood": ("dst",),
-    "session_hijack": ("src", "dst"),
-    "ack_inject": ("src", "dst"),
-}
 _ATTACK_FIELDS = {"kind", "attacker", "partner", "src", "dst", "through",
                   "rate", "duration", "inflate_to", "max_distance", "marker"}
 
@@ -226,9 +215,12 @@ def parse(doc, **overrides) -> Scenario:
             raise ScenarioError("%s: duplicate node name %r" % (where, name))
         nodes.append(name)
 
+    links_raw = doc.get("links", [])
+    if not isinstance(links_raw, list):
+        raise ScenarioError("scenario.links: expected an array")
     links: List[LinkSpec] = []
     seen_links = set()
-    for i, item in enumerate(doc.get("links", [])):
+    for i, item in enumerate(links_raw):
         where = "links[%d]" % i
         if not isinstance(item, dict):
             raise ScenarioError("%s: expected an object" % where)
@@ -326,11 +318,11 @@ def _parse_attack(raw: dict, tick: int, where: str,
     where = where + ".attack"
     _known_fields(raw, _ATTACK_FIELDS, where)
     kind = _str_field(raw, "kind", where)
-    if kind not in attacks.ATTACK_KINDS:
+    if kind not in attacks.KINDS:
         raise ScenarioError("%s.kind: unknown attack kind %r" % (where, kind))
     attacker = _node_field(raw, "attacker", where, nodes)
     fields = dict(kind=kind, attacker=attacker, start=max(tick, 1))
-    for name in _ATTACK_REQUIRED[kind]:
+    for name in attacks.KINDS[kind].nodes:
         fields[name] = _node_field(raw, name, where, nodes)
     fields["rate"] = _int_field(raw, "rate", where, default=50, minimum=1)
     fields["duration"] = _int_field(raw, "duration", where, default=5,
@@ -429,7 +421,7 @@ class RunResult:
             **m.trace_totals(),   # control_bytes, data_bytes, drops
             "attack_verdicts": dict(sorted(m.attack_verdicts.items())),
             "discovery_latency_ticks": m.discovery_latency_ticks,
-            "key_agreement": _key_agreement(m, self.registry),
+            "key_agreement": _key_agreement(m),
             "peak_half_open": m.peak_half_open,
             "routes_installed": len(m.of("route")),
             "signature_ops": {"signed": m.signed, "verified": m.verified},
@@ -437,15 +429,14 @@ class RunResult:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _key_agreement(metrics: sim.Metrics, registry: identity.Registry) -> bool:
+def _key_agreement(metrics: sim.Metrics) -> bool:
     """True iff every completed exchange derived the same key at both ends."""
     groups: Dict[tuple, set] = {}
     for _, node, _, rec in metrics.of("session_key"):
-        peer_ip = registry.get(bytes.fromhex(rec["peer"])).ip
         if rec["initiated"]:
-            key = (node, peer_ip, rec["bct"])
+            key = (node, rec["peer"], rec["bct"])
         else:
-            key = (peer_ip, node, rec["bct"])
+            key = (rec["peer"], node, rec["bct"])
         groups.setdefault(key, set()).add(rec["key"])
     return all(len(vals) == 1 for vals in groups.values())
 
@@ -520,6 +511,6 @@ def run_scenario(doc, *, mode: Optional[str] = None,
     net.run(until=sc.run_until)
 
     for spec in sc.attack_specs:
-        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics, reg)
+        metrics.attack_verdicts[spec.kind] = attacks.judge(spec, metrics)
     return RunResult(scenario=sc, net=net, metrics=metrics, registry=reg,
                      routers=routers, endpoints=endpoints)

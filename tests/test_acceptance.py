@@ -244,7 +244,7 @@ EXPECTED_SECURE = {
 
 
 def test_criterion_5_attack_matrix(tmp_path):
-    for kind in attacks.ATTACK_KINDS:
+    for kind in attacks.KINDS:
         doc = scenario.load_file(os.path.join(SCEN, "attack_%s.json" % kind))
         base = scenario.run_scenario(doc, mode="baseline")
         assert base.metrics.attack_verdicts == {kind: "succeeded"}, \

@@ -13,8 +13,9 @@ review, not to overwrite blindly):
     PYTHONPATH=src python tests/test_golden.py
 
 The same runs also check that the outputs explain themselves: the written
-trace accounts for metrics.json's byte totals and drops, and every event
-kind logged has the fields README's "Event log" table gives it.
+trace accounts for metrics.json's byte totals and drops, every event kind
+logged has the fields README's "Event log" table gives it, and every logged
+field that names a node holds a declared node name.
 """
 
 import functools
@@ -53,8 +54,8 @@ def _runs():
 
 @functools.lru_cache(maxsize=None)
 def _run(path, mode, level):
-    """(trace.tsv text, metrics.json text, frame digest, the set of
-    (event kind, field names) the run logged) of one run."""
+    """(trace.tsv text, metrics.json text, frame digest, event log) of one
+    run."""
     with capture_frames() as frames:
         result = scenario.run_scenario(scenario.load_file(path), mode=mode,
                                        sec_level=level)
@@ -62,9 +63,8 @@ def _run(path, mode, level):
     for src, dst, payload in frames:
         h.update(("%s\t%s\t%d\n" % (src, dst, len(payload))).encode())
         h.update(payload)
-    logged = {(ev.kind, frozenset(ev.fields)) for ev in result.metrics.events}
     return (result.trace_text(), result.metrics_json(), h.hexdigest(),
-            frozenset(logged))
+            tuple(result.metrics.events))
 
 
 def _digests(path, mode, level):
@@ -141,8 +141,33 @@ def _documented_events():
 def test_logged_events_match_the_readme_table(key, path, mode, level):
     documented = _documented_events()
     assert "deliver" in documented and documented["rerr_sent"] == set()
-    for kind, fields in _run(path, mode, level)[3]:
+    logged = {(ev.kind, frozenset(ev.fields))
+              for ev in _run(path, mode, level)[3]}
+    for kind, fields in logged:
         assert documented.get(kind) == fields, (kind, sorted(fields))
+
+
+# the logged fields that name a node, by event kind
+NODE_FIELDS = {
+    "route": ("dst", "next_hop"),
+    "session_key": ("peer",),
+    "rerr_accepted": ("reporter", "unreachable"),
+    "discovery": ("target",),
+    "discovered": ("target",),
+    "shortened": ("origin",),
+    **{kind: ("peer",) for kind in ("connect", "syn_sent", "established",
+                                    "alloc", "failed", "closed",
+                                    "resync_ack", "deliver")},
+}
+
+
+@pytest.mark.parametrize("key,path,mode,level",
+                         list(_runs()), ids=[r[0] for r in _runs()])
+def test_logged_node_fields_are_node_names(key, path, mode, level):
+    nodes = set(scenario.load_file(path)["nodes"])
+    for ev in _run(path, mode, level)[3]:
+        for name in NODE_FIELDS.get(ev.kind, ()):
+            assert ev.fields[name] in nodes, (ev.kind, name, ev.fields[name])
 
 
 if __name__ == "__main__":

@@ -162,6 +162,8 @@ def test_the_run_level_override_reaches_every_attack_spec():
     assert all(s.sec_level == 0 for s in result.scenario.attack_specs)
 
 
+NOT_ARRAYS = [5, None, 1.5, True]
+
 BAD_DOCS = [
     ({}, "missing required field 'seed'"),
     (doc_two_nodes(nodes=[]), "non-empty array"),
@@ -232,7 +234,10 @@ BAD_DOCS = [
     (flood_doc(rate=1000000000),
      "rate x duration must be <= 100000 forged SYNs, got 5000000000"),
     (flood_doc(rate=20001, duration=5), "rate x duration must be <= 100000"),
-] + TWICE_ADVERSARY_DOCS
+] + TWICE_ADVERSARY_DOCS + [
+    (doc_two_nodes(links=links), "scenario.links: expected an array")
+    for links in NOT_ARRAYS
+]
 
 
 def test_widest_allowed_widths_parse():
@@ -431,6 +436,18 @@ def test_cli_checks_a_seed_override_as_the_field(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "scenario.seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("links", NOT_ARRAYS)
+def test_cli_rejects_links_that_are_not_an_array(tmp_path, capsys, links):
+    doc = scenario.load_file(os.path.join(SCEN, "line5_discovery.json"))
+    doc["links"] = links
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "scenario.links: expected an array" in capsys.readouterr().err
 
 
 def test_attack_specs_are_bound_to_their_flow_at_parse():
