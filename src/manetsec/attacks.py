@@ -33,18 +33,22 @@ class Kind(NamedTuple):
     # defense works by denying it any effect rather than by flagging
     # packets, so a clean run is judged neutralized
     telltale: Tuple[str, ...]
+    params: Tuple[str, ...] = ()   # AttackSpec parameters this kind reads
 
 
 KINDS: Dict[str, Kind] = {
-    "seq_inflate": Kind(("src", "dst"), ("verify_failed",)),
-    "hop_shorten": Kind(("src", "dst"), ("verify_failed", "malformed")),
-    "redirect": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
+    "seq_inflate": Kind(("src", "dst"), ("verify_failed",), ("inflate_to",)),
+    "hop_shorten": Kind(("src", "dst"), ("verify_failed", "malformed"),
+                        ("max_distance",)),
+    # the forged reply claims seq inflate_to
+    "redirect": Kind(("src", "dst"), ("verify_failed", "id_mismatch"),
+                     ("inflate_to",)),
     "tunnel": Kind(("partner", "src", "dst"), ()),
     "impersonate": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
     "fake_rerr": Kind(("src", "dst", "through"),
                       ("verify_failed", "id_mismatch")),
-    "syn_flood": Kind(("dst",), ()),
-    "session_hijack": Kind(("src", "dst"), ("tag_mismatch",)),
+    "syn_flood": Kind(("dst",), (), ("rate", "duration")),
+    "session_hijack": Kind(("src", "dst"), ("tag_mismatch",), ("marker",)),
     "ack_inject": Kind(("src", "dst"), ("tag_mismatch",)),
 }
 
@@ -151,7 +155,7 @@ class AttackerNode:
                 hops = ()
                 if agg is not None:
                     agg = AggregateSignature(value=agg.value,
-                                             overflow_bits=(), signer_count=1)
+                                             overflow_bits=())
         elif core.kind != wire.KIND_RREP:
             return
         self._sign_and_send(core, hops, agg, msg.source_sig)
@@ -178,10 +182,9 @@ class AttackerNode:
         self._send(core, hops, agg, src_sig, to)
 
     def _send(self, core, hops, agg, src_sig, to) -> None:
-        level = self.spec.sec_level
         payload = wire.encode_message(wire.RouteMessage(
-            core=core, hops=hops, sig_mode=wire.sig_mode_for(level),
-            sec_level=level, aggregate=agg, source_sig=src_sig))
+            core=core, hops=hops, sec_level=self.spec.sec_level,
+            aggregate=agg, source_sig=src_sig))
         if to is None:
             self.net.broadcast(self.ip, payload)
         else:

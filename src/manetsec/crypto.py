@@ -84,12 +84,11 @@ class RsaKeyPair:
     d: int
     # CRT form of d (RFC 8017 section 3.2): the primes N = p * q,
     # dp = d mod (p - 1), dq = d mod (q - 1) and qinv = q^-1 mod p.
-    # Hand-built keys leave them 0 and take the plain pow path.
-    p: int = 0
-    q: int = 0
-    dp: int = 0
-    dq: int = 0
-    qinv: int = 0
+    p: int
+    q: int
+    dp: int
+    dq: int
+    qinv: int
 
     @property
     def public(self) -> Tuple[int, int]:
@@ -102,12 +101,15 @@ class AggregateSignature:
 
     overflow_bits[i] records whether signer i+1 had to subtract its modulus
     from the incoming value before signing; verification cannot re-add the
-    modulus without it. len(overflow_bits) == signer_count - 1 always.
+    modulus without it. Each signer after the first adds one bit.
     """
 
     value: int
     overflow_bits: Tuple[int, ...]
-    signer_count: int
+
+    @property
+    def signer_count(self) -> int:
+        return len(self.overflow_bits) + 1
 
 
 @dataclass(frozen=True)
@@ -242,12 +244,9 @@ def _node_keys(seed: int, key_bits: int) -> NodeKeys:
 def _private_pow(x: int, key: RsaKeyPair) -> int:
     """x^d mod N for 0 <= x < N.
 
-    With the factors on the key this is two half-width exponentiations
-    recombined by Garner's formula (RFC 8017 section 5.1.2); the result is
-    exactly the integer the plain pow() gives.
+    Two half-width exponentiations recombined by Garner's formula (RFC 8017
+    section 5.1.2); the result is exactly the integer the plain pow() gives.
     """
-    if not key.p:
-        return pow(x, key.d, key.n)
     m1 = pow(x, key.dp, key.p)
     m2 = pow(x, key.dq, key.q)
     return m2 + key.q * ((m1 - m2) * key.qinv % key.p)
@@ -256,7 +255,7 @@ def _private_pow(x: int, key: RsaKeyPair) -> int:
 def rsa_sign_first(h: int, key: RsaKeyPair) -> AggregateSignature:
     """Originator signature: sigma = (h mod N)^d mod N."""
     value = _private_pow(h % key.n, key)
-    return AggregateSignature(value=value, overflow_bits=(), signer_count=1)
+    return AggregateSignature(value=value, overflow_bits=())
 
 
 def sas_aggregate_step(prev: AggregateSignature, h: int,
@@ -274,8 +273,7 @@ def sas_aggregate_step(prev: AggregateSignature, h: int,
         bit = 1
     value = _private_pow((carried + h % key.n) % key.n, key)
     return AggregateSignature(value=value,
-                              overflow_bits=prev.overflow_bits + (bit,),
-                              signer_count=prev.signer_count + 1)
+                              overflow_bits=prev.overflow_bits + (bit,))
 
 
 def sas_unwind_step(sigma: int, h: int, public: Tuple[int, int],
@@ -291,17 +289,14 @@ def sas_unwind_verify(agg: AggregateSignature,
     """Unwind last-to-first and check the originator relation.
 
     per_signer lists (hash, public key) in signing order, originator first.
-    A count/shape mismatch is malformed input and raises; a failed relation
-    returns False.
+    A list of the wrong length is malformed input and raises; a failed
+    relation returns False.
     """
     if len(per_signer) != agg.signer_count:
         raise ValueError("signer list length %d != signer_count %d"
                          % (len(per_signer), agg.signer_count))
-    if len(agg.overflow_bits) != agg.signer_count - 1:
-        raise ValueError("overflow bit count %d != signer_count-1 %d"
-                         % (len(agg.overflow_bits), agg.signer_count - 1))
     sigma = agg.value
-    for i in range(agg.signer_count - 1, 0, -1):
+    for i in range(len(agg.overflow_bits), 0, -1):
         h, public = per_signer[i]
         n = public[0]
         if not 0 <= sigma < n:

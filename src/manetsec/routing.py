@@ -182,10 +182,8 @@ class RouterNode:
             if level == 0:
                 src_sig = agg.value
         self.seen.add(self._seen_key(core))
-        return wire.RouteMessage(core=core, hops=(),
-                                 sig_mode=wire.sig_mode_for(level),
-                                 sec_level=level, aggregate=agg,
-                                 source_sig=src_sig)
+        return wire.RouteMessage(core=core, hops=(), sec_level=level,
+                                 aggregate=agg, source_sig=src_sig)
 
     def _forward(self, msg: wire.RouteMessage) -> wire.RouteMessage:
         """`msg` with this node appended as the newest hop and signer."""
@@ -196,8 +194,7 @@ class RouterNode:
             # strip the predecessor, rebind over the origin signature
             src_sig = msg.source_sig
             hops = ()
-            agg = AggregateSignature(value=src_sig, overflow_bits=(),
-                                     signer_count=1)
+            agg = AggregateSignature(value=src_sig, overflow_bits=())
         hops, agg = append_signer(msg.core, hops, agg,
                                   self.config.keys.signing, self.node_id)
         if agg is not None:
@@ -224,8 +221,7 @@ class RouterNode:
             return "unknown_identity"
         if not self.config.secure:
             return None
-        if (msg.sig_mode != wire.sig_mode_for(self.config.sec_level)
-                or msg.sec_level != self.config.sec_level):
+        if msg.sec_level != self.config.sec_level:
             return "malformed"
         try:
             sender_id = self.registry.by_ip(sender).node_id
@@ -244,10 +240,7 @@ class RouterNode:
             publics += [ident.signing_public for ident in hop_ids]
             per_signer = list(zip(wire.signer_hashes(core, msg.hops, publics),
                                   publics))
-            try:
-                ok = sas_unwind_verify(agg, per_signer)
-            except ValueError:
-                return "malformed"
+            ok = sas_unwind_verify(agg, per_signer)
             self.metrics.verified += agg.signer_count
             return None if ok else "verify_failed"
         # level 0

@@ -45,9 +45,6 @@ _EVENT_FIELDS = {
     "attach_attack": {"attack"},
 }
 
-_ATTACK_FIELDS = {"kind", "attacker", "partner", "src", "dst", "through",
-                  "rate", "duration", "inflate_to", "max_distance", "marker"}
-
 
 class ScenarioError(ValueError):
     """A scenario document problem; the message names the offending field."""
@@ -315,31 +312,35 @@ def parse(doc, **overrides) -> Scenario:
 
 def _parse_attack(raw: dict, tick: int, where: str,
                   nodes) -> attacks.AttackSpec:
+    """An AttackSpec from the fields its kind reads; a parameter left out
+    keeps the AttackSpec default."""
     where = where + ".attack"
-    _known_fields(raw, _ATTACK_FIELDS, where)
     kind = _str_field(raw, "kind", where)
     if kind not in attacks.KINDS:
         raise ScenarioError("%s.kind: unknown attack kind %r" % (where, kind))
+    reads = attacks.KINDS[kind]
+    _known_fields(raw, {"kind", "attacker", *reads.nodes, *reads.params},
+                  where, "%s attack: unexpected field" % kind)
     attacker = _node_field(raw, "attacker", where, nodes)
     fields = dict(kind=kind, attacker=attacker, start=max(tick, 1))
-    for name in attacks.KINDS[kind].nodes:
+    for name in reads.nodes:
         fields[name] = _node_field(raw, name, where, nodes)
-    fields["rate"] = _int_field(raw, "rate", where, default=50, minimum=1)
-    fields["duration"] = _int_field(raw, "duration", where, default=5,
-                                    minimum=1)
-    syns = fields["rate"] * fields["duration"]
+    for name in reads.params:
+        if name not in raw:
+            continue
+        if name == "marker":
+            fields[name] = _str_field(raw, name, where).encode("utf-8")
+        else:
+            # the forged inflate_to travels as an 8-byte src_seq
+            fields[name] = _int_field(
+                raw, name, where, minimum=1,
+                maximum=(1 << 64) - 1 if name == "inflate_to" else None)
+    spec = attacks.AttackSpec(**fields)
+    syns = spec.rate * spec.duration
     if kind == "syn_flood" and syns > MAX_FLOOD_SYNS:
         raise ScenarioError("%s: rate x duration must be <= %d forged SYNs, "
                             "got %d" % (where, MAX_FLOOD_SYNS, syns))
-    # the forged value travels as an 8-byte src_seq
-    fields["inflate_to"] = _int_field(raw, "inflate_to", where,
-                                      default=900000, minimum=1,
-                                      maximum=(1 << 64) - 1)
-    fields["max_distance"] = _int_field(raw, "max_distance", where, default=2,
-                                        minimum=1)
-    fields["marker"] = _str_field(raw, "marker", where,
-                                  default="HIJACKED").encode("utf-8")
-    return attacks.AttackSpec(**fields)
+    return spec
 
 
 def _cross_validate(sc: Scenario) -> None:

@@ -29,9 +29,6 @@ ROLE_DATA = 4
 ROLE_FIN = 5
 ROLE_FIN_ACK = 6
 
-MODE_AGGREGATE_FULL = 0
-MODE_SOURCE_PLUS_LAST = 1
-
 ROUTE_KIND_NAMES = {KIND_RREQ: "RREQ", KIND_RREP: "RREP", KIND_RERR: "RERR"}
 ROLE_NAMES = {ROLE_SYN: "SYN", ROLE_SYN_ACK: "SYN_ACK", ROLE_ACK: "ACK",
               ROLE_DATA: "DATA", ROLE_FIN: "FIN", ROLE_FIN_ACK: "FIN_ACK"}
@@ -131,18 +128,15 @@ class RouteCore(NamedTuple):
 
 
 class RouteMessage(NamedTuple):
+    """A routing message. Its level fixes the signature-mode byte the codec
+    writes before it: 0, the full chain, at level 1; 1, the origin signature
+    plus the last hop's binding, at level 0."""
+
     core: RouteCore
     hops: Tuple[bytes, ...]
-    sig_mode: int
     sec_level: int
     aggregate: Optional[AggregateSignature]
     source_sig: Optional[int]
-
-
-def sig_mode_for(sec_level: int) -> int:
-    """Signature mode of a security level: the full chain at level 1, the
-    origin signature plus the last hop's binding at level 0."""
-    return MODE_AGGREGATE_FULL if sec_level == 1 else MODE_SOURCE_PLUS_LAST
 
 
 class Segment(NamedTuple):
@@ -241,19 +235,13 @@ def _encode_route_message(msg: RouteMessage) -> bytes:
         if len(hop) != DIGEST_BYTES:
             raise ValueError("hop records are 32-byte ids")
         out += hop
-    if msg.sig_mode not in (MODE_AGGREGATE_FULL, MODE_SOURCE_PLUS_LAST):
-        raise ValueError("bad signature mode %r" % msg.sig_mode)
     if msg.sec_level not in (0, 1):
         raise ValueError("bad security level %r" % msg.sec_level)
-    out += bytes([msg.sig_mode, msg.sec_level])
+    out += bytes([1 - msg.sec_level, msg.sec_level])
     agg = msg.aggregate
     if agg is None:
         out += _encode_uint(0, 4)
     else:
-        if agg.signer_count < 1:
-            raise ValueError("aggregate with no signers")
-        if len(agg.overflow_bits) != agg.signer_count - 1:
-            raise ValueError("overflow bits misaligned with signer count")
         out += _encode_uint(agg.signer_count, 4)
         out += encode_bigint(agg.value)
         out += _encode_uint(len(agg.overflow_bits), 4)
@@ -284,11 +272,12 @@ def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
                  for i in range(count))
     pos += count * DIGEST_BYTES
     sig_mode, pos = _read_uint(data, pos, 1)
-    if sig_mode not in (MODE_AGGREGATE_FULL, MODE_SOURCE_PLUS_LAST):
-        raise ParseError(pos - 1, "bad signature mode %d" % sig_mode)
     sec_level, pos = _read_uint(data, pos, 1)
     if sec_level not in (0, 1):
         raise ParseError(pos - 1, "bad security level %d" % sec_level)
+    if sig_mode != 1 - sec_level:
+        raise ParseError(pos - 2, "signature mode %d at security level %d"
+                         % (sig_mode, sec_level))
     signer_count, pos = _read_uint(data, pos, 4)
     aggregate = None
     if signer_count:
@@ -306,17 +295,15 @@ def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
             if (packed[i // 8] >> (7 - i % 8)) & 1:
                 raise ParseError(pos, "nonzero padding bit")
         pos += nbytes
-        aggregate = AggregateSignature(value=value, overflow_bits=bits,
-                                       signer_count=signer_count)
+        aggregate = AggregateSignature(value=value, overflow_bits=bits)
     flag, pos = _read_uint(data, pos, 1)
     if flag not in (0, 1):
         raise ParseError(pos - 1, "bad standalone-signature flag")
     source_sig = None
     if flag:
         source_sig, pos = read_bigint(data, pos)
-    return RouteMessage(core=core, hops=hops, sig_mode=sig_mode,
-                        sec_level=sec_level, aggregate=aggregate,
-                        source_sig=source_sig), pos
+    return RouteMessage(core=core, hops=hops, sec_level=sec_level,
+                        aggregate=aggregate, source_sig=source_sig), pos
 
 
 # --- transport segments -----------------------------------------------------

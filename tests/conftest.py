@@ -1,11 +1,37 @@
 """Shared test helpers that stand in for library hooks: a frame recorder,
-a pinned rng, a pinned exchange group and a count of group searches."""
+a pinned rng, a pinned exchange group and a count of group searches; and
+shared test data: hand-checkable toy keys and the secure-mode verdicts."""
 
 import contextlib
 
 import pytest
 
 from manetsec import crypto, routing, sim
+
+
+def _toy_key(p, q, e, d):
+    """A hand-built key over the primes p and q, with its CRT fields."""
+    return crypto.RsaKeyPair(n=p * q, e=e, d=d, p=p, q=q, dp=d % (p - 1),
+                             dq=d % (q - 1), qinv=pow(q, -1, p))
+
+
+# Toy keypairs small enough to check against hand arithmetic.
+TOY1 = _toy_key(11, 17, e=7, d=23)    # 187 = 11 * 17
+TOY2 = _toy_key(11, 13, e=7, d=103)   # 143 = 11 * 13
+
+# The verdict each attack kind gets against secure nodes; against baseline
+# nodes every kind succeeds.
+EXPECTED_SECURE = {
+    "seq_inflate": "detected",
+    "hop_shorten": "detected",
+    "redirect": "detected",
+    "tunnel": "neutralized",
+    "impersonate": "detected",
+    "fake_rerr": "detected",
+    "syn_flood": "neutralized",
+    "session_hijack": "detected",
+    "ack_inject": "detected",
+}
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FixedRng, pinned_group
+from conftest import EXPECTED_SECURE, TOY1, TOY2, FixedRng, pinned_group
 from manetsec import attacks, cli, identity, routing, scenario, sim, transport, wire
 from manetsec.crypto import (
     AggregateSignature,
@@ -26,14 +26,10 @@ from manetsec.crypto import (
     rsa_sign_first,
     sas_aggregate_step,
     sas_unwind_verify,
-    RsaKeyPair,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
-
-TOY1 = RsaKeyPair(n=187, e=7, d=23)    # 187 = 11 * 17
-TOY2 = RsaKeyPair(n=143, e=7, d=103)   # 143 = 11 * 13
 
 
 def _report(criterion: int, text: str) -> None:
@@ -228,19 +224,6 @@ def test_criterion_4_overflow_bit_is_load_bearing(keypool):
     assert sas_unwind_verify(replace(agg, overflow_bits=(0,)), chain) is False
     _report(4, "stripping a recorded overflow bit breaks verification at toy "
                "and full width")
-
-
-EXPECTED_SECURE = {
-    "seq_inflate": "detected",
-    "hop_shorten": "detected",
-    "redirect": "detected",
-    "tunnel": "neutralized",
-    "impersonate": "detected",
-    "fake_rerr": "detected",
-    "syn_flood": "neutralized",
-    "session_hijack": "detected",
-    "ack_inject": "detected",
-}
 
 
 def test_criterion_5_attack_matrix(tmp_path):

@@ -10,20 +10,9 @@ import os
 
 import pytest
 
+from conftest import EXPECTED_SECURE
 from manetsec import attacks, identity, routing, scenario, sim, transport
 from manetsec.crypto import derive_seed, generate_node_keys
-
-EXPECTED_SECURE = {
-    "seq_inflate": "detected",
-    "hop_shorten": "detected",
-    "redirect": "detected",
-    "tunnel": "neutralized",
-    "impersonate": "detected",
-    "fake_rerr": "detected",
-    "syn_flood": "neutralized",
-    "session_hijack": "detected",
-    "ack_inject": "detected",
-}
 
 PAYLOAD = b"the real payload"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -9,17 +9,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TOY1, TOY2
 from manetsec import crypto
 from manetsec.crypto import (
     AggregateSignature,
     DhParams,
-    RsaKeyPair,
     SessionKey,
 )
-
-# Toy keypairs small enough to check against hand arithmetic.
-TOY1 = RsaKeyPair(n=187, e=7, d=23)    # 187 = 11 * 17
-TOY2 = RsaKeyPair(n=143, e=7, d=103)   # 143 = 11 * 13
 
 
 def _egcd(a, b):
@@ -58,7 +54,7 @@ def test_aggregate_step_golden():
 
 
 def test_aggregate_step_reduces_oversized_predecessor():
-    prev = AggregateSignature(value=150, overflow_bits=(), signer_count=1)
+    prev = AggregateSignature(value=150, overflow_bits=())
     agg = crypto.sas_aggregate_step(prev, 100, TOY2)
     # oracle: 150 >= 143 so the step works on 150 - 143 = 7 and records the bit
     assert agg.overflow_bits == (1,)
@@ -83,8 +79,7 @@ def test_unwind_rejects_mutated_signature_fields(mutate):
     first = crypto.rsa_sign_first(88, TOY1)
     agg = crypto.sas_aggregate_step(first, 100, TOY2)
     value, bits = mutate(agg.value, agg.overflow_bits)
-    forged = AggregateSignature(value=value % TOY2.n, overflow_bits=bits,
-                                signer_count=agg.signer_count)
+    forged = AggregateSignature(value=value % TOY2.n, overflow_bits=bits)
     chain = [(88, TOY1.public), (100, TOY2.public)]
     assert not crypto.sas_unwind_verify(forged, chain)
 
@@ -102,8 +97,7 @@ def test_unwind_length_mismatch_is_malformed_not_false():
     agg = crypto.sas_aggregate_step(first, 100, TOY2)
     with pytest.raises(ValueError):
         crypto.sas_unwind_verify(agg, [(88, TOY1.public)])
-    bad_bits = AggregateSignature(value=agg.value, overflow_bits=(0, 0),
-                                  signer_count=2)
+    bad_bits = AggregateSignature(value=agg.value, overflow_bits=(0, 0))
     with pytest.raises(ValueError):
         crypto.sas_unwind_verify(bad_bits, [(88, TOY1.public), (100, TOY2.public)])
 
@@ -118,8 +112,7 @@ def test_overflow_bit_is_load_bearing():
     assert agg.overflow_bits == (1,)
     chain = [(2, TOY1.public), (100, TOY2.public)]
     assert crypto.sas_unwind_verify(agg, chain)
-    stripped = AggregateSignature(value=agg.value, overflow_bits=(0,),
-                                  signer_count=2)
+    stripped = AggregateSignature(value=agg.value, overflow_bits=(0,))
     assert not crypto.sas_unwind_verify(stripped, chain)
 
 
@@ -165,8 +158,7 @@ def test_crt_private_operations_equal_plain_pow(bits):
             want = pow(x, key.d, key.n)
             assert crypto.rsa_sign_first(x, key).value == want
             assert crypto.rsa_decrypt(x, key) == want
-            prev = AggregateSignature(value=0, overflow_bits=(),
-                                      signer_count=1)
+            prev = AggregateSignature(value=0, overflow_bits=())
             assert crypto.sas_aggregate_step(prev, x, key).value == want
 
 
@@ -591,7 +583,6 @@ def test_single_mutation_breaks_chain_property(data):
         forged = AggregateSignature(
             value=(agg.value + 1) % keys[-1].n,
             overflow_bits=agg.overflow_bits,
-            signer_count=agg.signer_count,
         )
         assert not crypto.sas_unwind_verify(forged, chain)
     elif length > 1:
@@ -599,8 +590,7 @@ def test_single_mutation_breaks_chain_property(data):
         bidx = data.draw(st.integers(0, len(bits) - 1))
         bits[bidx] = 1 - bits[bidx]
         forged = AggregateSignature(value=agg.value,
-                                    overflow_bits=tuple(bits),
-                                    signer_count=agg.signer_count)
+                                    overflow_bits=tuple(bits))
         assert not crypto.sas_unwind_verify(forged, chain)
 
 

@@ -191,8 +191,7 @@ def test_impersonated_origin_fails_final_check():
     agg = sas_aggregate_step(fake_origin,
                              wire.signer_hash(core, hops, 1, m_sig.public),
                              m_sig)
-    msg = wire.RouteMessage(core=core, hops=hops,
-                            sig_mode=wire.MODE_AGGREGATE_FULL, sec_level=1,
+    msg = wire.RouteMessage(core=core, hops=hops, sec_level=1,
                             aggregate=agg, source_sig=None)
     net.broadcast("m", wire.encode_message(msg))
     net.run(until=5)
@@ -210,7 +209,7 @@ def test_claimed_last_hop_must_match_physical_sender():
                           dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
     sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["a"].signing.public),
                          keys["m"].signing)
-    msg = wire.RouteMessage(core=core, hops=(), sig_mode=0, sec_level=1,
+    msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)
     net.broadcast("m", wire.encode_message(msg))
     net.run(until=5)
@@ -225,7 +224,7 @@ def test_unknown_origin_identity_is_rejected():
                           dst_ip="b", dh_p=23, dh_g=5, dh_payload=9)
     sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["m"].signing.public),
                          keys["m"].signing)
-    msg = wire.RouteMessage(core=core, hops=(), sig_mode=0, sec_level=1,
+    msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)
     net.broadcast("m", wire.encode_message(msg))
     net.run(until=5)
@@ -248,11 +247,31 @@ def test_unsolicited_reply_needs_a_pending_discovery():
     core = wire.RouteCore(kind=wire.KIND_RREP, src_ip="b",
                           src_id=identity.derive_id(b_sig.public), src_seq=3,
                           bct_id=999, dst_ip="a", dst_seq=1, dh_payload=0)
-    msg = wire.RouteMessage(core=core, hops=(), sig_mode=0, sec_level=0,
+    msg = wire.RouteMessage(core=core, hops=(), sec_level=0,
                             aggregate=None, source_sig=None)
     net.unicast("b", "a", wire.encode_message(msg))
     net.run(until=5)
     assert m.drops == {"no_pending": 1}
+    assert r["a"].routes == {}
+
+
+def test_baseline_node_drops_a_mode_byte_its_level_does_not_fix():
+    names = ["a", "b"]
+    net, r, reg, m, keys = build(names, [("a", "b")], secure=False,
+                                 stubs=("b",))
+    b_sig = keys["b"].signing
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="b",
+                          src_id=identity.derive_id(b_sig.public), src_seq=3,
+                          bct_id=5, dst_ip="a")
+    good = wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=1, aggregate=None, source_sig=None))
+    # the mode byte follows the core and the empty hop list; 1 is level 0's
+    at = len(wire.encode_core(core)) + 4
+    assert good[at:at + 2] == b"\x00\x01"
+    net.unicast("b", "a", good[:at] + b"\x01" + good[at + 1:])
+    net.run(until=5)
+    assert m.drops == {"malformed": 1}
+    assert [rec.kind for rec in net.trace] == ["RAW"]
     assert r["a"].routes == {}
 
 
@@ -297,8 +316,7 @@ def test_break_report_from_off_path_node_is_rejected():
                           src_seq=x.seq, bct_id=1, dst_ip="a",
                           originator_id=c_id)
     agg = routing.sign_origin(core, keys["x"].signing)
-    msg = wire.RouteMessage(core=core, hops=(),
-                            sig_mode=wire.sig_mode_for(1), sec_level=1,
+    msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=agg, source_sig=None)
     net.unicast("x", "b", wire.encode_message(msg))
     net.run(until=20)

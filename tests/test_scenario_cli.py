@@ -237,6 +237,26 @@ BAD_DOCS = [
 ] + TWICE_ADVERSARY_DOCS + [
     (doc_two_nodes(links=links), "scenario.links: expected an array")
     for links in NOT_ARRAYS
+] + [
+    # a parameter or node field the attack's kind never reads
+    (attacks_doc({"kind": "impersonate", "attacker": "m", "src": "a",
+                  "dst": "b", "rate": 7}),
+     "events[0].attack: impersonate attack: unexpected field 'rate'"),
+    (attacks_doc({"kind": "seq_inflate", "attacker": "m", "src": "a",
+                  "dst": "b", "max_distance": 3}),
+     "seq_inflate attack: unexpected field 'max_distance'"),
+    (attacks_doc({"kind": "hop_shorten", "attacker": "m", "src": "a",
+                  "dst": "b", "inflate_to": 5}),
+     "hop_shorten attack: unexpected field 'inflate_to'"),
+    (flood_doc(marker="zz"), "syn_flood attack: unexpected field 'marker'"),
+    (doc_with_attack(duration=9),
+     "session_hijack attack: unexpected field 'duration'"),
+    (attacks_doc({"kind": "redirect", "attacker": "m", "src": "a",
+                  "dst": "b", "partner": "m2"}),
+     "redirect attack: unexpected field 'partner'"),
+    (attacks_doc({"kind": "tunnel", "attacker": "m", "partner": "m2",
+                  "src": "a", "dst": "b", "through": "a"}),
+     "tunnel attack: unexpected field 'through'"),
 ]
 
 
@@ -427,6 +447,22 @@ def test_cli_rejects_a_node_named_as_an_adversary_twice(tmp_path, capsys, doc,
     assert rc == 2
     assert not out.exists()
     assert fragment in capsys.readouterr().err
+
+
+def test_cli_rejects_a_parameter_the_attack_kind_does_not_read(tmp_path,
+                                                              capsys):
+    doc = scenario.load_file(os.path.join(SCEN, "attack_impersonate.json"))
+    attack, = [ev["attack"] for ev in doc["events"]
+               if ev["kind"] == "attach_attack"]
+    attack.update(rate=7, duration=9, max_distance=3, marker="zz",
+                  inflate_to=5)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "impersonate attack: unexpected field 'rate'" in \
+        capsys.readouterr().err
 
 
 def test_cli_checks_a_seed_override_as_the_field(tmp_path, capsys):

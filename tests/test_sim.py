@@ -231,8 +231,7 @@ def test_metrics_byte_counters_follow_kind():
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a", src_id=bytes(32),
                           src_seq=1, bct_id=1, dst_ip="b")
     rreq = wire.encode_message(wire.RouteMessage(
-        core=core, hops=(), sig_mode=0, sec_level=0, aggregate=None,
-        source_sig=None))
+        core=core, hops=(), sec_level=0, aggregate=None, source_sig=None))
     data = wire.encode_message(wire.DataPacket(
         src_ip="a", dst_ip="b", segment=wire.Segment(
             role=wire.ROLE_DATA, src_port=1, dst_port=2, seq=0, ack=0,

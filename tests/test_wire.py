@@ -29,9 +29,8 @@ def _rreq(**over):
 
 
 def _msg(core, **over):
-    base = dict(core=core, hops=(ID_B,), sig_mode=wire.MODE_AGGREGATE_FULL,
-                sec_level=1,
-                aggregate=AggregateSignature(45, (0,), 2), source_sig=None)
+    base = dict(core=core, hops=(ID_B,), sec_level=1,
+                aggregate=AggregateSignature(45, (0,)), source_sig=None)
     base.update(over)
     return RouteMessage(**base)
 
@@ -80,7 +79,7 @@ def test_rreq_round_trip():
 def test_rrep_round_trip():
     core = RouteCore(kind=wire.KIND_RREP, src_ip="n0", src_id=ID_A, src_seq=3,
                      bct_id=7, dst_ip="n4", dst_seq=9, dh_payload=77)
-    msg = _msg(core, hops=(), aggregate=AggregateSignature(11, (), 1))
+    msg = _msg(core, hops=(), aggregate=AggregateSignature(11, ()))
     assert wire.decode_message(wire.encode_message(msg)) == msg
 
 
@@ -88,9 +87,8 @@ def test_rerr_round_trip():
     core = RouteCore(kind=wire.KIND_RERR, src_ip="n0", src_id=ID_A, src_seq=0,
                      bct_id=7, dst_ip="n4", originator_id=ID_C)
     msg = _msg(core, hops=(ID_B, ID_A),
-               sig_mode=wire.MODE_SOURCE_PLUS_LAST,
                sec_level=0,
-               aggregate=AggregateSignature(5, (1,), 2), source_sig=162)
+               aggregate=AggregateSignature(5, (1,)), source_sig=162)
     assert wire.decode_message(wire.encode_message(msg)) == msg
 
 
@@ -106,8 +104,8 @@ def test_rreq_golden_layout():
     # Independently assembled expected bytes for a minimal request.
     core = RouteCore(kind=wire.KIND_RREQ, src_ip="a", src_id=ID_A, src_seq=1,
                      bct_id=2, dst_ip="b", dh_p=23, dh_g=5, dh_payload=8)
-    msg = RouteMessage(core=core, hops=(), sig_mode=0, sec_level=1,
-                       aggregate=AggregateSignature(11, (), 1),
+    msg = RouteMessage(core=core, hops=(), sec_level=1,
+                       aggregate=AggregateSignature(11, ()),
                        source_sig=None)
     expect = bytearray()
     expect += b"\x01"                              # kind
@@ -144,7 +142,7 @@ def test_decode_rejects_unknown_kind():
 
 def test_decode_rejects_nonzero_padding_bits():
     msg = _msg(_rreq(), hops=(ID_B,),
-               aggregate=AggregateSignature(45, (1,), 2))
+               aggregate=AggregateSignature(45, (1,)))
     data = bytearray(wire.encode_message(msg))
     # single overflow bit packs msb-first: 0x80; force a padding bit on
     idx = data.rindex(b"\x80")
@@ -155,12 +153,25 @@ def test_decode_rejects_nonzero_padding_bits():
 
 def test_decode_rejects_bit_count_mismatch():
     msg = _msg(_rreq(), hops=(ID_B,),
-               aggregate=AggregateSignature(45, (0,), 2))
+               aggregate=AggregateSignature(45, (0,)))
     good = wire.encode_message(msg)
     # the zero-bit vector for two signers encodes as count=1 + one byte
     bad = good.replace(b"\x00\x00\x00\x01\x00\x00", b"\x00\x00\x00\x02\x00\x00", 1)
     with pytest.raises(ParseError):
         wire.decode_message(bad)
+
+
+@pytest.mark.parametrize("sec_level", [1, 0])
+def test_decode_rejects_a_mode_byte_the_level_does_not_fix(sec_level):
+    msg = _msg(_rreq(), sec_level=sec_level)
+    data = bytearray(wire.encode_message(msg))
+    # oracle: the mode byte follows the core and the one hop record
+    at = len(wire.encode_core(msg.core)) + 4 + 32
+    assert data[at:at + 2] == bytes([1 - sec_level, sec_level])
+    data[at] = sec_level
+    with pytest.raises(ParseError) as err:
+        wire.decode_message(bytes(data))
+    assert err.value.position == at
 
 
 def _cache_samples():
@@ -327,10 +338,8 @@ def route_messages(draw):
             value=draw(bigints),
             overflow_bits=tuple(draw(st.lists(st.integers(0, 1),
                                               min_size=signers - 1,
-                                              max_size=signers - 1))),
-            signer_count=signers)
+                                              max_size=signers - 1))))
     return RouteMessage(core=core, hops=hops,
-                        sig_mode=draw(st.sampled_from([0, 1])),
                         sec_level=draw(st.sampled_from([0, 1])),
                         aggregate=agg,
                         source_sig=draw(st.one_of(st.none(), bigints)))
