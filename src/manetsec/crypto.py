@@ -47,11 +47,14 @@ _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
 # today, and so move the stream's draws and the groups it gives.
 _DH_SCREEN_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if p <= 251)
 
-# Deterministic Miller-Rabin bases. Together they are proven to decide
-# primality only below 3.18 * 10^23 (Sorenson and Webster, 2015), so above
-# 78 bits 8 rng-drawn bases join them. The 20 rounds are fixed on purpose:
-# fewer would buy speed with soundness, and the same test judges the DH
-# groups a requester picks.
+# Deterministic Miller-Rabin bases. Together they decide primality only
+# below 3.18 * 10^23, about 2^78 (Sorenson and Webster, 2015). Above 78 bits
+# they bound nothing against a crafted composite, which can be a strong
+# pseudoprime to every base up to a chosen limit (Arnault, 1995): there
+# base 2 is a cheap screen, and the 4^-8 bound comes from 8 bases drawn from
+# the caller's stream, as before. Since a prime passes every fixed base, the
+# draws differ from those of the full 12-base test only on a composite that
+# is a strong pseudoprime to base 2, where this test now draws.
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -152,13 +155,16 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
         return n in _SIEVE_PRIMES
     if math.gcd(n, _SIEVE_PRODUCT) != 1:
         return False
-    for base in _MR_BASES:
-        if not _miller_rabin(n, base):
-            return False
-    if n.bit_length() > 78:
-        for _ in range(8):
-            if not _miller_rabin(n, rng.randrange(2, n - 1)):
+    if n.bit_length() <= 78:
+        for base in _MR_BASES:
+            if not _miller_rabin(n, base):
                 return False
+        return True
+    if not _miller_rabin(n, 2):
+        return False
+    for _ in range(8):
+        if not _miller_rabin(n, rng.randrange(2, n - 1)):
+            return False
     return True
 
 

@@ -4,6 +4,7 @@ The oracle recomputations here use raw pow()/extended Euclid inline so they
 do not share code with the library under test.
 """
 
+import math
 import random
 
 import pytest
@@ -225,6 +226,19 @@ def test_lazy_encryption_pair_equals_eager_generation(bits, monkeypatch):
             assert len(made) == first_read   # made once, then kept
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_1024_bit_keys_equal_reference_generation(seed, monkeypatch):
+    # the widest key the workloads plan for, checked byte for byte against
+    # the primality test as it was before the gcd sieve
+    seed = crypto.derive_seed("lazy", 1024, seed)
+    with monkeypatch.context() as m:
+        m.setattr(crypto, "is_probable_prime", reference_is_probable_prime)
+        want = _eager_node_keys(seed, 1024)
+    keys = crypto.NodeKeys(seed, 1024)
+    assert (keys.signing, keys.encryption) == want
+    assert keys.signing.n.bit_length() == 1024
+
+
 # --- primality --------------------------------------------------------------
 
 # A copy of is_probable_prime, generate_prime and generate_dh_group as they
@@ -356,7 +370,8 @@ def test_primality_draws_eight_bases_only_for_accepted_wide_primes():
     for _ in range(8):
         expected.randrange(2, wide - 1)
     assert rng.getstate() == expected.getstate()
-    # rejected candidates, and accepted ones of 78 bits or fewer, draw none
+    # candidates rejected by base 2, and accepted ones of 78 bits or fewer,
+    # draw none
     rejected = [wide + 1, wide * 2039, wide * narrow, narrow * narrow,
                 3215031751 * wide]
     for n in rejected + [narrow]:
@@ -365,6 +380,55 @@ def test_primality_draws_eight_bases_only_for_accepted_wide_primes():
         assert rng.getstate() == random.Random(9).getstate(), n
     assert not any(crypto.is_probable_prime(n, random.Random(9))
                    for n in rejected)
+
+
+def test_base_2_strong_pseudoprime_above_78_bits_is_rejected_by_draws():
+    # 2^101 - 1 = 7432339208719 * 341117531003194129 has no factor up to
+    # the sieve bound, and 2 has order 101 modulo it, so it is a strong
+    # pseudoprime to base 2 but not to base 3
+    n = (1 << 101) - 1
+    assert n == 7432339208719 * 341117531003194129
+    assert math.gcd(n, crypto._SIEVE_PRODUCT) == 1
+    assert _reference_miller_rabin(n, 2)
+    assert not _reference_miller_rabin(n, 3)
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert crypto.is_probable_prime(n, ours) is False
+        assert reference_is_probable_prime(n, theirs) is False
+        # the one place the stream moves: base 3 stopped the reference
+        # before any draw, while here only a drawn base can reject n
+        assert theirs.getstate() == random.Random(seed).getstate()
+        assert ours.getstate() != theirs.getstate()
+
+
+def test_primality_round_counts(monkeypatch):
+    rounds = []
+    miller_rabin = crypto._miller_rabin
+
+    def counted(n, base):
+        rounds.append(base)
+        return miller_rabin(n, base)
+
+    monkeypatch.setattr(crypto, "_miller_rabin", counted)
+
+    def cost(n):
+        rounds.clear()
+        verdict = crypto.is_probable_prime(n, random.Random(9))
+        return verdict, len(rounds)
+
+    rng = random.Random(4)
+    p78, p79, p128 = (reference_generate_prime(bits, rng)
+                      for bits in (78, 79, 128))
+    assert (p78.bit_length(), p79.bit_length()) == (78, 79)
+    # up to 78 bits the 12 fixed bases decide; above, base 2 and 8 draws
+    assert cost(p78) == (True, 12)
+    assert cost(p79) == (True, 9)
+    assert cost(p128) == (True, 9)
+    # a composite past the sieve that fails base 2 costs one round
+    for n in (p79 * p128, p128 * 2053 * 2063):
+        assert math.gcd(n, crypto._SIEVE_PRODUCT) == 1
+        assert cost(n) == (False, 1)
+        assert rounds == [2]
 
 
 @pytest.mark.parametrize("bits,seeds", [(8, 60), (16, 60), (64, 30),

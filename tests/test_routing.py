@@ -103,8 +103,10 @@ def test_two_node_discovery_with_pinned_key_exchange():
 
 
 # 3317044064679887385961981 is composite but a strong pseudoprime to every
-# prime base up to 37 (Sorenson and Webster, 2015); 29 is prime, 14 is not
-@pytest.mark.parametrize("p", [3317044064679887385961981, 29])
+# prime base up to 37 (Sorenson and Webster, 2015); 2^101 - 1 is composite
+# but a strong pseudoprime to base 2; 29 is prime, 14 is not
+@pytest.mark.parametrize("p", [3317044064679887385961981, (1 << 101) - 1,
+                               29])
 def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
     with pinned_group(r["a"], p=p, g=2, r=6):
