@@ -8,9 +8,8 @@ first offending field.
 
 from __future__ import annotations
 
-import functools
 import struct
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .crypto import (
     AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
@@ -367,37 +366,99 @@ def _short_segment_head(data: bytes, pos: int) -> ParseError:
 
 # --- top level ---------------------------------------------------------------
 
+# Decoded messages by frame bytes, oldest first. encode_message puts in the
+# message it encoded and a decode_message miss the message it parsed, so each
+# entry equals a strict parse of its key. Past the bound the oldest goes.
+_decoded: Dict[bytes, Message] = {}
+_DECODED_BOUND = 64
+
+# The field types of a RouteCore that parses back to itself.
+_CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
+
+
 def encode_message(msg: Message) -> bytes:
     kind = type(msg)
     if kind is DataPacket:
-        return (_DATA_KIND + _encode_token(msg.src_ip)
+        data = (_DATA_KIND + _encode_token(msg.src_ip)
                 + _encode_token(msg.dst_ip) + _encode_segment(msg.segment))
+    elif kind is Segment:
+        data = _encode_segment(msg)
+    elif kind is RouteMessage:
+        data = _encode_route_message(msg)
+    else:
+        raise TypeError("cannot encode %r" % kind)
+    if _decodes_to_itself(msg):
+        _remember(data, msg)
+    return data
+
+
+def _decodes_to_itself(msg: Message) -> bool:
+    """Whether a strict parse of msg's encoding gives back msg type for type.
+
+    The parse builds every record as its own class, every sequence as a
+    tuple, and every field as an exact int, str or bytes. So an encodable
+    message parses back to itself unless it holds something else: a bool,
+    a bytearray, a list, a subclass.
+    """
+    kind = type(msg)
+    if kind is DataPacket:
+        return (type(msg.src_ip) is type(msg.dst_ip) is str
+                and _plain_segment(msg.segment))
     if kind is Segment:
-        return _encode_segment(msg)
-    if kind is RouteMessage:
-        return _encode_route_message(msg)
-    raise TypeError("cannot encode %r" % kind)
+        return _plain_segment(msg)
+    agg, sig = msg.aggregate, msg.source_sig
+    return (type(msg.core) is RouteCore
+            and tuple(map(type, msg.core)) == _CORE_TYPES
+            and type(msg.hops) is tuple
+            and all(type(hop) is bytes for hop in msg.hops)
+            and type(msg.sec_level) is int
+            and (agg is None
+                 or (type(agg) is AggregateSignature
+                     and type(agg.value) is int
+                     and type(agg.overflow_bits) is tuple
+                     and all(type(bit) is int for bit in agg.overflow_bits)))
+            and (sig is None or type(sig) is int))
+
+
+def _plain_segment(seg: Segment) -> bool:
+    # chained `is` tests: this runs once per segment sent
+    return (type(seg) is Segment
+            and type(seg.payload) is type(seg.tag) is bytes
+            and type(seg.role) is type(seg.src_port) is type(seg.dst_port)
+            is type(seg.seq) is type(seg.ack) is int)
+
+
+def _remember(data: bytes, msg: Message) -> None:
+    _decoded[data] = msg
+    if len(_decoded) > _DECODED_BOUND:
+        del _decoded[next(iter(_decoded))]
 
 
 def decode_message(data: bytes) -> Message:
     """Strict decode of one frame; raises ParseError at the first bad byte.
 
     Every neighbour of a broadcast receives the same bytes, and the trace
-    labels them too, so decodes are memoized by payload. The messages are
-    immutable tuples all the way down (NamedTuple records holding ints,
-    strings, bytes and tuples), not frozen dataclasses, so callers can share
-    them and change a copy with `._replace`. A ParseError is raised afresh
-    on every call, never cached.
+    labels them too, so decodes are memoized by payload in `_decoded`, which
+    holds the last 64 frames. encode_message fills it as well, with each
+    message whose encoding parses back to it type for type, so a frame this
+    process just encoded is not parsed at all; any other bytes take the
+    strict parse. The messages are immutable all the way down (NamedTuple
+    records holding ints, strings, bytes, tuples and a frozen
+    AggregateSignature), so callers can share them and change a copy with
+    `._replace`. A ParseError is raised afresh on every call, never cached.
     """
     if not isinstance(data, bytes):
         # a hashable, immutable copy of a bytearray or memoryview; unlike
         # bytes(data), memoryview() refuses an int instead of zero-filling
         data = bytes(memoryview(data))
-    return _decode(data)
+    msg = _decoded.get(data)
+    if msg is None:
+        msg = _parse(data)
+        _remember(data, msg)
+    return msg
 
 
-@functools.lru_cache(maxsize=64)
-def _decode(data: bytes) -> Message:
+def _parse(data: bytes) -> Message:
     if not data:
         raise ParseError(0, "empty message")
     kind = data[0]

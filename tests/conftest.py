@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from manetsec import crypto, routing, sim
+from manetsec import crypto, routing, sim, wire
 
 
 def _toy_key(p, q, e, d):
@@ -35,17 +35,22 @@ EXPECTED_SECURE = {
 
 
 @contextlib.contextmanager
-def capture_frames():
+def capture_frames(decoded=False):
     """Record (src, dst, payload) of every frame any Network transmits.
 
     Wraps Network._transmit for the duration of the block, so every frame
-    a trace record is made for is seen, lost or not.
+    a trace record is made for is seen, lost or not. With `decoded`, each
+    record also holds what wire.decode_message gives for the payload when
+    it is sent, while the sender's memo entry is fresh: see decode_or_error.
     """
     frames = []
     original = sim.Network._transmit
 
     def transmit(self, src, dst, payload, link, label):
-        frames.append((src, dst, payload))
+        record = (src, dst, payload)
+        if decoded:
+            record += (decode_or_error(wire.decode_message, payload),)
+        frames.append(record)
         return original(self, src, dst, payload, link, label)
 
     sim.Network._transmit = transmit
@@ -53,6 +58,14 @@ def capture_frames():
         yield frames
     finally:
         sim.Network._transmit = original
+
+
+def decode_or_error(decode, data):
+    """decode(data), or the (position, reason) of the ParseError it raises."""
+    try:
+        return decode(data)
+    except wire.ParseError as err:
+        return (err.position, err.reason)
 
 
 class FixedRng:

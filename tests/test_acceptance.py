@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import EXPECTED_SECURE, TOY1, TOY2, FixedRng, pinned_group
+from topology import random_connected
 from manetsec import attacks, cli, identity, routing, scenario, sim, transport, wire
 from manetsec.crypto import (
     AggregateSignature,
@@ -149,27 +150,13 @@ def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
     return net, routers, reg, metrics
 
 
-def _random_connected(names, rng):
-    order = list(names)
-    rng.shuffle(order)
-    links = [(order[i], order[rng.randrange(i)])
-             for i in range(1, len(order))]
-    have = {frozenset(l) for l in links}
-    for _ in range(rng.randrange(len(names))):
-        a, b = rng.sample(names, 2)
-        if frozenset((a, b)) not in have:
-            have.add(frozenset((a, b)))
-            links.append((a, b))
-    return links
-
-
 def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
     for sec_level in (1, 0):
         rng = random.Random(900 + sec_level)
         for run in range(100):
             count = rng.randrange(5, 16)
             names = ["n%d" % i for i in range(count)]
-            links = _random_connected(names, rng)
+            links = random_connected(names, rng)
             src, dst = rng.sample(names, 2)
             net, routers, reg, metrics = _build_net(
                 names, links, sec_level=sec_level,

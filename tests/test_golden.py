@@ -15,19 +15,23 @@ review, not to overwrite blindly):
 The same runs also check that the outputs explain themselves: the written
 trace accounts for metrics.json's byte totals and drops, every event kind
 logged has the fields README's "Event log" table gives it, and every logged
-field that names a node holds a declared node name.
+field that names a node holds a declared node name. They, and runs on seeded
+random graphs, also guard the decode memo: each frame decodes, when sent, to
+what a fresh strict parse of its bytes gives, type for type.
 """
 
 import functools
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
 
-from conftest import capture_frames
-from manetsec import scenario
+from conftest import capture_frames, decode_or_error
+from topology import random_connected
+from manetsec import scenario, wire
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -54,22 +58,31 @@ def _runs():
 
 @functools.lru_cache(maxsize=None)
 def _run(path, mode, level):
-    """(trace.tsv text, metrics.json text, frame digest, event log) of one
-    run."""
-    with capture_frames() as frames:
+    """(trace.tsv text, metrics.json text, frame digest, event log,
+    misdecoded frames) of one run."""
+    with capture_frames(decoded=True) as frames:
         result = scenario.run_scenario(scenario.load_file(path), mode=mode,
                                        sec_level=level)
     h = hashlib.sha256()
-    for src, dst, payload in frames:
+    for src, dst, payload, _ in frames:
         h.update(("%s\t%s\t%d\n" % (src, dst, len(payload))).encode())
         h.update(payload)
     return (result.trace_text(), result.metrics_json(), h.hexdigest(),
-            tuple(result.metrics.events))
+            tuple(result.metrics.events), _misdecoded(frames))
+
+
+def _misdecoded(frames):
+    """Send-order indices of the frames, captured with their decode, whose
+    decode differs from a fresh strict parse of the same bytes. Comparing
+    reprs tells bytes from bytearray, tuple from list and int from bool."""
+    assert frames
+    return [i for i, (_, _, payload, got) in enumerate(frames)
+            if repr(got) != repr(decode_or_error(wire._parse, payload))]
 
 
 def _digests(path, mode, level):
     """({trace, metrics} digests, frame digest) of one run."""
-    trace, metrics, frames, _ = _run(path, mode, level)
+    trace, metrics, frames, _, _ = _run(path, mode, level)
     return ({"trace": hashlib.sha256(trace.encode()).hexdigest(),
              "metrics": hashlib.sha256(metrics.encode()).hexdigest()},
             frames)
@@ -102,7 +115,7 @@ DROPPED = re.compile(r"dropped_by_receiver\((\w+)\)\Z")
 @pytest.mark.parametrize("key,path,mode,level",
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_written_trace_explains_the_metrics(key, path, mode, level):
-    trace, metrics, _, _ = _run(path, mode, level)
+    trace, metrics, _, _, _ = _run(path, mode, level)
     control = data = 0
     drops = {}
     for line in trace.splitlines():
@@ -168,6 +181,37 @@ def test_logged_node_fields_are_node_names(key, path, mode, level):
     for ev in _run(path, mode, level)[3]:
         for name in NODE_FIELDS.get(ev.kind, ()):
             assert ev.fields[name] in nodes, (ev.kind, name, ev.fields[name])
+
+
+@pytest.mark.parametrize("key,path,mode,level",
+                         list(_runs()), ids=[r[0] for r in _runs()])
+def test_every_frame_decodes_as_a_fresh_parse(key, path, mode, level):
+    assert _run(path, mode, level)[4] == []
+
+
+def _random_graph_doc(index, sec_level):
+    """A secure run on a seeded random connected graph, where one pair of
+    nodes opens a flow each way."""
+    rng = random.Random(7100 + index)
+    names = ["n%d" % i for i in range(rng.randrange(5, 13))]
+    links = random_connected(names, rng)
+    a, b = rng.sample(names, 2)
+    return {"seed": 7100 + index, "key_bits": 128, "dh_bits": 32,
+            "sec_level": sec_level, "run_until": 300, "nodes": names,
+            "links": [{"a": x, "b": y} for x, y in links],
+            "events": [
+                {"tick": 1, "kind": "start_flow", "client": a, "server": b,
+                 "payload": "forward"},
+                {"tick": 2, "kind": "start_flow", "client": b, "server": a,
+                 "client_port": 5001, "payload": "reverse"}]}
+
+
+@pytest.mark.parametrize("level", [1, 0])
+def test_random_graph_frames_decode_as_a_fresh_parse(level):
+    for index in range(10):
+        with capture_frames(decoded=True) as frames:
+            scenario.run_scenario(_random_graph_doc(index, level))
+        assert _misdecoded(frames) == [], index
 
 
 if __name__ == "__main__":

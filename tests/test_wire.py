@@ -189,7 +189,12 @@ def test_repeated_decodes_return_equal_messages():
         assert wire.decode_message(data) == first
         # equal bytes in a different object decode to the same message
         assert wire.decode_message(bytes(bytearray(data))) == first
-    assert wire._decode.cache_info().maxsize is not None   # bounded memo
+    # the memo stays bounded, whether the encoder or a decode miss fills it
+    seg = _cache_samples()[1]
+    for i in range(3 * wire._DECODED_BOUND):
+        data = wire.encode_message(seg._replace(seq=i))
+        wire.decode_message(data[:-1] + bytes([data[-1] ^ 0xFF]))
+        assert len(wire._decoded) <= wire._DECODED_BOUND
 
 
 def test_decode_accepts_bytearray_and_memoryview():
@@ -340,15 +345,23 @@ def route_messages(draw):
                                               min_size=signers - 1,
                                               max_size=signers - 1))))
     return RouteMessage(core=core, hops=hops,
-                        sec_level=draw(st.sampled_from([0, 1])),
+                        sec_level=draw(st.sampled_from([0, 1, False, True])),
                         aggregate=agg,
                         source_sig=draw(st.one_of(st.none(), bigints)))
+
+
+def _assert_decodes_as_a_fresh_parse(data):
+    """decode_message gives, type for type, what the strict parse gives;
+    reprs tell bytes from bytearray, tuple from list and int from bool."""
+    assert repr(wire.decode_message(data)) == repr(wire._parse(data))
 
 
 @settings(max_examples=120, deadline=None)
 @given(route_messages())
 def test_route_message_round_trip_property(msg):
-    assert wire.decode_message(wire.encode_message(msg)) == msg
+    data = wire.encode_message(msg)
+    assert wire.decode_message(data) == msg
+    _assert_decodes_as_a_fresh_parse(data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,11 +372,16 @@ def test_encoding_injective_property(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 6), st.binary(max_size=64), u64, u64, u64, u64)
+@given(st.one_of(st.integers(1, 6), st.just(True)),
+       st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=64).map(bytearray)),
+       u64, u64, u64, u64)
 def test_segment_round_trip_property(role, payload, sp, dp, seq, ack):
     seg = Segment(role=role, src_port=sp, dst_port=dp, seq=seq, ack=ack,
                   payload=payload, tag=hashlib.sha256(payload).digest())
-    assert wire.decode_message(wire.encode_message(seg)) == seg
+    data = wire.encode_message(seg)
+    assert wire.decode_message(data) == seg
+    _assert_decodes_as_a_fresh_parse(data)
 
 
 @settings(max_examples=120, deadline=None)
@@ -559,9 +577,25 @@ def test_records_are_immutable_and_hashable(record):
     assert changed != record and type(changed) is type(record)
 
 
-@pytest.mark.parametrize("record", _records()[1:],
+def _buffered():
+    """A Segment and a DataPacket whose payloads are callers' bytearrays."""
+    return [_segment(role=wire.ROLE_DATA, payload=bytearray(b"buf")),
+            DataPacket(src_ip="n0", dst_ip="n4", segment=_segment(
+                role=wire.ROLE_DATA, payload=bytearray(b"buf")))]
+
+
+@pytest.mark.parametrize("record", _records()[1:] + [
+    pytest.param(r, id=type(r).__name__ + "-bytearray") for r in _buffered()],
                          ids=lambda r: type(r).__name__)
 def test_decode_gives_back_the_record_type(record):
-    got = wire.decode_message(wire.encode_message(record))
+    data = wire.encode_message(record)
+    got = wire.decode_message(data)
     assert got == record
     assert type(got) is type(record)
+    _assert_decodes_as_a_fresh_parse(data)
+    seg = record.segment if type(record) is DataPacket else record
+    if type(seg) is Segment and type(seg.payload) is bytearray:
+        # the caller reuses its buffer; what was decoded does not change
+        seg.payload[:] = b"new"
+        _assert_decodes_as_a_fresh_parse(data)
+        assert repr(got) == repr(wire._parse(data))
