@@ -170,7 +170,10 @@ def cmd_verify(args) -> int:
     except OSError as err:
         print("error: cannot read trace: %s" % err, file=sys.stderr)
         return 2
-    problems = _lint_trace(recorded)
+    except UnicodeDecodeError as err:
+        problems = ["trace is not UTF-8 (%s)" % err.reason]
+    else:
+        problems = _lint_trace(recorded)
     if problems:
         for msg in problems[:10]:
             print("lint: %s" % msg, file=sys.stderr)

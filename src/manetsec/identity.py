@@ -2,15 +2,16 @@
 
 A node's identity is the hash of its signing public key, so presenting a key
 that matches a claimed id is self-certifying; the registry pins the
-encryption key and address token against substitution.
+encryption key and address token against substitution. A registry is made
+from the nodes' keys and written as JSON (`keygen`); none is read back.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from .crypto import DIGEST_BYTES, NodeKeys, digest
+from .crypto import NodeKeys, digest
 from .wire import encode_public
 
 
@@ -23,29 +24,23 @@ def derive_id(signing_public: Tuple[int, int]) -> bytes:
 
 
 class NodeIdentity:
-    """One registered node.
+    """One registered node, made from its keys, so its id is the hash of
+    its signing key by construction.
 
-    `encryption` returns the node's encryption public key and is called on
-    each read of `encryption_public`, so a key made on first use (see
-    crypto.NodeKeys) is made only when someone encrypts to the node.
+    `encryption_public` reads the keys on each access, so an encryption pair
+    made on first use (see crypto.NodeKeys) is made only when someone
+    encrypts to the node.
     """
 
-    def __init__(self, node_id: bytes, signing_public: Tuple[int, int],
-                 encryption: Callable[[], Tuple[int, int]], ip: str):
-        self.node_id = node_id
-        self.signing_public = signing_public
-        self._encryption = encryption
+    def __init__(self, keys: NodeKeys, ip: str):
+        self._keys = keys
+        self.signing_public = keys.signing.public
+        self.node_id = derive_id(self.signing_public)
         self.ip = ip
-
-    @classmethod
-    def from_keys(cls, keys: NodeKeys, ip: str) -> "NodeIdentity":
-        public = keys.signing.public
-        return cls(derive_id(public), public, lambda: keys.encryption.public,
-                   ip)
 
     @property
     def encryption_public(self) -> Tuple[int, int]:
-        return self._encryption()
+        return self._keys.encryption.public
 
 
 class Registry:
@@ -54,11 +49,6 @@ class Registry:
         self._by_ip: Dict[str, NodeIdentity] = {}
 
     def add(self, ident: NodeIdentity) -> None:
-        if len(ident.node_id) != DIGEST_BYTES:
-            raise ValueError("node id must be %d bytes" % DIGEST_BYTES)
-        if derive_id(ident.signing_public) != ident.node_id:
-            raise ValueError("node id does not match signing key for %s"
-                             % ident.ip)
         if ident.node_id in self._by_id:
             raise ValueError("duplicate node id for %s" % ident.ip)
         if ident.ip in self._by_ip:
@@ -94,34 +84,3 @@ def registry_to_json(reg: Registry) -> str:
             "ip": ident.ip,
         })
     return json.dumps(entries, indent=2, sort_keys=True) + "\n"
-
-
-def registry_from_json(text: str) -> Registry:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError("registry is not valid JSON: %s" % err) from None
-    if not isinstance(doc, list):
-        raise ValueError("registry document must be an array of entries")
-    reg = Registry()
-    required = {"id_hex", "N_hex", "e_hex", "PK_N_hex", "PK_e_hex", "ip"}
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ValueError("entry %d must be an object, got %s"
-                             % (i, type(entry).__name__))
-        if not required.issubset(entry):
-            missing = required - set(entry)
-            raise ValueError("entry %d missing fields: %s"
-                             % (i, ", ".join(sorted(missing))))
-        try:
-            node_id = bytes.fromhex(entry["id_hex"])
-            signing = (int(entry["N_hex"], 16), int(entry["e_hex"], 16))
-            encryption = (int(entry["PK_N_hex"], 16),
-                          int(entry["PK_e_hex"], 16))
-        except ValueError:
-            raise ValueError("entry %d has malformed hex" % i) from None
-        ident = NodeIdentity(node_id, signing,
-                             lambda encryption=encryption: encryption,
-                             entry["ip"])
-        reg.add(ident)   # re-derives and checks the id
-    return reg

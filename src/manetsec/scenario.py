@@ -153,8 +153,12 @@ def load_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as err:
         raise ScenarioError("cannot read scenario: %s" % err) from None
+    except UnicodeDecodeError as err:
+        raise ScenarioError("scenario is not UTF-8: %s" % err) from None
     except json.JSONDecodeError as err:
         raise ScenarioError("scenario is not valid JSON: %s" % err) from None
+    except RecursionError:
+        raise ScenarioError("scenario nests too deeply to read") from None
     return doc
 
 
@@ -201,9 +205,11 @@ def parse(doc, **overrides) -> Scenario:
         where = "nodes[%d]" % i
         if not isinstance(name, str) or not name:
             raise ScenarioError("%s: node names are non-empty strings" % where)
-        if "\t" in name or "\n" in name:
+        if "\t" in name or name.splitlines() != [name]:
+            # a trace line holds names between tabs, and verify-trace splits
+            # the trace at every line boundary str.splitlines knows
             raise ScenarioError("%s: node names may not contain tabs or "
-                                "newlines" % where)
+                                "line breaks" % where)
         if len(_utf8(name, where)) > 0xFFFF:
             # a name travels as a wire token with a 16-bit length
             raise ScenarioError("%s: node names are at most 65535 UTF-8 "
@@ -458,7 +464,7 @@ def build_registry(sc: Scenario) -> Tuple[identity.Registry,
     for name in sc.nodes:
         keys[name] = generate_node_keys(derive_seed(sc.seed, "keys", name),
                                         sc.key_bits)
-        reg.add(identity.NodeIdentity.from_keys(keys[name], name))
+        reg.add(identity.NodeIdentity(keys[name], name))
     endpoints = {name for f in sc.flows for name in (f.client, f.server)}
     endpoints.update(name for _, node, target in sc.discoveries
                      for name in (node, target))

@@ -81,10 +81,7 @@ def _encode_token(text: str) -> bytes:
 
 
 def _read_token(data: bytes, pos: int) -> Tuple[str, int]:
-    if pos + 2 > len(data):
-        raise ParseError(pos, "truncated 2-byte integer")
-    length = (data[pos] << 8) | data[pos + 1]
-    pos += 2
+    length, pos = _read_uint(data, pos, 2)
     if pos + length > len(data):
         raise ParseError(pos, "token truncated")
     try:
@@ -337,13 +334,14 @@ def _encode_segment(seg: Segment) -> bytes:
 
 
 def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
-    if pos + _SEGMENT_HEAD.size > len(data):
-        raise _short_segment_head(data, pos)
-    role, src_port, dst_port, seq, ack, plen = \
-        _SEGMENT_HEAD.unpack_from(data, pos)
+    role, pos = _read_uint(data, pos, 1)
     if role not in ROLE_NAMES:
-        raise ParseError(pos, "unknown segment role %d" % role)
-    pos += _SEGMENT_HEAD.size
+        raise ParseError(pos - 1, "unknown segment role %d" % role)
+    src_port, pos = _read_uint(data, pos, 8)
+    dst_port, pos = _read_uint(data, pos, 8)
+    seq, pos = _read_uint(data, pos, 8)
+    ack, pos = _read_uint(data, pos, 8)
+    plen, pos = _read_uint(data, pos, 4)
     if pos + plen > len(data):
         raise ParseError(pos, "payload truncated")
     payload = data[pos:pos + plen]
@@ -352,23 +350,11 @@ def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
     return Segment(role, src_port, dst_port, seq, ack, payload, tag), pos
 
 
-def _short_segment_head(data: bytes, pos: int) -> ParseError:
-    """The error of a segment header cut short: a bad role byte first, then
-    the first fixed-width field that does not fit."""
-    if pos < len(data) and data[pos] not in ROLE_NAMES:
-        return ParseError(pos, "unknown segment role %d" % data[pos])
-    for width in _SEGMENT_WIDTHS:
-        if pos + width > len(data):
-            return ParseError(pos, "truncated %d-byte integer" % width)
-        pos += width
-    raise AssertionError("the segment header fits")
-
-
 # --- top level ---------------------------------------------------------------
 
-# Decoded messages by frame bytes, oldest first. encode_message puts in the
-# message it encoded and a decode_message miss the message it parsed, so each
-# entry equals a strict parse of its key. Past the bound the oldest goes.
+# Messages this process encoded, by frame bytes, oldest first. Only
+# encode_message puts one in, and only one that a strict parse of its key
+# gives back type for type. Past the bound the oldest goes.
 _decoded: Dict[bytes, Message] = {}
 _DECODED_BOUND = 64
 
@@ -388,7 +374,9 @@ def encode_message(msg: Message) -> bytes:
     else:
         raise TypeError("cannot encode %r" % kind)
     if _decodes_to_itself(msg):
-        _remember(data, msg)
+        _decoded[data] = msg
+        if len(_decoded) > _DECODED_BOUND:
+            del _decoded[next(iter(_decoded))]
     return data
 
 
@@ -428,34 +416,25 @@ def _plain_segment(seg: Segment) -> bool:
             is type(seg.seq) is type(seg.ack) is int)
 
 
-def _remember(data: bytes, msg: Message) -> None:
-    _decoded[data] = msg
-    if len(_decoded) > _DECODED_BOUND:
-        del _decoded[next(iter(_decoded))]
-
-
 def decode_message(data: bytes) -> Message:
     """Strict decode of one frame; raises ParseError at the first bad byte.
 
-    Every neighbour of a broadcast receives the same bytes, and the trace
-    labels them too, so decodes are memoized by payload in `_decoded`, which
-    holds the last 64 frames. encode_message fills it as well, with each
-    message whose encoding parses back to it type for type, so a frame this
-    process just encoded is not parsed at all; any other bytes take the
-    strict parse. The messages are immutable all the way down (NamedTuple
-    records holding ints, strings, bytes, tuples and a frozen
-    AggregateSignature), so callers can share them and change a copy with
-    `._replace`. A ParseError is raised afresh on every call, never cached.
+    A frame this process encoded among the last 64 is not parsed:
+    encode_message keeps each message whose encoding parses back to it type
+    for type in `_decoded`, and that entry is returned. Every neighbour of a
+    broadcast and the trace label read the sender's entry. Any other bytes
+    take the strict parse, and nothing here is stored. The messages are
+    immutable all the way down (NamedTuple records holding ints, strings,
+    bytes, tuples and a frozen AggregateSignature), so callers can share
+    them and change a copy with `._replace`. A ParseError is raised afresh
+    on every call.
     """
     if not isinstance(data, bytes):
         # a hashable, immutable copy of a bytearray or memoryview; unlike
         # bytes(data), memoryview() refuses an int instead of zero-filling
         data = bytes(memoryview(data))
     msg = _decoded.get(data)
-    if msg is None:
-        msg = _parse(data)
-        _remember(data, msg)
-    return msg
+    return _parse(data) if msg is None else msg
 
 
 def _parse(data: bytes) -> Message:

@@ -136,7 +136,7 @@ def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
     metrics = net.metrics
     routers = {}
     for n in names:
-        reg.add(identity.NodeIdentity.from_keys(_node_keys(n), n))
+        reg.add(identity.NodeIdentity(_node_keys(n), n))
     for n in names:
         cfg = routing.NodeConfig(name=n, keys=_node_keys(n), secure=secure,
                                  sec_level=sec_level, master_seed=seed,

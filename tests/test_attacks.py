@@ -85,7 +85,7 @@ def run_attack(kind, secure, seed=17, until=400):
     keys = {}
     for n in honest + bad:
         keys[n] = generate_node_keys(derive_seed(seed, "keys", n), 256)
-        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
+        reg.add(identity.NodeIdentity(keys[n], n))
     routers, endpoints = {}, {}
     tcp_cfg = transport.TcpConfig(half_open_capacity=spec.capacity)
     for n in honest:

@@ -4,7 +4,9 @@ levels.
 
 The digests in golden_digests.json were recorded before the key and decode
 caches existed, and those in golden_frames.json before route signing moved
-into one helper; a change that moves one must say why. The frame digest
+into one helper; a change that moves one must say why. golden_keygen.json
+holds the sha256 of `keygen --seed 7` output for every shipped scenario,
+recorded before node identities were made only from keys. The frame digest
 covers (src, dst, length, payload) of each frame in transmission order, so
 it also sees bytes that trace.tsv reduces to a size, such as a forged
 signature of the usual width. To print the digests of the current code (for
@@ -20,8 +22,10 @@ random graphs, also guard the decode memo: each frame decodes, when sent, to
 what a fresh strict parse of its bytes gives, type for type.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -31,7 +35,7 @@ import pytest
 
 from conftest import capture_frames, decode_or_error
 from topology import random_connected
-from manetsec import scenario, wire
+from manetsec import cli, scenario, wire
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -45,6 +49,8 @@ def _load(name):
 
 PINNED = _load("golden_digests.json")
 PINNED_FRAMES = _load("golden_frames.json")
+PINNED_KEYGEN = _load("golden_keygen.json")
+KEYGEN_SEED = 7
 
 
 def _runs():
@@ -92,6 +98,8 @@ def test_every_shipped_combination_is_pinned():
     keys = sorted(key for key, _, _, _ in _runs())
     assert keys == sorted(PINNED)
     assert keys == sorted(PINNED_FRAMES)
+    assert sorted(PINNED_KEYGEN) == [n[:-len(".json")]
+                                     for n in sorted(os.listdir(SCEN))]
 
 
 @pytest.mark.parametrize("key,path,mode,level",
@@ -104,6 +112,20 @@ def test_outputs_match_the_golden_digests(key, path, mode, level):
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_transmitted_frames_match_the_golden_frames(key, path, mode, level):
     assert _digests(path, mode, level)[1] == PINNED_FRAMES[key]
+
+
+def _keygen_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["keygen", "--scenario",
+                         os.path.join(SCEN, name + ".json"),
+                         "--seed", str(KEYGEN_SEED)]) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYGEN))
+def test_keygen_output_matches_the_golden_digests(name):
+    assert _keygen_digest(name) == PINNED_KEYGEN[name]
 
 
 # trace.tsv kinds, as README's "Outputs" names them
@@ -219,4 +241,5 @@ if __name__ == "__main__":
     for key, path, mode, level in _runs():
         outputs, frames = _digests(path, mode, level)
         out[key] = dict(outputs, frames=frames)
+    out["keygen"] = {name: _keygen_digest(name) for name in PINNED_KEYGEN}
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -50,7 +50,7 @@ def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
     keys = {}
     for n in names:
         keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
+        reg.add(identity.NodeIdentity(keys[n], n))
     routers = {}
     for n in names:
         if n in stubs:

@@ -2,8 +2,11 @@
 
 import json
 import os
+import string
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import capture_frames
 from manetsec import attacks, cli, crypto, identity, scenario, sim
@@ -164,6 +167,9 @@ def test_the_run_level_override_reaches_every_attack_spec():
 
 NOT_ARRAYS = [5, None, 1.5, True]
 
+# the line boundaries str.splitlines knows, which verify-trace splits at
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 BAD_DOCS = [
     ({}, "missing required field 'seed'"),
     (doc_two_nodes(nodes=[]), "non-empty array"),
@@ -257,6 +263,10 @@ BAD_DOCS = [
     (attacks_doc({"kind": "tunnel", "attacker": "m", "partner": "m2",
                   "src": "a", "dst": "b", "through": "a"}),
      "tunnel attack: unexpected field 'through'"),
+] + [
+    (doc_with_node(name), "nodes[1]: node names may not contain tabs or line "
+                          "breaks")
+    for name in ["b%sc" % brk for brk in LINE_BREAKS] + ["b\r\nc", "b\r"]
 ]
 
 
@@ -427,6 +437,40 @@ def test_cli_rejects_malformed_scenarios_without_writing(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,fragment", [
+    (b"\xff" + json.dumps(doc_two_nodes()).encode(), "scenario is not UTF-8"),
+    (b"[" * 200000 + b"]" * 200000, "scenario nests too deeply to read"),
+], ids=["not-utf8", "too-deep"])
+def test_cli_rejects_an_unreadable_scenario_file(tmp_path, capsys, raw,
+                                                 fragment):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "error: %s" % fragment in capsys.readouterr().err
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(name=st.text(alphabet=string.printable + LINE_BREAKS + "\xa0\u3000",
+                    max_size=4))
+def test_a_node_name_either_fails_parse_or_its_trace_verifies(name):
+    doc = dict(doc_with_node(name), key_bits=128)
+    try:
+        scenario.parse(doc)
+    except scenario.ScenarioError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scen.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        assert cli.main(["run", "--scenario", path, "--out", out]) == 0
+        assert cli.main(["verify-trace", "--scenario", path,
+                         "--trace", os.path.join(out, "trace.tsv")]) == 0
+
+
 @pytest.mark.parametrize("doc,fragment", UNENCODABLE_DOCS)
 def test_cli_rejects_values_the_wire_cannot_carry(tmp_path, capsys, doc,
                                                   fragment):
@@ -579,8 +623,11 @@ def test_cli_keygen_is_deterministic_and_loadable(tmp_path, capsys):
     first = capsys.readouterr().out
     assert cli.main(["keygen", "--scenario", path]) == 0
     assert capsys.readouterr().out == first
-    reg = identity.registry_from_json(first)
-    assert len(reg.entries()) == 2
+    entries = json.loads(first)
+    assert [e["ip"] for e in entries] == doc_two_nodes()["nodes"]
+    for e in entries:   # each id is the hash of the signing key printed
+        signing = (int(e["N_hex"], 16), int(e["e_hex"], 16))
+        assert e["id_hex"] == identity.derive_id(signing).hex()
     assert cli.main(["keygen", "--scenario", path, "--seed", "9"]) == 0
     assert capsys.readouterr().out != first
 
@@ -629,6 +676,19 @@ def test_cli_verify_trace_rejects_non_ascii_digits(tmp_path, capsys):
     assert "line 1: tick is not an integer" in err
     assert "line 2: size is not an integer" in err
     assert "internal error" not in err
+
+
+def test_cli_verify_trace_rejects_a_trace_that_is_not_utf8(tmp_path, capsys):
+    path = write(tmp_path, doc_two_nodes())
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes(b"1\ta\tb\tRREQ\t10\tdelivered\n1\t\xe9\tb\tRREQ\t10"
+                    b"\tdelivered\n")
+    rc = cli.main(["verify-trace", "--scenario", path, "--trace", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line.startswith("lint:")] \
+        == ["lint: trace is not UTF-8 (invalid continuation byte)"]
+    assert "structurally invalid" in err
 
 
 def test_trace_lint_accepts_the_drop_disposition_sim_writes():

@@ -65,7 +65,7 @@ def test_transport_timers_carry_the_arguments_the_tracer_reads(monkeypatch):
 
 def test_each_registry_lookup_is_one_traced_call():
     tracer = _load_tracer()
-    ident = NodeIdentity.from_keys(crypto.generate_node_keys(1, 128), "n0")
+    ident = NodeIdentity(crypto.generate_node_keys(1, 128), "n0")
     reg = Registry()
     reg.add(ident)
     spans = tracer.Tracer()

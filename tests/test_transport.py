@@ -26,7 +26,7 @@ def build(names, links, *, secure=True, sec_level=1, seed=11, key_bits=256,
     keys = {}
     for n in names:
         keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        reg.add(identity.NodeIdentity.from_keys(keys[n], n))
+        reg.add(identity.NodeIdentity(keys[n], n))
     for n in names:
         if n in stubs:
             routers[n] = Puppet()

@@ -189,12 +189,14 @@ def test_repeated_decodes_return_equal_messages():
         assert wire.decode_message(data) == first
         # equal bytes in a different object decode to the same message
         assert wire.decode_message(bytes(bytearray(data))) == first
-    # the memo stays bounded, whether the encoder or a decode miss fills it
+    # the encoder keeps the memo bounded, and a decode miss stores nothing
     seg = _cache_samples()[1]
     for i in range(3 * wire._DECODED_BOUND):
         data = wire.encode_message(seg._replace(seq=i))
-        wire.decode_message(data[:-1] + bytes([data[-1] ^ 0xFF]))
         assert len(wire._decoded) <= wire._DECODED_BOUND
+        held = dict(wire._decoded)
+        wire.decode_message(data[:-1] + bytes([data[-1] ^ 0xFF]))
+        assert wire._decoded == held
 
 
 def test_decode_accepts_bytearray_and_memoryview():
@@ -395,8 +397,8 @@ def test_decoder_never_crashes_on_garbage(data):
 
 # --- strictness against the field-by-field decoder ---------------------------
 #
-# A test-side copy of the segment and envelope decoder as it read one field
-# at a time. The codec now unpacks the segment header in one call; on every
+# A test-side reference decoder for segments and envelopes, written apart
+# from the codec, that reads one field at a time as the codec does. On every
 # input below both must give the same message, or fail at the same position
 # for the same reason.
 
