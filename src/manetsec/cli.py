@@ -8,8 +8,9 @@ Three subcommands:
 
 `run` exits 1 when a secure-mode run ends with any attack judged successful
 (that is the regression signal); baseline runs are expected to be harmed and
-exit 0. Malformed scenarios exit 2 without writing anything, and any other
-error exits 3 with a one-line "internal error:" message.
+exit 0. Malformed scenarios exit 2 without writing anything, as does an
+output path that cannot be written (one "error: cannot write output:" line),
+and any other error exits 3 with a one-line "internal error:" message.
 """
 
 from __future__ import annotations
@@ -22,6 +23,22 @@ import traceback
 from . import identity, scenario, sim
 
 _DROP_HEAD, _DROP_TAIL = sim.dropped("\0").split("\0")
+
+
+class OutputError(Exception):
+    """An output file or directory cannot be written."""
+
+
+def _write_files(files, directory=None) -> None:
+    """Write each (path, text) of `files`, first making `directory`."""
+    try:
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as err:
+        raise OutputError("cannot write output: %s" % err) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +86,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except scenario.ScenarioError as err:
+    except (scenario.ScenarioError, OutputError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except Exception as err:
@@ -88,8 +105,7 @@ def cmd_keygen(args) -> int:
     reg, _ = scenario.build_registry(sc)
     text = identity.registry_to_json(reg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_files([(args.out, text)])
         print("wrote %s (%d identities)" % (args.out, len(sc.nodes)),
               file=sys.stderr)
     else:
@@ -103,16 +119,10 @@ def cmd_run(args) -> int:
                                    seed=args.seed)
     metrics = result.metrics_json()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "metrics.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(metrics)
-        with open(os.path.join(args.out, "trace.tsv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(result.trace_text())
-        print("wrote %s and %s" % (os.path.join(args.out, "metrics.json"),
-                                   os.path.join(args.out, "trace.tsv")),
-              file=sys.stderr)
+        paths = [os.path.join(args.out, name)
+                 for name in ("metrics.json", "trace.tsv")]
+        _write_files(zip(paths, (metrics, result.trace_text())), args.out)
+        print("wrote %s and %s" % tuple(paths), file=sys.stderr)
     else:
         sys.stdout.write(metrics)
 

@@ -282,11 +282,22 @@ def sas_aggregate_step(prev: AggregateSignature, h: int,
                               overflow_bits=prev.overflow_bits + (bit,))
 
 
+# x^e mod N for every verification, memoized by (x, N, e). In one process a
+# level-1 relay unwinds the same links its predecessors have just unwound,
+# so most calls repeat; the cache holds this integer function's results, not
+# verdicts, and a forged or tampered value is another key, computed fresh.
+# 256 entries of 512-bit values hold about 100 KB.
+@functools.lru_cache(maxsize=256)
+def rsa_public(x: int, n: int, e: int) -> int:
+    """x^e mod n: the public-key operation of RSA verification."""
+    return pow(x, e, n)
+
+
 def sas_unwind_step(sigma: int, h: int, public: Tuple[int, int],
                     bit: int) -> int:
     """Invert one aggregate step, recovering the predecessor value."""
     n, e = public
-    sig_hat = (pow(sigma, e, n) - h) % n
+    sig_hat = (rsa_public(sigma, n, e) - h) % n
     return sig_hat + bit * n
 
 
@@ -312,7 +323,7 @@ def sas_unwind_verify(agg: AggregateSignature,
     n0, e0 = public0
     if not 0 <= sigma < n0:
         return False
-    return pow(sigma, e0, n0) == h0 % n0
+    return rsa_public(sigma, n0, e0) == h0 % n0
 
 
 # --- block encryption of key-exchange values --------------------------------

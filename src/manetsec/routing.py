@@ -36,6 +36,7 @@ from .crypto import (
     NodeKeys,
     rsa_decrypt,
     rsa_encrypt,
+    rsa_public,
     rsa_sign_first,
     sas_aggregate_step,
     sas_unwind_step,
@@ -269,7 +270,7 @@ class RouterNode:
                 return "verify_failed"
             h0 = wire.signer_hash(core, (), 0, origin.signing_public)
             self.metrics.verified += 1
-            if pow(msg.source_sig, e0, n0) != h0 % n0:
+            if rsa_public(msg.source_sig, n0, e0) != h0 % n0:
                 return "verify_failed"
         return None
 

@@ -556,6 +556,72 @@ def test_rsa_encrypt_rejects_oversized_block():
         crypto.rsa_encrypt(-1, TOY1.public)
 
 
+# --- the public-operation memo ----------------------------------------------
+
+def test_rsa_public_equals_pow_before_and_after_eviction():
+    rng = random.Random(20)
+    keys = [crypto.generate_keypair(128, rng) for _ in range(3)]
+    inputs = [(rng.randrange(key.n), key.n, key.e)
+              for key in keys for _ in range(100)]
+    inputs.append((88, TOY1.n, TOY1.e))
+    crypto.rsa_public.cache_clear()
+    for x, n, e in inputs:
+        assert crypto.rsa_public(x, n, e) == pow(x, e, n)
+    info = crypto.rsa_public.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (301, 256, 256)
+    # the first 45 entries were pushed out: computed again, and still equal
+    for x, n, e in inputs[:10]:
+        assert crypto.rsa_public(x, n, e) == pow(x, e, n)
+    assert crypto.rsa_public.cache_info().misses == 311
+    assert crypto.rsa_public(88, TOY1.n, TOY1.e) == pow(88, 7, 187)
+    assert crypto.rsa_public.cache_info().hits == 1
+
+
+def _honest_chain(signers):
+    """A seeded chain of `signers` 128-bit signers, and one outside key."""
+    rng = random.Random(0x5A5)
+    keys = [crypto.generate_keypair(128, rng) for _ in range(signers + 1)]
+    hashes = [rng.getrandbits(256) for _ in range(signers)]
+    agg = crypto.rsa_sign_first(hashes[0], keys[0])
+    for h, key in zip(hashes[1:], keys[1:signers]):
+        agg = crypto.sas_aggregate_step(agg, h, key)
+    chain = [(h, key.public) for h, key in zip(hashes, keys)]
+    return agg, chain, keys[signers]
+
+
+def _tampered(agg, chain, outsider):
+    """(what was changed, aggregate, signer list) for every single edit."""
+    yield "value + 1", AggregateSignature(agg.value + 1,
+                                          agg.overflow_bits), chain
+    for i in range(len(agg.overflow_bits)):
+        bits = list(agg.overflow_bits)
+        bits[i] ^= 1
+        yield "bit %d" % i, AggregateSignature(agg.value, tuple(bits)), chain
+    for i in range(len(chain)):
+        swapped_key = list(chain)
+        swapped_key[i] = (chain[i][0], outsider.public)
+        yield "key of signer %d" % i, agg, swapped_key
+    for i in range(len(chain) - 1):
+        swapped = list(chain)
+        swapped[i], swapped[i + 1] = chain[i + 1], chain[i]
+        yield "signers %d and %d swapped" % (i, i + 1), agg, swapped
+
+
+def test_warm_public_memo_still_rejects_every_single_tampering():
+    agg, chain, outsider = _honest_chain(7)    # an originator and 6 hops
+    crypto.rsa_public.cache_clear()
+    assert crypto.sas_unwind_verify(agg, chain)
+    assert crypto.rsa_public.cache_info().misses == 7
+    # a second honest check finds every link in the memo
+    assert crypto.sas_unwind_verify(agg, chain)
+    assert crypto.rsa_public.cache_info()[:2] == (7, 7)
+    cases = list(_tampered(agg, chain, outsider))
+    assert len(cases) == 1 + 6 + 7 + 6
+    for what, forged, signers in cases:
+        assert not crypto.sas_unwind_verify(forged, signers), what
+    assert crypto.sas_unwind_verify(agg, chain)
+
+
 # --- digests and tags -----------------------------------------------------
 
 def test_digest_width_and_int_conversion():

@@ -10,7 +10,7 @@ computed here field by field.
 import pytest
 
 from conftest import capture_frames
-from manetsec import scenario, wire
+from manetsec import crypto, scenario, wire
 
 MAX_HOPS = 24
 MODES = {"L1": ("secure", 1), "L0": ("secure", 0), "baseline": ("baseline", 1)}
@@ -27,15 +27,18 @@ def _line(k):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(mode, k) -> (the run's metrics, its largest RREQ frame)."""
+    """(mode, k) -> (the run's metrics, its largest RREQ frame, the
+    crypto.rsa_public cache statistics of the run, from an empty cache)."""
     runs = {}
     for k in range(1, MAX_HOPS + 1):
         for label, (mode, level) in MODES.items():
+            crypto.rsa_public.cache_clear()
             with capture_frames() as frames:
                 r = scenario.run_scenario(_line(k), mode=mode,
                                           sec_level=level)
             rreqs = [p for _, _, p in frames if p[0] == wire.KIND_RREQ]
-            runs[label, k] = (r.metrics, max(rreqs, key=len))
+            runs[label, k] = (r.metrics, max(rreqs, key=len),
+                              crypto.rsa_public.cache_info())
     return runs
 
 
@@ -68,10 +71,15 @@ def _request_bytes(msg):
 @pytest.mark.parametrize("k", range(1, MAX_HOPS + 1))
 def test_signature_checks_and_latency_per_route_length(sweep, k):
     verified = {"L1": k * (k + 1), "L0": 2 * k, "baseline": 0}
+    computed = {"L1": 2 * k, "L0": 2 * k, "baseline": 0}
     for label in MODES:
-        metrics, _ = sweep[label, k]
+        metrics, _, cache = sweep[label, k]
         assert metrics.verified == verified[label], label
         assert metrics.discovery_latency_ticks == [2 * k], label
+        # each check raises one value to the public exponent, and in one
+        # process a relay's re-unwound links are computed only once
+        assert cache.hits + cache.misses == metrics.verified, label
+        assert cache.misses == computed[label], label
 
 
 @pytest.mark.parametrize("k", range(1, MAX_HOPS + 1))
@@ -94,7 +102,7 @@ def test_largest_request_follows_the_wire_layout(sweep, k):
 
 
 def test_control_byte_order_depends_on_route_length(sweep):
-    ctl = {key: metrics.control_bytes for key, (metrics, _) in sweep.items()}
+    ctl = {key: run[0].control_bytes for key, run in sweep.items()}
     hops = range(1, MAX_HOPS + 1)
     assert all(ctl["L1", k] > ctl["baseline", k] for k in hops)
     # L0 carries the origin signature standalone as well, which outweighs

@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import FixedRng, pinned_group
-from manetsec import identity, routing, sim, wire
+from manetsec import crypto, identity, routing, sim, wire
 from manetsec.crypto import (
+    AggregateSignature,
     derive_seed,
     generate_node_keys,
     rsa_encrypt,
@@ -200,6 +201,45 @@ def test_impersonated_origin_fails_final_check():
 
     assert m.drops == {"verify_failed": 1}
     assert r["b"].routes == {}
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+def test_a_tampered_copy_fails_after_the_honest_copy_was_verified(sec_level):
+    # m relays a's request to b and then, with b's checks in the public-op
+    # memo, a copy with a tampered aggregate to v, which has not seen it
+    names = ["a", "m", "b", "v", "d"]
+    net, r, reg, m, keys = build(names, [("m", "b"), ("m", "v")],
+                                 sec_level=sec_level, key_bits=128,
+                                 stubs=("a", "m", "d"))
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a",
+                          src_id=reg.by_ip("a").node_id, src_seq=3,
+                          bct_id=11, dst_ip="d", dh_p=23, dh_g=5,
+                          dh_payload=9)
+    origin = routing.sign_origin(core, keys["a"].signing)
+    hops, agg = routing.append_signer(core, (), origin, keys["m"].signing,
+                                      reg.by_ip("m").node_id)
+    honest = wire.RouteMessage(
+        core=core, hops=hops, sec_level=sec_level, aggregate=agg,
+        source_sig=origin.value if sec_level == 0 else None)
+    tampered = honest._replace(
+        aggregate=AggregateSignature(agg.value + 1, agg.overflow_bits))
+    crypto.rsa_public.cache_clear()
+    net.unicast("m", "b", wire.encode_message(honest))
+    net.run(until=5)
+    assert r["b"].routes[core.src_id].next_hop == "m"
+    assert m.verified == 1 + sec_level
+    assert m.drops == {}
+
+    net.unicast("m", "v", wire.encode_message(tampered))
+    net.run(until=10)
+    assert m.drops == {"verify_failed": 1}
+    assert r["v"].routes == {}
+    # the honest copy still passes at v, from the memo alone
+    computed = crypto.rsa_public.cache_info().misses
+    net.unicast("m", "v", wire.encode_message(honest))
+    net.run(until=15)
+    assert r["v"].routes[core.src_id].next_hop == "m"
+    assert crypto.rsa_public.cache_info().misses == computed
 
 
 def test_claimed_last_hop_must_match_physical_sender():

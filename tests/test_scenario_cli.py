@@ -452,6 +452,31 @@ def test_cli_rejects_an_unreadable_scenario_file(tmp_path, capsys, raw,
     assert "error: %s" % fragment in capsys.readouterr().err
 
 
+def test_cli_run_into_a_regular_file_exits_2(tmp_path, capsys):
+    path = write(tmp_path, doc_two_nodes())
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    rc = cli.main(["run", "--scenario", path, "--out", str(out)])
+    assert rc == 2
+    assert out.read_text() == "kept"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot write output: ")
+    assert str(out) in err[0]
+
+
+def test_cli_keygen_into_a_missing_directory_exits_2(tmp_path, capsys):
+    path = write(tmp_path, doc_two_nodes())
+    out = tmp_path / "missing" / "registry.json"
+    rc = cli.main(["keygen", "--scenario", path, "--out", str(out)])
+    assert rc == 2
+    assert not out.parent.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot write output: ")
+    assert str(out) in err[0]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(name=st.text(alphabet=string.printable + LINE_BREAKS + "\xa0\u3000",
                     max_size=4))
