@@ -232,16 +232,15 @@ class AttackerNode:
         self.net.unicast(self.ip, dst, wire.encode_message(pkt))
 
     def _fire_syn_flood(self) -> None:
+        port, dst, tag = self.spec.server_port, self.spec.dst, b"\x5a" * 32
         for _ in range(self.spec.rate):
             n = self._ghost
             self._ghost += 1
             # positional: building a NamedTuple by keyword costs more
-            seg = wire.Segment(wire.ROLE_SYN, 40000 + n,
-                               self.spec.server_port, (7919 * n) & MASK, 0,
-                               b"", b"\x5a" * 32)
-            pkt = wire.DataPacket("ghost%d" % n, self.spec.dst, seg)
-            self.net.unicast(self.ip, self.spec.dst,
-                             wire.encode_message(pkt))
+            seg = wire.Segment(wire.ROLE_SYN, 40000 + n, port,
+                               (7919 * n) & MASK, 0, b"", tag)
+            pkt = wire.DataPacket("ghost%d" % n, dst, seg)
+            self.net.unicast(self.ip, dst, wire.encode_message(pkt))
 
 
 def deploy(spec: AttackSpec, keys: Dict[str, NodeKeys], registry: Registry,

@@ -182,7 +182,11 @@ class Network:
         self.trace.append(rec)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
-        self.schedule(link.latency, self._deliver, src, dst, payload, link, rec)
+        # schedule(), inlined: every frame sent passes here
+        heapq.heappush(self._queue, (self.tick + link.latency, self._seq,
+                                     self._deliver,
+                                     (src, dst, payload, link, rec)))
+        self._seq += 1
 
     def broadcast(self, src: str, payload: bytes) -> None:
         label = None

@@ -223,12 +223,14 @@ class TcpEndpoint:
         return self._on_fin_ack(seg, conn)
 
     def _tag_ok(self, peer_ip: str, seg: wire.Segment) -> bool:
+        # the key first: a peer without one, such as a ghost SYN's
+        # made-up name, costs no registry lookup
+        key = self.router.session_key_for(peer_ip)
+        if key is None:
+            return False
         try:
             peer_id = self.router.registry.by_ip(peer_ip).node_id
         except UnknownIdentityError:
-            return False
-        key = self.router.session_key_for(peer_ip)
-        if key is None:
             return False
         return mac_verify(seg.tag_input() + peer_id + self.router.node_id,
                           key, seg.tag)

@@ -73,11 +73,14 @@ def _encode_uint(value: int, width: int) -> bytes:
     return value.to_bytes(width, "big")
 
 
+_TOKEN_LENGTH = struct.Struct(">H")
+
+
 def _encode_token(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ValueError("token too long")
-    return len(raw).to_bytes(2, "big") + raw
+    return _TOKEN_LENGTH.pack(len(raw)) + raw
 
 
 def _read_token(data: bytes, pos: int) -> Tuple[str, int]:
@@ -146,7 +149,7 @@ class Segment(NamedTuple):
 
     def tag_input(self) -> bytes:
         """Everything the authentication tag covers: all fields but itself."""
-        return _segment_body(self)
+        return _segment_head(self) + self.payload
 
 
 class DataPacket(NamedTuple):
@@ -304,33 +307,28 @@ def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
 
 # --- transport segments -----------------------------------------------------
 
-# After the kind byte: role, src_port, dst_port, seq, ack, payload length.
-_SEGMENT_FIELDS = "BQQQQI"
-_SEGMENT_HEAD = struct.Struct(">" + _SEGMENT_FIELDS)
-_SEGMENT_WIDTHS = tuple(struct.calcsize(">" + f) for f in _SEGMENT_FIELDS)
-_SEGMENT_KIND = bytes([KIND_SEGMENT])
+# Kind byte, role, src_port, dst_port, seq, ack, payload length.
+_SEGMENT_HEAD = struct.Struct(">BBQQQQI")
+_SEGMENT_WIDTHS = (1, 8, 8, 8, 8, 4)   # the fields after the kind byte
 _DATA_KIND = bytes([KIND_DATA])
 
 
-def _segment_body(seg: Segment) -> bytes:
-    if seg.role not in ROLE_NAMES:
-        raise ValueError("unknown segment role %r" % seg.role)
-    fields = (seg.role, seg.src_port, seg.dst_port, seg.seq, seg.ack,
-              len(seg.payload))
+def _segment_head(seg: Segment) -> bytes:
+    """A segment frame's kind byte and 37-byte header, packed at once."""
+    role = seg.role
+    if role not in ROLE_NAMES:
+        raise ValueError("unknown segment role %r" % role)
     try:
-        head = _SEGMENT_HEAD.pack(*fields)
+        return _SEGMENT_HEAD.pack(KIND_SEGMENT, role, seg.src_port,
+                                  seg.dst_port, seg.seq, seg.ack,
+                                  len(seg.payload))
     except struct.error:
         # raise the ValueError of the first field that does not fit
+        fields = (role, seg.src_port, seg.dst_port, seg.seq, seg.ack,
+                  len(seg.payload))
         for value, width in zip(fields, _SEGMENT_WIDTHS):
             _encode_uint(value, width)
         raise
-    return _SEGMENT_KIND + head + seg.payload
-
-
-def _encode_segment(seg: Segment) -> bytes:
-    if len(seg.tag) != DIGEST_BYTES:
-        raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
-    return _segment_body(seg) + seg.tag
 
 
 def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
@@ -365,10 +363,16 @@ _CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
 def encode_message(msg: Message) -> bytes:
     kind = type(msg)
     if kind is DataPacket:
-        data = (_DATA_KIND + _encode_token(msg.src_ip)
-                + _encode_token(msg.dst_ip) + _encode_segment(msg.segment))
+        src, dst = _encode_token(msg.src_ip), _encode_token(msg.dst_ip)
+        seg = msg.segment
+        if len(seg.tag) != DIGEST_BYTES:
+            raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
+        data = b"".join((_DATA_KIND, src, dst, _segment_head(seg),
+                         seg.payload, seg.tag))
     elif kind is Segment:
-        data = _encode_segment(msg)
+        if len(msg.tag) != DIGEST_BYTES:
+            raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
+        data = b"".join((_segment_head(msg), msg.payload, msg.tag))
     elif kind is RouteMessage:
         data = _encode_route_message(msg)
     else:
@@ -461,11 +465,16 @@ def _parse(data: bytes) -> Message:
 
 
 def describe(data: bytes) -> str:
-    """Human label for trace records; tolerant of undecodable payloads."""
-    try:
-        msg = decode_message(data)
-    except ParseError:
-        return "RAW"
+    """Human label for trace records; tolerant of undecodable payloads.
+
+    A frame in the decode memo is labelled from its entry, with no call to
+    decode_message."""
+    msg = _decoded.get(data) if type(data) is bytes else None
+    if msg is None:
+        try:
+            msg = decode_message(data)
+        except ParseError:
+            return "RAW"
     kind = type(msg)
     if kind is DataPacket:
         return ROLE_NAMES[msg.segment.role]

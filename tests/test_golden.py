@@ -19,7 +19,8 @@ trace accounts for metrics.json's byte totals and drops, every event kind
 logged has the fields README's "Event log" table gives it, and every logged
 field that names a node holds a declared node name. They, and runs on seeded
 random graphs, also guard the decode memo: each frame decodes, when sent, to
-what a fresh strict parse of its bytes gives, type for type.
+what a fresh strict parse of its bytes gives, type for type, and no frame of
+a shipped run takes the strict parse at all.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ import json
 import os
 import random
 import re
+from unittest import mock
 
 import pytest
 
@@ -65,8 +67,9 @@ def _runs():
 @functools.lru_cache(maxsize=None)
 def _run(path, mode, level):
     """(trace.tsv text, metrics.json text, frame digest, event log,
-    misdecoded frames) of one run."""
-    with capture_frames(decoded=True) as frames:
+    misdecoded frames, strict parses made) of one run."""
+    with capture_frames(decoded=True) as frames, \
+            mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
         result = scenario.run_scenario(scenario.load_file(path), mode=mode,
                                        sec_level=level)
     h = hashlib.sha256()
@@ -74,7 +77,8 @@ def _run(path, mode, level):
         h.update(("%s\t%s\t%d\n" % (src, dst, len(payload))).encode())
         h.update(payload)
     return (result.trace_text(), result.metrics_json(), h.hexdigest(),
-            tuple(result.metrics.events), _misdecoded(frames))
+            tuple(result.metrics.events), _misdecoded(frames),
+            parse.call_count)
 
 
 def _misdecoded(frames):
@@ -88,7 +92,7 @@ def _misdecoded(frames):
 
 def _digests(path, mode, level):
     """({trace, metrics} digests, frame digest) of one run."""
-    trace, metrics, frames, _, _ = _run(path, mode, level)
+    trace, metrics, frames = _run(path, mode, level)[:3]
     return ({"trace": hashlib.sha256(trace.encode()).hexdigest(),
              "metrics": hashlib.sha256(metrics.encode()).hexdigest()},
             frames)
@@ -137,7 +141,7 @@ DROPPED = re.compile(r"dropped_by_receiver\((\w+)\)\Z")
 @pytest.mark.parametrize("key,path,mode,level",
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_written_trace_explains_the_metrics(key, path, mode, level):
-    trace, metrics, _, _, _ = _run(path, mode, level)
+    trace, metrics = _run(path, mode, level)[:2]
     control = data = 0
     drops = {}
     for line in trace.splitlines():
@@ -209,6 +213,16 @@ def test_logged_node_fields_are_node_names(key, path, mode, level):
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_every_frame_decodes_as_a_fresh_parse(key, path, mode, level):
     assert _run(path, mode, level)[4] == []
+
+
+@pytest.mark.parametrize("key,path,mode,level",
+                         list(_runs()), ids=[r[0] for r in _runs()])
+def test_no_frame_takes_the_strict_parse(key, path, mode, level):
+    """Each frame a shipped run decodes, at delivery or for its trace label,
+    was encoded in the same process among the last 64, so the decode memo
+    answers it. A strict parse here means the encoder stopped filling the
+    memo, which no output byte would show."""
+    assert _run(path, mode, level)[5] == 0
 
 
 def _random_graph_doc(index, sec_level):
