@@ -122,6 +122,11 @@ class DhParams:
     r: int
 
 
+_MAC_BLOCK = 64   # SHA-256's block width in bytes, HMAC's B
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 @dataclass(frozen=True)
 class SessionKey:
     value: int
@@ -130,6 +135,20 @@ class SessionKey:
     def key_bytes(self) -> bytes:
         width = max(1, (self.value.bit_length() + 7) // 8)
         return self.value.to_bytes(width, "big")
+
+    @functools.cached_property
+    def mac_pads(self) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
+        """SHA-256 states after absorbing K xor ipad and K xor opad.
+
+        RFC 2104 section 4: the pads depend on the key alone, so they are
+        absorbed once per key and each tag starts from copies of them.
+        """
+        block = self.key_bytes
+        if len(block) > _MAC_BLOCK:
+            block = hashlib.sha256(block).digest()
+        block = block.ljust(_MAC_BLOCK, b"\x00")
+        return (hashlib.sha256(block.translate(_IPAD)),
+                hashlib.sha256(block.translate(_OPAD)))
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -409,7 +428,13 @@ def dh_shared(peer_public: int, params: DhParams) -> SessionKey:
 # --- authentication tags ----------------------------------------------------
 
 def mac_tag(message: bytes, key: SessionKey) -> bytes:
-    return _hmac.digest(key.key_bytes, message, "sha256")
+    """HMAC-SHA256 of message under key, from the key's absorbed pads."""
+    inner, outer = key.mac_pads
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def mac_verify(message: bytes, key: SessionKey, tag: bytes) -> bool:

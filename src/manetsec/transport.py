@@ -143,7 +143,9 @@ class TcpEndpoint:
         key = self.router.session_key_for(peer_ip)
         peer_id = self.router.registry.by_ip(peer_ip).node_id
         tag = mac_tag(seg.tag_input() + self.router.node_id + peer_id, key)
-        return seg._replace(tag=tag)
+        # by position: _replace would build a second record on the way
+        role, src_port, dst_port, seq, ack, payload, _ = seg
+        return wire.Segment(role, src_port, dst_port, seq, ack, payload, tag)
 
     def _ship(self, conn: Connection, seg: wire.Segment,
               arm: bool = True) -> None:

@@ -662,6 +662,33 @@ def test_mac_tag_equals_hmac_new_on_random_keys():
         assert key.key_bytes is key.key_bytes   # made once per key
 
 
+def test_mac_tag_equals_hmac_new_on_either_side_of_the_block_width():
+    # SHA-256 reads 64-byte blocks: a key up to 64 bytes is zero-padded, a
+    # longer one hashed first. Two keys take turns, so a pad state that one
+    # tag updated in place would spoil the next tag under the same key.
+    import hashlib
+    import hmac
+    rng = random.Random(2104)
+    keys = []
+    for width in (63, 64, 65, 129, 200):
+        for _ in range(2):
+            value = rng.getrandbits(8 * width) | 1 << (8 * width - 1)
+            key = SessionKey(value)
+            assert len(key.key_bytes) == width
+            keys.append(key)
+    for first, second in zip(keys[::2], keys[1::2]):
+        pads = (first.mac_pads, second.mac_pads)
+        for i in range(40):
+            key = (first, second)[i % 2]
+            message = rng.randbytes(rng.randrange(0, 200))
+            expect = hmac.new(key.key_bytes, message, hashlib.sha256).digest()
+            assert crypto.mac_tag(message, key) == expect
+            assert crypto.mac_verify(message, key, expect)
+        # made once per key
+        assert first.mac_pads is pads[0] and second.mac_pads is pads[1]
+        assert first.mac_pads[0] is pads[0][0]
+
+
 def test_derive_seed_stable():
     assert crypto.derive_seed(1, "keys", "n0") == crypto.derive_seed(1, "keys", "n0")
     assert crypto.derive_seed(1, "keys", "n0") != crypto.derive_seed(1, "keys", "n1")

@@ -2,8 +2,11 @@
 
 import pytest
 
+from unittest import mock
+
 from manetsec import identity, routing, sim, transport, wire
-from manetsec.crypto import derive_seed, digest, digest_int, generate_node_keys
+from manetsec.crypto import (SessionKey, derive_seed, digest, digest_int,
+                             generate_node_keys, mac_tag, mac_verify)
 
 MASK = 0xFFFFFFFF
 
@@ -312,3 +315,53 @@ def test_initial_numbers_plain_counter_vs_keyed_offset():
                                + key.key_bytes)) & MASK
     assert ep2["a"].conns[("b", 5000, 80)].isn == (1000 + offset) & MASK
     assert ep2["a"].conns[("b", 5000, 80)].state == "established"
+
+
+def test_retransmission_retags_under_a_rotated_session_key():
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
+    r["a"].start_discovery("b")
+    net.run(until=5)
+    old = r["a"].session_key_for("b")
+    assert old is not None and r["b"].session_key_for("a") == old
+    ep["b"].listen(80)
+    conn_key = ep["a"].connect("b", 5000, 80)   # the SYN goes out now
+    sent = ep["a"].conns[conn_key].inflight
+    assert sent.role == wire.ROLE_SYN
+
+    # a route repair replaces the key between the send and its resend
+    new = SessionKey(old.value + 1)
+    r["a"].session_keys["b"] = new
+    ep["a"].on_timer("tcp", ("rx", conn_key, (sent.seq, sent.role)))
+    resent = ep["a"].conns[conn_key].inflight
+    assert resent[:6] == sent[:6] and resent.tag != sent.tag
+
+    covered = resent.tag_input() + r["a"].node_id + r["b"].node_id
+    assert mac_verify(covered, new, resent.tag)
+    assert not mac_verify(covered, old, resent.tag)
+    assert mac_verify(covered, old, sent.tag)
+    # and the receiver's check agrees, whichever key it holds
+    r["b"].session_keys["a"] = new
+    assert ep["b"]._tag_ok("a", resent)
+    r["b"].session_keys["a"] = old
+    assert not ep["b"]._tag_ok("a", resent)
+
+
+def test_tagged_segment_is_a_plain_segment_that_enters_the_decode_memo():
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
+    r["a"].start_discovery("b")
+    net.run(until=5)
+    key = r["a"].session_key_for("b")
+    seg = wire.Segment(wire.ROLE_DATA, 5000, 80, 7, 9, b"payload",
+                       b"\x00" * 32)
+    got = ep["a"]._tagged("b", seg)
+    want = seg._replace(tag=mac_tag(
+        seg.tag_input() + r["a"].node_id + r["b"].node_id, key))
+    assert type(got) is wire.Segment
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+    frame = wire.encode_message(wire.DataPacket("a", "b", got))
+    assert wire._decoded[frame].segment is got
+    with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
+        assert wire.decode_message(frame).segment is got
+    assert parse.call_count == 0
