@@ -67,8 +67,6 @@ class Metrics:
                 "data_bytes": sum(sizes.get(k, 0) for k in SEGMENT_KINDS),
                 "drops": drops}
 
-    control_bytes = property(lambda self: self.trace_totals()["control_bytes"])
-    data_bytes = property(lambda self: self.trace_totals()["data_bytes"])
     drops = property(lambda self: self.trace_totals()["drops"])
 
     @property
@@ -176,9 +174,10 @@ class Network:
 
     # --- transmission -------------------------------------------------------
 
-    def _transmit(self, src: str, dst: str, payload: bytes, link: LinkState,
-                  label: str) -> None:
-        rec = TraceRecord(self.tick, src, dst, label, len(payload), "lost")
+    def _transmit(self, src: str, dst: str, payload: bytes,
+                  link: LinkState) -> None:
+        rec = TraceRecord(self.tick, src, dst, wire.describe(payload),
+                          len(payload), "lost")
         self.trace.append(rec)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
@@ -189,14 +188,11 @@ class Network:
         self._seq += 1
 
     def broadcast(self, src: str, payload: bytes) -> None:
-        label = None
         links = self._links[src]
         for nb in self._neighbors[src]:
             link = links[nb]
             if link.up:
-                if label is None:
-                    label = wire.describe(payload)   # once per broadcast
-                self._transmit(src, nb, payload, link, label)
+                self._transmit(src, nb, payload, link)
 
     def unicast(self, src: str, dst: str, payload: bytes) -> bool:
         """Send over the direct link; False means no live link (caller's
@@ -204,14 +200,14 @@ class Network:
         link = self._links.get(src, _NO_LINKS).get(dst)
         if link is None or not link.up or link.tunnel:
             return False
-        self._transmit(src, dst, payload, link, wire.describe(payload))
+        self._transmit(src, dst, payload, link)
         return True
 
     def tunnel_send(self, src: str, dst: str, payload: bytes) -> bool:
         link = self._links.get(src, _NO_LINKS).get(dst)
         if link is None or not link.tunnel or not link.up:
             return False
-        self._transmit(src, dst, payload, link, wire.describe(payload))
+        self._transmit(src, dst, payload, link)
         return True
 
     # --- main loop ----------------------------------------------------------

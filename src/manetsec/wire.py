@@ -9,7 +9,7 @@ first offending field.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .crypto import (
     AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
@@ -350,11 +350,11 @@ def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
 
 # --- top level ---------------------------------------------------------------
 
-# Messages this process encoded, by frame bytes, oldest first. Only
-# encode_message puts one in, and only one that a strict parse of its key
-# gives back type for type. Past the bound the oldest goes.
-_decoded: Dict[bytes, Message] = {}
-_DECODED_BOUND = 64
+class _Frame(bytes):
+    """Frame bytes carrying `msg`, the message they encode. Only
+    encode_message makes one, for a message that a strict parse of the bytes
+    gives back type for type; a slice, join or copy of one is plain bytes."""
+
 
 # The field types of a RouteCore that parses back to itself.
 _CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
@@ -378,9 +378,8 @@ def encode_message(msg: Message) -> bytes:
     else:
         raise TypeError("cannot encode %r" % kind)
     if _decodes_to_itself(msg):
-        _decoded[data] = msg
-        if len(_decoded) > _DECODED_BOUND:
-            del _decoded[next(iter(_decoded))]
+        data = _Frame(data)
+        data.msg = msg
     return data
 
 
@@ -423,22 +422,19 @@ def _plain_segment(seg: Segment) -> bool:
 def decode_message(data: bytes) -> Message:
     """Strict decode of one frame; raises ParseError at the first bad byte.
 
-    A frame this process encoded among the last 64 is not parsed:
-    encode_message keeps each message whose encoding parses back to it type
-    for type in `_decoded`, and that entry is returned. Every neighbour of a
-    broadcast and the trace label read the sender's entry. Any other bytes
-    take the strict parse, and nothing here is stored. The messages are
-    immutable all the way down (NamedTuple records holding ints, strings,
-    bytes, tuples and a frozen AggregateSignature), so callers can share
-    them and change a copy with `._replace`. A ParseError is raised afresh
-    on every call.
+    A frame encode_message returned is not parsed: it carries its message,
+    which every neighbour of a broadcast and the trace label read. Any other
+    bytes take the strict parse. The messages are immutable all the way down
+    (NamedTuple records holding ints, strings, bytes, tuples and a frozen
+    AggregateSignature), so callers can share them and change a copy with
+    `._replace`. A ParseError is raised afresh on every call.
     """
+    if type(data) is _Frame:
+        return data.msg
     if not isinstance(data, bytes):
-        # a hashable, immutable copy of a bytearray or memoryview; unlike
-        # bytes(data), memoryview() refuses an int instead of zero-filling
+        # unlike bytes(data), memoryview() refuses an int, not zero-fills
         data = bytes(memoryview(data))
-    msg = _decoded.get(data)
-    return _parse(data) if msg is None else msg
+    return _parse(data)
 
 
 def _parse(data: bytes) -> Message:
@@ -467,14 +463,12 @@ def _parse(data: bytes) -> Message:
 def describe(data: bytes) -> str:
     """Human label for trace records; tolerant of undecodable payloads.
 
-    A frame in the decode memo is labelled from its entry, with no call to
-    decode_message."""
-    msg = _decoded.get(data) if type(data) is bytes else None
-    if msg is None:
-        try:
-            msg = decode_message(data)
-        except ParseError:
-            return "RAW"
+    A frame encode_message returned is labelled from the message it
+    carries, with no call to decode_message."""
+    try:
+        msg = data.msg if type(data) is _Frame else decode_message(data)
+    except ParseError:
+        return "RAW"
     kind = type(msg)
     if kind is DataPacket:
         return ROLE_NAMES[msg.segment.role]

@@ -35,23 +35,18 @@ EXPECTED_SECURE = {
 
 
 @contextlib.contextmanager
-def capture_frames(decoded=False):
+def capture_frames():
     """Record (src, dst, payload) of every frame any Network transmits.
 
     Wraps Network._transmit for the duration of the block, so every frame
-    a trace record is made for is seen, lost or not. With `decoded`, each
-    record also holds what wire.decode_message gives for the payload when
-    it is sent, while the sender's memo entry is fresh: see decode_or_error.
+    a trace record is made for is seen, lost or not.
     """
     frames = []
     original = sim.Network._transmit
 
-    def transmit(self, src, dst, payload, link, label):
-        record = (src, dst, payload)
-        if decoded:
-            record += (decode_or_error(wire.decode_message, payload),)
-        frames.append(record)
-        return original(self, src, dst, payload, link, label)
+    def transmit(self, src, dst, payload, link):
+        frames.append((src, dst, payload))
+        return original(self, src, dst, payload, link)
 
     sim.Network._transmit = transmit
     try:

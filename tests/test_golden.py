@@ -18,9 +18,10 @@ The same runs also check that the outputs explain themselves: the written
 trace accounts for metrics.json's byte totals and drops, every event kind
 logged has the fields README's "Event log" table gives it, and every logged
 field that names a node holds a declared node name. They, and runs on seeded
-random graphs, also guard the decode memo: each frame decodes, when sent, to
-what a fresh strict parse of its bytes gives, type for type, and no frame of
-a shipped run takes the strict parse at all.
+random graphs, also guard the message each frame carries: each frame
+decodes, after the run ends, to what a fresh strict parse of its bytes
+gives, type for type, and no frame of a shipped run takes the strict parse
+at all.
 """
 
 import contextlib
@@ -68,12 +69,12 @@ def _runs():
 def _run(path, mode, level):
     """(trace.tsv text, metrics.json text, frame digest, event log,
     misdecoded frames, strict parses made) of one run."""
-    with capture_frames(decoded=True) as frames, \
+    with capture_frames() as frames, \
             mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
         result = scenario.run_scenario(scenario.load_file(path), mode=mode,
                                        sec_level=level)
     h = hashlib.sha256()
-    for src, dst, payload, _ in frames:
+    for src, dst, payload in frames:
         h.update(("%s\t%s\t%d\n" % (src, dst, len(payload))).encode())
         h.update(payload)
     return (result.trace_text(), result.metrics_json(), h.hexdigest(),
@@ -82,12 +83,13 @@ def _run(path, mode, level):
 
 
 def _misdecoded(frames):
-    """Send-order indices of the frames, captured with their decode, whose
-    decode differs from a fresh strict parse of the same bytes. Comparing
-    reprs tells bytes from bytearray, tuple from list and int from bool."""
+    """Send-order indices of the captured frames whose decode differs from
+    a fresh strict parse of the same bytes. Comparing reprs tells bytes from
+    bytearray, tuple from list and int from bool."""
     assert frames
-    return [i for i, (_, _, payload, got) in enumerate(frames)
-            if repr(got) != repr(decode_or_error(wire._parse, payload))]
+    return [i for i, (_, _, payload) in enumerate(frames)
+            if repr(decode_or_error(wire.decode_message, payload))
+            != repr(decode_or_error(wire._parse, payload))]
 
 
 def _digests(path, mode, level):
@@ -219,9 +221,9 @@ def test_every_frame_decodes_as_a_fresh_parse(key, path, mode, level):
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_no_frame_takes_the_strict_parse(key, path, mode, level):
     """Each frame a shipped run decodes, at delivery or for its trace label,
-    was encoded in the same process among the last 64, so the decode memo
-    answers it. A strict parse here means the encoder stopped filling the
-    memo, which no output byte would show."""
+    is one encode_message returned, so it carries its message. A strict
+    parse here means the encoder stopped attaching the message, which no
+    output byte would show."""
     assert _run(path, mode, level)[5] == 0
 
 
@@ -245,7 +247,7 @@ def _random_graph_doc(index, sec_level):
 @pytest.mark.parametrize("level", [1, 0])
 def test_random_graph_frames_decode_as_a_fresh_parse(level):
     for index in range(10):
-        with capture_frames(decoded=True) as frames:
+        with capture_frames() as frames:
             scenario.run_scenario(_random_graph_doc(index, level))
         assert _misdecoded(frames) == [], index
 

@@ -102,7 +102,8 @@ def test_largest_request_follows_the_wire_layout(sweep, k):
 
 
 def test_control_byte_order_depends_on_route_length(sweep):
-    ctl = {key: run[0].control_bytes for key, run in sweep.items()}
+    ctl = {key: run[0].trace_totals()["control_bytes"]
+           for key, run in sweep.items()}
     hops = range(1, MAX_HOPS + 1)
     assert all(ctl["L1", k] > ctl["baseline", k] for k in hops)
     # L0 carries the origin signature standalone as well, which outweighs

@@ -1,5 +1,7 @@
 """Event loop tests: ordering, latency, loss, link churn, trace conservation."""
 
+from unittest import mock
+
 import pytest
 
 from manetsec import sim, wire
@@ -242,5 +244,31 @@ def test_metrics_byte_counters_follow_kind():
     net.run(until=5)
     assert [rec.kind for rec in net.trace] == ["RREQ", "DATA", "RAW"]
     assert [rec.size for rec in net.trace] == [len(rreq), len(data), 3]
-    assert metrics.control_bytes == len(rreq)
-    assert metrics.data_bytes == len(data)
+    totals = metrics.trace_totals()
+    assert totals["control_bytes"] == len(rreq)
+    assert totals["data_bytes"] == len(data)
+
+
+def test_each_record_is_labelled_from_its_own_payload():
+    net = _net()
+    net.add_node("hub", Recorder())
+    for name in ("x", "y", "z"):
+        net.add_node(name, Recorder())
+        net.add_link("hub", name, latency=1)
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="hub",
+                          src_id=bytes(32), src_seq=1, bct_id=1, dst_ip="z")
+    frame = wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=0, aggregate=None, source_sig=None))
+    assert type(frame) is wire._Frame
+    payloads = [frame, bytes(frame), bytes(frame)[:-1]]
+    parses = []
+    for payload in payloads:
+        with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
+            net.broadcast("hub", payload)
+        parses.append(parse.call_count)
+    net.run(until=5)
+    assert [rec.kind for rec in net.trace] == \
+        ["RREQ"] * 3 + ["RREQ"] * 3 + ["RAW"] * 3
+    assert [rec.size for rec in net.trace] == \
+        [len(p) for p in payloads for _ in range(3)]
+    assert parses == [0, 3, 3]   # once per record of a plain-bytes payload

@@ -346,7 +346,7 @@ def test_retransmission_retags_under_a_rotated_session_key():
     assert not ep["b"]._tag_ok("a", resent)
 
 
-def test_tagged_segment_is_a_plain_segment_that_enters_the_decode_memo():
+def test_tagged_segment_is_a_plain_segment_its_frame_carries():
     net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
     r["a"].start_discovery("b")
     net.run(until=5)
@@ -361,7 +361,7 @@ def test_tagged_segment_is_a_plain_segment_that_enters_the_decode_memo():
     assert list(map(type, got)) == list(map(type, want))
 
     frame = wire.encode_message(wire.DataPacket("a", "b", got))
-    assert wire._decoded[frame].segment is got
+    assert frame.msg.segment is got
     with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
         assert wire.decode_message(frame).segment is got
     assert parse.call_count == 0

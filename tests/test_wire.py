@@ -1,8 +1,10 @@
 """Wire codec tests: canonical encodings, strict decoding, signing views."""
 
+import copy
 import hashlib
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,14 +194,6 @@ def test_repeated_decodes_return_equal_messages():
         assert wire.decode_message(data) == first
         # equal bytes in a different object decode to the same message
         assert wire.decode_message(bytes(bytearray(data))) == first
-    # the encoder keeps the memo bounded, and a decode miss stores nothing
-    seg = _cache_samples()[1]
-    for i in range(3 * wire._DECODED_BOUND):
-        data = wire.encode_message(seg._replace(seq=i))
-        assert len(wire._decoded) <= wire._DECODED_BOUND
-        held = dict(wire._decoded)
-        wire.decode_message(data[:-1] + bytes([data[-1] ^ 0xFF]))
-        assert wire._decoded == held
 
 
 def test_decode_accepts_bytearray_and_memoryview():
@@ -559,15 +553,35 @@ def test_describe_labels_every_frame_of_a_run_as_a_fresh_parse():
                                                      "DATA"}
     truncated = payloads[-1][:-1]
     assert _old_describe(truncated) == "RAW"
+    assert all(type(p) is wire._Frame for p in payloads)
     for data in payloads + [truncated]:
         want = _old_describe(data)
-        wire._decoded.clear()
-        assert wire.describe(data) == want   # the miss path
-        assert data not in wire._decoded
-        if want != "RAW":
-            assert wire.encode_message(wire._parse(data)) == data
-            assert data in wire._decoded
-            assert wire.describe(data) == want   # labelled from the entry
+        assert wire.describe(bytes(data)) == want   # the strict parse
+        assert wire.describe(data) == want   # labelled from its message
+
+
+def _module_state():
+    """A copy of every module-level dict, list and set of manetsec.wire."""
+    return {name: copy.copy(value) for name, value in vars(wire).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
+def test_no_frame_state_outlives_its_frame():
+    path = os.path.join(ROOT, "scenarios", "attack_session_hijack.json")
+    before = _module_state()
+    assert "ROLE_NAMES" in before
+    with capture_frames() as frames:
+        scenario.run_scenario(scenario.load_file(path), mode="secure",
+                              sec_level=1)
+    assert _module_state() == before
+    payloads = [payload for _, _, payload in frames]
+    assert payloads and all(type(p) is wire._Frame for p in payloads)
+    with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
+        for i, frame in enumerate(payloads, start=1):
+            got = wire.decode_message(bytes(frame))
+            assert parse.call_count == i
+            assert got == frame.msg and repr(got) == repr(frame.msg)
 
 
 # --- bytes against the field-by-field encoder --------------------------------
