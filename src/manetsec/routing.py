@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import wire
 from .crypto import (
@@ -43,7 +43,7 @@ from .crypto import (
     sas_unwind_verify,
     RsaKeyPair,
 )
-from .identity import Registry, UnknownIdentityError, derive_id
+from .identity import NodeIdentity, Registry, UnknownIdentityError, derive_id
 from .sim import Network
 
 MAX_CASE2_HOPS = 1
@@ -102,6 +102,12 @@ class PendingDiscovery:
     attempt: int
 
 
+class Session(NamedTuple):
+    """The newest key agreed with a peer, and the peer's id it binds."""
+    key: SessionKey
+    peer_id: bytes
+
+
 @dataclass
 class FlowState:
     bct_id: int
@@ -123,7 +129,7 @@ class RouterNode:
         self.pending: Dict[int, PendingDiscovery] = {}
         self.flows: Dict[Tuple[bytes, bytes], FlowState] = {}
         self.seen: set = set()
-        self.session_keys: Dict[str, SessionKey] = {}   # newest per peer
+        self.sessions: Dict[str, Session] = {}   # by peer ip
         self.active_targets: set = set()
         self.send_queue: Dict[str, List[wire.Segment]] = {}
         self.transport = None
@@ -168,9 +174,6 @@ class RouterNode:
         if not any(pd.target_ip == dst_ip for pd in self.pending.values()):
             self.start_discovery(dst_ip)
 
-    def session_key_for(self, peer_ip: str) -> Optional[SessionKey]:
-        return self.session_keys.get(peer_ip)
-
     # --- sending ------------------------------------------------------------
 
     def _originate(self, core: wire.RouteCore) -> wire.RouteMessage:
@@ -212,14 +215,10 @@ class RouterNode:
 
     # --- verification -------------------------------------------------------
 
-    def _verify(self, msg: wire.RouteMessage, sender: str,
-                terminal: bool) -> Optional[str]:
+    def _verify(self, msg: wire.RouteMessage, sender: str, terminal: bool,
+                origin: NodeIdentity,
+                hop_nodes: List[NodeIdentity]) -> Optional[str]:
         core = msg.core
-        try:
-            origin = self.registry.get(core.src_id)
-            hop_ids = [self.registry.get(h) for h in msg.hops]
-        except UnknownIdentityError:
-            return "unknown_identity"
         if not self.config.secure:
             return None
         if msg.sec_level != self.config.sec_level:
@@ -238,7 +237,7 @@ class RouterNode:
             if agg.signer_count != len(msg.hops) + 1:
                 return "malformed"
             publics = [origin.signing_public]
-            publics += [ident.signing_public for ident in hop_ids]
+            publics += [node.signing_public for node in hop_nodes]
             per_signer = list(zip(wire.signer_hashes(core, msg.hops, publics),
                                   publics))
             ok = sas_unwind_verify(agg, per_signer)
@@ -252,7 +251,7 @@ class RouterNode:
         if agg.signer_count != len(msg.hops) + 1:
             return "malformed"
         if msg.hops:
-            last = hop_ids[0]
+            last = hop_nodes[0]
             n_last = last.signing_public[0]
             if not 0 <= agg.value < n_last:
                 return "verify_failed"
@@ -288,15 +287,24 @@ class RouterNode:
         core = msg.core
         if self._seen_key(core) in self.seen:
             return "duplicate"
+        # identities before signatures: an unknown one costs no RSA work
+        try:
+            origin = self.registry.get(core.src_id)
+            hop_nodes = [self.registry.get(h) for h in msg.hops]
+            dest = self.registry.by_ip(core.dst_ip)
+            if core.kind == wire.KIND_RERR:
+                unreachable = self.registry.get(core.originator_id)
+        except UnknownIdentityError:
+            return "unknown_identity"
         terminal = core.dst_ip == self.ip
-        reason = self._verify(msg, sender, terminal)
+        reason = self._verify(msg, sender, terminal, origin, hop_nodes)
         if reason:
             return reason
         if core.kind == wire.KIND_RREQ:
-            return self._on_rreq(sender, msg, terminal)
+            return self._on_rreq(sender, msg, terminal, origin, dest)
         if core.kind == wire.KIND_RREP:
-            return self._on_rrep(sender, msg, terminal)
-        return self._on_rerr(sender, msg, terminal)
+            return self._on_rrep(sender, msg, terminal, origin, dest)
+        return self._on_rerr(sender, msg, terminal, origin, dest, unreachable)
 
     def _retire(self, bct: int) -> None:
         """Discovery timeout: retry the attempt, or give its target up."""
@@ -312,29 +320,26 @@ class RouterNode:
     def _seen_key(self, core: wire.RouteCore):
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
 
-    def _on_rreq(self, sender: str, msg: wire.RouteMessage,
-                 terminal: bool) -> Optional[str]:
+    def _on_rreq(self, sender: str, msg: wire.RouteMessage, terminal: bool,
+                 origin: NodeIdentity, dest: NodeIdentity) -> Optional[str]:
         core = msg.core
-        try:
-            dst_id = self.registry.by_ip(core.dst_ip).node_id
-        except UnknownIdentityError:
-            return "unknown_identity"
         self.seen.add(self._seen_key(core))
-        self._install(core.src_id, sender, len(msg.hops) + 1, core.src_seq,
+        self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREQ")
-        flow = self.flows.setdefault((core.src_id, dst_id),
+        flow = self.flows.setdefault((core.src_id, dest.node_id),
                                      FlowState(bct_id=core.bct_id))
         flow.bct_id = core.bct_id
         flow.toward_src = sender
         if terminal:
-            return self._answer_request(core)
+            return self._answer_request(core, origin)
         self._send(self._forward(msg))
         return None
 
-    def _answer_request(self, core: wire.RouteCore) -> Optional[str]:
+    def _answer_request(self, core: wire.RouteCore,
+                        origin: NodeIdentity) -> Optional[str]:
         sealed = 0
         if self.config.secure:
-            reason, sealed = self._respond_key_exchange(core)
+            reason, sealed = self._respond_key_exchange(core, origin)
             if reason:
                 return reason
         self.seq += 1
@@ -348,14 +353,14 @@ class RouterNode:
             self._send(msg, route.next_hop)
         return None
 
-    def _respond_key_exchange(self, core) -> Tuple[Optional[str], int]:
+    def _respond_key_exchange(self, core: wire.RouteCore, origin: NodeIdentity
+                              ) -> Tuple[Optional[str], int]:
         p, g = core.dh_p, core.dh_g
         if p < 7 or p % 2 == 0 or not 2 <= g <= p - 2:
             return "malformed", 0
         try:
-            origin = self.registry.get(core.src_id)
             theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
-        except (UnknownIdentityError, ValueError):
+        except ValueError:
             return "malformed", 0
         if not 0 < theirs < p:
             return "malformed", 0
@@ -369,36 +374,32 @@ class RouterNode:
             return "malformed", 0
         params = make_dh_params(p, g, self.rng)
         key = dh_shared(theirs, params)
-        self._store_key(origin.ip, core.bct_id, key)
+        self._store_key(origin, core.bct_id, key)
         sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
         return None, sealed
 
-    def _store_key(self, peer_ip: str, bct: int, key: SessionKey,
+    def _store_key(self, peer: NodeIdentity, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:
-        self.session_keys[peer_ip] = key
+        self.sessions[peer.ip] = Session(key, peer.node_id)
         self.metrics.log(self.net.tick, self.ip, "session_key",
-                         peer=peer_ip, bct=bct, key=key.value,
+                         peer=peer.ip, bct=bct, key=key.value,
                          initiated=initiated)
 
-    def _on_rrep(self, sender: str, msg: wire.RouteMessage,
-                 terminal: bool) -> Optional[str]:
+    def _on_rrep(self, sender: str, msg: wire.RouteMessage, terminal: bool,
+                 origin: NodeIdentity, dest: NodeIdentity) -> Optional[str]:
         core = msg.core
-        try:
-            src_node_id = self.registry.by_ip(core.dst_ip).node_id
-        except UnknownIdentityError:
-            return "unknown_identity"
         if terminal:
             pd = self.pending.get(core.bct_id)
-            if pd is None or self.registry.get(core.src_id).ip != pd.target_ip:
+            if pd is None or origin.ip != pd.target_ip:
                 return "no_pending"
             if self.config.secure:
-                reason = self._finish_key_exchange(core, pd)
+                reason = self._finish_key_exchange(core, pd, origin)
                 if reason:
                     return reason
         self.seen.add(self._seen_key(core))
-        self._install(core.src_id, sender, len(msg.hops) + 1, core.src_seq,
+        self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREP")
-        flow = self.flows.setdefault((src_node_id, core.src_id),
+        flow = self.flows.setdefault((dest.node_id, core.src_id),
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
         if terminal:
@@ -407,13 +408,14 @@ class RouterNode:
                              target=pd.target_ip, bct=core.bct_id)
             self._flush_queue(pd.target_ip)
             return None
-        route = self.routes.get(src_node_id)
+        route = self.routes.get(dest.node_id)
         if route is None:
             return "no_route"
         self._send(self._forward(msg), route.next_hop)
         return None
 
-    def _finish_key_exchange(self, core, pd: PendingDiscovery) -> Optional[str]:
+    def _finish_key_exchange(self, core: wire.RouteCore, pd: PendingDiscovery,
+                             peer: NodeIdentity) -> Optional[str]:
         try:
             theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
         except ValueError:
@@ -421,19 +423,15 @@ class RouterNode:
         if pd.params is None or not 0 < theirs < pd.params.p:
             return "malformed"
         # _on_rrep has checked the replier's name against the target
-        self._store_key(pd.target_ip, core.bct_id,
+        self._store_key(peer, core.bct_id,
                         dh_shared(theirs, pd.params), initiated=True)
         return None
 
-    def _on_rerr(self, sender: str, msg: wire.RouteMessage,
-                 terminal: bool) -> Optional[str]:
+    def _on_rerr(self, sender: str, msg: wire.RouteMessage, terminal: bool,
+                 origin: NodeIdentity, dest: NodeIdentity,
+                 unreachable: NodeIdentity) -> Optional[str]:
         core = msg.core
-        try:
-            src_node_id = self.registry.by_ip(core.dst_ip).node_id
-            unreachable = self.registry.get(core.originator_id)
-        except UnknownIdentityError:
-            return "unknown_identity"
-        flow = self.flows.get((src_node_id, core.originator_id))
+        flow = self.flows.get((dest.node_id, core.originator_id))
         if self.config.secure:
             if flow is None or flow.toward_dst != sender:
                 return "id_mismatch"
@@ -441,7 +439,7 @@ class RouterNode:
             return "no_route"
         self.seen.add(self._seen_key(core))
         self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
-                         reporter=self.registry.get(core.src_id).ip,
+                         reporter=origin.ip,
                          unreachable=unreachable.ip)
         self.routes.pop(core.originator_id, None)
         if flow is not None:
@@ -453,16 +451,15 @@ class RouterNode:
         fwd = self._forward(msg)
         target = flow.toward_src if flow is not None else None
         if target is None:
-            route = self.routes.get(src_node_id)
+            route = self.routes.get(dest.node_id)
             target = route.next_hop if route else None
         if target is not None:
             self._send(fwd, target)
         return None
 
-    def _report_break(self, src_node_id: bytes, dst_node_id: bytes) -> None:
-        flow = self.flows.get((src_node_id, dst_node_id))
+    def _report_break(self, src: NodeIdentity, dst_node_id: bytes) -> None:
+        flow = self.flows.get((src.node_id, dst_node_id))
         self.routes.pop(dst_node_id, None)
-        src = self.registry.get(src_node_id)
         self.seq += 1
         core = wire.RouteCore(kind=wire.KIND_RERR, src_ip=self.ip,
                               src_id=self.node_id, src_seq=self.seq,
@@ -514,25 +511,25 @@ class RouterNode:
             return "no_route"
         if not self.net.unicast(self.ip, route.next_hop, raw):
             try:
-                src_id = self.registry.by_ip(pkt.src_ip).node_id
+                src = self.registry.by_ip(pkt.src_ip)
             except UnknownIdentityError:
                 self.routes.pop(dst_id, None)
                 return None
-            self._report_break(src_id, dst_id)
+            self._report_break(src, dst_id)
         return None
 
     # --- route table --------------------------------------------------------
 
-    def _install(self, dst_id: bytes, next_hop: str, distance: int, seq: int,
-                 via: str) -> None:
-        if dst_id == self.node_id:
+    def _install(self, dst: NodeIdentity, next_hop: str, distance: int,
+                 seq: int, via: str) -> None:
+        if dst.node_id == self.node_id:
             return
-        old = self.routes.get(dst_id)
+        old = self.routes.get(dst.node_id)
         if old is not None and (old.seq > seq or
                                 (old.seq == seq and old.distance <= distance)):
             return
-        self.routes[dst_id] = RouteEntry(next_hop=next_hop, distance=distance,
-                                         seq=seq)
-        self.metrics.log(self.net.tick, self.ip, "route",
-                         dst=self.registry.get(dst_id).ip, next_hop=next_hop,
-                         distance=distance, seq=seq, via=via)
+        self.routes[dst.node_id] = RouteEntry(next_hop=next_hop,
+                                              distance=distance, seq=seq)
+        self.metrics.log(self.net.tick, self.ip, "route", dst=dst.ip,
+                         next_hop=next_hop, distance=distance, seq=seq,
+                         via=via)

@@ -34,6 +34,14 @@ KEY_WAIT_LIMIT = 20
 ConnKey = Tuple[str, int, int]   # (peer ip, local port, remote port)
 
 
+def _keyed_number(label: bytes, client_port: int, server_port: int,
+                  client_id: bytes, server_id: bytes, key: SessionKey) -> int:
+    """A secure client's initial-number offset, or a server's cookie."""
+    return digest_int(digest(
+        label + client_port.to_bytes(8, "big") + server_port.to_bytes(8, "big")
+        + client_id + server_id + key.key_bytes)) & MASK
+
+
 @dataclass
 class TcpConfig:
     mss: int = 512
@@ -85,7 +93,7 @@ class TcpEndpoint:
                           close_after_drain=close)
         self.conns[key] = conn
         self._event("connect", conn)
-        if self.secure and self.router.session_key_for(peer_ip) is None:
+        if self.secure and peer_ip not in self.router.sessions:
             try:
                 self.router.ensure_discovery(peer_ip)
             except UnknownIdentityError:
@@ -113,21 +121,16 @@ class TcpEndpoint:
         self._connect_count += 1
         if not self.secure:
             return base
-        key = self.router.session_key_for(conn.peer_ip)
-        peer_id = self.router.registry.by_ip(conn.peer_ip).node_id
-        offset = digest_int(digest(
-            b"isn" + conn.local_port.to_bytes(8, "big")
-            + conn.remote_port.to_bytes(8, "big")
-            + self.router.node_id + peer_id + key.key_bytes)) & MASK
-        return (base + offset) & MASK
+        session = self.router.sessions[conn.peer_ip]
+        return (base + _keyed_number(
+            b"isn", conn.local_port, conn.remote_port, self.router.node_id,
+            session.peer_id, session.key)) & MASK
 
-    def _cookie(self, peer_ip: str, client_port: int, server_port: int,
-                key: SessionKey) -> int:
-        peer_id = self.router.registry.by_ip(peer_ip).node_id
-        return digest_int(digest(
-            b"cookie" + client_port.to_bytes(8, "big")
-            + server_port.to_bytes(8, "big")
-            + peer_id + self.router.node_id + key.key_bytes)) & MASK
+    def _cookie(self, peer_ip: str, seg: wire.Segment) -> int:
+        """The server's initial number for the client that sent `seg`."""
+        session = self.router.sessions[peer_ip]
+        return _keyed_number(b"cookie", seg.src_port, seg.dst_port,
+                             session.peer_id, self.router.node_id, session.key)
 
     # --- segment construction ---------------------------------------------------
 
@@ -140,9 +143,9 @@ class TcpEndpoint:
     def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
         if not self.secure:
             return seg
-        key = self.router.session_key_for(peer_ip)
-        peer_id = self.router.registry.by_ip(peer_ip).node_id
-        tag = mac_tag(seg.tag_input() + self.router.node_id + peer_id, key)
+        session = self.router.sessions[peer_ip]
+        tag = mac_tag(seg.tag_input() + self.router.node_id + session.peer_id,
+                      session.key)
         # by position: _replace would build a second record on the way
         role, src_port, dst_port, seq, ack, payload, _ = seg
         return wire.Segment(role, src_port, dst_port, seq, ack, payload, tag)
@@ -172,7 +175,7 @@ class TcpEndpoint:
         if what == "kw":
             if conn.state != "key_wait":
                 return
-            if self.router.session_key_for(conn.peer_ip) is not None:
+            if conn.peer_ip in self.router.sessions:
                 self._begin_handshake(conn)
             elif detail + 1 >= KEY_WAIT_LIMIT:
                 conn.state = "failed"
@@ -225,17 +228,11 @@ class TcpEndpoint:
         return self._on_fin_ack(seg, conn)
 
     def _tag_ok(self, peer_ip: str, seg: wire.Segment) -> bool:
-        # the key first: a peer without one, such as a ghost SYN's
-        # made-up name, costs no registry lookup
-        key = self.router.session_key_for(peer_ip)
-        if key is None:
+        session = self.router.sessions.get(peer_ip)
+        if session is None:
             return False
-        try:
-            peer_id = self.router.registry.by_ip(peer_ip).node_id
-        except UnknownIdentityError:
-            return False
-        return mac_verify(seg.tag_input() + peer_id + self.router.node_id,
-                          key, seg.tag)
+        return mac_verify(seg.tag_input() + session.peer_id
+                          + self.router.node_id, session.key, seg.tag)
 
     def _on_syn(self, peer_ip: str, seg: wire.Segment, key: ConnKey,
                 conn: Optional[Connection]) -> Optional[str]:
@@ -244,8 +241,7 @@ class TcpEndpoint:
         if seg.dst_port not in self.listening:
             return "out_of_phase"
         if self.secure:
-            k = self.router.session_key_for(peer_ip)
-            isn_s = self._cookie(peer_ip, seg.src_port, seg.dst_port, k)
+            isn_s = self._cookie(peer_ip, seg)
         elif key in self.half_open:
             isn_s = self.half_open[key]   # duplicate SYN, answer again
         else:
@@ -288,10 +284,7 @@ class TcpEndpoint:
         if seg.dst_port not in self.listening:
             return None
         if self.secure:
-            k = self.router.session_key_for(peer_ip)
-            if k is None:
-                return None
-            isn_s = self._cookie(peer_ip, seg.src_port, seg.dst_port, k)
+            isn_s = self._cookie(peer_ip, seg)
             if seg.ack != (isn_s + 1) & MASK:
                 return None
         else:

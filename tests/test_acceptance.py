@@ -166,10 +166,12 @@ def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
             assert metrics.discovery_latency_ticks, \
                 "discovery %d/%d found no route" % (sec_level, run)
             assert reg.by_ip(dst).node_id in routers[src].routes
-            k_src = routers[src].session_key_for(dst)
-            k_dst = routers[dst].session_key_for(src)
-            assert k_src is not None and k_dst is not None
-            assert k_src.value == k_dst.value
+            s_src = routers[src].sessions.get(dst)
+            s_dst = routers[dst].sessions.get(src)
+            assert s_src is not None and s_dst is not None
+            assert s_src.key.value == s_dst.key.value
+            assert s_src.peer_id == reg.by_ip(dst).node_id
+            assert s_dst.peer_id == reg.by_ip(src).node_id
 
     # the worked key-exchange example: p=23, g=5, secrets 6 and 15 agree on 2
     net, routers, reg, metrics = _build_net(
@@ -177,8 +179,8 @@ def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
     with pinned_group(routers["a"], p=23, g=5, r=6):
         routers["a"].start_discovery("b")
     net.run(until=10)
-    assert routers["a"].session_key_for("b").value == 2
-    assert routers["b"].session_key_for("a").value == 2
+    assert routers["a"].sessions["b"].key.value == 2
+    assert routers["b"].sessions["a"].key.value == 2
     _report(3, "200 random-graph discoveries agreed on keys at both levels; "
                "worked example derives 2")
 

@@ -266,7 +266,7 @@ def _redirect_through_a_relay(doc):
 
 # A level-0 relay checks only the last hop's binding; the origin signature
 # is checked at the endpoint alone, yet the relay installs a route from the
-# core it never checked (ROADMAP item 1).
+# core it never checked (ROADMAP defect 2a).
 _RELAY_BUG = pytest.mark.xfail(strict=True, reason="level-0 relays install "
                                "routes from unchecked cores")
 

@@ -92,8 +92,8 @@ def test_two_node_discovery_with_pinned_key_exchange():
     assert all(rec.fields["key"] == 2 for rec in recs)
     assert all(rec.fields["bct"] == bct for rec in recs)
     assert {rec.node for rec in recs} == {"a", "b"}
-    assert r["a"].session_key_for("b").value == 2
-    assert r["b"].session_key_for("a").value == 2
+    assert r["a"].sessions["b"].key.value == 2
+    assert r["b"].sessions["a"].key.value == 2
 
     assert m.discovery_latency_ticks == [2]
     assert m.signed == 2
@@ -116,8 +116,8 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
 
     assert m.drops == {"malformed": 1}
     assert m.of("session_key") == []
-    assert r["b"].session_key_for("a") is None
-    assert r["a"].session_key_for("b") is None
+    assert r["b"].sessions == {}
+    assert r["a"].sessions == {}
 
 
 @pytest.mark.parametrize("sec_level,exp_signed,exp_verified",
@@ -271,6 +271,49 @@ def test_unknown_origin_identity_is_rejected():
     net.broadcast("m", wire.encode_message(msg))
     net.run(until=5)
     assert m.drops == {"unknown_identity": 1}
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+@pytest.mark.parametrize("kind,unknown", [
+    ("RREQ", "dst_ip"), ("RREP", "dst_ip"), ("RERR", "dst_ip"),
+    ("RERR", "originator_id"),
+])
+def test_a_forged_chain_naming_an_unknown_identity_costs_no_check(
+        sec_level, kind, unknown):
+    # m relays o's message to v under a made-up aggregate: with every
+    # identity known, v spends signature checks to reject it; with one
+    # unknown, it drops the message before any
+    names = ["o", "m", "v"]
+    net, r, reg, m, keys = build(names, [("m", "v")], sec_level=sec_level,
+                                 key_bits=128, stubs=("o", "m"))
+    fields = {"RREQ": dict(dh_p=23, dh_g=5, dh_payload=9),
+              "RREP": dict(dst_seq=1, dh_payload=9),
+              "RERR": dict(originator_id=reg.by_ip("o").node_id)}[kind]
+
+    def forged(seq, **named):
+        core = wire.RouteCore(kind=getattr(wire, "KIND_" + kind), src_ip="o",
+                              src_id=reg.by_ip("o").node_id, src_seq=seq,
+                              bct_id=1, **{**fields, **named})
+        return wire.encode_message(wire.RouteMessage(
+            core=core, hops=(reg.by_ip("m").node_id,), sec_level=sec_level,
+            aggregate=AggregateSignature(value=5, overflow_bits=(0,)),
+            source_sig=7 if sec_level == 0 else None))
+
+    net.unicast("m", "v", forged(1, dst_ip="o"))
+    net.run(until=5)
+    assert m.drops == {"verify_failed": 1}
+    checked = m.verified
+    assert checked > 0
+
+    named = {"dst_ip": "o"}
+    named[unknown] = "nowhere" if unknown == "dst_ip" else b"\x42" * 32
+    public_ops = crypto.rsa_public.cache_info()
+    net.unicast("m", "v", forged(2, **named))
+    net.run(until=10)
+    assert m.drops == {"verify_failed": 1, "unknown_identity": 1}
+    assert m.verified == checked
+    assert crypto.rsa_public.cache_info()[:2] == public_ops[:2]
+    assert r["v"].routes == {}
 
 
 def test_undecodable_bytes_are_malformed():

@@ -722,7 +722,7 @@ def test_trace_lint_accepts_the_drop_disposition_sim_writes():
     assert cli._lint_trace(line % "dropped_by_receiver(replay") != []
 
 
-# --- known protocol defects (ROADMAP item 1) --------------------------------
+# --- known protocol defects (ROADMAP defects 2b and 2c) ---------------------
 # Both fail today; the fix removes the xfail marks.
 
 def _line_doc(names, **over):

@@ -1,5 +1,7 @@
 """Connection setup, transfer, teardown, and the authenticated-segment rules."""
 
+import sys
+
 import pytest
 
 from unittest import mock
@@ -279,6 +281,62 @@ def test_connect_to_unreachable_peer_eventually_fails():
     assert ep["a"].conns[("f", 1, 2)].state == "failed"
 
 
+def test_identities_are_resolved_once_where_they_enter_a_node():
+    # a connects to c through b and sends data: the session carries the
+    # peer's id, so the transport makes no registry lookup, and a node
+    # that accepts a request resolves its origin once
+    net, r, ep, reg, m, keys = build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    lookups = []        # (calling module, method, argument, rreq being read)
+    reading = [None]
+
+    def spy(method):
+        real = getattr(identity.Registry, method)
+
+        def lookup(self, arg):
+            caller = sys._getframe(1).f_globals["__name__"]
+            lookups.append((caller, method, arg, reading[-1]))
+            return real(self, arg)
+        return lookup
+
+    receptions = []     # (rreq, drop reason) per request a router read
+    real_receive = routing.RouterNode.on_receive
+
+    def on_receive(self, sender, payload):
+        msg = wire.decode_message(payload)
+        rreq = None
+        if (isinstance(msg, wire.RouteMessage)
+                and msg.core.kind == wire.KIND_RREQ):
+            rreq = (self.ip, msg.core)
+        reading.append(rreq)
+        try:
+            reason = real_receive(self, sender, payload)
+        finally:
+            reading.pop()
+        if rreq is not None:
+            receptions.append((rreq, reason))
+        return reason
+
+    with mock.patch.object(identity.Registry, "get", spy("get")), \
+            mock.patch.object(identity.Registry, "by_ip", spy("by_ip")), \
+            mock.patch.object(routing.RouterNode, "on_receive", on_receive):
+        ep["c"].listen(80)
+        ep["a"].connect("c", 5000, 80, data=b"x" * 1500, close=True)
+        net.run(until=200)
+
+    assert [ev.fields["data"] for ev in m.of("deliver")] == [
+        b"x" * 512, b"x" * 512, b"x" * 476]
+    assert ep["a"].conns[("c", 5000, 80)].state == "closed"
+    assert lookups
+    assert [lk for lk in lookups if lk[0] == "manetsec.transport"] == []
+    # b and c accept a's request; a drops b's rebroadcast unresolved
+    assert sorted((rreq[0], reason or "") for rreq, reason in receptions) \
+        == [("a", "duplicate"), ("b", ""), ("c", "")]
+    for rreq, reason in receptions:
+        origin = [lk for lk in lookups
+                  if lk[3] is rreq and lk[1:3] == ("get", rreq[1].src_id)]
+        assert len(origin) == (1 if reason is None else 0)
+
+
 def test_connect_to_an_unregistered_peer_logs_its_failure():
     net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
     ep["a"].connect("nowhere", 1, 2)
@@ -307,7 +365,7 @@ def test_initial_numbers_plain_counter_vs_keyed_offset():
     ep2["b"].listen(80)
     ep2["a"].connect("b", 5000, 80)
     net2.run(until=30)
-    key = r2["a"].session_key_for("b")
+    key = r2["a"].sessions["b"].key
     a_id = r2["a"].node_id
     b_id = r2["b"].node_id
     offset = digest_int(digest(b"isn" + (5000).to_bytes(8, "big")
@@ -321,8 +379,8 @@ def test_retransmission_retags_under_a_rotated_session_key():
     net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
     r["a"].start_discovery("b")
     net.run(until=5)
-    old = r["a"].session_key_for("b")
-    assert old is not None and r["b"].session_key_for("a") == old
+    old = r["a"].sessions["b"].key
+    assert old is not None and r["b"].sessions["a"].key == old
     ep["b"].listen(80)
     conn_key = ep["a"].connect("b", 5000, 80)   # the SYN goes out now
     sent = ep["a"].conns[conn_key].inflight
@@ -330,7 +388,7 @@ def test_retransmission_retags_under_a_rotated_session_key():
 
     # a route repair replaces the key between the send and its resend
     new = SessionKey(old.value + 1)
-    r["a"].session_keys["b"] = new
+    r["a"].sessions["b"] = r["a"].sessions["b"]._replace(key=new)
     ep["a"].on_timer("tcp", ("rx", conn_key, (sent.seq, sent.role)))
     resent = ep["a"].conns[conn_key].inflight
     assert resent[:6] == sent[:6] and resent.tag != sent.tag
@@ -340,9 +398,9 @@ def test_retransmission_retags_under_a_rotated_session_key():
     assert not mac_verify(covered, old, resent.tag)
     assert mac_verify(covered, old, sent.tag)
     # and the receiver's check agrees, whichever key it holds
-    r["b"].session_keys["a"] = new
+    r["b"].sessions["a"] = r["b"].sessions["a"]._replace(key=new)
     assert ep["b"]._tag_ok("a", resent)
-    r["b"].session_keys["a"] = old
+    r["b"].sessions["a"] = r["b"].sessions["a"]._replace(key=old)
     assert not ep["b"]._tag_ok("a", resent)
 
 
@@ -350,7 +408,7 @@ def test_tagged_segment_is_a_plain_segment_its_frame_carries():
     net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
     r["a"].start_discovery("b")
     net.run(until=5)
-    key = r["a"].session_key_for("b")
+    key = r["a"].sessions["b"].key
     seg = wire.Segment(wire.ROLE_DATA, 5000, 80, 7, 9, b"payload",
                        b"\x00" * 32)
     got = ep["a"]._tagged("b", seg)
