@@ -223,12 +223,8 @@ class RouterNode:
             return None
         if msg.sec_level != self.config.sec_level:
             return "malformed"
-        try:
-            sender_id = self.registry.by_ip(sender).node_id
-        except UnknownIdentityError:
-            return "unknown_identity"
-        expected_last = msg.hops[-1] if msg.hops else core.src_id
-        if sender_id != expected_last:
+        # the claimed last hop, resolved by on_receive, must be the sender
+        if (hop_nodes[-1] if hop_nodes else origin).ip != sender:
             return "id_mismatch"
         agg = msg.aggregate
         if agg is None:
@@ -282,8 +278,6 @@ class RouterNode:
             return "malformed"
         if isinstance(msg, wire.DataPacket):
             return self._on_data(sender, msg, payload)
-        if not isinstance(msg, wire.RouteMessage):
-            return "malformed"   # bare segments never travel node to node
         core = msg.core
         if self._seen_key(core) in self.seen:
             return "duplicate"

@@ -18,7 +18,7 @@ from .crypto import (
 KIND_RREQ = 0x01
 KIND_RREP = 0x02
 KIND_RERR = 0x03
-KIND_SEGMENT = 0x10
+KIND_SEGMENT = 0x10   # the segment record inside a data envelope
 KIND_DATA = 0x11
 
 ROLE_SYN = 1
@@ -139,6 +139,9 @@ class RouteMessage(NamedTuple):
 
 
 class Segment(NamedTuple):
+    """A transport segment: the record a DataPacket carries, and what its
+    tag covers; never a frame of its own."""
+
     role: int
     src_port: int
     dst_port: int
@@ -160,7 +163,7 @@ class DataPacket(NamedTuple):
     segment: Segment
 
 
-Message = Union[RouteMessage, Segment, DataPacket]
+Message = Union[RouteMessage, DataPacket]
 
 
 def encode_core(core: RouteCore) -> bytes:
@@ -314,7 +317,7 @@ _DATA_KIND = bytes([KIND_DATA])
 
 
 def _segment_head(seg: Segment) -> bytes:
-    """A segment frame's kind byte and 37-byte header, packed at once."""
+    """A segment record's kind byte and 37-byte header, packed at once."""
     role = seg.role
     if role not in ROLE_NAMES:
         raise ValueError("unknown segment role %r" % role)
@@ -369,10 +372,6 @@ def encode_message(msg: Message) -> bytes:
             raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
         data = b"".join((_DATA_KIND, src, dst, _segment_head(seg),
                          seg.payload, seg.tag))
-    elif kind is Segment:
-        if len(msg.tag) != DIGEST_BYTES:
-            raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
-        data = b"".join((_segment_head(msg), msg.payload, msg.tag))
     elif kind is RouteMessage:
         data = _encode_route_message(msg)
     else:
@@ -391,12 +390,13 @@ def _decodes_to_itself(msg: Message) -> bool:
     message parses back to itself unless it holds something else: a bool,
     a bytearray, a list, a subclass.
     """
-    kind = type(msg)
-    if kind is DataPacket:
+    if type(msg) is DataPacket:
+        seg = msg.segment   # chained `is` tests: this runs per segment sent
         return (type(msg.src_ip) is type(msg.dst_ip) is str
-                and _plain_segment(msg.segment))
-    if kind is Segment:
-        return _plain_segment(msg)
+                and type(seg) is Segment
+                and type(seg.payload) is type(seg.tag) is bytes
+                and type(seg.role) is type(seg.src_port) is type(seg.dst_port)
+                is type(seg.seq) is type(seg.ack) is int)
     agg, sig = msg.aggregate, msg.source_sig
     return (type(msg.core) is RouteCore
             and tuple(map(type, msg.core)) == _CORE_TYPES
@@ -409,14 +409,6 @@ def _decodes_to_itself(msg: Message) -> bool:
                      and type(agg.overflow_bits) is tuple
                      and all(type(bit) is int for bit in agg.overflow_bits)))
             and (sig is None or type(sig) is int))
-
-
-def _plain_segment(seg: Segment) -> bool:
-    # chained `is` tests: this runs once per segment sent
-    return (type(seg) is Segment
-            and type(seg.payload) is type(seg.tag) is bytes
-            and type(seg.role) is type(seg.src_port) is type(seg.dst_port)
-            is type(seg.seq) is type(seg.ack) is int)
 
 
 def decode_message(data: bytes) -> Message:
@@ -443,8 +435,6 @@ def _parse(data: bytes) -> Message:
     kind = data[0]
     if kind in ROUTE_KIND_NAMES:
         msg, pos = _read_route_message(data, 0)
-    elif kind == KIND_SEGMENT:
-        msg, pos = _read_segment(data, 1)
     elif kind == KIND_DATA:
         pos = 1
         src_ip, pos = _read_token(data, pos)
@@ -469,12 +459,9 @@ def describe(data: bytes) -> str:
         msg = data.msg if type(data) is _Frame else decode_message(data)
     except ParseError:
         return "RAW"
-    kind = type(msg)
-    if kind is DataPacket:
+    if type(msg) is DataPacket:
         return ROLE_NAMES[msg.segment.role]
-    if kind is RouteMessage:
-        return ROUTE_KIND_NAMES[msg.core.kind]
-    return ROLE_NAMES[msg.role]
+    return ROUTE_KIND_NAMES[msg.core.kind]
 
 
 # --- signing views -----------------------------------------------------------

@@ -1,5 +1,8 @@
 """Route discovery, maintenance, and per-hop verification behavior."""
 
+import sys
+from unittest import mock
+
 import pytest
 
 from conftest import FixedRng, pinned_group
@@ -118,6 +121,90 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     assert m.of("session_key") == []
     assert r["b"].sessions == {}
     assert r["a"].sessions == {}
+
+
+def signed_by_origin(core, key, sec_level):
+    """`core` as a correctly signed 0-hop message from its originator."""
+    agg = routing.sign_origin(core, key)
+    return wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=sec_level, aggregate=agg,
+        source_sig=agg.value if sec_level == 0 else None))
+
+
+# p = 23 = 2 * 11 + 1 is a safe prime and g = 5 lies in [2, p - 2]; each case
+# breaks one condition the responder checks before it tests p for primality
+@pytest.mark.parametrize("sec_level", [1, 0])
+@pytest.mark.parametrize("case", ["p_even", "p_small", "g_one", "g_p_less_1",
+                                  "sealed_past_modulus", "theirs_zero",
+                                  "theirs_p", "p_past_origin_modulus"])
+def test_responder_refuses_a_signed_request_with_a_bad_exchange(
+        sec_level, case):
+    net, r, reg, m, keys = build(["o", "v"], [("o", "v")],
+                                 sec_level=sec_level, key_bits=128,
+                                 stubs=("o",))
+    v_enc = keys["v"].encryption.public
+    p, g, theirs = 23, 5, 8
+    if case == "p_even":
+        p = 22
+    elif case == "p_small":
+        p, g = 5, 2
+    elif case == "g_one":
+        g = 1
+    elif case == "g_p_less_1":
+        g = 22
+    elif case == "theirs_zero":
+        theirs = 0
+    elif case == "theirs_p":
+        theirs = 23
+    elif case == "p_past_origin_modulus":
+        p = keys["o"].encryption.n   # odd, and theirs = 8 lies in (0, p)
+    sealed = rsa_encrypt(theirs, v_enc)
+    if case == "sealed_past_modulus":
+        sealed = v_enc[0]
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="o",
+                          src_id=reg.by_ip("o").node_id, src_seq=1, bct_id=1,
+                          dst_ip="v", dh_p=p, dh_g=g, dh_payload=sealed)
+    with mock.patch.object(routing, "is_probable_prime") as group_check:
+        net.unicast("o", "v", signed_by_origin(core, keys["o"].signing,
+                                               sec_level))
+        net.run(until=5)
+    assert group_check.call_count == 0
+    assert m.drops == {"malformed": 1}
+    assert m.verified == 1   # the request itself verified
+    assert r["v"].sessions == {}
+    assert m.of("session_key") == []
+    assert [rec.kind for rec in net.trace] == ["RREQ"]   # no RREP left v
+
+
+@pytest.mark.parametrize("sec_level", [1, 0])
+@pytest.mark.parametrize("case", ["sealed_past_modulus", "theirs_zero",
+                                  "theirs_p"])
+def test_originator_refuses_a_signed_reply_with_a_bad_exchange(
+        sec_level, case):
+    net, r, reg, m, keys = build(["a", "t"], [("a", "t")],
+                                 sec_level=sec_level, key_bits=128,
+                                 stubs=("t",))
+    with pinned_group(r["a"], p=23, g=5, r=6):
+        bct = r["a"].start_discovery("t")
+    net.run(until=5)
+    a_enc = keys["a"].encryption.public
+    sealed = {"sealed_past_modulus": a_enc[0],
+              "theirs_zero": rsa_encrypt(0, a_enc),
+              "theirs_p": rsa_encrypt(23, a_enc)}[case]
+    core = wire.RouteCore(kind=wire.KIND_RREP, src_ip="t",
+                          src_id=reg.by_ip("t").node_id, src_seq=1,
+                          bct_id=bct, dst_ip="a", dst_seq=r["a"].seq,
+                          dh_payload=sealed)
+    net.unicast("t", "a", signed_by_origin(core, keys["t"].signing,
+                                           sec_level))
+    net.run(until=10)
+    assert m.drops == {"malformed": 1}
+    assert m.verified == 1   # the reply itself verified
+    assert r["a"].sessions == {}
+    assert m.of("session_key") == []
+    assert list(r["a"].pending) == [bct]
+    assert m.of("discovered") == []
+    assert r["a"].routes == {}
 
 
 @pytest.mark.parametrize("sec_level,exp_signed,exp_verified",
@@ -258,6 +345,62 @@ def test_claimed_last_hop_must_match_physical_sender():
     assert m.drops == {"id_mismatch": 1}
 
 
+# Each forgery passes every check _verify makes before the one it names, and
+# would fail a later one too: its drop reason, with no signature verified,
+# pins the order of the checks. `frame` maps m's signing modulus to the
+# fields that differ from a 1-hop request o -> m -> v; origin "m" makes a
+# 0-hop request from m.
+@pytest.mark.parametrize("level,origin,frame,reason", [
+    pytest.param(1, "o", lambda n: dict(sec_level=0, aggregate=None),
+                 "malformed", id="L1-level-byte"),
+    pytest.param(0, "o", lambda n: dict(sec_level=1, source_sig=None),
+                 "malformed", id="L0-level-byte"),
+    pytest.param(1, "o", lambda n: dict(aggregate=None), "verify_failed",
+                 id="L1-unsigned"),
+    pytest.param(0, "o", lambda n: dict(aggregate=None), "verify_failed",
+                 id="L0-unsigned"),
+    pytest.param(1, "o", lambda n: dict(aggregate=AggregateSignature(5, ())),
+                 "malformed", id="L1-signer-count"),
+    pytest.param(0, "o", lambda n: dict(hops=("o", "m"), source_sig=None),
+                 "verify_failed", id="L0-no-source-sig"),
+    pytest.param(0, "o", lambda n: dict(
+        hops=("o", "m"), aggregate=AggregateSignature(5, (0, 0))),
+                 "malformed", id="L0-two-hops"),
+    pytest.param(0, "o", lambda n: dict(aggregate=AggregateSignature(5, ())),
+                 "malformed", id="L0-signer-count"),
+    pytest.param(0, "o", lambda n: dict(aggregate=AggregateSignature(n, (0,))),
+                 "verify_failed", id="L0-aggregate-past-last-hop-modulus"),
+    pytest.param(0, "m", lambda n: dict(hops=(),
+                                        aggregate=AggregateSignature(5, ())),
+                 "verify_failed", id="L0-0-hop-aggregate-not-source-sig"),
+    pytest.param(0, "m", lambda n: dict(hops=(),
+                                        aggregate=AggregateSignature(n, ()),
+                                        source_sig=n),
+                 "verify_failed", id="L0-source-sig-past-origin-modulus"),
+])
+def test_a_live_router_rejects_each_forgery_at_its_own_check(
+        level, origin, frame, reason):
+    names = ["o", "m", "v"]
+    net, r, reg, m, keys = build(names, [("m", "v")], sec_level=level,
+                                 key_bits=128, stubs=("o", "m"))
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=origin,
+                          src_id=reg.by_ip(origin).node_id, src_seq=1,
+                          bct_id=1, dst_ip="v", dh_p=23, dh_g=5, dh_payload=9)
+    fields = dict(hops=("m",), sec_level=level,
+                  aggregate=AggregateSignature(5, (0,)),
+                  source_sig=7 if level == 0 else None)
+    fields.update(frame(keys["m"].signing.n))
+    fields["hops"] = tuple(reg.by_ip(h).node_id for h in fields["hops"])
+    net.unicast("m", "v", wire.encode_message(
+        wire.RouteMessage(core=core, **fields)))
+    net.run(until=5)
+    assert [rec.kind for rec in net.trace] == ["RREQ"]
+    assert m.drops == {reason: 1}
+    assert m.verified == 0
+    assert r["v"].routes == {}
+    assert r["v"].sessions == {}
+
+
 def test_unknown_origin_identity_is_rejected():
     names = ["a", "b", "m"]
     net, r, reg, m, keys = build(names, [("a", "b"), ("m", "b")], stubs=("m",))
@@ -314,6 +457,72 @@ def test_a_forged_chain_naming_an_unknown_identity_costs_no_check(
     assert m.verified == checked
     assert crypto.rsa_public.cache_info()[:2] == public_ops[:2]
     assert r["v"].routes == {}
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_an_unregistered_sender_is_checked_against_the_resolved_last_hop(
+        level):
+    # x is a node of the network but not of the registry; it relays an
+    # unsigned copy of a's request that names b as its last hop, which is
+    # dropped for its sender before its missing signature
+    names = ["a", "b", "c"]
+    net, r, reg, m, keys = build(names, line(names), sec_level=level)
+    net.add_node("x", Puppet())
+    net.add_link("x", "c")
+    callers = []   # the function that made each registry call
+
+    def spy(method):
+        real = getattr(identity.Registry, method)
+
+        def call(self, *args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self, *args)
+        return call
+
+    with mock.patch.object(identity.Registry, "get", spy("get")), \
+            mock.patch.object(identity.Registry, "by_ip", spy("by_ip")), \
+            mock.patch.object(identity.Registry, "entries", spy("entries")):
+        r["a"].start_discovery("c")
+        net.run(until=20)
+        assert r["a"].routes[r["c"].node_id].next_hop == "b"
+        core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a",
+                              src_id=r["a"].node_id, src_seq=9, bct_id=9,
+                              dst_ip="c", dh_p=23, dh_g=5, dh_payload=9)
+        net.unicast("x", "c", wire.encode_message(wire.RouteMessage(
+            core=core, hops=(r["b"].node_id,), sec_level=level,
+            aggregate=None, source_sig=None)))
+        net.run(until=30)
+
+    assert m.drops.get("id_mismatch") == 1
+    assert "unknown_identity" not in m.drops
+    assert "on_receive" in callers
+    assert "_verify" not in callers
+
+
+@pytest.mark.parametrize("secure,sec_level", [(True, 0), (True, 1),
+                                              (False, 0)])
+def test_a_bare_segment_frame_is_raw_bytes_to_a_live_router(secure,
+                                                            sec_level):
+    net, r, reg, m, keys = build(["a", "b"], [("a", "b")], secure=secure,
+                                 sec_level=sec_level, stubs=("a",))
+    seg = wire.Segment(role=wire.ROLE_DATA, src_port=1, dst_port=2, seq=0,
+                       ack=0, payload=b"x", tag=b"\x00" * 32)
+    # kind 0x10, the segment's header, payload and tag: no frame form
+    net.unicast("a", "b", seg.tag_input() + seg.tag)
+    net.run(until=5)
+    assert m.drops == {"malformed": 1}
+    assert [rec.kind for rec in net.trace] == ["RAW"]
+    totals = m.trace_totals()
+    assert (totals["control_bytes"], totals["data_bytes"]) == (0, 0)
+    assert r["b"].transport.received == []
+
+    # the same segment in its envelope is data, and reaches b's transport
+    frame = wire.encode_message(wire.DataPacket("a", "b", seg))
+    net.unicast("a", "b", frame)
+    net.run(until=10)
+    assert [rec.kind for rec in net.trace] == ["RAW", "DATA"]
+    assert m.trace_totals()["data_bytes"] == len(frame)
+    assert r["b"].transport.received == [("a", b"x")]
 
 
 def test_undecodable_bytes_are_malformed():

@@ -687,6 +687,50 @@ def test_cli_verify_trace_lints_structure_first(tmp_path, capsys):
     rc = cli.main(["verify-trace", "--scenario", path, "--trace", str(bad)])
     assert rc == 1
     assert "structurally invalid" in capsys.readouterr().err
+    good = "1\ta\tb\tRREQ\t10\tdelivered\n"
+    for text, problem in [
+            (good + good.replace("1", "0", 1), "line 2: ticks must not "
+             "decrease"),
+            (good + "2\ta\t\tRREP\t10\tdelivered\n",
+             "line 2: empty endpoint name"),
+            (good + "2\ta\tb\tPING\t10\tdelivered\n",
+             "line 2: unknown message kind 'PING'")]:
+        bad.write_text(text)
+        rc = cli.main(["verify-trace", "--scenario", path,
+                       "--trace", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == ["lint: " + problem,
+                                    "trace file is structurally invalid"]
+
+
+def test_cli_verify_trace_cannot_read_a_missing_trace(tmp_path, capsys):
+    path = write(tmp_path, doc_two_nodes())
+    missing = tmp_path / "no-such-trace.tsv"
+    rc = cli.main(["verify-trace", "--scenario", path,
+                   "--trace", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read trace: ")
+    assert str(missing) in err
+
+
+def test_cli_verify_trace_catches_a_trace_without_its_last_line(tmp_path,
+                                                               capsys):
+    path = write(tmp_path, doc_two_nodes())
+    out = tmp_path / "out"
+    cli.main(["run", "--scenario", path, "--out", str(out)])
+    lines = (out / "trace.tsv").read_text().splitlines(keepends=True)
+    assert len(lines) > 1
+    (out / "trace.tsv").write_text("".join(lines[:-1]))
+    capsys.readouterr()
+    rc = cli.main(["verify-trace", "--scenario", path,
+                   "--trace", str(out / "trace.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "trace length differs: recorded %d lines, re-run %d lines"
+        % (len(lines) - 1, len(lines))]
 
 
 def test_cli_verify_trace_rejects_non_ascii_digits(tmp_path, capsys):

@@ -182,8 +182,7 @@ def test_decode_rejects_a_mode_byte_the_level_does_not_fix(sec_level):
 def _cache_samples():
     seg = Segment(role=wire.ROLE_DATA, src_port=5000, dst_port=80, seq=9,
                   ack=4, payload=b"cached", tag=ID_C)
-    return [_msg(_rreq()), seg,
-            DataPacket(src_ip="n0", dst_ip="n4", segment=seg)]
+    return [_msg(_rreq()), DataPacket(src_ip="n0", dst_ip="n4", segment=seg)]
 
 
 def test_repeated_decodes_return_equal_messages():
@@ -203,13 +202,14 @@ def test_decode_accepts_bytearray_and_memoryview():
             assert wire.decode_message(view) == msg
     with pytest.raises(TypeError):
         wire.decode_message(3)
-    seg = _cache_samples()[1]
-    buf = bytearray(wire.encode_message(seg))
+    pkt = _cache_samples()[1]
+    buf = bytearray(wire.encode_message(pkt))
     got = wire.decode_message(buf)
-    assert type(got.payload) is bytes and type(got.tag) is bytes
+    assert (type(got.segment.payload) is bytes
+            and type(got.segment.tag) is bytes)
     # the decode keeps no reference to the caller's mutable buffer
     buf[-1] ^= 0xFF
-    assert wire.decode_message(wire.encode_message(seg)) == got == seg
+    assert wire.decode_message(wire.encode_message(pkt)) == got == pkt
 
 
 def test_malformed_bytes_fail_at_the_same_position_on_every_call():
@@ -277,10 +277,16 @@ def _segment(**over):
     return Segment(**base)
 
 
+def _enveloped(seg):
+    """`seg` in the data envelope, the one frame a segment travels in."""
+    return DataPacket(src_ip="n0", dst_ip="n4", segment=seg)
+
+
 def test_segment_round_trip():
     seg = _segment(role=wire.ROLE_DATA, payload=b"abc", ack=99,
                    tag=hashlib.sha256(b"t").digest())
-    assert wire.decode_message(wire.encode_message(seg)) == seg
+    got = wire.decode_message(wire.encode_message(_enveloped(seg)))
+    assert got.segment == seg
 
 
 def test_data_packet_round_trip():
@@ -300,7 +306,20 @@ def test_tag_input_covers_everything_but_the_tag():
 
 def test_segment_tag_width_enforced():
     with pytest.raises(ValueError):
-        wire.encode_message(_segment(tag=b"short"))
+        wire.encode_message(_enveloped(_segment(tag=b"short")))
+
+
+def test_a_bare_segment_is_no_frame():
+    seg = _segment(role=wire.ROLE_DATA, payload=b"abc")
+    with pytest.raises(TypeError):
+        wire.encode_message(seg)
+    # the bytes a bare segment frame had: kind 0x10, header, payload, tag
+    bare = seg.tag_input() + seg.tag
+    assert bare[0] == wire.KIND_SEGMENT
+    with pytest.raises(ParseError) as err:
+        wire.decode_message(bare)
+    assert err.value.position == 0
+    assert wire.describe(bare) == "RAW"
 
 
 def test_describe_labels():
@@ -378,8 +397,8 @@ def test_encoding_injective_property(a, b):
 def test_segment_round_trip_property(role, payload, sp, dp, seq, ack):
     seg = Segment(role=role, src_port=sp, dst_port=dp, seq=seq, ack=ack,
                   payload=payload, tag=hashlib.sha256(payload).digest())
-    data = wire.encode_message(seg)
-    assert wire.decode_message(data) == seg
+    data = wire.encode_message(_enveloped(seg))
+    assert wire.decode_message(data).segment == seg
     _assert_decodes_as_a_fresh_parse(data)
 
 
@@ -436,20 +455,19 @@ def _old_read_segment(data, pos):
 
 
 def _old_decode(data):
-    """Message or (position, reason) of a frame of kind 0x10 or 0x11."""
+    """Message or (position, reason) of a frame that is no route message:
+    only an envelope (0x11) decodes."""
     try:
         if not data:
             raise ParseError(0, "empty message")
-        if data[0] == wire.KIND_SEGMENT:
-            msg, pos = _old_read_segment(data, 1)
-        else:
-            assert data[0] == wire.KIND_DATA
-            src_ip, pos = _old_read_token(data, 1)
-            dst_ip, pos = _old_read_token(data, pos)
-            if pos >= len(data) or data[pos] != wire.KIND_SEGMENT:
-                raise ParseError(pos, "envelope must contain a segment")
-            seg, pos = _old_read_segment(data, pos + 1)
-            msg = DataPacket(src_ip=src_ip, dst_ip=dst_ip, segment=seg)
+        if data[0] != wire.KIND_DATA:
+            raise ParseError(0, "unknown message kind 0x%02x" % data[0])
+        src_ip, pos = _old_read_token(data, 1)
+        dst_ip, pos = _old_read_token(data, pos)
+        if pos >= len(data) or data[pos] != wire.KIND_SEGMENT:
+            raise ParseError(pos, "envelope must contain a segment")
+        seg, pos = _old_read_segment(data, pos + 1)
+        msg = DataPacket(src_ip=src_ip, dst_ip=dst_ip, segment=seg)
         if pos != len(data):
             raise ParseError(pos, "%d trailing bytes" % (len(data) - pos))
         return msg
@@ -459,8 +477,8 @@ def _old_decode(data):
 
 def _old_describe(data):
     """A frame's label from a fresh parse: the field-by-field decoder's for
-    segments and envelopes, the strict parse's for every other kind."""
-    if data[:1] in (bytes([wire.KIND_SEGMENT]), bytes([wire.KIND_DATA])):
+    envelopes, the strict parse's for every other kind."""
+    if data[:1] == bytes([wire.KIND_DATA]):
         got = _old_decode(data)
     else:
         try:
@@ -469,8 +487,6 @@ def _old_describe(data):
             return "RAW"
     if isinstance(got, DataPacket):
         return wire.ROLE_NAMES[got.segment.role]
-    if isinstance(got, Segment):
-        return wire.ROLE_NAMES[got.role]
     if isinstance(got, RouteMessage):
         return wire.ROUTE_KIND_NAMES[got.core.kind]
     return "RAW"
@@ -498,7 +514,8 @@ def _valid_frames():
                    seq=2**64 - 1, ack=123456789, payload=b"some bytes",
                    tag=hashlib.sha256(b"d").digest())
     pkt = DataPacket(src_ip="ghost1", dst_ip="n4", segment=data)
-    return [wire.encode_message(m) for m in (syn, data, pkt)]
+    return [wire.encode_message(m)
+            for m in (_enveloped(syn), _enveloped(data), pkt)]
 
 
 def test_every_truncation_fails_like_the_field_by_field_decoder():
@@ -621,11 +638,8 @@ def _old_encode_segment(seg):
 
 
 def _old_encode(msg):
-    if type(msg) is DataPacket:
-        return (bytes([wire.KIND_DATA]) + _old_encode_token(msg.src_ip)
-                + _old_encode_token(msg.dst_ip)
-                + _old_encode_segment(msg.segment))
-    return _old_encode_segment(msg)
+    return (bytes([wire.KIND_DATA]) + _old_encode_token(msg.src_ip)
+            + _old_encode_token(msg.dst_ip) + _old_encode_segment(msg.segment))
 
 
 def _encoded_or_error(encode, msg):
@@ -656,7 +670,7 @@ def _tokens(draw):
 
 @st.composite
 def _segment_frames(draw):
-    """A Segment or a DataPacket; each field out of range now and then."""
+    """A DataPacket; each field out of range now and then."""
     def field(valid, invalid):
         return draw(invalid if draw(_faulty()) else valid)
 
@@ -672,7 +686,7 @@ def _segment_frames(draw):
         tag=field(st.binary(min_size=32, max_size=32),
                   st.binary(max_size=64).filter(lambda t: len(t) != 32)))
     if draw(st.booleans()):
-        return seg
+        return _enveloped(seg)
     return DataPacket(src_ip=draw(_tokens()), dst_ip=draw(_tokens()),
                       segment=seg)
 
@@ -682,7 +696,7 @@ def _segment_frames(draw):
 def test_segment_frames_encode_like_the_field_by_field_encoder(msg):
     want = _encoded_or_error(_old_encode, msg)
     assert _encoded_or_error(wire.encode_message, msg) == want
-    seg = msg.segment if type(msg) is DataPacket else msg
+    seg = msg.segment
     assert (_encoded_or_error(Segment.tag_input, seg)
             == _encoded_or_error(_old_segment_body, seg))
 
@@ -701,13 +715,13 @@ def test_segment_fields_out_of_range_raise_value_error(field, value):
     want = "field out of range for 8 bytes: %r" % value
     for encode in (wire.encode_message, Segment.tag_input):
         with pytest.raises(ValueError) as err:
-            encode(seg)
+            encode(seg if encode is Segment.tag_input else _enveloped(seg))
         assert str(err.value) == want
 
 
 def test_payload_of_four_gibibytes_raises_value_error():
     with pytest.raises(ValueError) as err:
-        wire.encode_message(_segment(payload=_Huge()))
+        wire.encode_message(_enveloped(_segment(payload=_Huge())))
     assert str(err.value) == "field out of range for 4 bytes: 4294967296"
 
 
@@ -740,8 +754,14 @@ def _buffered():
     pytest.param(r, id=type(r).__name__ + "-bytearray") for r in _buffered()],
                          ids=lambda r: type(r).__name__)
 def test_decode_gives_back_the_record_type(record):
-    data = wire.encode_message(record)
-    got = wire.decode_message(data)
+    # a Segment travels in its envelope and is read back out of it
+    bare = type(record) is Segment
+    data = wire.encode_message(_enveloped(record) if bare else record)
+
+    def decoded(msg):
+        return msg.segment if bare else msg
+
+    got = decoded(wire.decode_message(data))
     assert got == record
     assert type(got) is type(record)
     _assert_decodes_as_a_fresh_parse(data)
@@ -750,4 +770,4 @@ def test_decode_gives_back_the_record_type(record):
         # the caller reuses its buffer; what was decoded does not change
         seg.payload[:] = b"new"
         _assert_decodes_as_a_fresh_parse(data)
-        assert repr(got) == repr(wire._parse(data))
+        assert repr(got) == repr(decoded(wire._parse(data)))
