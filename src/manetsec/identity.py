@@ -9,7 +9,7 @@ from the nodes' keys and written as JSON (`keygen`); none is read back.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .crypto import NodeKeys, digest
 from .wire import encode_public
@@ -67,6 +67,11 @@ class Registry:
         if ident is None:
             raise UnknownIdentityError(ip)
         return ident
+
+    def find_ip(self, ip: str) -> Optional[NodeIdentity]:
+        """by_ip without the raise: None for an unregistered address, which
+        the data path meets once per frame to or from one."""
+        return self._by_ip.get(ip)
 
     def entries(self) -> List[NodeIdentity]:
         return sorted(self._by_id.values(), key=lambda n: n.ip)

@@ -317,6 +317,13 @@ class RouterNode:
     def _on_rreq(self, sender: str, msg: wire.RouteMessage, terminal: bool,
                  origin: NodeIdentity, dest: NodeIdentity) -> Optional[str]:
         core = msg.core
+        theirs = 0
+        if terminal and self.config.secure:
+            # checked before any state changes, so a refused request
+            # leaves none behind
+            theirs = self._check_key_exchange(core, origin)
+            if theirs is None:
+                return "malformed"
         self.seen.add(self._seen_key(core))
         self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREQ")
@@ -325,17 +332,20 @@ class RouterNode:
         flow.bct_id = core.bct_id
         flow.toward_src = sender
         if terminal:
-            return self._answer_request(core, origin)
+            self._answer_request(core, origin, theirs)
+            return None
         self._send(self._forward(msg))
         return None
 
-    def _answer_request(self, core: wire.RouteCore,
-                        origin: NodeIdentity) -> Optional[str]:
+    def _answer_request(self, core: wire.RouteCore, origin: NodeIdentity,
+                        theirs: int) -> None:
+        """Reply to a request for this node; a secure node completes the
+        exchange with the requester's checked half, `theirs`."""
         sealed = 0
         if self.config.secure:
-            reason, sealed = self._respond_key_exchange(core, origin)
-            if reason:
-                return reason
+            params = make_dh_params(core.dh_p, core.dh_g, self.rng)
+            self._store_key(origin, core.bct_id, dh_shared(theirs, params))
+            sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
         self.seq += 1
         reply = wire.RouteCore(kind=wire.KIND_RREP, src_ip=self.ip,
                                src_id=self.node_id, src_seq=self.seq,
@@ -345,32 +355,29 @@ class RouterNode:
         route = self.routes.get(core.src_id)
         if route is not None:
             self._send(msg, route.next_hop)
-        return None
 
-    def _respond_key_exchange(self, core: wire.RouteCore, origin: NodeIdentity
-                              ) -> Tuple[Optional[str], int]:
+    def _check_key_exchange(self, core: wire.RouteCore,
+                            origin: NodeIdentity) -> Optional[int]:
+        """The requester's decrypted half, or None if the request's group or
+        half is unsound; tests only, so it changes no routing state."""
         p, g = core.dh_p, core.dh_g
         if p < 7 or p % 2 == 0 or not 2 <= g <= p - 2:
-            return "malformed", 0
+            return None
         try:
             theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
         except ValueError:
-            return "malformed", 0
+            return None
         if not 0 < theirs < p:
-            return "malformed", 0
+            return None
         if p >= origin.encryption_public[0]:
-            return "malformed", 0
+            return None
         # p must be a safe prime 2q + 1, tested last so its width is bounded
         # by the key check; random bases, because a requester can pick a
         # composite that passes any fixed set
         if not (is_probable_prime(p, self._group_rng)
                 and is_probable_prime((p - 1) // 2, self._group_rng)):
-            return "malformed", 0
-        params = make_dh_params(p, g, self.rng)
-        key = dh_shared(theirs, params)
-        self._store_key(origin, core.bct_id, key)
-        sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
-        return None, sealed
+            return None
+        return theirs
 
     def _store_key(self, peer: NodeIdentity, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:
@@ -390,6 +397,11 @@ class RouterNode:
                 reason = self._finish_key_exchange(core, pd, origin)
                 if reason:
                     return reason
+        else:
+            # a relay with no onward route drops the reply unchanged
+            route = self.routes.get(dest.node_id)
+            if route is None:
+                return "no_route"
         self.seen.add(self._seen_key(core))
         self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREP")
@@ -402,9 +414,6 @@ class RouterNode:
                              target=pd.target_ip, bct=core.bct_id)
             self._flush_queue(pd.target_ip)
             return None
-        route = self.routes.get(dest.node_id)
-        if route is None:
-            return "no_route"
         self._send(self._forward(msg), route.next_hop)
         return None
 
@@ -414,7 +423,7 @@ class RouterNode:
             theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
         except ValueError:
             return "malformed"
-        if pd.params is None or not 0 < theirs < pd.params.p:
+        if not 0 < theirs < pd.params.p:
             return "malformed"
         # _on_rrep has checked the replier's name against the target
         self._store_key(peer, core.bct_id,
@@ -467,10 +476,10 @@ class RouterNode:
     # --- data path ----------------------------------------------------------
 
     def send_segment(self, dst_ip: str, seg: wire.Segment) -> None:
-        try:
-            dst_id = self.registry.by_ip(dst_ip).node_id
-        except UnknownIdentityError:
+        dest = self.registry.find_ip(dst_ip)
+        if dest is None:
             return
+        dst_id = dest.node_id
         route = self.routes.get(dst_id)
         if route is None:
             queue = self.send_queue.setdefault(dst_ip, [])
@@ -496,20 +505,19 @@ class RouterNode:
             if self.transport is not None:
                 return self.transport.on_segment(pkt.src_ip, pkt.segment)
             return None
-        try:
-            dst_id = self.registry.by_ip(pkt.dst_ip).node_id
-        except UnknownIdentityError:
+        dest = self.registry.find_ip(pkt.dst_ip)
+        if dest is None:
             return "no_route"
+        dst_id = dest.node_id
         route = self.routes.get(dst_id)
         if route is None:
             return "no_route"
         if not self.net.unicast(self.ip, route.next_hop, raw):
-            try:
-                src = self.registry.by_ip(pkt.src_ip)
-            except UnknownIdentityError:
+            src = self.registry.find_ip(pkt.src_ip)
+            if src is None:
                 self.routes.pop(dst_id, None)
-                return None
-            self._report_break(src, dst_id)
+            else:
+                self._report_break(src, dst_id)
         return None
 
     # --- route table --------------------------------------------------------

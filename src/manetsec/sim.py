@@ -1,7 +1,10 @@
 """Deterministic discrete-event network: integer ticks, seeded loss, traces.
 
 The queue holds scheduled calls, run in (tick, insertion sequence) order;
-a frame delivery is one of them. A node handler implements only
+a frame delivery is one of them. It keeps the calls due at each tick in a
+list, in the order they were scheduled, and a heap of the ticks that have
+calls (a calendar queue with one bucket per tick), so scheduling a call is
+a dict lookup and an append. A node handler implements only
 on_receive(sender, payload), which returns None or a drop reason; timers
 are calls a node schedules on itself.
 
@@ -123,8 +126,8 @@ class Network:
         self.metrics = Metrics()
         self.trace = self.metrics.trace
         self.tick = 0
-        self._queue: list = []
-        self._seq = 0
+        self._due: Dict[int, list] = {}   # tick -> [(fn, args), ...]
+        self._ticks: List[int] = []        # heap of the keys of _due
         self._handlers: Dict[str, object] = {}
         # _links[a][b] is _links[b][a]: one state per undirected link
         self._links: Dict[str, Dict[str, LinkState]] = {}
@@ -168,9 +171,15 @@ class Network:
     # --- scheduling ---------------------------------------------------------
 
     def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
-        """Call fn(*args) `delay` ticks from now."""
-        heapq.heappush(self._queue, (self.tick + delay, self._seq, fn, args))
-        self._seq += 1
+        """Call fn(*args) `delay` ticks from now, after every call already
+        due then; a delay-0 call made during a tick runs later that tick."""
+        tick = self.tick + delay
+        calls = self._due.get(tick)
+        if calls is None:
+            self._due[tick] = [(fn, args)]
+            heapq.heappush(self._ticks, tick)
+        else:
+            calls.append((fn, args))
 
     # --- transmission -------------------------------------------------------
 
@@ -181,11 +190,8 @@ class Network:
         self.trace.append(rec)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
-        # schedule(), inlined: every frame sent passes here
-        heapq.heappush(self._queue, (self.tick + link.latency, self._seq,
-                                     self._deliver,
-                                     (src, dst, payload, link, rec)))
-        self._seq += 1
+        self.schedule(link.latency, self._deliver, src, dst, payload, link,
+                      rec)
 
     def broadcast(self, src: str, payload: bytes) -> None:
         links = self._links[src]
@@ -213,9 +219,13 @@ class Network:
     # --- main loop ----------------------------------------------------------
 
     def run(self, until: int) -> None:
-        while self._queue and self._queue[0][0] <= until:
-            self.tick, _, fn, args = heapq.heappop(self._queue)
-            fn(*args)
+        due, ticks = self._due, self._ticks
+        while ticks and ticks[0] <= until:
+            # popped before its calls run: a delay-0 call one of them makes
+            # opens a fresh list for this tick, which the next pass runs
+            self.tick = tick = heapq.heappop(ticks)
+            for fn, args in due.pop(tick):
+                fn(*args)
         self.tick = until
 
     def _deliver(self, src: str, dst: str, payload: bytes, link: LinkState,

@@ -366,23 +366,57 @@ _CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
 def encode_message(msg: Message) -> bytes:
     kind = type(msg)
     if kind is DataPacket:
+        frame = _encode_exact_envelope(msg)
+        if frame is not None:
+            return frame
         src, dst = _encode_token(msg.src_ip), _encode_token(msg.dst_ip)
         seg = msg.segment
         if len(seg.tag) != DIGEST_BYTES:
             raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
-        data = b"".join((_DATA_KIND, src, dst, _segment_head(seg),
+        return b"".join((_DATA_KIND, src, dst, _segment_head(seg),
                          seg.payload, seg.tag))
-    elif kind is RouteMessage:
-        data = _encode_route_message(msg)
-    else:
+    if kind is not RouteMessage:
         raise TypeError("cannot encode %r" % kind)
+    data = _encode_route_message(msg)
     if _decodes_to_itself(msg):
         data = _Frame(data)
         data.msg = msg
     return data
 
 
-def _decodes_to_itself(msg: Message) -> bool:
+def _encode_exact_envelope(msg: DataPacket) -> Optional[_Frame]:
+    """The frame of an envelope that a strict parse gives back type for
+    type, packed in one pass: every field an exact str, bytes or int, and
+    every one in range. None for any other envelope, which the field-checked
+    path then encodes to plain bytes or rejects with its own error.
+
+    This runs once per segment sent, so the checks are chained `is` tests.
+    """
+    src_ip, dst_ip, seg = msg
+    if not (type(src_ip) is type(dst_ip) is str and type(seg) is Segment):
+        return None
+    role, src_port, dst_port, seq, ack, payload, tag = seg
+    if not (type(payload) is type(tag) is bytes
+            and type(role) is type(src_port) is type(dst_port) is type(seq)
+            is type(ack) is int
+            and len(tag) == DIGEST_BYTES and role in ROLE_NAMES):
+        return None
+    try:
+        src = src_ip.encode("utf-8")
+        src_length = _TOKEN_LENGTH.pack(len(src))
+        dst = dst_ip.encode("utf-8")
+        frame = _Frame(b"".join((
+            _DATA_KIND, src_length, src, _TOKEN_LENGTH.pack(len(dst)), dst,
+            _SEGMENT_HEAD.pack(KIND_SEGMENT, role, src_port, dst_port, seq,
+                               ack, len(payload)),
+            payload, tag)))
+    except (struct.error, UnicodeError):
+        return None   # a token or a field the checked path rejects
+    frame.msg = msg
+    return frame
+
+
+def _decodes_to_itself(msg: RouteMessage) -> bool:
     """Whether a strict parse of msg's encoding gives back msg type for type.
 
     The parse builds every record as its own class, every sequence as a
@@ -390,13 +424,6 @@ def _decodes_to_itself(msg: Message) -> bool:
     message parses back to itself unless it holds something else: a bool,
     a bytearray, a list, a subclass.
     """
-    if type(msg) is DataPacket:
-        seg = msg.segment   # chained `is` tests: this runs per segment sent
-        return (type(msg.src_ip) is type(msg.dst_ip) is str
-                and type(seg) is Segment
-                and type(seg.payload) is type(seg.tag) is bytes
-                and type(seg.role) is type(seg.src_port) is type(seg.dst_port)
-                is type(seg.seq) is type(seg.ack) is int)
     agg, sig = msg.aggregate, msg.source_sig
     return (type(msg.core) is RouteCore
             and tuple(map(type, msg.core)) == _CORE_TYPES

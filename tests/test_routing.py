@@ -1,5 +1,6 @@
 """Route discovery, maintenance, and per-hop verification behavior."""
 
+import copy
 import sys
 from unittest import mock
 
@@ -205,6 +206,70 @@ def test_originator_refuses_a_signed_reply_with_a_bad_exchange(
     assert list(r["a"].pending) == [bct]
     assert m.of("discovered") == []
     assert r["a"].routes == {}
+
+
+def routing_state(router):
+    """A copy of everything a router keeps about routes and discoveries."""
+    return copy.deepcopy({name: getattr(router, name) for name in (
+        "routes", "seen", "flows", "sessions", "pending", "seq")})
+
+
+# each case breaks one condition the target checks: the group, the
+# decrypted half, the width against the requester's key, the safe prime
+@pytest.mark.parametrize("sec_level", [1, 0])
+@pytest.mark.parametrize("case", ["p_even", "g_one", "theirs_zero",
+                                  "p_past_origin_modulus", "p_not_safe"])
+def test_a_request_with_a_bad_exchange_leaves_the_target_unchanged(
+        sec_level, case):
+    net, r, reg, m, keys = build(["o", "v"], [("o", "v")],
+                                 sec_level=sec_level, key_bits=128)
+    r["o"].start_discovery("v")   # v now holds a route, a flow, a session
+    net.run(until=10)
+    assert r["v"].sessions and r["v"].routes and r["v"].flows
+    before = routing_state(r["v"])
+    p, g, theirs = 23, 5, 8
+    if case == "p_even":
+        p = 22
+    elif case == "g_one":
+        g = 1
+    elif case == "theirs_zero":
+        theirs = 0
+    elif case == "p_past_origin_modulus":
+        p = keys["o"].encryption.n
+    elif case == "p_not_safe":
+        p = 29   # prime, but (29 - 1) / 2 = 14 is not
+    # a fresher request than the one v answered, so its route would win
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="o",
+                          src_id=r["o"].node_id, src_seq=r["o"].seq + 5,
+                          bct_id=99, dst_ip="v", dh_p=p, dh_g=g,
+                          dh_payload=rsa_encrypt(theirs,
+                                                 keys["v"].encryption.public))
+    net.unicast("o", "v", signed_by_origin(core, keys["o"].signing,
+                                           sec_level))
+    net.run(until=20)
+    assert m.drops == {"malformed": 1}
+    assert routing_state(r["v"]) == before
+
+
+@pytest.mark.parametrize("sec_level", [1, 0])
+def test_a_reply_a_relay_cannot_forward_leaves_it_unchanged(sec_level):
+    names = ["a", "b", "c"]
+    net, r, reg, m, keys = build(names, line(names), sec_level=sec_level,
+                                 key_bits=128)
+    r["c"].start_discovery("b")   # b learns c, but has no route to a
+    net.run(until=10)
+    assert r["b"].sessions and r["b"].routes and r["b"].flows
+    assert r["a"].node_id not in r["b"].routes
+    before = routing_state(r["b"])
+    # a fresher reply from c than any b has seen, for a, through b
+    core = wire.RouteCore(kind=wire.KIND_RREP, src_ip="c",
+                          src_id=r["c"].node_id, src_seq=r["c"].seq + 5,
+                          bct_id=99, dst_ip="a", dst_seq=1, dh_payload=9)
+    net.unicast("c", "b", signed_by_origin(core, keys["c"].signing,
+                                           sec_level))
+    net.run(until=20)
+    assert m.drops == {"no_route": 1}
+    assert routing_state(r["b"]) == before
 
 
 @pytest.mark.parametrize("sec_level,exp_signed,exp_verified",

@@ -1,5 +1,7 @@
 """Event loop tests: ordering, latency, loss, link churn, trace conservation."""
 
+import heapq
+import random
 from unittest import mock
 
 import pytest
@@ -57,6 +59,77 @@ def test_same_tick_events_keep_insertion_order():
     net.schedule(1, seen.append, ("t", "x", "second"))
     net.run(until=5)
     assert seen == [("t", "x", "first"), "y", ("t", "x", "second")]
+
+
+def test_a_tunnel_frame_sent_during_a_tick_arrives_after_that_ticks_calls():
+    net = _net()
+    seen = []
+
+    class Probe:
+        def on_receive(self, sender, payload):
+            seen.append((net.tick, payload))
+
+    net.add_node("m1", Probe())
+    net.add_node("m2", Probe())
+    net.add_link("m1", "m2", latency=0, tunnel=True)
+    net.schedule(3, lambda: net.tunnel_send("m1", "m2", b"y"))
+    net.schedule(3, seen.append, (3, "due"))
+    net.schedule(4, seen.append, (4, "next"))
+    net.run(until=10)
+    assert seen == [(3, "due"), (3, b"y"), (4, "next")]
+    assert [rec.tick for rec in net.trace] == [3]
+
+
+def test_a_delay_0_call_scheduled_before_run_runs_first():
+    net = _net()
+    seen = []
+    net.schedule(1, seen.append, "one")
+    net.schedule(0, seen.append, "zero")
+    net.run(until=5)
+    assert seen == ["zero", "one"]
+
+
+def test_a_second_run_resumes_the_calls_still_queued():
+    net = _net()
+    seen = []
+    for delay in (2, 7, 5, 7):
+        net.schedule(delay, lambda d=delay: seen.append((net.tick, d)))
+    net.run(until=5)
+    assert seen == [(2, 2), (5, 5)]
+    assert net.tick == 5
+    net.schedule(0, seen.append, "now")   # due at the tick run stopped at
+    net.run(until=6)
+    assert seen[2:] == ["now"]
+    net.run(until=7)
+    assert seen[3:] == [(7, 7), (7, 7)]
+
+
+def test_a_random_schedule_runs_in_tick_then_insertion_order():
+    # each call may schedule more, delay 0 included; the order must be the
+    # one a (tick, insertion sequence) heap gives
+    rng = random.Random(2024)
+    net = _net()
+    ran, reference = [], []   # reference: every call ever added
+
+    def add(delay, name):
+        heapq.heappush(reference, (net.tick + delay, len(reference), name))
+        net.schedule(delay, call, name)
+
+    def call(name):
+        ran.append((net.tick, name))
+        for child in range(rng.choice((0, 0, 1, 2))):
+            if len(reference) < 400:
+                add(rng.choice((0, 0, 1, 2, 5)), "%s.%d" % (name, child))
+
+    for name in range(40):
+        add(rng.randrange(12), str(name))
+    net.run(until=1000)
+    expected = []
+    while reference:
+        tick, _, name = heapq.heappop(reference)
+        expected.append((tick, name))
+    assert len(ran) > 100
+    assert ran == expected
 
 
 def test_normal_link_rejects_zero_latency():

@@ -725,6 +725,38 @@ def test_payload_of_four_gibibytes_raises_value_error():
     assert str(err.value) == "field out of range for 4 bytes: 4294967296"
 
 
+class _Name(str):
+    pass
+
+
+class _Number(int):
+    pass
+
+
+@pytest.mark.parametrize("msg", [
+    DataPacket(src_ip=_Name("n0"), dst_ip="n4", segment=_segment()),
+    _enveloped(_segment(src_port=True)),
+    _enveloped(_segment(seq=_Number(12345))),
+], ids=["str-subclass-src_ip", "bool-port", "int-subclass-seq"])
+def test_an_inexact_envelope_encodes_to_plain_bytes(msg):
+    # a strict parse would not give msg back type for type, so the frame
+    # cannot carry it: the bytes are the reference encoder's, the type is
+    # plain bytes, and a decode is a fresh parse
+    data = wire.encode_message(msg)
+    assert data == _old_encode(msg)
+    assert type(data) is bytes
+    _assert_decodes_as_a_fresh_parse(data)
+
+
+def test_an_exact_envelope_carries_itself():
+    msg = _enveloped(_segment(role=wire.ROLE_DATA, payload=b"abc"))
+    data = wire.encode_message(msg)
+    assert type(data) is wire._Frame
+    assert data.msg is msg
+    assert data == _old_encode(msg)
+    assert wire.decode_message(data) is msg
+
+
 # --- record semantics --------------------------------------------------------
 
 def _records():
