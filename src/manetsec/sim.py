@@ -219,6 +219,9 @@ class Network:
     # --- main loop ----------------------------------------------------------
 
     def run(self, until: int) -> None:
+        """Run every call due at or before `until`, in (tick, insertion)
+        order. A call that raises ends the run and drops the calls after it
+        in its tick: do not run a Network again after an exception."""
         due, ticks = self._due, self._ticks
         while ticks and ticks[0] <= until:
             # popped before its calls run: a delay-0 call one of them makes

@@ -9,7 +9,8 @@ first offending field.
 from __future__ import annotations
 
 import struct
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (List, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+                    Union)
 
 from .crypto import (
     AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
@@ -366,15 +367,7 @@ _CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
 def encode_message(msg: Message) -> bytes:
     kind = type(msg)
     if kind is DataPacket:
-        frame = _encode_exact_envelope(msg)
-        if frame is not None:
-            return frame
-        src, dst = _encode_token(msg.src_ip), _encode_token(msg.dst_ip)
-        seg = msg.segment
-        if len(seg.tag) != DIGEST_BYTES:
-            raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
-        return b"".join((_DATA_KIND, src, dst, _segment_head(seg),
-                         seg.payload, seg.tag))
+        return _encode_envelope(msg)
     if kind is not RouteMessage:
         raise TypeError("cannot encode %r" % kind)
     data = _encode_route_message(msg)
@@ -384,36 +377,50 @@ def encode_message(msg: Message) -> bytes:
     return data
 
 
-def _encode_exact_envelope(msg: DataPacket) -> Optional[_Frame]:
-    """The frame of an envelope that a strict parse gives back type for
-    type, packed in one pass: every field an exact str, bytes or int, and
-    every one in range. None for any other envelope, which the field-checked
-    path then encodes to plain bytes or rejects with its own error.
+def _encode_envelope(msg: DataPacket) -> bytes:
+    """An envelope's frame, checked and packed in one pass.
 
-    This runs once per segment sent, so the checks are chained `is` tests.
+    This runs once per segment sent. Both token lengths and the segment
+    header go through struct packers, and the frame is one join. The frame
+    carries the message only when every field has its exact type, so that
+    a strict parse gives it back type for type (chained `is` tests); a
+    bool, a bytearray or a subclass packs to the same bytes as plain bytes.
+    A bad tag, role or field raises the error of the first bad field, from
+    _raise_envelope_error.
     """
     src_ip, dst_ip, seg = msg
-    if not (type(src_ip) is type(dst_ip) is str and type(seg) is Segment):
-        return None
     role, src_port, dst_port, seq, ack, payload, tag = seg
-    if not (type(payload) is type(tag) is bytes
-            and type(role) is type(src_port) is type(dst_port) is type(seq)
-            is type(ack) is int
-            and len(tag) == DIGEST_BYTES and role in ROLE_NAMES):
-        return None
+    if len(tag) != DIGEST_BYTES or role not in ROLE_NAMES:
+        _raise_envelope_error(msg)
     try:
         src = src_ip.encode("utf-8")
         src_length = _TOKEN_LENGTH.pack(len(src))
         dst = dst_ip.encode("utf-8")
-        frame = _Frame(b"".join((
+        data = b"".join((
             _DATA_KIND, src_length, src, _TOKEN_LENGTH.pack(len(dst)), dst,
             _SEGMENT_HEAD.pack(KIND_SEGMENT, role, src_port, dst_port, seq,
                                ack, len(payload)),
-            payload, tag)))
-    except (struct.error, UnicodeError):
-        return None   # a token or a field the checked path rejects
-    frame.msg = msg
-    return frame
+            payload, tag))
+    except struct.error:
+        _raise_envelope_error(msg)
+    if (type(src_ip) is type(dst_ip) is str and type(seg) is Segment
+            and type(payload) is type(tag) is bytes
+            and type(role) is type(src_port) is type(dst_port) is type(seq)
+            is type(ack) is int):
+        data = _Frame(data)
+        data.msg = msg
+    return data
+
+
+def _raise_envelope_error(msg: DataPacket) -> NoReturn:
+    """Raise the ValueError of an envelope's first bad field, in frame
+    order: a token over 0xFFFF bytes, the tag length, the role, then the
+    first segment field that does not fit its width."""
+    _encode_token(msg.src_ip)
+    _encode_token(msg.dst_ip)
+    if len(msg.segment.tag) != DIGEST_BYTES:
+        raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
+    _segment_head(msg.segment)
 
 
 def _decodes_to_itself(msg: RouteMessage) -> bool:
