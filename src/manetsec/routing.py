@@ -82,10 +82,10 @@ def append_signer(core: wire.RouteCore, hops: Tuple[bytes, ...],
 class NodeConfig:
     name: str
     keys: NodeKeys    # keys.encryption is made on first read
-    secure: bool = True
-    sec_level: int = 1
-    master_seed: int = 0
-    dh_bits: int = 64
+    secure: bool
+    sec_level: int
+    master_seed: int
+    dh_bits: int
 
 
 @dataclass
@@ -502,9 +502,7 @@ class RouterNode:
     def _on_data(self, sender: str, pkt: wire.DataPacket,
                  raw: bytes) -> Optional[str]:
         if pkt.dst_ip == self.ip:
-            if self.transport is not None:
-                return self.transport.on_segment(pkt.src_ip, pkt.segment)
-            return None
+            return self.transport.on_segment(pkt.src_ip, pkt.segment)
         dest = self.registry.find_ip(pkt.dst_ip)
         if dest is None:
             return "no_route"

@@ -44,10 +44,10 @@ def _keyed_number(label: bytes, client_port: int, server_port: int,
 
 @dataclass
 class TcpConfig:
-    mss: int = 512
-    rto: int = 10
-    max_retries: int = 2
-    half_open_capacity: int = 8
+    mss: int
+    rto: int
+    max_retries: int
+    half_open_capacity: int
 
 
 @dataclass
@@ -67,9 +67,9 @@ class Connection:
 
 
 class TcpEndpoint:
-    def __init__(self, router, config: Optional[TcpConfig] = None):
+    def __init__(self, router, config: TcpConfig):
         self.router = router
-        self.config = config or TcpConfig()
+        self.config = config
         self.net = router.net
         self.metrics = router.metrics
         self.secure = router.config.secure

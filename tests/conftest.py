@@ -1,12 +1,13 @@
 """Shared test helpers that stand in for library hooks: a frame recorder,
-a pinned rng, a pinned exchange group and a count of group searches; and
-shared test data: hand-checkable toy keys and the secure-mode verdicts."""
+a pinned rng, a pinned exchange group and a count of group searches; the
+one builder of hand-driven networks; and shared test data: hand-checkable
+toy keys and the secure-mode verdicts."""
 
 import contextlib
 
 import pytest
 
-from manetsec import crypto, routing, sim, wire
+from manetsec import crypto, routing, scenario, sim, wire
 
 
 def _toy_key(p, q, e, d):
@@ -109,3 +110,58 @@ def group_searches(monkeypatch):
 
     monkeypatch.setattr(crypto, "_search_dh_group", counted)
     return made
+
+
+class Puppet:
+    """Inert sim handler for nodes the test drives by hand."""
+
+    def __init__(self):
+        self.received = []
+
+    def on_receive(self, sender, payload):
+        self.received.append((sender, payload))
+        return None
+
+
+class Inbox:
+    """Stub transport: records (source, payload) of each delivered segment."""
+
+    def __init__(self):
+        self.received = []
+
+    def on_segment(self, peer_ip, seg):
+        self.received.append((peer_ip, seg.payload))
+        return None
+
+
+def build_network(names, links, *, seed, key_bits, secure, sec_level,
+                  dh_bits, key_seed=None, stubs=(), responder_secrets=None):
+    """(net, routers, registry, metrics, keys) of a network the test drives.
+
+    Keys and registry come from scenario.build_registry, derived from
+    `key_seed` (default `seed`); the network and each router's draws derive
+    from `seed`. A name in `stubs` is a Puppet, every other one a router
+    whose transport is an Inbox. A responder's exponent is pinned to
+    `responder_secrets[name]`. Links are (a, b[, add_link keywords]).
+    """
+    doc = {"seed": seed if key_seed is None else key_seed,
+           "key_bits": key_bits, "dh_bits": dh_bits, "nodes": list(names)}
+    reg, keys = scenario.build_registry(scenario.parse(doc))
+    net = sim.Network(seed=seed)
+    routers = {}
+    for n in names:
+        if n in stubs:
+            routers[n] = Puppet()
+            net.add_node(n, routers[n])
+            continue
+        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
+                                 sec_level=sec_level, master_seed=seed,
+                                 dh_bits=dh_bits)
+        routers[n] = routing.RouterNode(cfg, reg, net)
+        routers[n].transport = Inbox()
+        if n in (responder_secrets or {}):
+            # a node that only answers draws nothing else from its rng
+            routers[n].rng = FixedRng(responder_secrets[n])
+    for a, b, *options in links:
+        net.add_link(a, b, **(options[0] if options else {}))
+    return net, routers, reg, net.metrics, keys

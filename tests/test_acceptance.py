@@ -6,7 +6,7 @@ independently of the library code wherever a value could be derived rather
 than observed.
 """
 
-import json
+import functools
 import os
 import random
 import time
@@ -14,16 +14,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import EXPECTED_SECURE, TOY1, TOY2, FixedRng, pinned_group
+from conftest import (EXPECTED_SECURE, TOY1, TOY2, build_network,
+                      pinned_group)
 from topology import random_connected
-from manetsec import attacks, cli, identity, routing, scenario, sim, transport, wire
+from manetsec import attacks, cli, scenario
 from manetsec.crypto import (
-    AggregateSignature,
     derive_seed,
     digest,
     digest_int,
     generate_keypair,
-    generate_node_keys,
     rsa_sign_first,
     sas_aggregate_step,
     sas_unwind_verify,
@@ -120,34 +119,10 @@ def test_criterion_2_forgeries_always_fail(keypool):
 
 # --- criterion 3: discovery with embedded key exchange ------------------------
 
-_KEYS3 = {}
-
-
-def _node_keys(name):
-    if name not in _KEYS3:
-        _KEYS3[name] = generate_node_keys(derive_seed(33, "keys", name), 128)
-    return _KEYS3[name]
-
-
-def _build_net(names, links, *, secure=True, sec_level=1, seed=1,
-               responder_secrets=None, dh_bits=32):
-    reg = identity.Registry()
-    net = sim.Network(seed=seed)
-    metrics = net.metrics
-    routers = {}
-    for n in names:
-        reg.add(identity.NodeIdentity(_node_keys(n), n))
-    for n in names:
-        cfg = routing.NodeConfig(name=n, keys=_node_keys(n), secure=secure,
-                                 sec_level=sec_level, master_seed=seed,
-                                 dh_bits=dh_bits)
-        routers[n] = routing.RouterNode(cfg, reg, net)
-        if n in (responder_secrets or {}):
-            # pin the responder's exponent: its rng draws nothing else here
-            routers[n].rng = FixedRng(responder_secrets[n])
-    for a, b in links:
-        net.add_link(a, b)
-    return net, routers, reg, metrics
+# a secure network whose 128-bit keys derive from seed 33, whatever the
+# network's own seed
+_build_net = functools.partial(build_network, key_seed=33, key_bits=128,
+                               secure=True, sec_level=1, dh_bits=32)
 
 
 def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
@@ -158,7 +133,7 @@ def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
             names = ["n%d" % i for i in range(count)]
             links = random_connected(names, rng)
             src, dst = rng.sample(names, 2)
-            net, routers, reg, metrics = _build_net(
+            net, routers, reg, metrics, _ = _build_net(
                 names, links, sec_level=sec_level,
                 seed=derive_seed(3000, "run", sec_level, run))
             routers[src].start_discovery(dst)
@@ -174,7 +149,7 @@ def test_criterion_3_discovery_and_key_agreement_on_random_graphs():
             assert s_dst.peer_id == reg.by_ip(src).node_id
 
     # the worked key-exchange example: p=23, g=5, secrets 6 and 15 agree on 2
-    net, routers, reg, metrics = _build_net(
+    net, routers, reg, metrics, _ = _build_net(
         ["a", "b"], [("a", "b")], responder_secrets={"b": 15}, seed=5)
     with pinned_group(routers["a"], p=23, g=5, r=6):
         routers["a"].start_discovery("b")

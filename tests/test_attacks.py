@@ -11,8 +11,7 @@ import os
 import pytest
 
 from conftest import EXPECTED_SECURE
-from manetsec import attacks, identity, routing, scenario, sim, transport
-from manetsec.crypto import derive_seed, generate_node_keys
+from manetsec import attacks, scenario
 
 PAYLOAD = b"the real payload"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,89 +19,68 @@ SCEN = os.path.join(ROOT, "scenarios")
 
 
 def topology(kind):
+    """The scenario document of `kind`'s attack run, seed 17 to tick 400:
+    the adversaries are its last nodes, and each link is (a, b[, fields])."""
+    def doc(nodes, links, events, start=1, **attack):
+        return {"seed": 17, "run_until": 400, "nodes": nodes,
+                "links": [dict(a=a, b=b, **(f[0] if f else {}))
+                          for a, b, *f in links],
+                "events": [{"tick": start, "kind": "attach_attack",
+                            "attack": dict(kind=kind, **attack)}, *events]}
+
+    def discovery(target):
+        return [{"tick": 1, "kind": "start_discovery", "node": "a",
+                 "target": target}]
+
+    def flow(tick, **fields):
+        return [{"tick": tick, "kind": "start_flow", "client": "a",
+                 "server": "b", **fields}]
+
     if kind == "seq_inflate":
-        return (["a", "d"], ["m"],
-                [("a", "m"), ("m", "d")],
-                attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="d"),
-                [(1, lambda r, ep: r["a"].start_discovery("d"))])
+        return doc(["a", "d", "m"], [("a", "m"), ("m", "d")], discovery("d"),
+                   attacker="m", src="a", dst="d")
     if kind == "hop_shorten":
-        return (["a", "f", "d"], ["m"],
-                [("a", "f"), ("f", "m"), ("m", "d")],
-                attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="d",
-                                   max_distance=2),
-                [(1, lambda r, ep: r["a"].start_discovery("d"))])
+        return doc(["a", "f", "d", "m"], [("a", "f"), ("f", "m"), ("m", "d")],
+                   discovery("d"), attacker="m", src="a", dst="d",
+                   max_distance=2)
     if kind == "redirect":
-        return (["a", "b", "d"], ["m"],
-                [("a", "b"), ("b", "d"), ("a", "m")],
-                attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="d"),
-                [(1, lambda r, ep: r["a"].start_discovery("d"))])
+        return doc(["a", "b", "d", "m"], [("a", "b"), ("b", "d"), ("a", "m")],
+                   discovery("d"), attacker="m", src="a", dst="d")
     if kind == "tunnel":
-        return (["a", "b", "c", "d", "e"], ["m1", "m2"],
-                [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
-                 ("a", "m1"), ("e", "m2"),
-                 ("m1", "m2", dict(latency=0, tunnel=True))],
-                attacks.AttackSpec(kind=kind, attacker="m1", partner="m2",
-                                   src="a", dst="e"),
-                [(1, lambda r, ep: r["a"].start_discovery("e"))])
+        return doc(["a", "b", "c", "d", "e", "m1", "m2"],
+                   [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                    ("a", "m1"), ("e", "m2"),
+                    ("m1", "m2", dict(latency=0, tunnel=True))],
+                   discovery("e"), attacker="m1", partner="m2", src="a",
+                   dst="e")
     if kind == "impersonate":
-        return (["a", "d"], ["m"],
-                [("m", "d")],
-                attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="d",
-                                   start=5),
-                [])
+        return doc(["a", "d", "m"], [("m", "d")], [], start=5, attacker="m",
+                   src="a", dst="d")
     if kind == "fake_rerr":
-        return (["a", "b", "c"], ["x"],
-                [("a", "b"), ("b", "c"), ("x", "b")],
-                attacks.AttackSpec(kind=kind, attacker="x", src="a", dst="c",
-                                   through="b", start=25),
-                [(1, lambda r, ep: r["a"].start_discovery("c"))])
+        return doc(["a", "b", "c", "x"], [("a", "b"), ("b", "c"), ("x", "b")],
+                   discovery("c"), start=25, attacker="x", src="a", dst="c",
+                   through="b")
     if kind == "syn_flood":
-        return (["b"], ["m"],
-                [("m", "b")],
-                attacks.AttackSpec(kind=kind, attacker="m", dst="b", start=2,
-                                   rate=50, duration=5, capacity=8),
-                [])
+        return doc(["b", "m"], [("m", "b")], [], start=2, attacker="m",
+                   dst="b", rate=50, duration=5)
     if kind == "session_hijack":
-        return (["a", "b"], ["m"],
-                [("a", "b"), ("m", "b")],
-                attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="b",
-                                   start=40),
-                [(2, lambda r, ep: ep["a"].connect("b", 5000, 80))])
+        return doc(["a", "b", "m"], [("a", "b"), ("m", "b")],
+                   flow(2, close=False), start=40, attacker="m", src="a",
+                   dst="b")
     # ack_inject: forged second handshake segment racing the real one
-    return (["a", "b"], ["m"],
-            [("a", "b"), ("m", "a")],
-            attacks.AttackSpec(kind=kind, attacker="m", src="a", dst="b",
-                               start=11, expected_payload=PAYLOAD),
-            [(10, lambda r, ep: ep["a"].connect("b", 5000, 80, data=PAYLOAD,
-                                                close=True))])
+    return doc(["a", "b", "m"], [("a", "b"), ("m", "a")],
+               flow(10, payload=PAYLOAD.decode(), close=True), start=11,
+               attacker="m", src="a", dst="b")
 
 
-def run_attack(kind, secure, seed=17, until=400):
-    honest, bad, links, spec, plan = topology(kind)
-    reg = identity.Registry()
-    net = sim.Network(seed=seed)
-    metrics = net.metrics
-    keys = {}
-    for n in honest + bad:
-        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), 256)
-        reg.add(identity.NodeIdentity(keys[n], n))
-    routers, endpoints = {}, {}
-    tcp_cfg = transport.TcpConfig(half_open_capacity=spec.capacity)
-    for n in honest:
-        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
-                                 sec_level=1, master_seed=seed)
-        routers[n] = routing.RouterNode(cfg, reg, net)
-        endpoints[n] = transport.TcpEndpoint(routers[n], tcp_cfg)
-    attacks.deploy(spec, keys, reg, net)
-    for item in links:
-        net.add_link(*item[:2], **(item[2] if len(item) > 2 else {}))
-    if kind in ("syn_flood", "session_hijack", "ack_inject"):
-        endpoints["b"].listen(80)
-    for delay, fn in plan:
-        net.schedule(delay, fn, routers, endpoints)
-    net.run(until=until)
-    verdict = attacks.judge(spec, metrics)
-    return verdict, metrics, routers, endpoints, reg, spec
+def run_attack(kind, secure):
+    """(verdict, metrics, routers, endpoints, registry, bound spec) of
+    `kind`'s document run in secure or baseline mode."""
+    result = scenario.run_scenario(topology(kind),
+                                   mode="secure" if secure else "baseline")
+    spec = result.scenario.attack_specs[0]
+    return (result.metrics.attack_verdicts[kind], result.metrics,
+            result.routers, result.endpoints, result.registry, spec)
 
 
 @pytest.mark.parametrize("kind", attacks.KINDS)

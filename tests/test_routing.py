@@ -1,43 +1,20 @@
 """Route discovery, maintenance, and per-hop verification behavior."""
 
 import copy
+import functools
 import sys
 from unittest import mock
 
 import pytest
 
-from conftest import FixedRng, pinned_group
-from manetsec import crypto, identity, routing, sim, wire
+from conftest import Puppet, build_network, pinned_group
+from manetsec import crypto, identity, routing, wire
 from manetsec.crypto import (
     AggregateSignature,
-    derive_seed,
-    generate_node_keys,
     rsa_encrypt,
     rsa_sign_first,
     sas_aggregate_step,
 )
-
-
-class Puppet:
-    """Inert sim handler for nodes the test drives by hand."""
-
-    def __init__(self):
-        self.received = []
-
-    def on_receive(self, sender, payload):
-        self.received.append((sender, payload))
-        return None
-
-
-class Inbox:
-    """Stub transport: records (source, payload) of each delivered segment."""
-
-    def __init__(self):
-        self.received = []
-
-    def on_segment(self, peer_ip, seg):
-        self.received.append((peer_ip, seg.payload))
-        return None
 
 
 def send_payload(router, dst_ip, data):
@@ -47,31 +24,9 @@ def send_payload(router, dst_ip, data):
         payload=data, tag=b"\x00" * 32))
 
 
-def build(names, links, *, secure=True, sec_level=1, seed=7, key_bits=256,
-          stubs=(), responder_secrets=None):
-    reg = identity.Registry()
-    net = sim.Network(seed=seed)
-    metrics = net.metrics
-    keys = {}
-    for n in names:
-        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        reg.add(identity.NodeIdentity(keys[n], n))
-    routers = {}
-    for n in names:
-        if n in stubs:
-            handler = Puppet()
-            net.add_node(n, handler)
-            routers[n] = handler
-            continue
-        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
-                                 sec_level=sec_level, master_seed=seed)
-        routers[n] = routing.RouterNode(cfg, reg, net)
-        routers[n].transport = Inbox()
-        if n in (responder_secrets or {}):
-            routers[n].rng = FixedRng(responder_secrets[n])
-    for a, b in links:
-        net.add_link(a, b)
-    return net, routers, reg, metrics, keys
+# a hand-driven network at the run defaults, keyed from seed 7
+build = functools.partial(build_network, seed=7, key_bits=256, secure=True,
+                          sec_level=1, dh_bits=64)
 
 
 def line(names):
@@ -456,6 +411,7 @@ def test_a_live_router_rejects_each_forgery_at_its_own_check(
                   source_sig=7 if level == 0 else None)
     fields.update(frame(keys["m"].signing.n))
     fields["hops"] = tuple(reg.by_ip(h).node_id for h in fields["hops"])
+    before = routing_state(r["v"])
     net.unicast("m", "v", wire.encode_message(
         wire.RouteMessage(core=core, **fields)))
     net.run(until=5)
@@ -464,6 +420,7 @@ def test_a_live_router_rejects_each_forgery_at_its_own_check(
     assert m.verified == 0
     assert r["v"].routes == {}
     assert r["v"].sessions == {}
+    assert routing_state(r["v"]) == before
 
 
 def test_unknown_origin_identity_is_rejected():
@@ -507,11 +464,13 @@ def test_a_forged_chain_naming_an_unknown_identity_costs_no_check(
             aggregate=AggregateSignature(value=5, overflow_bits=(0,)),
             source_sig=7 if sec_level == 0 else None))
 
+    before = routing_state(r["v"])
     net.unicast("m", "v", forged(1, dst_ip="o"))
     net.run(until=5)
     assert m.drops == {"verify_failed": 1}
     checked = m.verified
     assert checked > 0
+    assert routing_state(r["v"]) == before
 
     named = {"dst_ip": "o"}
     named[unknown] = "nowhere" if unknown == "dst_ip" else b"\x42" * 32
@@ -522,6 +481,7 @@ def test_a_forged_chain_naming_an_unknown_identity_costs_no_check(
     assert m.verified == checked
     assert crypto.rsa_public.cache_info()[:2] == public_ops[:2]
     assert r["v"].routes == {}
+    assert routing_state(r["v"]) == before
 
 
 @pytest.mark.parametrize("level", [0, 1])

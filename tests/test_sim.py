@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from manetsec import sim, wire
+from manetsec import wire
 from manetsec.sim import Network
 
 

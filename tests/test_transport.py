@@ -1,48 +1,27 @@
 """Connection setup, transfer, teardown, and the authenticated-segment rules."""
 
 import sys
-
-import pytest
-
+from dataclasses import replace
 from unittest import mock
 
-from manetsec import identity, routing, sim, transport, wire
-from manetsec.crypto import (SessionKey, derive_seed, digest, digest_int,
-                             generate_node_keys, mac_tag, mac_verify)
+from conftest import build_network
+from manetsec import identity, routing, scenario, transport, wire
+from manetsec.crypto import (SessionKey, digest, digest_int, mac_tag,
+                             mac_verify)
 
 MASK = 0xFFFFFFFF
+# the transport settings of a run that sets none
+TCP = scenario.parse({"seed": 0, "nodes": ["a"]}).tcp
 
 
-class Puppet:
-    def __init__(self):
-        self.received = []
-
-    def on_receive(self, sender, payload):
-        self.received.append((sender, payload))
-        return None
-
-
-def build(names, links, *, secure=True, sec_level=1, seed=11, key_bits=256,
-          stubs=(), tcp_config=None):
-    reg = identity.Registry()
-    net = sim.Network(seed=seed)
-    metrics = net.metrics
-    routers, endpoints = {}, {}
-    keys = {}
-    for n in names:
-        keys[n] = generate_node_keys(derive_seed(seed, "keys", n), key_bits)
-        reg.add(identity.NodeIdentity(keys[n], n))
-    for n in names:
-        if n in stubs:
-            routers[n] = Puppet()
-            net.add_node(n, routers[n])
-            continue
-        cfg = routing.NodeConfig(name=n, keys=keys[n], secure=secure,
-                                 sec_level=sec_level, master_seed=seed)
-        routers[n] = routing.RouterNode(cfg, reg, net)
-        endpoints[n] = transport.TcpEndpoint(routers[n], tcp_config)
-    for item in links:
-        net.add_link(*item[:2], **(item[2] if len(item) > 2 else {}))
+def build(names, links, *, secure=True, seed=11, stubs=(), tcp_config=TCP):
+    """(net, routers, endpoints, registry, metrics, keys): a network from
+    build_network, with a TcpEndpoint on each router."""
+    net, routers, reg, metrics, keys = build_network(
+        names, links, seed=seed, key_bits=256, secure=secure, sec_level=1,
+        dh_bits=64, stubs=stubs)
+    endpoints = {n: transport.TcpEndpoint(routers[n], tcp_config)
+                 for n in names if n not in stubs}
     return net, routers, endpoints, reg, metrics, keys
 
 
@@ -121,7 +100,7 @@ def test_transfer_chunks_acks_and_closes():
 
 def test_lossy_link_recovers_through_retransmission():
     data = b"reliable delivery over an unreliable link" * 20
-    cfg = transport.TcpConfig(mss=128, rto=8, max_retries=6)
+    cfg = replace(TCP, mss=128, rto=8, max_retries=6)
     net, r, ep, reg, m, keys = build(
         ["a", "b"], [("a", "b", dict(loss=0.2))], seed=3, tcp_config=cfg)
     r["a"].start_discovery("b")
@@ -239,7 +218,7 @@ def test_nonsense_ack_number_is_rejected():
 
 
 def test_syn_flood_fills_plain_table_and_evicts_oldest():
-    cfg = transport.TcpConfig(half_open_capacity=8)
+    cfg = replace(TCP, half_open_capacity=8)
     net, r, ep, reg, m, keys = build(["b", "x"], [("x", "b")], secure=False,
                                      stubs=("x",), tcp_config=cfg)
     ep["b"].listen(80)
