@@ -262,8 +262,10 @@ def judge(spec: AttackSpec, metrics) -> str:
     """Verdict of a finished run, read off its Network.metrics."""
     if _harm(spec, metrics):
         return "succeeded"
-    senders = {spec.attacker, spec.partner}
     telltale = {dropped(reason) for reason in KINDS[spec.kind].telltale}
+    if not telltale:   # nothing to find: skip the walk of the trace
+        return "neutralized"
+    senders = {spec.attacker, spec.partner}
     if any(rec.src in senders and rec.disposition in telltale
            for rec in metrics.trace):
         return "detected"

@@ -22,7 +22,8 @@ import traceback
 
 from . import identity, scenario, sim
 
-_DROP_HEAD, _DROP_TAIL = sim.dropped("\0").split("\0")
+_DISPOSITIONS = frozenset(["delivered", "lost"]
+                          + [sim.dropped(r) for r in sim.DROP_REASONS])
 
 
 class OutputError(Exception):
@@ -166,8 +167,7 @@ def _lint_trace(text: str):
                             % (lineno, kind))
         if not (size_s.isascii() and size_s.isdigit()):
             problems.append("line %d: size is not an integer" % lineno)
-        if disp not in ("delivered", "lost") and not (
-                disp.startswith(_DROP_HEAD) and disp.endswith(_DROP_TAIL)):
+        if disp not in _DISPOSITIONS:
             problems.append("line %d: unrecognized disposition %r"
                             % (lineno, disp))
     return problems

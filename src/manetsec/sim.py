@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple
 
 from .crypto import derive_seed
@@ -26,7 +28,15 @@ from . import wire
 ROUTING_KINDS = frozenset(wire.ROUTE_KIND_NAMES.values())
 SEGMENT_KINDS = frozenset(wire.ROLE_NAMES.values())
 _NO_LINKS: dict = {}   # the links of a name that is not a node
-_DROPPED = "dropped_by_receiver("
+# Every reason a receiver's on_receive may return; README "Outputs" lists
+# them. Each has one disposition string, shared by every record it ends.
+DROP_REASONS = ("bad_ack_number", "duplicate", "id_mismatch", "malformed",
+                "no_pending", "no_route", "out_of_phase", "replay",
+                "tag_mismatch", "unknown_identity", "verify_failed")
+_DISPOSITION = {r: "dropped_by_receiver(%s)" % r for r in DROP_REASONS}
+_REASON = {d: r for r, d in _DISPOSITION.items()}
+_TRACE_LINE = "%d\t%s\t%s\t%s\t%d\t%s\n"
+_TRACE_FIELDS = attrgetter("tick", "src", "dst", "kind", "size", "disposition")
 
 
 class Event(NamedTuple):
@@ -62,8 +72,8 @@ class Metrics:
         for rec in self.trace:
             sizes[rec.kind] = sizes.get(rec.kind, 0) + rec.size
             ends[rec.disposition] = ends.get(rec.disposition, 0) + 1
-        drops = {end[len(_DROPPED):-1]: n for end, n in ends.items()
-                 if end.startswith(_DROPPED)}
+        drops = {_REASON[end]: n for end, n in ends.items()
+                 if end in _REASON}
         if self.evictions:   # the evicting SYN itself is delivered
             drops["table_full"] = self.evictions
         return {"control_bytes": sum(sizes.get(k, 0) for k in ROUTING_KINDS),
@@ -102,8 +112,12 @@ class LinkState:
 
 
 def dropped(reason: str) -> str:
-    """Trace disposition of a frame its receiver dropped for `reason`."""
-    return _DROPPED + reason + ")"
+    """Trace disposition of a frame its receiver dropped for `reason`, one
+    of DROP_REASONS; any other reason is a ValueError."""
+    try:
+        return _DISPOSITION[reason]
+    except KeyError:
+        raise ValueError("unknown drop reason %r" % (reason,)) from None
 
 
 @dataclass(slots=True)
@@ -114,11 +128,6 @@ class TraceRecord:
     kind: str
     size: int
     disposition: str
-
-    def line(self) -> str:
-        return "%d\t%s\t%s\t%s\t%d\t%s" % (self.tick, self.src, self.dst,
-                                           self.kind, self.size,
-                                           self.disposition)
 
 
 class Network:
@@ -244,6 +253,8 @@ class Network:
     # --- outputs ------------------------------------------------------------
 
     def trace_text(self) -> str:
-        if not self.trace:
-            return ""
-        return "\n".join(rec.line() for rec in self.trace) + "\n"
+        """One tab-separated line per record, each ending in a newline,
+        formatted in one pass from one flat tuple of the records' fields."""
+        trace = self.trace
+        return (_TRACE_LINE * len(trace)) % tuple(
+            chain.from_iterable(map(_TRACE_FIELDS, trace)))

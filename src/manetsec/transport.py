@@ -253,6 +253,8 @@ class TcpEndpoint:
             self.half_open[key] = isn_s
             if len(self.half_open) > self.metrics.peak_half_open:
                 self.metrics.peak_half_open = len(self.half_open)
+        if self.router.registry.find_ip(peer_ip) is None:
+            return None   # a ghost: send_segment could not address a reply
         reply = wire.Segment(wire.ROLE_SYN_ACK, seg.dst_port, seg.src_port,
                              isn_s, (seg.seq + 1) & MASK, b"", b"\x00" * 32)
         self.router.send_segment(peer_ip, self._tagged(peer_ip, reply))

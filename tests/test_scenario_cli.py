@@ -762,8 +762,11 @@ def test_cli_verify_trace_rejects_a_trace_that_is_not_utf8(tmp_path, capsys):
 
 def test_trace_lint_accepts_the_drop_disposition_sim_writes():
     line = "1\ta\tb\tRREQ\t10\t%s\n"
-    assert cli._lint_trace(line % sim.dropped("replay")) == []
+    for reason in sim.DROP_REASONS:
+        assert cli._lint_trace(line % sim.dropped(reason)) == [], reason
     assert cli._lint_trace(line % "dropped_by_receiver(replay") != []
+    assert cli._lint_trace(line % "dropped_by_receiver(bogus)") == [
+        "line 1: unrecognized disposition 'dropped_by_receiver(bogus)'"]
 
 
 # --- known protocol defects (ROADMAP defects 2b and 2c) ---------------------

@@ -1,13 +1,17 @@
 """Event loop tests: ordering, latency, loss, link churn, trace conservation."""
 
+import ast
 import heapq
+import os
 import random
 from unittest import mock
 
 import pytest
 
-from manetsec import wire
+from manetsec import scenario, sim, wire
 from manetsec.sim import Network
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class Recorder:
@@ -246,6 +250,51 @@ def test_receiver_drop_reason_recorded_and_counted():
     assert metrics.drops == {"malformed": 1}
 
 
+def test_a_reason_outside_the_drop_reasons_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        sim.dropped("bogus")
+    net = _net()
+    net.add_node("a", Recorder())
+    net.add_node("b", Recorder(drop_with="bogus"))
+    net.add_link("a", "b", latency=1)
+    net.unicast("a", "b", b"x")
+    with pytest.raises(ValueError, match="bogus"):
+        net.run(until=5)
+
+
+def test_each_drop_reason_has_one_disposition_string():
+    for reason in sim.DROP_REASONS:
+        assert sim.dropped(reason) == "dropped_by_receiver(%s)" % reason
+        assert sim.dropped(reason) is sim.dropped(reason)
+    result = scenario.run_scenario(scenario.load_file(
+        os.path.join(ROOT, "scenarios", "attack_syn_flood.json")),
+        mode="secure")
+    dropped = [rec.disposition for rec in result.net.trace
+               if rec.disposition.startswith("dropped_by_receiver(")]
+    assert len(dropped) > 1
+    assert all(d is dropped[0] for d in dropped)
+
+
+def test_the_benchmark_counts_every_drop_reason():
+    with open(os.path.join(ROOT, "perfbench", "run.py"), "r",
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    counted = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["DROP_REASONS"]]
+    assert len(counted) == 1
+    assert set(counted[0]) == set(sim.DROP_REASONS) | {"table_full"}
+
+
+def test_the_readme_lists_every_drop_reason():
+    with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines()
+              if line.startswith("- `")]
+    assert listed == list(sim.DROP_REASONS) + ["table_full"]
+
+
 def test_tunnel_is_out_of_band():
     net = _net()
     m1, m2, bystander = Recorder(), Recorder(), Recorder()
@@ -266,21 +315,28 @@ def test_tunnel_is_out_of_band():
 def test_trace_text_is_stable_and_tab_separated():
     def run_once():
         net = _net(seed=9)
+        assert net.trace_text() == ""
         net.add_node("a", Recorder())
-        net.add_node("b", Recorder())
+        net.add_node("b", Recorder(drop_with="replay"))
         net.add_link("a", "b", latency=2, loss=0.3)
         for _ in range(10):
             net.unicast("a", "b", b"payload")
         net.run(until=20)
-        return net.trace_text()
+        return net.trace_text(), net.trace
 
-    t1, t2 = run_once(), run_once()
+    (t1, trace), (t2, _) = run_once(), run_once()
     assert t1 == t2
     line = t1.splitlines()[0]
     fields = line.split("\t")
     assert len(fields) == 6
     assert fields[0] == "0" and fields[1] == "a" and fields[2] == "b"
     assert fields[4] == "7"
+    # every line, the last one too, ends in a newline
+    assert t1 == "".join("%d\ta\tb\tRAW\t7\t%s\n" % (rec.tick,
+                                                      rec.disposition)
+                         for rec in trace)
+    assert {rec.disposition for rec in trace} == {
+        "lost", "dropped_by_receiver(replay)"}
 
 
 def test_every_record_reaches_a_terminal_disposition():

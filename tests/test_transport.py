@@ -235,6 +235,24 @@ def test_syn_flood_fills_plain_table_and_evicts_oldest():
     assert m.drops.get("table_full") == 12
 
 
+def test_plain_ghost_syn_fills_the_table_and_builds_no_reply():
+    net, r, ep, reg, m, keys = build(["b", "x"], [("x", "b")], secure=False,
+                                     stubs=("x",))
+    ep["b"].listen(80)
+    seg = wire.Segment(role=wire.ROLE_SYN, src_port=40000, dst_port=80,
+                       seq=7, ack=0, payload=b"", tag=b"\x00" * 32)
+    pkt = wire.DataPacket(src_ip="ghost0", dst_ip="b", segment=seg)
+    net.unicast("x", "b", wire.encode_message(pkt))
+    with mock.patch.object(r["b"], "send_segment") as send:
+        net.run(until=10)
+
+    assert m.peak_half_open == 1
+    assert list(ep["b"].half_open) == [("ghost0", 80, 40000)]
+    send.assert_not_called()
+    assert [(rec.src, rec.disposition) for rec in net.trace] == [
+        ("x", "delivered")]
+
+
 def test_syn_flood_against_secure_listener_allocates_nothing():
     net, r, ep, reg, m, keys = build(["b", "x"], [("x", "b")], stubs=("x",))
     ep["b"].listen(80)
