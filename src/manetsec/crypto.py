@@ -3,11 +3,14 @@
 Textbook RSA over bare integers on purpose: the chained aggregate signature
 signs across different moduli and needs direct access to (N, e, d), which
 padded library RSA does not expose. Key sizes are configurable down to toy
-widths so tests can pin hand-checkable values.
+widths so tests can pin hand-checkable values. Every modular exponentiation
+goes through powmod, which runs wide moduli on the OpenSSL that CPython's
+hashlib links and narrow ones on builtin pow.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import hmac as _hmac
@@ -35,10 +38,11 @@ def _primes_to(bound: int) -> list:
 # one gcd with the product of these primes rejects every candidate with a
 # small factor before any Miller-Rabin round (HAC 4.4). The gcd costs time
 # in proportion to the product's width (2865 bits here), while a wider
-# bound rejects few more composites. Measured per candidate on Python 3.11,
-# 2^11 was fastest for the 256-bit primes of 512-bit keys and within 12 %
-# of the best bound at 128 and 512 bits; 2^13 was 1.8 times slower than
-# 2^11 at 128 bits.
+# bound rejects few more composites. Measured per candidate with powmod on
+# OpenSSL (Python 3.11.7, OpenSSL 3.0.19), at prime widths of 64 to 512
+# bits 2^11 cost 8 to 15 % more than the best bound, 2^9 or 2^10 (7.6
+# against 6.7 us at 128 bits, 10.2 to 10.9 against 9.4 us at 256 bits);
+# 2^13 cost 1.5 to 1.75 times as much as 2^11.
 SIEVE_BOUND = 2048
 _SIEVE_PRIMES = frozenset(_primes_to(SIEVE_BOUND))
 _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
@@ -56,6 +60,80 @@ _DH_SCREEN_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if p <= 251)
 # draws differ from those of the full 12-base test only on a composite that
 # is a strong pseudoprime to base 2, where this test now draws.
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+# --- modular exponentiation -------------------------------------------------
+
+# powmod's width cut. Each OpenSSL call pays about 5 us to convert and pass
+# its operands, so builtin pow is as fast or faster at 64 bits; from 72 bits
+# up OpenSSL's Montgomery exponentiation wins, by more the wider the modulus
+# (README, "Modular exponentiation").
+POWMOD_MIN_BITS = 80
+
+
+def _bind_bn_mod_exp():
+    """x^e mod m on OpenSSL's BN_mod_exp, or None where it cannot be bound.
+
+    The BN_* symbols resolve through CPython's _hashlib module, so they come
+    from the libcrypto it already links: nothing is installed and no second
+    OpenSSL is loaded. The four registers and the BN_CTX are allocated once
+    here and reused by every call, for the life of the process.
+    """
+    try:
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
+        bn_new, ctx_new = lib.BN_new, lib.BN_CTX_new
+        bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
+        mod_exp = lib.BN_mod_exp
+    except (ImportError, AttributeError, OSError):
+        return None
+    # every BIGNUM * and BN_CTX * is a c_void_p: the default int restype
+    # would truncate a 64-bit pointer
+    ptr, c_int, c_bytes = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+    bn_new.argtypes, bn_new.restype = [], ptr
+    ctx_new.argtypes, ctx_new.restype = [], ptr
+    bin2bn.argtypes, bin2bn.restype = [c_bytes, c_int, ptr], ptr
+    bn2binpad.argtypes, bn2binpad.restype = [ptr, c_bytes, c_int], c_int
+    mod_exp.argtypes, mod_exp.restype = [ptr] * 5, c_int
+    ctx = ctx_new()
+    result, base, exponent, modulus = regs = [bn_new() for _ in range(4)]
+    if ctx is None or None in regs:
+        return None
+
+    def load(value: int, reg) -> None:
+        width = (value.bit_length() + 7) // 8
+        if bin2bn(value.to_bytes(width, "big"), width, reg) is None:
+            raise MemoryError("BN_bin2bn failed")
+
+    def bn_mod_exp(x: int, e: int, m: int) -> int:
+        load(x, base)
+        load(e, exponent)
+        load(m, modulus)
+        if not mod_exp(result, base, exponent, modulus, ctx):
+            raise ArithmeticError("BN_mod_exp failed")
+        width = (m.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        if bn2binpad(result, out, width) != width:
+            raise ArithmeticError("BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
+
+    return bn_mod_exp
+
+
+_bn_mod_exp = _bind_bn_mod_exp()
+
+
+def powmod(x: int, e: int, m: int) -> int:
+    """x^e mod m for x >= 0, e >= 0 and m > 0: the integer pow(x, e, m) gives.
+
+    A modulus of POWMOD_MIN_BITS or more runs on OpenSSL's BN_mod_exp; a
+    narrower one, or any modulus where the binding could not be made, on
+    builtin pow. The OpenSSL path reuses one set of registers, so this
+    module must not be called from several threads at once.
+    """
+    if _bn_mod_exp is None or m.bit_length() < POWMOD_MIN_BITS:
+        return pow(x, e, m)
+    return _bn_mod_exp(x, e, m)
 
 
 def digest(data: bytes) -> bytes:
@@ -159,7 +237,7 @@ def _miller_rabin(n: int, base: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    x = pow(base, d, n)
+    x = powmod(base, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(s - 1):
@@ -204,9 +282,9 @@ def generate_keypair(bits: int, rng: random.Random) -> RsaKeyPair:
         q = generate_prime(bits - bits // 2, rng)
         if p == q:
             continue
+        # both primes have their top two bits set, so 2^(bits - 1) <
+        # 9 * 2^(bits - 4) <= p * q < 2^bits: n is always exactly bits wide
         n = p * q
-        if n.bit_length() != bits:
-            continue
         phi = (p - 1) * (q - 1)
         if math.gcd(RSA_PUBLIC_EXPONENT, phi) != 1:
             continue
@@ -270,10 +348,10 @@ def _private_pow(x: int, key: RsaKeyPair) -> int:
     """x^d mod N for 0 <= x < N.
 
     Two half-width exponentiations recombined by Garner's formula (RFC 8017
-    section 5.1.2); the result is exactly the integer the plain pow() gives.
+    section 5.1.2); the result is exactly the integer pow(x, d, N) gives.
     """
-    m1 = pow(x, key.dp, key.p)
-    m2 = pow(x, key.dq, key.q)
+    m1 = powmod(x, key.dp, key.p)
+    m2 = powmod(x, key.dq, key.q)
     return m2 + key.q * ((m1 - m2) * key.qinv % key.p)
 
 
@@ -309,7 +387,7 @@ def sas_aggregate_step(prev: AggregateSignature, h: int,
 @functools.lru_cache(maxsize=256)
 def rsa_public(x: int, n: int, e: int) -> int:
     """x^e mod n: the public-key operation of RSA verification."""
-    return pow(x, e, n)
+    return powmod(x, e, n)
 
 
 def sas_unwind_step(sigma: int, h: int, public: Tuple[int, int],
@@ -351,7 +429,7 @@ def rsa_encrypt(m: int, public: Tuple[int, int]) -> int:
     n, e = public
     if not 0 <= m < n:
         raise ValueError("plaintext block out of range for modulus")
-    return pow(m, e, n)
+    return powmod(m, e, n)
 
 
 def rsa_decrypt(c: int, key: RsaKeyPair) -> int:
@@ -407,7 +485,7 @@ def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
         if not is_probable_prime(q, rng) or not is_probable_prime(p, rng):
             continue
         for g in (2, 3, 5, 7, 11, 13):
-            if pow(g, 2, p) != 1 and pow(g, q, p) != 1:
+            if powmod(g, 2, p) != 1 and powmod(g, q, p) != 1:
                 return p, g
 
 
@@ -416,13 +494,13 @@ def make_dh_params(p: int, g: int, rng: random.Random) -> DhParams:
 
 
 def dh_public(params: DhParams) -> int:
-    return pow(params.g, params.r, params.p)
+    return powmod(params.g, params.r, params.p)
 
 
 def dh_shared(peer_public: int, params: DhParams) -> SessionKey:
     if not 0 < peer_public < params.p:
         raise ValueError("peer public value out of range")
-    return SessionKey(pow(peer_public, params.r, params.p))
+    return SessionKey(powmod(peer_public, params.r, params.p))
 
 
 # --- authentication tags ----------------------------------------------------

@@ -4,6 +4,7 @@ The oracle recomputations here use raw pow()/extended Euclid inline so they
 do not share code with the library under test.
 """
 
+import ctypes
 import math
 import random
 
@@ -157,6 +158,7 @@ def test_crt_private_operations_equal_plain_pow(bits):
         for x in samples:
             # oracle: the plain exponentiation with the full private exponent
             want = pow(x, key.d, key.n)
+            assert crypto._private_pow(x, key) == want
             assert crypto.rsa_sign_first(x, key).value == want
             assert crypto.rsa_decrypt(x, key) == want
             prev = AggregateSignature(value=0, overflow_bits=())
@@ -237,6 +239,69 @@ def test_1024_bit_keys_equal_reference_generation(seed, monkeypatch):
     keys = crypto.NodeKeys(seed, 1024)
     assert (keys.signing, keys.encryption) == want
     assert keys.signing.n.bit_length() == 1024
+
+
+# --- modular exponentiation -------------------------------------------------
+
+# moduli on both sides of powmod's width cut, up to the widest key planned
+POWMOD_WIDTHS = [8, 64, crypto.POWMOD_MIN_BITS - 1, crypto.POWMOD_MIN_BITS,
+                 crypto.POWMOD_MIN_BITS + 1, 128, 256, 512, 1024]
+
+
+@pytest.mark.parametrize("bits", POWMOD_WIDTHS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_powmod_equals_pow(bits, data):
+    m = data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1)) | 1
+    # bases up to twice the modulus' width, as a CRT half passes x mod N to
+    # a prime of half N's width
+    x = data.draw(st.integers(0, 2 ** (2 * bits) - 1))
+    e = data.draw(st.integers(0, 2 ** bits - 1))
+    assert crypto.powmod(x, e, m) == pow(x, e, m)
+
+
+@pytest.mark.parametrize("bits", POWMOD_WIDTHS)
+def test_powmod_equals_pow_on_edge_values(bits):
+    rng = random.Random(bits)
+    m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    wide = rng.getrandbits(2 * bits) | (1 << (2 * bits - 1))
+    for x in (0, 1, m - 1, m, wide):
+        for e in (0, 1, 2, crypto.RSA_PUBLIC_EXPONENT):
+            assert crypto.powmod(x, e, m) == pow(x, e, m), (x, e)
+
+
+def _hashlib_resolves_bn_symbols():
+    try:
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name in ("BN_new", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
+                     "BN_mod_exp"):
+            getattr(lib, name)
+    except (ImportError, AttributeError, OSError):
+        return False
+    return True
+
+
+def test_powmod_runs_on_openssl_from_the_width_cut(monkeypatch):
+    if not _hashlib_resolves_bn_symbols():
+        pytest.skip("_hashlib does not resolve OpenSSL's BN_* symbols")
+    kernel = crypto._bn_mod_exp
+    assert kernel is not None
+    calls = []
+
+    def counted(x, e, m):
+        calls.append(m.bit_length())
+        return kernel(x, e, m)
+
+    monkeypatch.setattr(crypto, "_bn_mod_exp", counted)
+    for bits in POWMOD_WIDTHS:
+        m = (1 << (bits - 1)) | 1
+        assert crypto.powmod(3, 10 ** 6, m) == pow(3, 10 ** 6, m)
+    assert calls == [bits for bits in POWMOD_WIDTHS
+                     if bits >= crypto.POWMOD_MIN_BITS]
+    # a failed BN_mod_exp raises; a zero modulus makes OpenSSL's fail
+    with pytest.raises(ArithmeticError):
+        kernel(3, 5, 0)
 
 
 # --- primality --------------------------------------------------------------

@@ -21,7 +21,9 @@ field that names a node holds a declared node name. They, and runs on seeded
 random graphs, also guard the message each frame carries: each frame
 decodes, after the run ends, to what a fresh strict parse of its bytes
 gives, type for type, and no frame of a shipped run takes the strict parse
-at all.
+at all. Three scenarios run once more in secure mode with crypto.powmod's
+OpenSSL binding off and crypto's memos empty, so builtin pow alone must
+give the same digests.
 """
 
 import contextlib
@@ -38,7 +40,7 @@ import pytest
 
 from conftest import capture_frames, decode_or_error
 from topology import random_connected
-from manetsec import cli, scenario, wire
+from manetsec import cli, crypto, scenario, wire
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(ROOT, "scenarios")
@@ -92,9 +94,9 @@ def _misdecoded(frames):
             != repr(decode_or_error(wire._parse, payload))]
 
 
-def _digests(path, mode, level):
+def _digests(path, mode, level, run=_run):
     """({trace, metrics} digests, frame digest) of one run."""
-    trace, metrics, frames = _run(path, mode, level)[:3]
+    trace, metrics, frames = run(path, mode, level)[:3]
     return ({"trace": hashlib.sha256(trace.encode()).hexdigest(),
              "metrics": hashlib.sha256(metrics.encode()).hexdigest()},
             frames)
@@ -118,6 +120,22 @@ def test_outputs_match_the_golden_digests(key, path, mode, level):
                          list(_runs()), ids=[r[0] for r in _runs()])
 def test_transmitted_frames_match_the_golden_frames(key, path, mode, level):
     assert _digests(path, mode, level)[1] == PINNED_FRAMES[key]
+
+
+@pytest.mark.parametrize("name", ["line5_discovery", "attack_redirect",
+                                  "overhead_line5"])
+def test_builtin_pow_fallback_matches_the_golden_digests(name, monkeypatch):
+    # with the OpenSSL binding off and crypto's memos empty, builtin pow
+    # computes every key, group and signature of these runs itself
+    monkeypatch.setattr(crypto, "_bn_mod_exp", None)
+    monkeypatch.setattr(crypto, "_dh_groups", {})
+    crypto._node_keys.cache_clear()
+    crypto.rsa_public.cache_clear()
+    for level in (0, 1):
+        key = "%s/secure/%d" % (name, level)
+        path = os.path.join(SCEN, name + ".json")
+        assert _digests(path, "secure", level, _run.__wrapped__) == \
+            (PINNED[key], PINNED_FRAMES[key])
 
 
 def _keygen_digest(name):
