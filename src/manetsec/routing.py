@@ -125,11 +125,12 @@ class RouterNode:
         self.ip = config.name
         self.seq = 0
         self._bct_counter = 0
-        self.routes: Dict[bytes, RouteEntry] = {}
+        # per-peer tables are keyed by address; flows by (originator, target)
+        self.routes: Dict[str, RouteEntry] = {}
         self.pending: Dict[int, PendingDiscovery] = {}
-        self.flows: Dict[Tuple[bytes, bytes], FlowState] = {}
+        self.flows: Dict[Tuple[str, str], FlowState] = {}
         self.seen: set = set()
-        self.sessions: Dict[str, Session] = {}   # by peer ip
+        self.sessions: Dict[str, Session] = {}
         self.active_targets: set = set()
         self.send_queue: Dict[str, List[wire.Segment]] = {}
         self.transport = None
@@ -281,11 +282,12 @@ class RouterNode:
         core = msg.core
         if self._seen_key(core) in self.seen:
             return "duplicate"
-        # identities before signatures: an unknown one costs no RSA work
+        # identities before signatures: an unknown one costs no RSA work;
+        # the destination is looked up only to drop an unregistered one
         try:
             origin = self.registry.get(core.src_id)
             hop_nodes = [self.registry.get(h) for h in msg.hops]
-            dest = self.registry.by_ip(core.dst_ip)
+            self.registry.by_ip(core.dst_ip)
             if core.kind == wire.KIND_RERR:
                 unreachable = self.registry.get(core.originator_id)
         except UnknownIdentityError:
@@ -295,10 +297,10 @@ class RouterNode:
         if reason:
             return reason
         if core.kind == wire.KIND_RREQ:
-            return self._on_rreq(sender, msg, terminal, origin, dest)
+            return self._on_rreq(sender, msg, terminal, origin)
         if core.kind == wire.KIND_RREP:
-            return self._on_rrep(sender, msg, terminal, origin, dest)
-        return self._on_rerr(sender, msg, terminal, origin, dest, unreachable)
+            return self._on_rrep(sender, msg, terminal, origin)
+        return self._on_rerr(sender, msg, terminal, origin, unreachable)
 
     def _retire(self, bct: int) -> None:
         """Discovery timeout: retry the attempt, or give its target up."""
@@ -315,7 +317,7 @@ class RouterNode:
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
 
     def _on_rreq(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity, dest: NodeIdentity) -> Optional[str]:
+                 origin: NodeIdentity) -> Optional[str]:
         core = msg.core
         theirs = 0
         if terminal and self.config.secure:
@@ -325,9 +327,9 @@ class RouterNode:
             if theirs is None:
                 return "malformed"
         self.seen.add(self._seen_key(core))
-        self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
+        self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREQ")
-        flow = self.flows.setdefault((core.src_id, dest.node_id),
+        flow = self.flows.setdefault((origin.ip, core.dst_ip),
                                      FlowState(bct_id=core.bct_id))
         flow.bct_id = core.bct_id
         flow.toward_src = sender
@@ -352,7 +354,7 @@ class RouterNode:
                                bct_id=core.bct_id, dst_ip=core.src_ip,
                                dst_seq=core.src_seq, dh_payload=sealed)
         msg = self._originate(reply)
-        route = self.routes.get(core.src_id)
+        route = self.routes.get(origin.ip)
         if route is not None:
             self._send(msg, route.next_hop)
 
@@ -387,7 +389,7 @@ class RouterNode:
                          initiated=initiated)
 
     def _on_rrep(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity, dest: NodeIdentity) -> Optional[str]:
+                 origin: NodeIdentity) -> Optional[str]:
         core = msg.core
         if terminal:
             pd = self.pending.get(core.bct_id)
@@ -399,13 +401,13 @@ class RouterNode:
                     return reason
         else:
             # a relay with no onward route drops the reply unchanged
-            route = self.routes.get(dest.node_id)
+            route = self.routes.get(core.dst_ip)
             if route is None:
                 return "no_route"
         self.seen.add(self._seen_key(core))
-        self._install(origin, sender, len(msg.hops) + 1, core.src_seq,
+        self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREP")
-        flow = self.flows.setdefault((dest.node_id, core.src_id),
+        flow = self.flows.setdefault((core.dst_ip, origin.ip),
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
         if terminal:
@@ -431,20 +433,20 @@ class RouterNode:
         return None
 
     def _on_rerr(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity, dest: NodeIdentity,
+                 origin: NodeIdentity,
                  unreachable: NodeIdentity) -> Optional[str]:
         core = msg.core
-        flow = self.flows.get((dest.node_id, core.originator_id))
+        flow = self.flows.get((core.dst_ip, unreachable.ip))
         if self.config.secure:
             if flow is None or flow.toward_dst != sender:
                 return "id_mismatch"
-        elif flow is None and core.originator_id not in self.routes:
+        elif flow is None and unreachable.ip not in self.routes:
             return "no_route"
         self.seen.add(self._seen_key(core))
         self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
                          reporter=origin.ip,
                          unreachable=unreachable.ip)
-        self.routes.pop(core.originator_id, None)
+        self.routes.pop(unreachable.ip, None)
         if flow is not None:
             flow.toward_dst = None
         if terminal:
@@ -454,20 +456,21 @@ class RouterNode:
         fwd = self._forward(msg)
         target = flow.toward_src if flow is not None else None
         if target is None:
-            route = self.routes.get(dest.node_id)
+            route = self.routes.get(core.dst_ip)
             target = route.next_hop if route else None
         if target is not None:
             self._send(fwd, target)
         return None
 
-    def _report_break(self, src: NodeIdentity, dst_node_id: bytes) -> None:
-        flow = self.flows.get((src.node_id, dst_node_id))
-        self.routes.pop(dst_node_id, None)
+    def _report_break(self, src_ip: str, dst_ip: str) -> None:
+        flow = self.flows.get((src_ip, dst_ip))
+        self.routes.pop(dst_ip, None)
         self.seq += 1
+        unreachable = self.registry.by_ip(dst_ip)
         core = wire.RouteCore(kind=wire.KIND_RERR, src_ip=self.ip,
                               src_id=self.node_id, src_seq=self.seq,
-                              bct_id=flow.bct_id if flow else 0,
-                              dst_ip=src.ip, originator_id=dst_node_id)
+                              bct_id=flow.bct_id if flow else 0, dst_ip=src_ip,
+                              originator_id=unreachable.node_id)
         msg = self._originate(core)
         self.metrics.log(self.net.tick, self.ip, "rerr_sent")
         if flow is not None and flow.toward_src is not None:
@@ -476,12 +479,10 @@ class RouterNode:
     # --- data path ----------------------------------------------------------
 
     def send_segment(self, dst_ip: str, seg: wire.Segment) -> None:
-        dest = self.registry.find_ip(dst_ip)
-        if dest is None:
-            return
-        dst_id = dest.node_id
-        route = self.routes.get(dst_id)
+        route = self.routes.get(dst_ip)
         if route is None:
+            if self.registry.find_ip(dst_ip) is None:
+                return
             queue = self.send_queue.setdefault(dst_ip, [])
             if len(queue) >= SEND_QUEUE_LIMIT:
                 queue.pop(0)
@@ -492,7 +493,7 @@ class RouterNode:
         if not self.net.unicast(self.ip, route.next_hop,
                                 wire.encode_message(pkt)):
             # next hop gone: forget the route, retry through a fresh discovery
-            self.routes.pop(dst_id, None)
+            self.routes.pop(dst_ip, None)
             self.send_segment(dst_ip, seg)
 
     def _flush_queue(self, dst_ip: str) -> None:
@@ -503,33 +504,28 @@ class RouterNode:
                  raw: bytes) -> Optional[str]:
         if pkt.dst_ip == self.ip:
             return self.transport.on_segment(pkt.src_ip, pkt.segment)
-        dest = self.registry.find_ip(pkt.dst_ip)
-        if dest is None:
-            return "no_route"
-        dst_id = dest.node_id
-        route = self.routes.get(dst_id)
+        route = self.routes.get(pkt.dst_ip)
         if route is None:
             return "no_route"
         if not self.net.unicast(self.ip, route.next_hop, raw):
-            src = self.registry.find_ip(pkt.src_ip)
-            if src is None:
-                self.routes.pop(dst_id, None)
+            if self.registry.find_ip(pkt.src_ip) is None:
+                self.routes.pop(pkt.dst_ip, None)
             else:
-                self._report_break(src, dst_id)
+                self._report_break(pkt.src_ip, pkt.dst_ip)
         return None
 
     # --- route table --------------------------------------------------------
 
-    def _install(self, dst: NodeIdentity, next_hop: str, distance: int,
+    def _install(self, dst_ip: str, next_hop: str, distance: int,
                  seq: int, via: str) -> None:
-        if dst.node_id == self.node_id:
+        if dst_ip == self.ip:
             return
-        old = self.routes.get(dst.node_id)
+        old = self.routes.get(dst_ip)
         if old is not None and (old.seq > seq or
                                 (old.seq == seq and old.distance <= distance)):
             return
-        self.routes[dst.node_id] = RouteEntry(next_hop=next_hop,
-                                              distance=distance, seq=seq)
-        self.metrics.log(self.net.tick, self.ip, "route", dst=dst.ip,
+        self.routes[dst_ip] = RouteEntry(next_hop=next_hop, distance=distance,
+                                         seq=seq)
+        self.metrics.log(self.net.tick, self.ip, "route", dst=dst_ip,
                          next_hop=next_hop, distance=distance, seq=seq,
                          via=via)

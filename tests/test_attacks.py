@@ -114,18 +114,15 @@ def test_hijacked_bytes_reach_the_plain_application_stream():
 
 def test_wormhole_owns_the_plain_route_but_not_the_secure_one():
     _, m, r, ep, reg, spec = run_attack("tunnel", secure=False)
-    e_id = reg.by_ip("e").node_id
-    assert r["a"].routes[e_id].next_hop in ("m1", "m2")
+    assert r["a"].routes["e"].next_hop in ("m1", "m2")
     _, m2, r2, ep2, reg2, _ = run_attack("tunnel", secure=True)
-    e_id2 = reg2.by_ip("e").node_id
-    assert r2["a"].routes[e_id2].next_hop == "b"
+    assert r2["a"].routes["e"].next_hop == "b"
     assert m2.drops.get("id_mismatch", 0) >= 1   # replayed frames refused
 
 
 def test_forged_route_reply_captures_the_plain_route():
     _, m, r, ep, reg, spec = run_attack("redirect", secure=False)
-    d_id = reg.by_ip("d").node_id
-    assert r["a"].routes[d_id].next_hop == "m"
+    assert r["a"].routes["d"].next_hop == "m"
 
 
 def test_forged_handshake_reply_wedges_only_the_plain_connection():

@@ -1,5 +1,6 @@
 """Route discovery, maintenance, and per-hop verification behavior."""
 
+import contextlib
 import copy
 import functools
 import sys
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 
 from conftest import Puppet, build_network, pinned_group
-from manetsec import crypto, identity, routing, wire
+from manetsec import crypto, identity, routing, scenario, wire
 from manetsec.crypto import (
     AggregateSignature,
     rsa_encrypt,
@@ -33,6 +34,27 @@ def line(names):
     return list(zip(names, names[1:]))
 
 
+@contextlib.contextmanager
+def registry_calls(*methods):
+    """A list of (method, calling function) for each call made, inside the
+    block, to the named `Registry` methods."""
+    calls = []
+
+    def spy(method):
+        real = getattr(identity.Registry, method)
+
+        def call(self, *args):
+            calls.append((method, sys._getframe(1).f_code.co_name))
+            return real(self, *args)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for method in methods:
+            stack.enter_context(mock.patch.object(identity.Registry, method,
+                                                  spy(method)))
+        yield calls
+
+
 def test_two_node_discovery_with_pinned_key_exchange():
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")],
                                  responder_secrets={"b": 15})
@@ -40,11 +62,9 @@ def test_two_node_discovery_with_pinned_key_exchange():
         bct = r["a"].start_discovery("b")
     net.run(until=10)
 
-    b_id = r["b"].node_id
-    a_id = r["a"].node_id
-    assert r["a"].routes[b_id].next_hop == "b"
-    assert r["a"].routes[b_id].distance == 1
-    assert r["b"].routes[a_id].next_hop == "a"
+    assert r["a"].routes["b"].next_hop == "b"
+    assert r["a"].routes["b"].distance == 1
+    assert r["b"].routes["a"].next_hop == "a"
 
     recs = m.of("session_key")
     assert len(recs) == 2
@@ -214,7 +234,7 @@ def test_a_reply_a_relay_cannot_forward_leaves_it_unchanged(sec_level):
     r["c"].start_discovery("b")   # b learns c, but has no route to a
     net.run(until=10)
     assert r["b"].sessions and r["b"].routes and r["b"].flows
-    assert r["a"].node_id not in r["b"].routes
+    assert "a" not in r["b"].routes
     before = routing_state(r["b"])
     # a fresher reply from c than any b has seen, for a, through b
     core = wire.RouteCore(kind=wire.KIND_RREP, src_ip="c",
@@ -235,18 +255,16 @@ def test_line_of_five_multihop(sec_level, exp_signed, exp_verified):
     r["a"].start_discovery("e")
     net.run(until=40)
 
-    e_id = r["e"].node_id
-    a_id = r["a"].node_id
     assert m.discovery_latency_ticks == [8]
-    assert r["a"].routes[e_id].next_hop == "b"
-    assert r["e"].routes[a_id].next_hop == "d"
-    assert r["c"].routes[e_id].next_hop == "d"
-    assert r["c"].routes[a_id].next_hop == "b"
+    assert r["a"].routes["e"].next_hop == "b"
+    assert r["e"].routes["a"].next_hop == "d"
+    assert r["c"].routes["e"].next_hop == "d"
+    assert r["c"].routes["a"].next_hop == "b"
     # level 1 attests the whole path; level 0 keeps one record, so its
     # distance reflects only what the message can prove
     expected_distance = 4 if sec_level == 1 else 2
-    assert r["a"].routes[e_id].distance == expected_distance
-    assert r["e"].routes[a_id].distance == expected_distance
+    assert r["a"].routes["e"].distance == expected_distance
+    assert r["e"].routes["a"].distance == expected_distance
 
     keys_by_node = {ev.node: ev.fields["key"] for ev in m.of("session_key")}
     assert keys_by_node["a"] == keys_by_node["e"]
@@ -263,8 +281,7 @@ def test_baseline_discovery_installs_routes_without_crypto():
     r["a"].start_discovery("c")
     net.run(until=20)
 
-    c_id = r["c"].node_id
-    assert r["a"].routes[c_id].distance == 2
+    assert r["a"].routes["c"].distance == 2
     assert m.signed == 0
     assert m.verified == 0
     assert m.of("session_key") == []
@@ -278,11 +295,9 @@ def test_first_verified_copy_wins_on_diamond():
     r["a"].start_discovery("d")
     net.run(until=20)
 
-    a_id = r["a"].node_id
-    d_id = r["d"].node_id
     # b's copy is processed first at d; c's identical copy is a duplicate
-    assert r["d"].routes[a_id].next_hop == "b"
-    assert r["a"].routes[d_id].next_hop == "b"
+    assert r["d"].routes["a"].next_hop == "b"
+    assert r["a"].routes["d"].next_hop == "b"
     assert m.drops["duplicate"] == 3
 
 
@@ -333,7 +348,7 @@ def test_a_tampered_copy_fails_after_the_honest_copy_was_verified(sec_level):
     crypto.rsa_public.cache_clear()
     net.unicast("m", "b", wire.encode_message(honest))
     net.run(until=5)
-    assert r["b"].routes[core.src_id].next_hop == "m"
+    assert r["b"].routes["a"].next_hop == "m"
     assert m.verified == 1 + sec_level
     assert m.drops == {}
 
@@ -345,7 +360,7 @@ def test_a_tampered_copy_fails_after_the_honest_copy_was_verified(sec_level):
     computed = crypto.rsa_public.cache_info().misses
     net.unicast("m", "v", wire.encode_message(honest))
     net.run(until=15)
-    assert r["v"].routes[core.src_id].next_hop == "m"
+    assert r["v"].routes["a"].next_hop == "m"
     assert crypto.rsa_public.cache_info().misses == computed
 
 
@@ -494,22 +509,10 @@ def test_an_unregistered_sender_is_checked_against_the_resolved_last_hop(
     net, r, reg, m, keys = build(names, line(names), sec_level=level)
     net.add_node("x", Puppet())
     net.add_link("x", "c")
-    callers = []   # the function that made each registry call
-
-    def spy(method):
-        real = getattr(identity.Registry, method)
-
-        def call(self, *args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(self, *args)
-        return call
-
-    with mock.patch.object(identity.Registry, "get", spy("get")), \
-            mock.patch.object(identity.Registry, "by_ip", spy("by_ip")), \
-            mock.patch.object(identity.Registry, "entries", spy("entries")):
+    with registry_calls("get", "by_ip", "entries") as calls:
         r["a"].start_discovery("c")
         net.run(until=20)
-        assert r["a"].routes[r["c"].node_id].next_hop == "b"
+        assert r["a"].routes["c"].next_hop == "b"
         core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="a",
                               src_id=r["a"].node_id, src_seq=9, bct_id=9,
                               dst_ip="c", dh_p=23, dh_g=5, dh_payload=9)
@@ -520,6 +523,7 @@ def test_an_unregistered_sender_is_checked_against_the_resolved_last_hop(
 
     assert m.drops.get("id_mismatch") == 1
     assert "unknown_identity" not in m.drops
+    callers = [caller for _, caller in calls]
     assert "on_receive" in callers
     assert "_verify" not in callers
 
@@ -607,16 +611,15 @@ def test_link_break_reports_travel_back_and_trigger_rediscovery():
     send_payload(r["a"], "c", b"again")
     net.run(until=30)
 
-    c_id = r["c"].node_id
     assert [ev.node for ev in m.of("rerr_sent")] == ["b"]
     assert [ev.node for ev in m.of("rerr_accepted")] == ["a"]
-    assert c_id not in r["b"].routes
+    assert "c" not in r["b"].routes
     # automatic retry is pending; heal the link and let it fire
     net.set_link("b", "c", up=True)
     net.run(until=130)
 
     assert len(m.discovery_latency_ticks) == 2
-    assert r["a"].routes[c_id].next_hop == "b"
+    assert r["a"].routes["c"].next_hop == "b"
     # the in-flight payload died at the break; reliability is not this layer's job
     assert r["c"].transport.received == [("a", b"hi")]
 
@@ -641,8 +644,8 @@ def test_break_report_from_off_path_node_is_rejected():
     net.run(until=20)
 
     assert m.drops.get("id_mismatch") == 1
-    assert c_id in r["b"].routes
-    assert c_id in r["a"].routes
+    assert "c" in r["b"].routes
+    assert "c" in r["a"].routes
 
 
 def test_data_for_unknown_destination_is_unroutable():
@@ -654,6 +657,57 @@ def test_data_for_unknown_destination_is_unroutable():
     net.unicast("m", "b", wire.encode_message(pkt))
     net.run(until=5)
     assert m.drops == {"no_route": 1}
+
+
+def test_a_segment_to_an_unregistered_address_goes_nowhere():
+    names = ["a", "b"]
+    net, r, reg, m, keys = build(names, [("a", "b")])
+    send_payload(r["a"], "nowhere", b"x")
+    net.run(until=100)
+    assert net.trace == []
+    assert r["a"].send_queue == {}
+    assert r["a"].pending == {} and not r["a"].active_targets
+    assert m.of("discovery") == []
+
+
+def test_a_relay_drops_a_broken_route_for_an_unregistered_source():
+    # b learns its route to c from c's request; a is a stub, so none of the
+    # request's copies is answered
+    names = ["a", "b", "c"]
+    net, r, reg, m, keys = build(names, line(names), stubs=("a",))
+    r["c"].start_discovery("a")
+    net.run(until=10)
+    assert [e.next_hop for e in r["b"].routes.values()] == ["c"]
+    seq, frames = r["b"].seq, len(net.trace)
+    net.set_link("b", "c", up=False)
+    seg = wire.Segment(role=wire.ROLE_DATA, src_port=0, dst_port=0, seq=0,
+                       ack=0, payload=b"x", tag=b"\x00" * 32)
+    net.unicast("a", "b", wire.encode_message(
+        wire.DataPacket(src_ip="ghost", dst_ip="c", segment=seg)))
+    net.run(until=20)
+    # b drops the route and has no one to report the break to
+    assert r["b"].routes == {}
+    assert len(net.trace) == frames + 1   # the injected frame alone
+    assert m.of("rerr_sent") == []
+    assert r["b"].seq == seq
+
+
+def test_frames_with_a_route_resolve_no_identity():
+    # every registry lookup in a secure flow belongs to discovery and the
+    # handshake, so a longer payload makes none more
+    def lookups(segments):
+        doc = {"seed": 5, "key_bits": 128, "dh_bits": 32, "mode": "secure",
+               "run_until": 400, "nodes": list("abcd"),
+               "links": [{"a": x, "b": y} for x, y in line("abcd")],
+               "events": [{"tick": 1, "kind": "start_flow", "client": "a",
+                           "server": "d", "payload": "x" * 500 * segments}]}
+        with registry_calls("get", "by_ip", "find_ip") as calls:
+            result = scenario.run_scenario(doc)
+        assert result.metrics.delivered_payloads[("d", "a", 80, 5000)] == \
+            b"x" * 500 * segments
+        return len(calls)
+
+    assert lookups(1) == lookups(20)
 
 
 def test_send_before_discovery_queues_then_flushes():
