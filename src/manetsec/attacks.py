@@ -22,7 +22,7 @@ from . import wire
 from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
                      RsaKeyPair)
 from .identity import Registry, derive_id
-from .routing import append_signer, sign_origin
+from .routing import append_signer, originate
 from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
 
@@ -131,7 +131,7 @@ class AttackerNode:
     # --- on-path tampering ------------------------------------------------------
 
     def _handle_route(self, sender: str, msg: wire.RouteMessage) -> None:
-        core, hops, agg = msg.core, msg.hops, msg.aggregate
+        core = msg.core
         key = (core.kind, core.src_id, core.bct_id)
         if key in self._seen:
             return
@@ -144,21 +144,22 @@ class AttackerNode:
             return
         if core.kind == wire.KIND_RREQ:
             if self.spec.kind == "seq_inflate":
-                core = core._replace(src_seq=self.spec.inflate_to)
+                msg = msg._replace(
+                    core=core._replace(src_seq=self.spec.inflate_to))
             else:
-                if hops:   # the oracle credits only requests actually cut
+                if msg.hops:   # the oracle credits only requests actually cut
                     self.net.metrics.log(self.net.tick, self.ip, "shortened",
                                          origin=core.src_ip, seq=core.src_seq,
-                                         removed=len(hops))
+                                         removed=len(msg.hops))
                 # pretend the chain so far is a bare origin signature and
                 # that the request arrived straight from the source
-                hops = ()
+                agg = msg.aggregate
                 if agg is not None:
-                    agg = AggregateSignature(value=agg.value,
-                                             overflow_bits=())
+                    agg = AggregateSignature(value=agg.value, overflow_bits=())
+                msg = msg._replace(hops=(), aggregate=agg)
         elif core.kind != wire.KIND_RREP:
             return
-        self._sign_and_send(core, hops, agg, msg.source_sig)
+        self._send(append_signer(msg, self.signing, self.node_id))
 
     def _forge_reply(self, victim: str, req: wire.RouteCore) -> None:
         target = self.registry.by_ip(self.spec.dst)
@@ -167,24 +168,18 @@ class AttackerNode:
                               src_seq=self.spec.inflate_to,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
-        self._sign_and_send(core, (), *self._fake_origin(core, target),
-                            to=victim)
+        self._send(append_signer(self._fake_origin(core, target),
+                                 self.signing, self.node_id), to=victim)
 
-    def _fake_origin(self, core, claimed):
-        """(aggregate, standalone signature) claiming `claimed` as origin,
-        though made with this node's key, so it cannot verify."""
-        fake = sign_origin(core, self.signing, claimed.signing_public)
-        return fake, fake.value if self.spec.sec_level == 0 else None
+    def _fake_origin(self, core, claimed) -> wire.RouteMessage:
+        """`core` signed as if `claimed` were its origin, though with this
+        node's key, so it cannot verify."""
+        return originate(core, self.signing, self.spec.sec_level,
+                         claimed.signing_public)
 
-    def _sign_and_send(self, core, hops, agg, src_sig, to=None) -> None:
-        """Append this node as a signing hop; unicast to `to` or broadcast."""
-        hops, agg = append_signer(core, hops, agg, self.signing, self.node_id)
-        self._send(core, hops, agg, src_sig, to)
-
-    def _send(self, core, hops, agg, src_sig, to) -> None:
-        payload = wire.encode_message(wire.RouteMessage(
-            core=core, hops=hops, sec_level=self.spec.sec_level,
-            aggregate=agg, source_sig=src_sig))
+    def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
+        """Unicast to the neighbour `to`, or broadcast when it is None."""
+        payload = wire.encode_message(msg)
         if to is None:
             self.net.broadcast(self.ip, payload)
         else:
@@ -200,7 +195,8 @@ class AttackerNode:
                               src_id=claimed.node_id, src_seq=50, bct_id=7700,
                               dst_ip=self.spec.dst, dh_p=23, dh_g=5,
                               dh_payload=sealed)
-        self._sign_and_send(core, (), *self._fake_origin(core, claimed))
+        self._send(append_signer(self._fake_origin(core, claimed),
+                                 self.signing, self.node_id))
 
     def _fire_fake_rerr(self) -> None:
         reporter = self.registry.by_ip(self.spec.through)
@@ -209,8 +205,7 @@ class AttackerNode:
                               src_id=reporter.node_id, src_seq=7777, bct_id=0,
                               dst_ip=self.spec.src,
                               originator_id=unreachable.node_id)
-        self._send(core, (), *self._fake_origin(core, reporter),
-                   to=self.spec.through)
+        self._send(self._fake_origin(core, reporter), to=self.spec.through)
 
     def _fire_session_hijack(self) -> None:
         # first connection, no data yet

@@ -52,30 +52,31 @@ MAX_DISCOVERY_ATTEMPTS = 3
 SEND_QUEUE_LIMIT = 16         # segments held per target awaiting a route
 
 
-def sign_origin(core: wire.RouteCore, key: RsaKeyPair,
-                public: Optional[Tuple[int, int]] = None
-                ) -> AggregateSignature:
-    """Signer 0's signature over `core`, bound to `public`.
+def originate(core: wire.RouteCore, key: RsaKeyPair, sec_level: int,
+              public: Optional[Tuple[int, int]] = None) -> wire.RouteMessage:
+    """`core` as a message with no hops, signed by signer 0 and bound to
+    `public`; at level 0 it also carries that signature standalone.
 
     `public` defaults to the signer's own key; a forger names another
     node's key here, which makes the signature claim that node as origin.
     """
     h = wire.signer_hash(core, (), 0, public or key.public)
-    return rsa_sign_first(h, key)
+    agg = rsa_sign_first(h, key)
+    return wire.RouteMessage(core=core, hops=(), sec_level=sec_level,
+                             aggregate=agg,
+                             source_sig=agg.value if sec_level == 0 else None)
 
 
-def append_signer(core: wire.RouteCore, hops: Tuple[bytes, ...],
-                  agg: Optional[AggregateSignature], key: RsaKeyPair,
-                  node_id: bytes):
-    """(hops + node_id, agg with that hop's signature folded in).
-
-    An unsigned message (agg None) gets the hop record and stays unsigned.
-    """
-    new_hops = hops + (node_id,)
-    if agg is None:
-        return new_hops, None
-    h = wire.signer_hash(core, new_hops, len(new_hops), key.public)
-    return new_hops, sas_aggregate_step(agg, h, key)
+def append_signer(msg: wire.RouteMessage, key: RsaKeyPair,
+                  node_id: bytes) -> wire.RouteMessage:
+    """`msg` with `node_id` appended as a hop and its signature folded in;
+    an unsigned message (aggregate None) gets the hop and stays unsigned."""
+    hops = msg.hops + (node_id,)
+    agg = msg.aggregate
+    if agg is not None:
+        h = wire.signer_hash(msg.core, hops, len(hops), key.public)
+        agg = sas_aggregate_step(agg, h, key)
+    return msg._replace(hops=hops, aggregate=agg)
 
 
 @dataclass
@@ -146,7 +147,6 @@ class RouterNode:
 
     def start_discovery(self, dst_ip: str, _attempt: int = 1) -> int:
         dest = self.registry.by_ip(dst_ip)
-        self.seq += 1
         self._bct_counter += 1
         bct = self._bct_counter
         params = None
@@ -158,10 +158,7 @@ class RouterNode:
                 raise ValueError("exchange group too wide for peer key")
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
             exchange = dict(dh_p=params.p, dh_g=params.g, dh_payload=sealed)
-        core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=self.ip,
-                              src_id=self.node_id, src_seq=self.seq,
-                              bct_id=bct, dst_ip=dst_ip, **exchange)
-        msg = self._originate(core)
+        msg = self._originate(wire.KIND_RREQ, bct, dst_ip, **exchange)
         self.pending[bct] = PendingDiscovery(dst_ip, params, _attempt)
         self.active_targets.add(dst_ip)
         self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
@@ -177,34 +174,35 @@ class RouterNode:
 
     # --- sending ------------------------------------------------------------
 
-    def _originate(self, core: wire.RouteCore) -> wire.RouteMessage:
-        """A message that starts at this node: signed as origin, seen."""
-        level = self.config.sec_level
-        agg = src_sig = None
-        if self.config.secure:
-            agg = sign_origin(core, self.config.keys.signing)
-            self.metrics.signed += 1
-            if level == 0:
-                src_sig = agg.value
+    def _originate(self, kind: int, bct: int, dst_ip: str,
+                   **fields) -> wire.RouteMessage:
+        """A message from this node under its next sequence number: signed
+        as origin, and seen."""
+        self.seq += 1
+        core = wire.RouteCore(kind=kind, src_ip=self.ip, src_id=self.node_id,
+                              src_seq=self.seq, bct_id=bct, dst_ip=dst_ip,
+                              **fields)
         self.seen.add(self._seen_key(core))
-        return wire.RouteMessage(core=core, hops=(), sec_level=level,
-                                 aggregate=agg, source_sig=src_sig)
+        if not self.config.secure:
+            return wire.RouteMessage(core, (), self.config.sec_level,
+                                     None, None)
+        self.metrics.signed += 1
+        return originate(core, self.config.keys.signing, self.config.sec_level)
 
     def _forward(self, msg: wire.RouteMessage) -> wire.RouteMessage:
         """`msg` with this node appended as the newest hop and signer."""
-        hops, agg, src_sig = msg.hops, msg.aggregate, None
         if not self.config.secure:
-            agg = None
+            msg = msg._replace(aggregate=None, source_sig=None)
         elif self.config.sec_level == 0:
             # strip the predecessor, rebind over the origin signature
-            src_sig = msg.source_sig
-            hops = ()
-            agg = AggregateSignature(value=src_sig, overflow_bits=())
-        hops, agg = append_signer(msg.core, hops, agg,
-                                  self.config.keys.signing, self.node_id)
-        if agg is not None:
+            msg = msg._replace(hops=(), aggregate=AggregateSignature(
+                value=msg.source_sig, overflow_bits=()))
+        else:   # level 1 relays no standalone origin signature
+            msg = msg._replace(source_sig=None)
+        msg = append_signer(msg, self.config.keys.signing, self.node_id)
+        if msg.aggregate is not None:
             self.metrics.signed += 1
-        return msg._replace(hops=hops, aggregate=agg, source_sig=src_sig)
+        return msg
 
     def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
         """Unicast to the neighbour `to`, or broadcast when it is None."""
@@ -280,7 +278,8 @@ class RouterNode:
         if isinstance(msg, wire.DataPacket):
             return self._on_data(sender, msg, payload)
         core = msg.core
-        if self._seen_key(core) in self.seen:
+        seen_key = self._seen_key(core)
+        if seen_key in self.seen:
             return "duplicate"
         # identities before signatures: an unknown one costs no RSA work;
         # the destination is looked up only to drop an unregistered one
@@ -297,10 +296,14 @@ class RouterNode:
         if reason:
             return reason
         if core.kind == wire.KIND_RREQ:
-            return self._on_rreq(sender, msg, terminal, origin)
-        if core.kind == wire.KIND_RREP:
-            return self._on_rrep(sender, msg, terminal, origin)
-        return self._on_rerr(sender, msg, terminal, origin, unreachable)
+            reason = self._on_rreq(sender, msg, terminal, origin)
+        elif core.kind == wire.KIND_RREP:
+            reason = self._on_rrep(sender, msg, terminal, origin)
+        else:
+            reason = self._on_rerr(sender, msg, terminal, origin, unreachable)
+        if reason is None:
+            self.seen.add(seen_key)
+        return reason
 
     def _retire(self, bct: int) -> None:
         """Discovery timeout: retry the attempt, or give its target up."""
@@ -326,7 +329,6 @@ class RouterNode:
             theirs = self._check_key_exchange(core, origin)
             if theirs is None:
                 return "malformed"
-        self.seen.add(self._seen_key(core))
         self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREQ")
         flow = self.flows.setdefault((origin.ip, core.dst_ip),
@@ -348,12 +350,8 @@ class RouterNode:
             params = make_dh_params(core.dh_p, core.dh_g, self.rng)
             self._store_key(origin, core.bct_id, dh_shared(theirs, params))
             sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
-        self.seq += 1
-        reply = wire.RouteCore(kind=wire.KIND_RREP, src_ip=self.ip,
-                               src_id=self.node_id, src_seq=self.seq,
-                               bct_id=core.bct_id, dst_ip=core.src_ip,
-                               dst_seq=core.src_seq, dh_payload=sealed)
-        msg = self._originate(reply)
+        msg = self._originate(wire.KIND_RREP, core.bct_id, core.src_ip,
+                              dst_seq=core.src_seq, dh_payload=sealed)
         route = self.routes.get(origin.ip)
         if route is not None:
             self._send(msg, route.next_hop)
@@ -365,13 +363,8 @@ class RouterNode:
         p, g = core.dh_p, core.dh_g
         if p < 7 or p % 2 == 0 or not 2 <= g <= p - 2:
             return None
-        try:
-            theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
-        except ValueError:
-            return None
-        if not 0 < theirs < p:
-            return None
-        if p >= origin.encryption_public[0]:
+        theirs = self._open_half(core.dh_payload, p)
+        if theirs is None or p >= origin.encryption_public[0]:
             return None
         # p must be a safe prime 2q + 1, tested last so its width is bounded
         # by the key check; random bases, because a requester can pick a
@@ -380,6 +373,15 @@ class RouterNode:
                 and is_probable_prime((p - 1) // 2, self._group_rng)):
             return None
         return theirs
+
+    def _open_half(self, sealed: int, p: int) -> Optional[int]:
+        """The peer's exchange half sealed to this node, or None unless it
+        decrypts to a value in (0, p)."""
+        try:
+            theirs = rsa_decrypt(sealed, self.config.keys.encryption)
+        except ValueError:
+            return None
+        return theirs if 0 < theirs < p else None
 
     def _store_key(self, peer: NodeIdentity, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:
@@ -396,15 +398,17 @@ class RouterNode:
             if pd is None or origin.ip != pd.target_ip:
                 return "no_pending"
             if self.config.secure:
-                reason = self._finish_key_exchange(core, pd, origin)
-                if reason:
-                    return reason
+                theirs = self._open_half(core.dh_payload, pd.params.p)
+                if theirs is None:
+                    return "malformed"
+                # the replier's name was checked against the target above
+                self._store_key(origin, core.bct_id,
+                                dh_shared(theirs, pd.params), initiated=True)
         else:
             # a relay with no onward route drops the reply unchanged
             route = self.routes.get(core.dst_ip)
             if route is None:
                 return "no_route"
-        self.seen.add(self._seen_key(core))
         self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
                       via="RREP")
         flow = self.flows.setdefault((core.dst_ip, origin.ip),
@@ -419,19 +423,6 @@ class RouterNode:
         self._send(self._forward(msg), route.next_hop)
         return None
 
-    def _finish_key_exchange(self, core: wire.RouteCore, pd: PendingDiscovery,
-                             peer: NodeIdentity) -> Optional[str]:
-        try:
-            theirs = rsa_decrypt(core.dh_payload, self.config.keys.encryption)
-        except ValueError:
-            return "malformed"
-        if not 0 < theirs < pd.params.p:
-            return "malformed"
-        # _on_rrep has checked the replier's name against the target
-        self._store_key(peer, core.bct_id,
-                        dh_shared(theirs, pd.params), initiated=True)
-        return None
-
     def _on_rerr(self, sender: str, msg: wire.RouteMessage, terminal: bool,
                  origin: NodeIdentity,
                  unreachable: NodeIdentity) -> Optional[str]:
@@ -442,7 +433,6 @@ class RouterNode:
                 return "id_mismatch"
         elif flow is None and unreachable.ip not in self.routes:
             return "no_route"
-        self.seen.add(self._seen_key(core))
         self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
                          reporter=origin.ip,
                          unreachable=unreachable.ip)
@@ -464,14 +454,9 @@ class RouterNode:
 
     def _report_break(self, src_ip: str, dst_ip: str) -> None:
         flow = self.flows.get((src_ip, dst_ip))
-        self.routes.pop(dst_ip, None)
-        self.seq += 1
         unreachable = self.registry.by_ip(dst_ip)
-        core = wire.RouteCore(kind=wire.KIND_RERR, src_ip=self.ip,
-                              src_id=self.node_id, src_seq=self.seq,
-                              bct_id=flow.bct_id if flow else 0, dst_ip=src_ip,
-                              originator_id=unreachable.node_id)
-        msg = self._originate(core)
+        msg = self._originate(wire.KIND_RERR, flow.bct_id if flow else 0,
+                              src_ip, originator_id=unreachable.node_id)
         self.metrics.log(self.net.tick, self.ip, "rerr_sent")
         if flow is not None and flow.toward_src is not None:
             self._send(msg, flow.toward_src)
@@ -508,9 +493,8 @@ class RouterNode:
         if route is None:
             return "no_route"
         if not self.net.unicast(self.ip, route.next_hop, raw):
-            if self.registry.find_ip(pkt.src_ip) is None:
-                self.routes.pop(pkt.dst_ip, None)
-            else:
+            self.routes.pop(pkt.dst_ip, None)
+            if self.registry.find_ip(pkt.src_ip) is not None:
                 self._report_break(pkt.src_ip, pkt.dst_ip)
         return None
 

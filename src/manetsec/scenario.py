@@ -369,11 +369,24 @@ def _cross_validate(sc: Scenario) -> None:
             if name in bad:
                 raise ScenarioError("events: %r is an adversary and cannot "
                                     "take part in a discovery" % name)
+    connections = {}
     for f in sc.flows:
         for name in (f.client, f.server):
             if name in bad:
                 raise ScenarioError("events: %r is an adversary and cannot "
                                     "be a flow endpoint" % name)
+        # each end keys a connection by (peer, local port, remote port), so
+        # a second flow between the same two (node, port) ends, in either
+        # direction, would take over the first one's connection
+        ends = frozenset([(f.client, f.client_port),
+                          (f.server, f.server_port)])
+        first = connections.setdefault(ends, f)
+        if first is not f:
+            raise ScenarioError(
+                "events: start_flow %s and start_flow %s would share the "
+                "connection between %s:%d and %s:%d"
+                % (_flow_text(first), _flow_text(f), first.client,
+                   first.client_port, first.server, first.server_port))
     for i, s in enumerate(sc.attack_specs):
         for name in (s.src, s.dst, s.through):
             if name is not None and name in bad:
@@ -394,6 +407,11 @@ def _cross_validate(sc: Scenario) -> None:
                         server_port=flow.server_port,
                         expected_payload=flow.payload)
         sc.attack_specs[i] = s
+
+
+def _flow_text(f: FlowSpec) -> str:
+    return "%s:%d->%s:%d at tick %d" % (f.client, f.client_port, f.server,
+                                        f.server_port, f.tick)
 
 
 def _check_marker(marker: bytes, flows: List[FlowSpec]) -> None:

@@ -101,10 +101,7 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
 
 def signed_by_origin(core, key, sec_level):
     """`core` as a correctly signed 0-hop message from its originator."""
-    agg = routing.sign_origin(core, key)
-    return wire.encode_message(wire.RouteMessage(
-        core=core, hops=(), sec_level=sec_level, aggregate=agg,
-        source_sig=agg.value if sec_level == 0 else None))
+    return wire.encode_message(routing.originate(core, key, sec_level))
 
 
 # p = 23 = 2 * 11 + 1 is a safe prime and g = 5 lies in [2, p - 2]; each case
@@ -337,12 +334,10 @@ def test_a_tampered_copy_fails_after_the_honest_copy_was_verified(sec_level):
                           src_id=reg.by_ip("a").node_id, src_seq=3,
                           bct_id=11, dst_ip="d", dh_p=23, dh_g=5,
                           dh_payload=9)
-    origin = routing.sign_origin(core, keys["a"].signing)
-    hops, agg = routing.append_signer(core, (), origin, keys["m"].signing,
-                                      reg.by_ip("m").node_id)
-    honest = wire.RouteMessage(
-        core=core, hops=hops, sec_level=sec_level, aggregate=agg,
-        source_sig=origin.value if sec_level == 0 else None)
+    honest = routing.append_signer(
+        routing.originate(core, keys["a"].signing, sec_level),
+        keys["m"].signing, reg.by_ip("m").node_id)
+    agg = honest.aggregate
     tampered = honest._replace(
         aggregate=AggregateSignature(agg.value + 1, agg.overflow_bits))
     crypto.rsa_public.cache_clear()
@@ -637,9 +632,7 @@ def test_break_report_from_off_path_node_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RERR, src_ip="x", src_id=x.node_id,
                           src_seq=x.seq, bct_id=1, dst_ip="a",
                           originator_id=c_id)
-    agg = routing.sign_origin(core, keys["x"].signing)
-    msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
-                            aggregate=agg, source_sig=None)
+    msg = routing.originate(core, keys["x"].signing, sec_level=1)
     net.unicast("x", "b", wire.encode_message(msg))
     net.run(until=20)
 
@@ -690,6 +683,76 @@ def test_a_relay_drops_a_broken_route_for_an_unregistered_source():
     assert len(net.trace) == frames + 1   # the injected frame alone
     assert m.of("rerr_sent") == []
     assert r["b"].seq == seq
+
+
+def test_a_segment_to_a_next_hop_that_is_gone_is_queued_for_rediscovery():
+    net, r, reg, m, keys = build(["a", "b"], [("a", "b")])
+    r["a"].start_discovery("b")
+    net.run(until=10)
+    assert r["a"].pending == {}
+    net.set_link("a", "b", up=False)
+    send_payload(r["a"], "b", b"x")
+    assert "b" not in r["a"].routes
+    assert [seg.payload for seg in r["a"].send_queue["b"]] == [b"x"]
+    assert [(pd.target_ip, pd.attempt)
+            for pd in r["a"].pending.values()] == [("b", 1)]
+    last = m.of("discovery")[-1]
+    assert (last.node, last.fields["target"], last.fields["attempt"]) == \
+        ("a", "b", 1)
+
+
+def test_the_send_queue_keeps_the_newest_segments():
+    net, r, reg, m, keys = build(["a", "b"], [])
+    payloads = [b"%d" % i for i in range(routing.SEND_QUEUE_LIMIT + 2)]
+    for data in payloads:
+        send_payload(r["a"], "b", data)
+    assert [seg.payload for seg in r["a"].send_queue["b"]] == payloads[2:]
+    assert len(m.of("discovery")) == 1
+
+
+def plain_rerr(reg, reporter, dst_ip, unreachable):
+    """An unsigned break report from `reporter`, sent toward `dst_ip`, that
+    names `unreachable`."""
+    core = wire.RouteCore(kind=wire.KIND_RERR, src_ip=reporter,
+                          src_id=reg.by_ip(reporter).node_id, src_seq=1,
+                          bct_id=0, dst_ip=dst_ip,
+                          originator_id=reg.by_ip(unreachable).node_id)
+    return wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=1, aggregate=None, source_sig=None))
+
+
+def test_a_plain_relay_without_a_flow_forwards_a_break_report_on_its_route():
+    # b learns routes to a and to c from their requests, so it holds no
+    # flow from a to c
+    names = ["a", "b", "c", "x"]
+    net, r, reg, m, keys = build(names, line(["a", "b", "c"]) + [("x", "b")],
+                                 secure=False, stubs=("x",))
+    r["a"].start_discovery("b")
+    r["c"].start_discovery("b")
+    net.run(until=10)
+    assert {dst: e.next_hop for dst, e in r["b"].routes.items()} == \
+        {"a": "a", "c": "c"}
+    assert ("a", "c") not in r["b"].flows
+    net.unicast("x", "b", plain_rerr(reg, "x", "a", "c"))
+    net.run(until=20)
+    accepted, = m.of("rerr_accepted")
+    assert (accepted.node, accepted.fields["reporter"],
+            accepted.fields["unreachable"]) == ("b", "x", "c")
+    assert "c" not in r["b"].routes
+    assert [(rec.src, rec.dst) for rec in net.trace
+            if rec.kind == "RERR"] == [("x", "b"), ("b", "a")]
+
+
+def test_a_plain_node_without_a_flow_or_route_drops_a_break_report():
+    names = ["a", "b", "c", "x"]
+    net, r, reg, m, keys = build(names, [("x", "b")], secure=False,
+                                 stubs=("x",))
+    before = routing_state(r["b"])
+    net.unicast("x", "b", plain_rerr(reg, "x", "a", "c"))
+    net.run(until=5)
+    assert m.drops == {"no_route": 1}
+    assert m.of("rerr_accepted") == []
+    assert routing_state(r["b"]) == before
 
 
 def test_frames_with_a_route_resolve_no_identity():

@@ -581,6 +581,43 @@ def test_cli_rejects_a_flood_beyond_the_cap(tmp_path, capsys):
     assert "rate x duration" in capsys.readouterr().err
 
 
+def flows_doc(*flows):
+    """Nodes a and b, with one start_flow event per (tick, client, server,
+    client_port, server_port)."""
+    return doc_two_nodes(events=[
+        {"tick": tick, "kind": "start_flow", "client": client,
+         "server": server, "client_port": cport, "server_port": sport,
+         "payload": "flow %d" % tick}
+        for tick, client, server, cport, sport in flows])
+
+
+# a second flow on the same ports replaces the first one's connection at
+# both ends; a crossing pair shares one key at each end
+@pytest.mark.parametrize("second,shown", [
+    ((2, "a", "b", 5000, 80), "a:5000->b:80 at tick 2"),
+    ((2, "b", "a", 80, 5000), "b:80->a:5000 at tick 2"),
+], ids=["same-direction", "crossing"])
+def test_cli_rejects_two_flows_on_one_connection(tmp_path, capsys, second,
+                                                 shown):
+    doc = flows_doc((1, "a", "b", 5000, 80), second)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", write(tmp_path, doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("start_flow a:5000->b:80 at tick 1 and start_flow %s would "
+            "share the connection between a:5000 and b:80" % shown) in err
+
+
+def test_flows_between_one_pair_on_distinct_client_ports_parse():
+    doc = flows_doc((1, "a", "b", 5000, 80), (2, "a", "b", 5001, 80),
+                    (3, "b", "a", 5000, 80))
+    sc = scenario.parse(doc)
+    assert [(f.client, f.client_port) for f in sc.flows] == \
+        [("a", 5000), ("a", 5001), ("b", 5000)]
+
+
 @pytest.mark.parametrize("payload,marker", [("hi", ""),
                                             ("say HIJACKED now", None)])
 def test_cli_rejects_a_hijack_marker_honest_traffic_delivers(
