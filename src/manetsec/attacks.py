@@ -22,7 +22,7 @@ from . import wire
 from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
                      RsaKeyPair)
 from .identity import Registry, derive_id
-from .routing import append_signer, originate
+from .routing import append_signer, originate, send_message
 from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
 
@@ -77,9 +77,9 @@ class AttackSpec:
 class AttackerNode:
     """Sim handler enacting one AttackSpec. Never installs routes or keys."""
 
-    def __init__(self, name: str, signing: RsaKeyPair, registry: Registry,
-                 net: Network, spec: AttackSpec):
-        self.ip = name
+    def __init__(self, signing: RsaKeyPair, registry: Registry, net: Network,
+                 spec: AttackSpec):
+        self.ip = spec.attacker
         self.signing = signing
         self.node_id = derive_id(signing.public)
         self.registry = registry
@@ -88,7 +88,7 @@ class AttackerNode:
         self._seen = set()
         self._fired = False
         self._ghost = 0
-        net.add_node(name, self)
+        net.add_node(self.ip, self)
         if hasattr(self, "_fire_" + spec.kind):
             rounds = spec.duration if spec.kind == "syn_flood" else 1
             net.schedule(spec.start, self.on_timer, rounds)
@@ -148,9 +148,8 @@ class AttackerNode:
                     core=core._replace(src_seq=self.spec.inflate_to))
             else:
                 if msg.hops:   # the oracle credits only requests actually cut
-                    self.net.metrics.log(self.net.tick, self.ip, "shortened",
-                                         origin=core.src_ip, seq=core.src_seq,
-                                         removed=len(msg.hops))
+                    self.net.log(self.ip, "shortened", origin=core.src_ip,
+                                 seq=core.src_seq, removed=len(msg.hops))
                 # pretend the chain so far is a bare origin signature and
                 # that the request arrived straight from the source
                 agg = msg.aggregate
@@ -159,7 +158,7 @@ class AttackerNode:
                 msg = msg._replace(hops=(), aggregate=agg)
         elif core.kind != wire.KIND_RREP:
             return
-        self._send(append_signer(msg, self.signing, self.node_id))
+        send_message(self, append_signer(msg, self.signing, self.node_id))
 
     def _forge_reply(self, victim: str, req: wire.RouteCore) -> None:
         target = self.registry.by_ip(self.spec.dst)
@@ -168,22 +167,14 @@ class AttackerNode:
                               src_seq=self.spec.inflate_to,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
-        self._send(append_signer(self._fake_origin(core, target),
-                                 self.signing, self.node_id), to=victim)
+        send_message(self, append_signer(self._fake_origin(core, target),
+                                         self.signing, self.node_id), victim)
 
     def _fake_origin(self, core, claimed) -> wire.RouteMessage:
         """`core` signed as if `claimed` were its origin, though with this
         node's key, so it cannot verify."""
         return originate(core, self.signing, self.spec.sec_level,
                          claimed.signing_public)
-
-    def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
-        """Unicast to the neighbour `to`, or broadcast when it is None."""
-        payload = wire.encode_message(msg)
-        if to is None:
-            self.net.broadcast(self.ip, payload)
-        else:
-            self.net.unicast(self.ip, to, payload)
 
     # --- timed forgeries ----------------------------------------------------------
 
@@ -195,8 +186,8 @@ class AttackerNode:
                               src_id=claimed.node_id, src_seq=50, bct_id=7700,
                               dst_ip=self.spec.dst, dh_p=23, dh_g=5,
                               dh_payload=sealed)
-        self._send(append_signer(self._fake_origin(core, claimed),
-                                 self.signing, self.node_id))
+        send_message(self, append_signer(self._fake_origin(core, claimed),
+                                         self.signing, self.node_id))
 
     def _fire_fake_rerr(self) -> None:
         reporter = self.registry.by_ip(self.spec.through)
@@ -205,7 +196,8 @@ class AttackerNode:
                               src_id=reporter.node_id, src_seq=7777, bct_id=0,
                               dst_ip=self.spec.src,
                               originator_id=unreachable.node_id)
-        self._send(self._fake_origin(core, reporter), to=self.spec.through)
+        send_message(self, self._fake_origin(core, reporter),
+                     self.spec.through)
 
     def _fire_session_hijack(self) -> None:
         # first connection, no data yet
@@ -239,16 +231,15 @@ class AttackerNode:
 
 
 def deploy(spec: AttackSpec, keys: Dict[str, NodeKeys], registry: Registry,
-           net: Network):
-    """Instantiate the attacker node(s) an AttackSpec calls for."""
-    nodes = [AttackerNode(spec.attacker, keys[spec.attacker].signing,
-                          registry, net, spec)]
+           net: Network) -> None:
+    """Instantiate the attacker node(s) an AttackSpec calls for: a tunnel's
+    partner runs the same spec with the two ends swapped."""
+    specs = [spec]
     if spec.kind == "tunnel":
-        mirrored = replace(spec, attacker=spec.partner,
-                           partner=spec.attacker)
-        nodes.append(AttackerNode(spec.partner, keys[spec.partner].signing,
-                                  registry, net, mirrored))
-    return nodes
+        specs.append(replace(spec, attacker=spec.partner,
+                             partner=spec.attacker))
+    for one in specs:
+        AttackerNode(keys[one.attacker].signing, registry, net, one)
 
 
 # --- outcome oracle -----------------------------------------------------------
@@ -279,6 +270,11 @@ def _harm(spec: AttackSpec, metrics) -> bool:
                 return True
         return False
     installs = [(ev.node, ev.fields) for ev in metrics.of("route")]
+
+    def routed(at, to, via):   # `at` installed a route to `to` through `via`
+        return any(n == at and i["dst"] == to and i["next_hop"] in via
+                   for n, i in installs)
+
     if kind == "hop_shorten":   # a route a request it cut short taught
         cut = {i["seq"] for _, n, _, i in metrics.of("shortened")
                if n == spec.attacker and i["origin"] == spec.src}
@@ -287,19 +283,13 @@ def _harm(spec: AttackSpec, metrics) -> bool:
                    and i["seq"] in cut and i["distance"] <= spec.max_distance
                    for n, i in installs)
     if kind == "redirect":
-        return any(n == spec.src and i["dst"] == spec.dst
-                   and i["next_hop"] == spec.attacker for n, i in installs)
+        return routed(spec.src, spec.dst, {spec.attacker})
     if kind == "tunnel":
         colluders = {spec.attacker, spec.partner}
-        return any(
-            (n == spec.src and i["dst"] == spec.dst
-             and i["next_hop"] in colluders)
-            or (n == spec.dst and i["dst"] == spec.src
-                and i["next_hop"] in colluders)
-            for n, i in installs)
+        return (routed(spec.src, spec.dst, colluders)
+                or routed(spec.dst, spec.src, colluders))
     if kind == "impersonate":
-        return any(n == spec.dst and i["dst"] == spec.src
-                   and i["next_hop"] == spec.attacker for n, i in installs)
+        return routed(spec.dst, spec.src, {spec.attacker})
     if kind == "fake_rerr":   # src accepted reports `through` never sent
         accepted = sum(n == spec.src and i["reporter"] == spec.through
                        for _, n, _, i in metrics.of("rerr_accepted"))

@@ -48,37 +48,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="deterministic ad hoc network simulator with "
                     "identity-authenticated routing and transport")
     sub = p.add_subparsers(dest="command", required=True)
+    scenario_opts = argparse.ArgumentParser(add_help=False)
+    scenario_opts.add_argument("--scenario", required=True, metavar="FILE")
+    scenario_opts.add_argument("--seed", type=int, default=None,
+                               help="override the scenario seed")
+    mode_opts = argparse.ArgumentParser(add_help=False)
+    mode_opts.add_argument("--mode", choices=scenario.MODES, default=None,
+                           help="override the scenario's mode")
+    mode_opts.add_argument("--sec-level", type=int, choices=(0, 1),
+                           default=None,
+                           help="override the scenario's security level")
 
-    kg = sub.add_parser("keygen",
+    kg = sub.add_parser("keygen", parents=[scenario_opts],
                         help="print the identity registry a scenario implies")
-    kg.add_argument("--scenario", required=True, metavar="FILE")
-    kg.add_argument("--seed", type=int, default=None,
-                    help="override the scenario seed")
     kg.add_argument("--out", metavar="FILE", default=None,
                     help="write registry JSON here instead of stdout")
     kg.set_defaults(fn=cmd_keygen)
 
-    rn = sub.add_parser("run", help="execute a scenario")
-    rn.add_argument("--scenario", required=True, metavar="FILE")
-    rn.add_argument("--mode", choices=scenario.MODES, default=None,
-                    help="override the scenario's mode")
-    rn.add_argument("--sec-level", type=int, choices=(0, 1), default=None,
-                    help="override the scenario's security level")
-    rn.add_argument("--seed", type=int, default=None,
-                    help="override the scenario seed")
+    rn = sub.add_parser("run", parents=[scenario_opts, mode_opts],
+                        help="execute a scenario")
     rn.add_argument("--out", metavar="DIR", default=None,
                     help="write metrics.json and trace.tsv into this "
                          "directory (default: metrics to stdout)")
     rn.set_defaults(fn=cmd_run)
 
-    vt = sub.add_parser("verify-trace",
+    vt = sub.add_parser("verify-trace", parents=[scenario_opts, mode_opts],
                         help="re-run a scenario and compare against a saved "
                              "trace")
-    vt.add_argument("--scenario", required=True, metavar="FILE")
     vt.add_argument("--trace", required=True, metavar="FILE")
-    vt.add_argument("--mode", choices=scenario.MODES, default=None)
-    vt.add_argument("--sec-level", type=int, choices=(0, 1), default=None)
-    vt.add_argument("--seed", type=int, default=None)
     vt.set_defaults(fn=cmd_verify)
     return p
 
@@ -114,10 +111,15 @@ def cmd_keygen(args) -> int:
     return 0
 
 
+def _run(args) -> scenario.RunResult:
+    """The run a `run` or `verify-trace` command line asks for."""
+    return scenario.run_scenario(scenario.load_file(args.scenario),
+                                 mode=args.mode, sec_level=args.sec_level,
+                                 seed=args.seed)
+
+
 def cmd_run(args) -> int:
-    result = scenario.run_scenario(scenario.load_file(args.scenario),
-                                   mode=args.mode, sec_level=args.sec_level,
-                                   seed=args.seed)
+    result = _run(args)
     metrics = result.metrics_json()
     if args.out:
         paths = [os.path.join(args.out, name)
@@ -189,9 +191,7 @@ def cmd_verify(args) -> int:
             print("lint: %s" % msg, file=sys.stderr)
         print("trace file is structurally invalid", file=sys.stderr)
         return 1
-    result = scenario.run_scenario(scenario.load_file(args.scenario),
-                                   mode=args.mode, sec_level=args.sec_level,
-                                   seed=args.seed)
+    result = _run(args)
     fresh = result.trace_text()
     if fresh == recorded:
         print("trace matches the re-run (%d records)"

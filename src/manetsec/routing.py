@@ -60,7 +60,7 @@ def originate(core: wire.RouteCore, key: RsaKeyPair, sec_level: int,
     `public` defaults to the signer's own key; a forger names another
     node's key here, which makes the signature claim that node as origin.
     """
-    h = wire.signer_hash(core, (), 0, public or key.public)
+    h = wire.signer_hash(core, (), public or key.public)
     agg = rsa_sign_first(h, key)
     return wire.RouteMessage(core=core, hops=(), sec_level=sec_level,
                              aggregate=agg,
@@ -74,9 +74,20 @@ def append_signer(msg: wire.RouteMessage, key: RsaKeyPair,
     hops = msg.hops + (node_id,)
     agg = msg.aggregate
     if agg is not None:
-        h = wire.signer_hash(msg.core, hops, len(hops), key.public)
+        h = wire.signer_hash(msg.core, hops, key.public)
         agg = sas_aggregate_step(agg, h, key)
     return msg._replace(hops=hops, aggregate=agg)
+
+
+def send_message(node, msg: wire.RouteMessage,
+                 to: Optional[str] = None) -> None:
+    """Send `msg` from `node` (a router or an attacker: its `net` and `ip`)
+    to the neighbour `to`, or broadcast it when `to` is None."""
+    payload = wire.encode_message(msg)
+    if to is None:
+        node.net.broadcast(node.ip, payload)
+    else:
+        node.net.unicast(node.ip, to, payload)
 
 
 @dataclass
@@ -161,9 +172,9 @@ class RouterNode:
         msg = self._originate(wire.KIND_RREQ, bct, dst_ip, **exchange)
         self.pending[bct] = PendingDiscovery(dst_ip, params, _attempt)
         self.active_targets.add(dst_ip)
-        self.metrics.log(self.net.tick, self.ip, "discovery", target=dst_ip,
-                         bct=bct, attempt=_attempt, seq=self.seq)
-        self._send(msg)
+        self.net.log(self.ip, "discovery", target=dst_ip, bct=bct,
+                     attempt=_attempt, seq=self.seq)
+        send_message(self, msg)
         self.net.schedule(DISCOVERY_TIMEOUT, self._retire, bct)
         return bct
 
@@ -204,14 +215,6 @@ class RouterNode:
             self.metrics.signed += 1
         return msg
 
-    def _send(self, msg: wire.RouteMessage, to: Optional[str] = None) -> None:
-        """Unicast to the neighbour `to`, or broadcast when it is None."""
-        payload = wire.encode_message(msg)
-        if to is None:
-            self.net.broadcast(self.ip, payload)
-        else:
-            self.net.unicast(self.ip, to, payload)
-
     # --- verification -------------------------------------------------------
 
     def _verify(self, msg: wire.RouteMessage, sender: str, terminal: bool,
@@ -250,7 +253,7 @@ class RouterNode:
             n_last = last.signing_public[0]
             if not 0 <= agg.value < n_last:
                 return "verify_failed"
-            h = wire.signer_hash(core, msg.hops, 1, last.signing_public)
+            h = wire.signer_hash(core, msg.hops, last.signing_public)
             recovered = sas_unwind_step(agg.value, h, last.signing_public,
                                         agg.overflow_bits[0])
             self.metrics.verified += 1
@@ -262,7 +265,7 @@ class RouterNode:
             n0, e0 = origin.signing_public
             if not 0 <= msg.source_sig < n0:
                 return "verify_failed"
-            h0 = wire.signer_hash(core, (), 0, origin.signing_public)
+            h0 = wire.signer_hash(core, (), origin.signing_public)
             self.metrics.verified += 1
             if rsa_public(msg.source_sig, n0, e0) != h0 % n0:
                 return "verify_failed"
@@ -329,8 +332,7 @@ class RouterNode:
             theirs = self._check_key_exchange(core, origin)
             if theirs is None:
                 return "malformed"
-        self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
-                      via="RREQ")
+        self._install(msg, origin, sender)
         flow = self.flows.setdefault((origin.ip, core.dst_ip),
                                      FlowState(bct_id=core.bct_id))
         flow.bct_id = core.bct_id
@@ -338,7 +340,7 @@ class RouterNode:
         if terminal:
             self._answer_request(core, origin, theirs)
             return None
-        self._send(self._forward(msg))
+        send_message(self, self._forward(msg))
         return None
 
     def _answer_request(self, core: wire.RouteCore, origin: NodeIdentity,
@@ -354,7 +356,7 @@ class RouterNode:
                               dst_seq=core.src_seq, dh_payload=sealed)
         route = self.routes.get(origin.ip)
         if route is not None:
-            self._send(msg, route.next_hop)
+            send_message(self, msg, route.next_hop)
 
     def _check_key_exchange(self, core: wire.RouteCore,
                             origin: NodeIdentity) -> Optional[int]:
@@ -386,9 +388,8 @@ class RouterNode:
     def _store_key(self, peer: NodeIdentity, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:
         self.sessions[peer.ip] = Session(key, peer.node_id)
-        self.metrics.log(self.net.tick, self.ip, "session_key",
-                         peer=peer.ip, bct=bct, key=key.value,
-                         initiated=initiated)
+        self.net.log(self.ip, "session_key", peer=peer.ip, bct=bct,
+                     key=key.value, initiated=initiated)
 
     def _on_rrep(self, sender: str, msg: wire.RouteMessage, terminal: bool,
                  origin: NodeIdentity) -> Optional[str]:
@@ -409,18 +410,17 @@ class RouterNode:
             route = self.routes.get(core.dst_ip)
             if route is None:
                 return "no_route"
-        self._install(origin.ip, sender, len(msg.hops) + 1, core.src_seq,
-                      via="RREP")
+        self._install(msg, origin, sender)
         flow = self.flows.setdefault((core.dst_ip, origin.ip),
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
         if terminal:
             del self.pending[core.bct_id]
-            self.metrics.log(self.net.tick, self.ip, "discovered",
-                             target=pd.target_ip, bct=core.bct_id)
+            self.net.log(self.ip, "discovered", target=pd.target_ip,
+                         bct=core.bct_id)
             self._flush_queue(pd.target_ip)
             return None
-        self._send(self._forward(msg), route.next_hop)
+        send_message(self, self._forward(msg), route.next_hop)
         return None
 
     def _on_rerr(self, sender: str, msg: wire.RouteMessage, terminal: bool,
@@ -433,9 +433,8 @@ class RouterNode:
                 return "id_mismatch"
         elif flow is None and unreachable.ip not in self.routes:
             return "no_route"
-        self.metrics.log(self.net.tick, self.ip, "rerr_accepted",
-                         reporter=origin.ip,
-                         unreachable=unreachable.ip)
+        self.net.log(self.ip, "rerr_accepted", reporter=origin.ip,
+                     unreachable=unreachable.ip)
         self.routes.pop(unreachable.ip, None)
         if flow is not None:
             flow.toward_dst = None
@@ -449,7 +448,7 @@ class RouterNode:
             route = self.routes.get(core.dst_ip)
             target = route.next_hop if route else None
         if target is not None:
-            self._send(fwd, target)
+            send_message(self, fwd, target)
         return None
 
     def _report_break(self, src_ip: str, dst_ip: str) -> None:
@@ -457,9 +456,9 @@ class RouterNode:
         unreachable = self.registry.by_ip(dst_ip)
         msg = self._originate(wire.KIND_RERR, flow.bct_id if flow else 0,
                               src_ip, originator_id=unreachable.node_id)
-        self.metrics.log(self.net.tick, self.ip, "rerr_sent")
+        self.net.log(self.ip, "rerr_sent")
         if flow is not None and flow.toward_src is not None:
-            self._send(msg, flow.toward_src)
+            send_message(self, msg, flow.toward_src)
 
     # --- data path ----------------------------------------------------------
 
@@ -500,16 +499,19 @@ class RouterNode:
 
     # --- route table --------------------------------------------------------
 
-    def _install(self, dst_ip: str, next_hop: str, distance: int,
-                 seq: int, via: str) -> None:
+    def _install(self, msg: wire.RouteMessage, origin: NodeIdentity,
+                 next_hop: str) -> None:
+        """Learn the route to `origin` that accepted `msg` teaches."""
+        dst_ip = origin.ip
         if dst_ip == self.ip:
             return
+        distance, seq = len(msg.hops) + 1, msg.core.src_seq
         old = self.routes.get(dst_ip)
         if old is not None and (old.seq > seq or
                                 (old.seq == seq and old.distance <= distance)):
             return
         self.routes[dst_ip] = RouteEntry(next_hop=next_hop, distance=distance,
                                          seq=seq)
-        self.metrics.log(self.net.tick, self.ip, "route", dst=dst_ip,
-                         next_hop=next_hop, distance=distance, seq=seq,
-                         via=via)
+        self.net.log(self.ip, "route", dst=dst_ip, next_hop=next_hop,
+                     distance=distance, seq=seq,
+                     via=wire.ROUTE_KIND_NAMES[msg.core.kind])

@@ -19,10 +19,10 @@ from .crypto import NodeKeys, derive_seed, generate_node_keys
 MODES = ("secure", "baseline")
 
 # Widest keys and exchange groups a scenario may ask for. Every discovery
-# generates a fresh safe-prime group, which gets steeply slower with width
-# (about 0.2 s at 256 bits, 2-3 s at 512; 4000 bits did not finish in 5
-# minutes), and a 2048-bit node key takes about 1.5 s, so wider values
-# would make a run hang rather than fail.
+# generates a fresh safe-prime group, steeply slower with width (on a 2-core
+# Xeon, median and worst of 20 seeds: 0.04 and 0.4 s at 256 bits, 0.24 and
+# 1.3 s at 512; up to 8 s at 1024), and a 2048-bit signing pair takes about
+# 0.06 s, so wider values would make a run hang rather than fail.
 MAX_KEY_BITS = 2048
 MAX_DH_BITS = 512
 

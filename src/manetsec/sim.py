@@ -57,11 +57,8 @@ class Metrics:
     attack_verdicts: Dict[str, str] = field(default_factory=dict)
     peak_half_open: int = 0
     evictions: int = 0   # half-open entries evicted from a full table
-    # append-only, kept out of the exported document
+    # append-only through Network.log, kept out of the exported document
     events: List[Event] = field(default_factory=list)
-
-    def log(self, tick: int, node: str, kind: str, **fields) -> None:
-        self.events.append(Event(tick, node, kind, fields))
 
     def of(self, kind: str) -> List[Event]:
         return [ev for ev in self.events if ev.kind == kind]
@@ -229,8 +226,9 @@ class Network:
 
     def run(self, until: int) -> None:
         """Run every call due at or before `until`, in (tick, insertion)
-        order. A call that raises ends the run and drops the calls after it
-        in its tick: do not run a Network again after an exception."""
+        order; an `until` behind the clock runs nothing and leaves the clock
+        where it is. A call that raises ends the run and drops the calls
+        after it in its tick: do not run a Network again after an exception."""
         due, ticks = self._due, self._ticks
         while ticks and ticks[0] <= until:
             # popped before its calls run: a delay-0 call one of them makes
@@ -238,7 +236,7 @@ class Network:
             self.tick = tick = heapq.heappop(ticks)
             for fn, args in due.pop(tick):
                 fn(*args)
-        self.tick = until
+        self.tick = max(self.tick, until)
 
     def _deliver(self, src: str, dst: str, payload: bytes, link: LinkState,
                  rec: TraceRecord) -> None:
@@ -251,6 +249,10 @@ class Network:
             rec.disposition = dropped(reason)
 
     # --- outputs ------------------------------------------------------------
+
+    def log(self, node: str, kind: str, **fields) -> None:
+        """Append an event at the current tick, so ticks never decrease."""
+        self.metrics.events.append(Event(self.tick, node, kind, fields))
 
     def trace_text(self) -> str:
         """One tab-separated line per record, each ending in a newline,

@@ -108,12 +108,11 @@ class TcpEndpoint:
     # --- handshake ------------------------------------------------------------
 
     def _begin_handshake(self, conn: Connection) -> None:
-        conn.isn = self._client_isn(conn)
-        conn.snd_una = conn.isn
-        conn.snd_nxt = (conn.isn + 1) & MASK
+        conn.isn = conn.snd_una = conn.snd_nxt = self._client_isn(conn)
         conn.state = "syn_sent"
         self._event("syn_sent", conn)
-        syn = self._make(conn, wire.ROLE_SYN, seq=conn.isn, ack=0)
+        syn = self._make(conn, wire.ROLE_SYN)
+        conn.snd_nxt = (conn.isn + 1) & MASK   # the SYN takes one number
         self._ship(conn, syn)
 
     def _client_isn(self, conn: Connection) -> int:
@@ -134,10 +133,11 @@ class TcpEndpoint:
 
     # --- segment construction ---------------------------------------------------
 
-    def _make(self, conn: Connection, role: int, seq: int, ack: int,
+    def _make(self, conn: Connection, role: int,
               payload: bytes = b"") -> wire.Segment:
-        seg = wire.Segment(role, conn.local_port, conn.remote_port, seq, ack,
-                           payload, b"\x00" * 32)
+        """A tagged segment at the connection's send and receive points."""
+        seg = wire.Segment(role, conn.local_port, conn.remote_port,
+                           conn.snd_nxt, conn.rcv_nxt, payload, b"\x00" * 32)
         return self._tagged(conn.peer_ip, seg)
 
     def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
@@ -219,13 +219,15 @@ class TcpEndpoint:
                 return "out_of_phase"
             if seg.role == wire.ROLE_ACK:
                 return None   # the promoting third segment, consumed
+        if seg.role == wire.ROLE_FIN_ACK:
+            return self._on_fin_ack(seg, conn)
+        if conn.state not in ("established", "fin_wait"):
+            return "out_of_phase"
         if seg.role == wire.ROLE_ACK:
             return self._on_ack(seg, conn)
         if seg.role == wire.ROLE_DATA:
             return self._on_data(seg, conn)
-        if seg.role == wire.ROLE_FIN:
-            return self._on_fin(seg, conn)
-        return self._on_fin_ack(seg, conn)
+        return self._on_fin(seg, conn)
 
     def _tag_ok(self, peer_ip: str, seg: wire.Segment) -> bool:
         session = self.router.sessions.get(peer_ip)
@@ -304,8 +306,6 @@ class TcpEndpoint:
         return conn
 
     def _on_ack(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
-        if conn.state not in ("established", "fin_wait"):
-            return "out_of_phase"
         if seg.ack == conn.snd_una:
             return None   # stale duplicate, harmless
         window = (conn.snd_nxt - conn.snd_una) & MASK
@@ -317,8 +317,6 @@ class TcpEndpoint:
         return None
 
     def _on_data(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
-        if conn.state not in ("established", "fin_wait"):
-            return "out_of_phase"
         if seg.seq == conn.rcv_nxt:
             conn.rcv_nxt = (conn.rcv_nxt + len(seg.payload)) & MASK
             self._event("deliver", conn, data=seg.payload)
@@ -334,15 +332,11 @@ class TcpEndpoint:
         return "out_of_phase"
 
     def _ack(self, conn: Connection) -> None:
-        self._ship(conn, self._make(conn, wire.ROLE_ACK, seq=conn.snd_nxt,
-                                    ack=conn.rcv_nxt), arm=False)
+        self._ship(conn, self._make(conn, wire.ROLE_ACK), arm=False)
 
     def _on_fin(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
-        if conn.state not in ("established", "fin_wait"):
-            return "out_of_phase"
         conn.rcv_nxt = (seg.seq + 1) & MASK
-        self._ship(conn, self._make(conn, wire.ROLE_FIN_ACK, seq=conn.snd_nxt,
-                                    ack=conn.rcv_nxt), arm=False)
+        self._ship(conn, self._make(conn, wire.ROLE_FIN_ACK), arm=False)
         conn.state = "closed"
         self._event("closed", conn)
         return None
@@ -367,14 +361,12 @@ class TcpEndpoint:
         if conn.send_buf:
             chunk = bytes(conn.send_buf[:self.config.mss])
             del conn.send_buf[:len(chunk)]
-            seg = self._make(conn, wire.ROLE_DATA, seq=conn.snd_nxt,
-                             ack=conn.rcv_nxt, payload=chunk)
+            seg = self._make(conn, wire.ROLE_DATA, chunk)
             conn.snd_nxt = (conn.snd_nxt + len(chunk)) & MASK
             self._ship(conn, seg)
             return
         if conn.close_after_drain and conn.snd_una == conn.snd_nxt:
-            seg = self._make(conn, wire.ROLE_FIN, seq=conn.snd_nxt,
-                             ack=conn.rcv_nxt)
+            seg = self._make(conn, wire.ROLE_FIN)
             conn.snd_nxt = (conn.snd_nxt + 1) & MASK
             conn.state = "fin_wait"
             self._ship(conn, seg)
@@ -382,6 +374,6 @@ class TcpEndpoint:
     # --- bookkeeping --------------------------------------------------------------
 
     def _event(self, kind: str, conn: Connection, **fields) -> None:
-        self.metrics.log(self.net.tick, self.router.ip, kind,
-                         peer=conn.peer_ip, local_port=conn.local_port,
-                         remote_port=conn.remote_port, **fields)
+        self.net.log(self.router.ip, kind, peer=conn.peer_ip,
+                     local_port=conn.local_port, remote_port=conn.remote_port,
+                     **fields)

@@ -498,29 +498,20 @@ def describe(data: bytes) -> str:
     return ROUTE_KIND_NAMES[msg.core.kind]
 
 
-# --- signing views -----------------------------------------------------------
+# --- signer hashes -----------------------------------------------------------
 
-def signing_view(core: RouteCore, hops: Tuple[bytes, ...], index: int) -> bytes:
-    """Byte view signer `index` commits to: core plus the first `index` hops.
-
-    Index 0 is the originator; appending one hop record extends the view by
-    exactly that record, nothing else.
-    """
-    if not 0 <= index <= len(hops):
-        raise ValueError("signer index %d out of range" % index)
-    return encode_core(core) + b"".join(hops[:index])
-
-
-def signer_hash(core: RouteCore, hops: Tuple[bytes, ...], index: int,
+def signer_hash(core: RouteCore, hops: Tuple[bytes, ...],
                 public: Tuple[int, int]) -> int:
-    """Hash that signer `index` actually signs: its view plus its own key."""
-    return digest_int(digest(signing_view(core, hops, index)
+    """Hash that the newest signer signs: the core, the hop records up to
+    and including its own (none for the originator), and its own key; each
+    appended hop extends the signed bytes by exactly its record."""
+    return digest_int(digest(encode_core(core) + b"".join(hops)
                              + encode_public(public)))
 
 
 def signer_hashes(core: RouteCore, hops: Tuple[bytes, ...],
                   publics: Sequence[Tuple[int, int]]) -> List[int]:
-    """signer_hash(core, hops, i, publics[i]) for every signer of a chain.
+    """signer_hash(core, hops[:i], publics[i]) for every signer i of a chain.
 
     One running hash takes the core and then one hop per signer, and is
     copied for each signer's key, so a chain of k hops hashes O(k) bytes

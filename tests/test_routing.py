@@ -309,9 +309,9 @@ def test_impersonated_origin_fails_final_check():
                           dst_ip="b", dh_p=23, dh_g=5,
                           dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
     hops = (m_id,)
-    fake_origin = rsa_sign_first(wire.signer_hash(core, hops, 0, a_pub), m_sig)
+    fake_origin = rsa_sign_first(wire.signer_hash(core, (), a_pub), m_sig)
     agg = sas_aggregate_step(fake_origin,
-                             wire.signer_hash(core, hops, 1, m_sig.public),
+                             wire.signer_hash(core, hops, m_sig.public),
                              m_sig)
     msg = wire.RouteMessage(core=core, hops=hops, sec_level=1,
                             aggregate=agg, source_sig=None)
@@ -366,7 +366,7 @@ def test_claimed_last_hop_must_match_physical_sender():
                           src_id=r["a"].node_id, src_seq=5, bct_id=42,
                           dst_ip="b", dh_p=23, dh_g=5,
                           dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
-    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["a"].signing.public),
+    sig = rsa_sign_first(wire.signer_hash(core, (), keys["a"].signing.public),
                          keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)
@@ -439,7 +439,7 @@ def test_unknown_origin_identity_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="zz",
                           src_id=b"\x42" * 32, src_seq=1, bct_id=1,
                           dst_ip="b", dh_p=23, dh_g=5, dh_payload=9)
-    sig = rsa_sign_first(wire.signer_hash(core, (), 0, keys["m"].signing.public),
+    sig = rsa_sign_first(wire.signer_hash(core, (), keys["m"].signing.public),
                          keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)

@@ -108,6 +108,19 @@ def test_a_second_run_resumes_the_calls_still_queued():
     assert seen[3:] == [(7, 7), (7, 7)]
 
 
+def test_a_run_to_an_earlier_tick_leaves_the_clock_and_the_log_in_order():
+    net = _net()
+    net.schedule(4, net.log, "a", "first")
+    net.run(until=5)
+    net.run(until=2)
+    assert net.tick == 5
+    net.log("a", "second")
+    net.schedule(1, net.log, "a", "third")
+    net.run(until=10)
+    assert [(ev.tick, ev.kind) for ev in net.metrics.events] == \
+        [(4, "first"), (5, "second"), (6, "third")]
+
+
 def test_a_random_schedule_runs_in_tick_then_insertion_order():
     # each call may schedule more, delay 0 included; the order must be the
     # one a (tick, insertion sequence) heap gives

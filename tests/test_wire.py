@@ -232,19 +232,24 @@ def test_off_kind_fields_rejected_at_encode():
 # --- signing views ----------------------------------------------------------
 
 def test_signing_view_grows_by_exactly_one_record():
+    # oracle: signer i hashes the core, the first i hop records, then its key
     core = _rreq()
     hops = (ID_A, ID_B, ID_C)
-    views = [wire.signing_view(core, hops, i) for i in range(4)]
-    assert views[0] == wire.encode_core(core)
-    for i in range(3):
-        assert views[i + 1] == views[i] + hops[i]
-        assert len(views[i + 1]) - len(views[i]) == 32
+    public = (187, 7)
+    key = b"\x00\x00\x00\x01\xbb" + b"\x00\x00\x00\x01\x07"
+    view = wire.encode_core(core)
+    for i in range(4):
+        if i:
+            view += hops[i - 1]   # each hop adds exactly its record
+        want = int.from_bytes(hashlib.sha256(view + key).digest(), "big")
+        assert wire.signer_hash(core, hops[:i], public) == want
+    assert len(view) == len(wire.encode_core(core)) + 3 * 32
 
 
 def test_signer_hash_binds_public_key():
     core = _rreq()
-    h1 = wire.signer_hash(core, (), 0, (187, 7))
-    h2 = wire.signer_hash(core, (), 0, (143, 7))
+    h1 = wire.signer_hash(core, (), (187, 7))
+    h2 = wire.signer_hash(core, (), (143, 7))
     assert h1 != h2
     # oracle: recompute with hashlib over the documented concatenation
     view = wire.encode_core(core)
@@ -258,7 +263,7 @@ def test_signer_hashes_equal_per_index_signer_hash():
         hops = tuple(rng.randbytes(32) for _ in range(k))
         publics = [(rng.getrandbits(128) | 1, 65537) for _ in range(k + 1)]
         core = _rreq(src_seq=k)
-        want = [wire.signer_hash(core, hops, i, publics[i])
+        want = [wire.signer_hash(core, hops[:i], publics[i])
                 for i in range(k + 1)]
         assert wire.signer_hashes(core, hops, publics) == want
 
