@@ -34,15 +34,19 @@ def _primes_to(bound: int) -> list:
     return [i for i, flag in enumerate(flags) if flag]
 
 
-# Candidates at or below SIEVE_BOUND are answered from the set; above it,
-# one gcd with the product of these primes rejects every candidate with a
-# small factor before any Miller-Rabin round (HAC 4.4). The gcd costs time
-# in proportion to the product's width (2865 bits here), while a wider
-# bound rejects few more composites. Measured per candidate with powmod on
-# OpenSSL (Python 3.11.7, OpenSSL 3.0.19), at prime widths of 64 to 512
-# bits 2^11 cost 8 to 15 % more than the best bound, 2^9 or 2^10 (7.6
-# against 6.7 us at 128 bits, 10.2 to 10.9 against 9.4 us at 256 bits);
-# 2^13 cost 1.5 to 1.75 times as much as 2^11.
+# Candidates at or below SIEVE_BOUND are answered from the set. Above it,
+# a screen in two stages rejects every candidate with a small factor before
+# any Miller-Rabin round (HAC 4.4): one remainder by _WORD_PRODUCT and a gcd
+# of two small integers end 72 % of odd candidates, and only the rest pay
+# the gcd with the product of these primes (2865 bits here), whose cost
+# grows with the product's width. Measured per candidate (Python 3.11.7,
+# OpenSSL 3.0.19), at 256 bits the screen costs 1.8 us against 4.7 us for
+# the full gcd alone, and a survivor's base-2 round about 30 us. So 2^10
+# would save 0.3 us of screen and let 1.3 % more candidates reach a round
+# (0.4 us); 2^9 saves 0.6 us for 3.1 % more (0.9 us); 2^13 costs 2.9 us
+# more to stop 2.9 % more (0.9 us). A bound that moved could also move a
+# draw, for a composite with a factor between the two bounds that is a
+# strong pseudoprime to base 2.
 SIEVE_BOUND = 2048
 _SIEVE_PRIMES = frozenset(_primes_to(SIEVE_BOUND))
 _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
@@ -50,6 +54,16 @@ _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
 # a wider screen would skip some candidates whose q the prime test sees
 # today, and so move the stream's draws and the groups it gives.
 _DH_SCREEN_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if p <= 251)
+# The odd primes 3..47, whose product fits in 59 bits: the first stage of
+# both screens, is_probable_prime's and generate_dh_group's.
+_WORD_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if 2 < p <= 47)
+
+
+def _has_factor_in(n: int, product: int) -> bool:
+    """Whether n shares a prime with product, which _WORD_PRODUCT divides."""
+    return (math.gcd(n % _WORD_PRODUCT, _WORD_PRODUCT) != 1
+            or math.gcd(n, product) != 1)
+
 
 # Deterministic Miller-Rabin bases. Together they decide primality only
 # below 3.18 * 10^23, about 2^78 (Sorenson and Webster, 2015). Above 78 bits
@@ -64,20 +78,33 @@ _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 # --- modular exponentiation -------------------------------------------------
 
-# powmod's width cut. Each OpenSSL call pays about 5 us to convert and pass
-# its operands, so builtin pow is as fast or faster at 64 bits; from 72 bits
-# up OpenSSL's Montgomery exponentiation wins, by more the wider the modulus
+# powmod's width cut. An OpenSSL call pays about 3 us to convert and pass
+# its operands, and about 5 us more to set up the Montgomery context of a
+# modulus it has not seen, so builtin pow is as fast or faster at 64 bits;
+# from 72 bits up OpenSSL wins, by more the wider the modulus, even when
+# every call brings a new modulus, as a prime search's base-2 rounds do
 # (README, "Modular exponentiation").
 POWMOD_MIN_BITS = 80
 
+# powmod keeps the Montgomery contexts of the last MONT_POOL_SIZE odd moduli
+# it was given, so a modulus used again (a key's CRT primes and public
+# modulus, a candidate's later Miller-Rabin rounds) skips the setup. In a
+# full pool a new modulus takes the slot set up longest ago, so a run that
+# cycles through more moduli than the pool holds finds none prepared.
+# Replayed over three repetitions at seed 1, 256 slots prepare as many calls
+# as an unbounded pool would on attack-matrix and line-bulk, and 61 % of
+# grid-control's calls against 64 % for an unbounded pool.
+MONT_POOL_SIZE = 256
+
 
 def _bind_bn_mod_exp():
-    """x^e mod m on OpenSSL's BN_mod_exp, or None where it cannot be bound.
+    """x^e mod m on OpenSSL's Montgomery kernel, or None if it cannot be bound.
 
     The BN_* symbols resolve through CPython's _hashlib module, so they come
     from the libcrypto it already links: nothing is installed and no second
-    OpenSSL is loaded. The four registers and the BN_CTX are allocated once
-    here and reused by every call, for the life of the process.
+    OpenSSL is loaded. The four registers and the BN_CTX are allocated here,
+    and each slot of the pool of prepared moduli when it is first filled;
+    all are reused by every call, for the life of the process.
     """
     try:
         import _hashlib
@@ -85,31 +112,64 @@ def _bind_bn_mod_exp():
         bn_new, ctx_new = lib.BN_new, lib.BN_CTX_new
         bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
         mod_exp = lib.BN_mod_exp
+        mont_new, mont_set = lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set
+        mont_exp = lib.BN_mod_exp_mont
     except (ImportError, AttributeError, OSError):
         return None
-    # every BIGNUM * and BN_CTX * is a c_void_p: the default int restype
-    # would truncate a 64-bit pointer
+    # every BIGNUM *, BN_CTX * and BN_MONT_CTX * is a c_void_p: the default
+    # int restype would truncate a 64-bit pointer
     ptr, c_int, c_bytes = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
     bn_new.argtypes, bn_new.restype = [], ptr
     ctx_new.argtypes, ctx_new.restype = [], ptr
+    mont_new.argtypes, mont_new.restype = [], ptr
     bin2bn.argtypes, bin2bn.restype = [c_bytes, c_int, ptr], ptr
     bn2binpad.argtypes, bn2binpad.restype = [ptr, c_bytes, c_int], c_int
     mod_exp.argtypes, mod_exp.restype = [ptr] * 5, c_int
+    mont_set.argtypes, mont_set.restype = [ptr] * 3, c_int
+    mont_exp.argtypes, mont_exp.restype = [ptr] * 6, c_int
     ctx = ctx_new()
     result, base, exponent, modulus = regs = [bn_new() for _ in range(4)]
     if ctx is None or None in regs:
         return None
+    # each odd modulus held, mapped to the (BIGNUM, BN_MONT_CTX) slot that
+    # holds it and its Montgomery context; a dict keeps insertion order, so
+    # its first key is the modulus set up longest ago
+    prepared = {}
 
     def load(value: int, reg) -> None:
         width = (value.bit_length() + 7) // 8
         if bin2bn(value.to_bytes(width, "big"), width, reg) is None:
             raise MemoryError("BN_bin2bn failed")
 
+    def prepare(m: int):
+        """The slot holding odd m; a new m takes the oldest slot or a new one."""
+        slot = prepared.get(m)
+        if slot is None:
+            if len(prepared) < MONT_POOL_SIZE:
+                slot = (bn_new(), mont_new())
+                if None in slot:
+                    raise MemoryError("BN_new or BN_MONT_CTX_new failed")
+            else:
+                slot = prepared.pop(next(iter(prepared)))
+            reg, mont = slot
+            load(m, reg)
+            if not mont_set(mont, reg, ctx):
+                raise ArithmeticError("BN_MONT_CTX_set failed")
+            prepared[m] = slot
+        return slot
+
     def bn_mod_exp(x: int, e: int, m: int) -> int:
         load(x, base)
         load(e, exponent)
-        load(m, modulus)
-        if not mod_exp(result, base, exponent, modulus, ctx):
+        if m & 1:
+            reg, mont = prepare(m)
+            done = mont_exp(result, base, exponent, reg, ctx, mont)
+        else:
+            # Montgomery reduction needs an odd modulus: an even one is set
+            # up afresh by BN_mod_exp, and zero makes it fail
+            load(m, modulus)
+            done = mod_exp(result, base, exponent, modulus, ctx)
+        if not done:
             raise ArithmeticError("BN_mod_exp failed")
         width = (m.bit_length() + 7) // 8
         out = ctypes.create_string_buffer(width)
@@ -126,10 +186,12 @@ _bn_mod_exp = _bind_bn_mod_exp()
 def powmod(x: int, e: int, m: int) -> int:
     """x^e mod m for x >= 0, e >= 0 and m > 0: the integer pow(x, e, m) gives.
 
-    A modulus of POWMOD_MIN_BITS or more runs on OpenSSL's BN_mod_exp; a
-    narrower one, or any modulus where the binding could not be made, on
-    builtin pow. The OpenSSL path reuses one set of registers, so this
-    module must not be called from several threads at once.
+    A modulus of POWMOD_MIN_BITS or more runs on OpenSSL: an odd one on
+    BN_mod_exp_mont with its pooled Montgomery context, an even one on
+    BN_mod_exp. A narrower modulus, or any modulus where the binding could
+    not be made, runs on builtin pow. The OpenSSL path reuses one set of
+    registers and one pool, so this module must not be called from several
+    threads at once.
     """
     if _bn_mod_exp is None or m.bit_length() < POWMOD_MIN_BITS:
         return pow(x, e, m)
@@ -250,7 +312,7 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_probable_prime(n: int, rng: random.Random) -> bool:
     if n <= SIEVE_BOUND:
         return n in _SIEVE_PRIMES
-    if math.gcd(n, _SIEVE_PRODUCT) != 1:
+    if _has_factor_in(n, _SIEVE_PRODUCT):
         return False
     if n.bit_length() <= 78:
         for base in _MR_BASES:
@@ -480,7 +542,7 @@ def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
         q |= (1 << (bits - 2)) | 1
         p = 2 * q + 1
         # a p that is itself a small prime passes, as 8-bit groups need
-        if math.gcd(p, _DH_SCREEN_PRODUCT) != 1 and p not in _SIEVE_PRIMES:
+        if _has_factor_in(p, _DH_SCREEN_PRODUCT) and p not in _SIEVE_PRIMES:
             continue
         if not is_probable_prime(q, rng) or not is_probable_prime(p, rng):
             continue

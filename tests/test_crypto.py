@@ -265,7 +265,8 @@ def test_powmod_equals_pow_on_edge_values(bits):
     rng = random.Random(bits)
     m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
     wide = rng.getrandbits(2 * bits) | (1 << (2 * bits - 1))
-    for x in (0, 1, m - 1, m, wide):
+    # from the cut up, the first call sets m up and the rest find it prepared
+    for x in (0, 1, m - 1, m, m + 1, wide):
         for e in (0, 1, 2, crypto.RSA_PUBLIC_EXPONENT):
             assert crypto.powmod(x, e, m) == pow(x, e, m), (x, e)
 
@@ -275,7 +276,8 @@ def _hashlib_resolves_bn_symbols():
         import _hashlib
         lib = ctypes.CDLL(_hashlib.__file__)
         for name in ("BN_new", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
-                     "BN_mod_exp"):
+                     "BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
+                     "BN_mod_exp_mont"):
             getattr(lib, name)
     except (ImportError, AttributeError, OSError):
         return False
@@ -302,6 +304,38 @@ def test_powmod_runs_on_openssl_from_the_width_cut(monkeypatch):
     # a failed BN_mod_exp raises; a zero modulus makes OpenSSL's fail
     with pytest.raises(ArithmeticError):
         kernel(3, 5, 0)
+    # powmod never passes m = 1 to the kernel, which still gets it right
+    for x, e in ((0, 0), (5, 0), (0, 3), (7, 65537)):
+        assert kernel(x, e, 1) == pow(x, e, 1) == 0
+
+
+def _odd_moduli(bits, count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            for _ in range(count)]
+
+
+def test_powmod_on_one_prepared_modulus_many_times():
+    rng = random.Random(3)
+    for bits in (crypto.POWMOD_MIN_BITS, 256, 512):
+        m = _odd_moduli(bits, 1, bits)[0]
+        for _ in range(50):
+            x = rng.getrandbits(2 * bits)
+            e = rng.choice([crypto.RSA_PUBLIC_EXPONENT, rng.getrandbits(bits)])
+            assert crypto.powmod(x, e, m) == pow(x, e, m), (bits, x, e)
+
+
+def test_powmod_reuses_pool_slots_for_more_moduli_than_it_holds():
+    rng = random.Random(4)
+    # a modulus set up earlier is evicted and set up again on its return,
+    # while other moduli hold every slot in between
+    moduli = _odd_moduli(128, crypto.MONT_POOL_SIZE + 37, 5)
+    for rounds in range(2):
+        for i, m in enumerate(moduli):
+            # interleave: an early modulus returns between later ones
+            for n in (m, moduli[i // 2]):
+                x, e = rng.getrandbits(160), rng.getrandbits(128)
+                assert crypto.powmod(x, e, n) == pow(x, e, n), (rounds, i)
 
 
 # --- primality --------------------------------------------------------------
@@ -407,6 +441,37 @@ def test_primality_matches_reference_on_seeded_candidates(bits):
     cands += [p * 2039 for p in primes]    # a factor just below the bound
     for i, n in enumerate(cands):
         _same_verdict_and_draws(n, bits * 1000 + i)
+
+
+def test_primality_matches_reference_by_where_the_small_factor_lies():
+    rng = random.Random(11)
+    primes = [reference_generate_prime(bits, rng) for bits in (64, 128, 256)]
+    word = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    cases = []
+    for p in primes:
+        # the one-word screen finds these
+        cases += [f * p for f in word] + [3 * 47 * p, 45 * p, 47 ** 3 * p]
+        # only the full gcd finds these: the factors lie in 53..2039
+        cases += [f * p for f in (53, 59, 251, 257, 1021, 2027, 2039)]
+        cases += [53 * 2039 * p]
+        # even numbers pass the first stage, whose product holds no 2
+        cases += [2 * p, 4 * p, 2 * 3 * p, 2 * 2053 * p, 1 << p.bit_length()]
+    cases += [crypto.SIEVE_BOUND + 1, 2050, 2052, 2 * 2053, 2039 ** 2]
+    # numbers whose smallest factor is the first prime above either screen
+    cases += [53 * 53, 2053 * 2063, 2053 * primes[0]]
+    for i, n in enumerate(cases):
+        _same_verdict_and_draws(n, i)
+
+
+@pytest.mark.parametrize("bits", [8, 9, 10, 11])
+def test_small_dh_groups_match_reference(bits):
+    # up to 11 bits p is at most the sieve bound, so a prime p can share
+    # itself with the screen's products and pass only as a sieve prime
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert crypto._search_dh_group(bits, ours) == \
+            reference_generate_dh_group(bits, theirs), seed
+        assert ours.getstate() == theirs.getstate(), seed
 
 
 @pytest.mark.parametrize("n", [561, 2047, 3215031751,
