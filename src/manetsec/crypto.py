@@ -102,7 +102,7 @@ def _bind_bn_mod_exp():
 
     The BN_* symbols resolve through CPython's _hashlib module, so they come
     from the libcrypto it already links: nothing is installed and no second
-    OpenSSL is loaded. The four registers and the BN_CTX are allocated here,
+    OpenSSL is loaded. The three registers and the BN_CTX are allocated here,
     and each slot of the pool of prepared moduli when it is first filled;
     all are reused by every call, for the life of the process.
     """
@@ -111,7 +111,6 @@ def _bind_bn_mod_exp():
         lib = ctypes.CDLL(_hashlib.__file__)
         bn_new, ctx_new = lib.BN_new, lib.BN_CTX_new
         bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
-        mod_exp = lib.BN_mod_exp
         mont_new, mont_set = lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set
         mont_exp = lib.BN_mod_exp_mont
     except (ImportError, AttributeError, OSError):
@@ -124,11 +123,10 @@ def _bind_bn_mod_exp():
     mont_new.argtypes, mont_new.restype = [], ptr
     bin2bn.argtypes, bin2bn.restype = [c_bytes, c_int, ptr], ptr
     bn2binpad.argtypes, bn2binpad.restype = [ptr, c_bytes, c_int], c_int
-    mod_exp.argtypes, mod_exp.restype = [ptr] * 5, c_int
     mont_set.argtypes, mont_set.restype = [ptr] * 3, c_int
     mont_exp.argtypes, mont_exp.restype = [ptr] * 6, c_int
     ctx = ctx_new()
-    result, base, exponent, modulus = regs = [bn_new() for _ in range(4)]
+    result, base, exponent = regs = [bn_new() for _ in range(3)]
     if ctx is None or None in regs:
         return None
     # each odd modulus held, mapped to the (BIGNUM, BN_MONT_CTX) slot that
@@ -159,18 +157,12 @@ def _bind_bn_mod_exp():
         return slot
 
     def bn_mod_exp(x: int, e: int, m: int) -> int:
+        """x^e mod m for odd m: Montgomery reduction needs an odd modulus."""
         load(x, base)
         load(e, exponent)
-        if m & 1:
-            reg, mont = prepare(m)
-            done = mont_exp(result, base, exponent, reg, ctx, mont)
-        else:
-            # Montgomery reduction needs an odd modulus: an even one is set
-            # up afresh by BN_mod_exp, and zero makes it fail
-            load(m, modulus)
-            done = mod_exp(result, base, exponent, modulus, ctx)
-        if not done:
-            raise ArithmeticError("BN_mod_exp failed")
+        reg, mont = prepare(m)
+        if not mont_exp(result, base, exponent, reg, ctx, mont):
+            raise ArithmeticError("BN_mod_exp_mont failed")
         width = (m.bit_length() + 7) // 8
         out = ctypes.create_string_buffer(width)
         if bn2binpad(result, out, width) != width:
@@ -186,14 +178,15 @@ _bn_mod_exp = _bind_bn_mod_exp()
 def powmod(x: int, e: int, m: int) -> int:
     """x^e mod m for x >= 0, e >= 0 and m > 0: the integer pow(x, e, m) gives.
 
-    A modulus of POWMOD_MIN_BITS or more runs on OpenSSL: an odd one on
-    BN_mod_exp_mont with its pooled Montgomery context, an even one on
-    BN_mod_exp. A narrower modulus, or any modulus where the binding could
-    not be made, runs on builtin pow. The OpenSSL path reuses one set of
-    registers and one pool, so this module must not be called from several
-    threads at once.
+    An odd modulus of POWMOD_MIN_BITS or more runs on OpenSSL's
+    BN_mod_exp_mont with its pooled Montgomery context. An even or narrower
+    modulus, or any modulus where the binding could not be made, runs on
+    builtin pow; no caller passes an even one. The OpenSSL path reuses one
+    set of registers and one pool, so this module must not be called from
+    several threads at once.
     """
-    if _bn_mod_exp is None or m.bit_length() < POWMOD_MIN_BITS:
+    if (_bn_mod_exp is None or m.bit_length() < POWMOD_MIN_BITS
+            or (m & 1) == 0):
         return pow(x, e, m)
     return _bn_mod_exp(x, e, m)
 

@@ -19,8 +19,9 @@ what makes replayed or re-attributed messages detectable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import wire
 from .crypto import (
@@ -108,10 +109,16 @@ class RouteEntry:
 
 
 @dataclass
-class PendingDiscovery:
-    target_ip: str
-    params: Optional[DhParams]
-    attempt: int
+class Want:
+    """A wanted target: its attempts in flight (bct -> DH params, attempt
+    number), the newest segments waiting for a route, and whether a break
+    report restarts discovery. Each start sets that flag; a chain that gives
+    up clears it and the queue, and leaves other chains in flight."""
+    attempts: Dict[int, Tuple[Optional[DhParams], int]] = field(
+        default_factory=dict)
+    queue: Deque[wire.Segment] = field(
+        default_factory=lambda: deque(maxlen=SEND_QUEUE_LIMIT))
+    rediscover: bool = False
 
 
 class Session(NamedTuple):
@@ -139,12 +146,10 @@ class RouterNode:
         self._bct_counter = 0
         # per-peer tables are keyed by address; flows by (originator, target)
         self.routes: Dict[str, RouteEntry] = {}
-        self.pending: Dict[int, PendingDiscovery] = {}
+        self.wants: Dict[str, Want] = defaultdict(Want)
         self.flows: Dict[Tuple[str, str], FlowState] = {}
         self.seen: set = set()
         self.sessions: Dict[str, Session] = {}
-        self.active_targets: set = set()
-        self.send_queue: Dict[str, List[wire.Segment]] = {}
         self.transport = None
         self.rng = random.Random(
             derive_seed(config.master_seed, "node", config.name))
@@ -170,17 +175,17 @@ class RouterNode:
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
             exchange = dict(dh_p=params.p, dh_g=params.g, dh_payload=sealed)
         msg = self._originate(wire.KIND_RREQ, bct, dst_ip, **exchange)
-        self.pending[bct] = PendingDiscovery(dst_ip, params, _attempt)
-        self.active_targets.add(dst_ip)
+        self.wants[dst_ip].attempts[bct] = (params, _attempt)
+        self.wants[dst_ip].rediscover = True
         self.net.log(self.ip, "discovery", target=dst_ip, bct=bct,
                      attempt=_attempt, seq=self.seq)
         send_message(self, msg)
-        self.net.schedule(DISCOVERY_TIMEOUT, self._retire, bct)
+        self.net.schedule(DISCOVERY_TIMEOUT, self._retire, dst_ip, bct)
         return bct
 
     def ensure_discovery(self, dst_ip: str) -> None:
-        """Start a discovery for dst_ip unless one is already pending."""
-        if not any(pd.target_ip == dst_ip for pd in self.pending.values()):
+        """Start a discovery for dst_ip unless an attempt is in flight."""
+        if dst_ip not in self.wants or not self.wants[dst_ip].attempts:
             self.start_discovery(dst_ip)
 
     # --- sending ------------------------------------------------------------
@@ -308,16 +313,17 @@ class RouterNode:
             self.seen.add(seen_key)
         return reason
 
-    def _retire(self, bct: int) -> None:
-        """Discovery timeout: retry the attempt, or give its target up."""
-        pd = self.pending.pop(bct, None)
-        if pd is None:
+    def _retire(self, dst_ip: str, bct: int) -> None:
+        """Discovery timeout: retry the attempt, or give its chain up."""
+        want = self.wants[dst_ip]
+        attempt = want.attempts.pop(bct, None)
+        if attempt is None:
             return
-        if pd.attempt < MAX_DISCOVERY_ATTEMPTS:
-            self.start_discovery(pd.target_ip, _attempt=pd.attempt + 1)
+        if attempt[1] < MAX_DISCOVERY_ATTEMPTS:
+            self.start_discovery(dst_ip, _attempt=attempt[1] + 1)
         else:
-            self.active_targets.discard(pd.target_ip)
-            self.send_queue.pop(pd.target_ip, None)
+            want.rediscover = False
+            want.queue.clear()
 
     def _seen_key(self, core: wire.RouteCore):
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
@@ -395,16 +401,17 @@ class RouterNode:
                  origin: NodeIdentity) -> Optional[str]:
         core = msg.core
         if terminal:
-            pd = self.pending.get(core.bct_id)
-            if pd is None or origin.ip != pd.target_ip:
+            want = self.wants.get(origin.ip)
+            if want is None or core.bct_id not in want.attempts:
                 return "no_pending"
             if self.config.secure:
-                theirs = self._open_half(core.dh_payload, pd.params.p)
+                params, _ = want.attempts[core.bct_id]
+                theirs = self._open_half(core.dh_payload, params.p)
                 if theirs is None:
                     return "malformed"
                 # the replier's name was checked against the target above
                 self._store_key(origin, core.bct_id,
-                                dh_shared(theirs, pd.params), initiated=True)
+                                dh_shared(theirs, params), initiated=True)
         else:
             # a relay with no onward route drops the reply unchanged
             route = self.routes.get(core.dst_ip)
@@ -415,10 +422,12 @@ class RouterNode:
                                      FlowState(bct_id=core.bct_id))
         flow.toward_dst = sender
         if terminal:
-            del self.pending[core.bct_id]
-            self.net.log(self.ip, "discovered", target=pd.target_ip,
+            del want.attempts[core.bct_id]
+            self.net.log(self.ip, "discovered", target=origin.ip,
                          bct=core.bct_id)
-            self._flush_queue(pd.target_ip)
+            # a segment sent back to the queue waits behind the ones popped
+            for _ in range(len(want.queue)):
+                self.send_segment(origin.ip, want.queue.popleft())
             return None
         send_message(self, self._forward(msg), route.next_hop)
         return None
@@ -439,7 +448,8 @@ class RouterNode:
         if flow is not None:
             flow.toward_dst = None
         if terminal:
-            if unreachable.ip in self.active_targets:
+            want = self.wants.get(unreachable.ip)
+            if want is not None and want.rediscover:
                 self.start_discovery(unreachable.ip)
             return None
         fwd = self._forward(msg)
@@ -467,10 +477,7 @@ class RouterNode:
         if route is None:
             if self.registry.find_ip(dst_ip) is None:
                 return
-            queue = self.send_queue.setdefault(dst_ip, [])
-            if len(queue) >= SEND_QUEUE_LIMIT:
-                queue.pop(0)
-            queue.append(seg)
+            self.wants[dst_ip].queue.append(seg)
             self.ensure_discovery(dst_ip)
             return
         pkt = wire.DataPacket(self.ip, dst_ip, seg)
@@ -478,10 +485,6 @@ class RouterNode:
                                 wire.encode_message(pkt)):
             # next hop gone: forget the route, retry through a fresh discovery
             self.routes.pop(dst_ip, None)
-            self.send_segment(dst_ip, seg)
-
-    def _flush_queue(self, dst_ip: str) -> None:
-        for seg in self.send_queue.pop(dst_ip, []):
             self.send_segment(dst_ip, seg)
 
     def _on_data(self, sender: str, pkt: wire.DataPacket,

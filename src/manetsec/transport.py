@@ -204,9 +204,8 @@ class TcpEndpoint:
     # --- receive path -------------------------------------------------------------
 
     def on_segment(self, peer_ip: str, seg: wire.Segment) -> Optional[str]:
-        if self.secure:
-            if not self._tag_ok(peer_ip, seg):
-                return "tag_mismatch"
+        if self.secure and not self._tag_ok(peer_ip, seg):
+            return "tag_mismatch"
         key = (peer_ip, seg.dst_port, seg.src_port)
         conn = self.conns.get(key)
         if seg.role == wire.ROLE_SYN:
@@ -238,9 +237,7 @@ class TcpEndpoint:
 
     def _on_syn(self, peer_ip: str, seg: wire.Segment, key: ConnKey,
                 conn: Optional[Connection]) -> Optional[str]:
-        if conn is not None:
-            return "out_of_phase"
-        if seg.dst_port not in self.listening:
+        if conn is not None or seg.dst_port not in self.listening:
             return "out_of_phase"
         if self.secure:
             isn_s = self._cookie(peer_ip, seg)

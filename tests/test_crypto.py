@@ -276,8 +276,7 @@ def _hashlib_resolves_bn_symbols():
         import _hashlib
         lib = ctypes.CDLL(_hashlib.__file__)
         for name in ("BN_new", "BN_CTX_new", "BN_bin2bn", "BN_bn2binpad",
-                     "BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
-                     "BN_mod_exp_mont"):
+                     "BN_MONT_CTX_new", "BN_MONT_CTX_set", "BN_mod_exp_mont"):
             getattr(lib, name)
     except (ImportError, AttributeError, OSError):
         return False
@@ -301,8 +300,13 @@ def test_powmod_runs_on_openssl_from_the_width_cut(monkeypatch):
         assert crypto.powmod(3, 10 ** 6, m) == pow(3, 10 ** 6, m)
     assert calls == [bits for bits in POWMOD_WIDTHS
                      if bits >= crypto.POWMOD_MIN_BITS]
-    # a failed BN_mod_exp raises; a zero modulus makes OpenSSL's fail
-    with pytest.raises(ArithmeticError):
+    # a wide even modulus runs on pow and never reaches the kernel
+    calls.clear()
+    m = 1 << 255 | 0x2f5b3e9d6c1a8f46
+    assert crypto.powmod(3, 10 ** 6, m) == pow(3, 10 ** 6, m)
+    assert calls == []
+    # a failed OpenSSL step raises; a zero modulus has no Montgomery context
+    with pytest.raises(ArithmeticError, match="BN_MONT_CTX_set"):
         kernel(3, 5, 0)
     # powmod never passes m = 1 to the kernel, which still gets it right
     for x, e in ((0, 0), (5, 0), (0, 3), (7, 65537)):

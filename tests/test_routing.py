@@ -175,7 +175,8 @@ def test_originator_refuses_a_signed_reply_with_a_bad_exchange(
     assert m.verified == 1   # the reply itself verified
     assert r["a"].sessions == {}
     assert m.of("session_key") == []
-    assert list(r["a"].pending) == [bct]
+    assert {dst: list(want.attempts) for dst, want in r["a"].wants.items()} \
+        == {"t": [bct]}
     assert m.of("discovered") == []
     assert r["a"].routes == {}
 
@@ -183,7 +184,7 @@ def test_originator_refuses_a_signed_reply_with_a_bad_exchange(
 def routing_state(router):
     """A copy of everything a router keeps about routes and discoveries."""
     return copy.deepcopy({name: getattr(router, name) for name in (
-        "routes", "seen", "flows", "sessions", "pending", "seq")})
+        "routes", "seen", "flows", "sessions", "wants", "seq")})
 
 
 # each case breaks one condition the target checks: the group, the
@@ -658,8 +659,7 @@ def test_a_segment_to_an_unregistered_address_goes_nowhere():
     send_payload(r["a"], "nowhere", b"x")
     net.run(until=100)
     assert net.trace == []
-    assert r["a"].send_queue == {}
-    assert r["a"].pending == {} and not r["a"].active_targets
+    assert r["a"].wants == {}
     assert m.of("discovery") == []
 
 
@@ -689,13 +689,13 @@ def test_a_segment_to_a_next_hop_that_is_gone_is_queued_for_rediscovery():
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")])
     r["a"].start_discovery("b")
     net.run(until=10)
-    assert r["a"].pending == {}
+    assert [want.attempts for want in r["a"].wants.values()] == [{}]
     net.set_link("a", "b", up=False)
     send_payload(r["a"], "b", b"x")
     assert "b" not in r["a"].routes
-    assert [seg.payload for seg in r["a"].send_queue["b"]] == [b"x"]
-    assert [(pd.target_ip, pd.attempt)
-            for pd in r["a"].pending.values()] == [("b", 1)]
+    assert [seg.payload for seg in r["a"].wants["b"].queue] == [b"x"]
+    assert [(dst, attempt) for dst, want in r["a"].wants.items()
+            for _, attempt in want.attempts.values()] == [("b", 1)]
     last = m.of("discovery")[-1]
     assert (last.node, last.fields["target"], last.fields["attempt"]) == \
         ("a", "b", 1)
@@ -706,7 +706,7 @@ def test_the_send_queue_keeps_the_newest_segments():
     payloads = [b"%d" % i for i in range(routing.SEND_QUEUE_LIMIT + 2)]
     for data in payloads:
         send_payload(r["a"], "b", data)
-    assert [seg.payload for seg in r["a"].send_queue["b"]] == payloads[2:]
+    assert [seg.payload for seg in r["a"].wants["b"].queue] == payloads[2:]
     assert len(m.of("discovery")) == 1
 
 
@@ -790,9 +790,55 @@ def test_discovery_gives_up_after_bounded_retries():
     attempts = [ev.fields for ev in m.of("discovery")
                 if ev.fields["target"] == "f"]
     assert [d["attempt"] for d in attempts] == [1, 2, 3]
-    assert r["a"].pending == {}
-    assert not r["a"].send_queue.get("f")
+    # the record stays, with no attempt, no queue and no restart on a break
+    assert list(r["a"].wants) == ["f"]
+    want = r["a"].wants["f"]
+    assert (want.attempts, list(want.queue), want.rediscover) == \
+        ({}, [], False)
     assert r["f"].routes == {}
+
+
+def discoveries(m):
+    """(tick, bct, attempt) of each discovery started, and (tick, bct) of
+    each completed."""
+    return ([(ev.tick, ev.fields["bct"], ev.fields["attempt"])
+             for ev in m.of("discovery")],
+            [(ev.tick, ev.fields["bct"]) for ev in m.of("discovered")])
+
+
+def test_two_discoveries_toward_one_target_run_side_by_side():
+    # a second start toward a target with an attempt in flight runs a
+    # chain of its own, and both are answered
+    net, r, reg, m, keys = build(["a", "b", "c"], line("abc"), seed=3,
+                                 key_bits=128, dh_bits=32)
+    for tick in (1, 2):
+        net.schedule(tick, r["a"].start_discovery, "c")
+    net.run(until=100)
+    assert discoveries(m) == ([(1, 1, 1), (2, 2, 1)], [(5, 1), (6, 2)])
+
+
+def test_a_give_up_drops_the_queue_but_not_another_chain():
+    # f is out of reach until tick 125, past the first chain's last
+    # broadcast (tick 101); the second chain's last attempt, at tick 130,
+    # crosses the slow link to f and is answered after the first chain gave
+    # up (tick 151), but before it would itself be retired (tick 180)
+    net, r, reg, m, keys = build(["a", "b", "f"],
+                                 [("a", "b"), ("b", "f", {"latency": 12})],
+                                 seed=3, key_bits=128, dh_bits=32)
+    net.set_link("b", "f", up=False)
+    for tick in (1, 30):
+        net.schedule(tick, r["a"].start_discovery, "f")
+    net.schedule(100, send_payload, r["a"], "f", b"early")
+    net.schedule(125, net.set_link, "b", "f", True)
+    # bct 6 is in flight here, so this segment is queued behind it
+    net.schedule(152, send_payload, r["a"], "f", b"late")
+    net.run(until=400)
+    assert discoveries(m) == (
+        [(1, 1, 1), (30, 2, 1), (51, 3, 2), (80, 4, 2), (101, 5, 3),
+         (130, 6, 3)],
+        [(156, 6)])
+    # the first chain's give-up dropped the segment queued before it
+    assert r["f"].transport.received == [("a", b"late")]
 
 
 @pytest.mark.parametrize("sec_level", [0, 1])

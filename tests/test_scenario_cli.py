@@ -806,8 +806,8 @@ def test_trace_lint_accepts_the_drop_disposition_sim_writes():
         "line 1: unrecognized disposition 'dropped_by_receiver(bogus)'"]
 
 
-# --- known protocol defects (ROADMAP defects 2b and 2c) ---------------------
-# Both fail today; the fix removes the xfail marks.
+# --- known protocol defects (ROADMAP defects 2b, 2c and 2e) ----------------
+# Each fails today; the fix removes the xfail marks.
 
 def _line_doc(names, **over):
     doc = {"seed": 1, "key_bits": 256,
@@ -847,3 +847,23 @@ def test_discovery_completes_on_a_line_of_26_nodes(sec_level):
     r = scenario.run_scenario(doc)
     assert "no_pending" not in r.metrics.drops
     assert len(r.metrics.discovery_latency_ticks) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="a relay that cannot forward a "
+                   "packet back toward a discovery's originator sends its "
+                   "break report nowhere (defect 2e)")
+def test_a_break_on_the_way_back_to_the_client_is_reported():
+    doc = _line_doc(["a", "b", "c"], key_bits=128, dh_bits=32, run_until=60,
+                    events=[
+                        {"tick": 1, "kind": "start_flow", "client": "a",
+                         "server": "c", "payload": "x" * 3000},
+                        # c takes the first segment at tick 17, and relay b
+                        # finds the link to a down when it forwards c's ACK
+                        {"tick": 17, "kind": "link_down", "a": "a",
+                         "b": "b"}])
+    r = scenario.run_scenario(doc)
+    sent, = r.metrics.of("rerr_sent")
+    assert (sent.tick, sent.node) == (18, "b")
+    frames = [line.split("\t") for line in r.trace_text().splitlines()]
+    assert [(f[0], f[1], f[2]) for f in frames if f[3] == "RERR"][:1] == \
+        [("18", "b", "c")]
