@@ -21,7 +21,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import wire
 from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
                      RsaKeyPair)
-from .identity import Registry, derive_id
+from .identity import Registry, key_and_id
 from .routing import append_signer, originate, send_message
 from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
@@ -81,7 +81,7 @@ class AttackerNode:
                  spec: AttackSpec):
         self.ip = spec.attacker
         self.signing = signing
-        self.node_id = derive_id(signing.public)
+        self.key_bytes, self.node_id = key_and_id(signing.public)
         self.registry = registry
         self.net = net
         self.spec = spec
@@ -158,7 +158,15 @@ class AttackerNode:
                 msg = msg._replace(hops=(), aggregate=agg)
         elif core.kind != wire.KIND_RREP:
             return
-        send_message(self, append_signer(msg, self.signing, self.node_id))
+        self._send_as_hop(msg, wire.encode_core(msg.core))
+
+    def _send_as_hop(self, msg: wire.RouteMessage, encoded: bytes,
+                      to: Optional[str] = None) -> None:
+        """Send `msg`, whose core `encoded` encodes, with this node appended
+        as a signing hop."""
+        send_message(self, append_signer(msg, encoded, self.signing,
+                                         self.key_bytes, self.node_id),
+                     encoded, to)
 
     def _forge_reply(self, victim: str, req: wire.RouteCore) -> None:
         target = self.registry.by_ip(self.spec.dst)
@@ -167,14 +175,15 @@ class AttackerNode:
                               src_seq=self.spec.inflate_to,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
-        send_message(self, append_signer(self._fake_origin(core, target),
-                                         self.signing, self.node_id), victim)
+        encoded = wire.encode_core(core)
+        self._send_as_hop(self._fake_origin(core, encoded, target), encoded,
+                           victim)
 
-    def _fake_origin(self, core, claimed) -> wire.RouteMessage:
-        """`core` signed as if `claimed` were its origin, though with this
-        node's key, so it cannot verify."""
-        return originate(core, self.signing, self.spec.sec_level,
-                         claimed.signing_public)
+    def _fake_origin(self, core, encoded, claimed) -> wire.RouteMessage:
+        """`core` (encoded as `encoded`) signed as if `claimed` were its
+        origin, though with this node's key, so it cannot verify."""
+        return originate(core, encoded, self.signing, claimed.key_bytes,
+                         self.spec.sec_level)
 
     # --- timed forgeries ----------------------------------------------------------
 
@@ -186,8 +195,8 @@ class AttackerNode:
                               src_id=claimed.node_id, src_seq=50, bct_id=7700,
                               dst_ip=self.spec.dst, dh_p=23, dh_g=5,
                               dh_payload=sealed)
-        send_message(self, append_signer(self._fake_origin(core, claimed),
-                                         self.signing, self.node_id))
+        encoded = wire.encode_core(core)
+        self._send_as_hop(self._fake_origin(core, encoded, claimed), encoded)
 
     def _fire_fake_rerr(self) -> None:
         reporter = self.registry.by_ip(self.spec.through)
@@ -196,8 +205,9 @@ class AttackerNode:
                               src_id=reporter.node_id, src_seq=7777, bct_id=0,
                               dst_ip=self.spec.src,
                               originator_id=unreachable.node_id)
-        send_message(self, self._fake_origin(core, reporter),
-                     self.spec.through)
+        encoded = wire.encode_core(core)
+        send_message(self, self._fake_origin(core, encoded, reporter),
+                     encoded, self.spec.through)
 
     def _fire_session_hijack(self) -> None:
         # first connection, no data yet

@@ -104,7 +104,10 @@ def _bind_bn_mod_exp():
     from the libcrypto it already links: nothing is installed and no second
     OpenSSL is loaded. The three registers and the BN_CTX are allocated here,
     and each slot of the pool of prepared moduli when it is first filled;
-    all are reused by every call, for the life of the process.
+    all are reused by every call, for the life of the process. Each pointer
+    is wrapped in a c_void_p once, and every result is written to one
+    buffer, widened when a wider modulus is prepared, so a call allocates no
+    ctypes object.
     """
     try:
         import _hashlib
@@ -126,13 +129,18 @@ def _bind_bn_mod_exp():
     mont_set.argtypes, mont_set.restype = [ptr] * 3, c_int
     mont_exp.argtypes, mont_exp.restype = [ptr] * 6, c_int
     ctx = ctx_new()
-    result, base, exponent = regs = [bn_new() for _ in range(3)]
+    regs = [bn_new() for _ in range(3)]
     if ctx is None or None in regs:
         return None
+    ctx = ptr(ctx)
+    result, base, exponent = map(ptr, regs)
     # each odd modulus held, mapped to the (BIGNUM, BN_MONT_CTX) slot that
     # holds it and its Montgomery context; a dict keeps insertion order, so
     # its first key is the modulus set up longest ago
     prepared = {}
+    # results are written at the buffer's full width, zero-padded in front,
+    # so it serves every modulus no wider than the widest prepared
+    out = ctypes.create_string_buffer(1)
 
     def load(value: int, reg) -> None:
         width = (value.bit_length() + 7) // 8
@@ -141,12 +149,14 @@ def _bind_bn_mod_exp():
 
     def prepare(m: int):
         """The slot holding odd m; a new m takes the oldest slot or a new one."""
+        nonlocal out
         slot = prepared.get(m)
         if slot is None:
             if len(prepared) < MONT_POOL_SIZE:
-                slot = (bn_new(), mont_new())
+                slot = bn_new(), mont_new()
                 if None in slot:
                     raise MemoryError("BN_new or BN_MONT_CTX_new failed")
+                slot = tuple(map(ptr, slot))
             else:
                 slot = prepared.pop(next(iter(prepared)))
             reg, mont = slot
@@ -154,6 +164,9 @@ def _bind_bn_mod_exp():
             if not mont_set(mont, reg, ctx):
                 raise ArithmeticError("BN_MONT_CTX_set failed")
             prepared[m] = slot
+            width = (m.bit_length() + 7) // 8
+            if width > len(out):
+                out = ctypes.create_string_buffer(width)
         return slot
 
     def bn_mod_exp(x: int, e: int, m: int) -> int:
@@ -163,9 +176,8 @@ def _bind_bn_mod_exp():
         reg, mont = prepare(m)
         if not mont_exp(result, base, exponent, reg, ctx, mont):
             raise ArithmeticError("BN_mod_exp_mont failed")
-        width = (m.bit_length() + 7) // 8
-        out = ctypes.create_string_buffer(width)
-        if bn2binpad(result, out, width) != width:
+        size = len(out)
+        if bn2binpad(result, out, size) != size:
             raise ArithmeticError("BN_bn2binpad failed")
         return int.from_bytes(out.raw, "big")
 

@@ -19,13 +19,21 @@ class UnknownIdentityError(KeyError):
     pass
 
 
+def key_and_id(signing_public: Tuple[int, int]) -> Tuple[bytes, bytes]:
+    """A signing key's encoding (wire.encode_public), which every signer
+    hash of its holder ends with, and the node id that hashes it."""
+    key_bytes = encode_public(signing_public)
+    return key_bytes, digest(key_bytes)
+
+
 def derive_id(signing_public: Tuple[int, int]) -> bytes:
-    return digest(encode_public(signing_public))
+    return key_and_id(signing_public)[1]
 
 
 class NodeIdentity:
     """One registered node, made from its keys, so its id is the hash of
-    its signing key by construction.
+    its signing key by construction. It keeps that key's encoding,
+    `key_bytes`, so no check of the node's signatures encodes it again.
 
     `encryption_public` reads the keys on each access, so an encryption pair
     made on first use (see crypto.NodeKeys) is made only when someone
@@ -35,7 +43,7 @@ class NodeIdentity:
     def __init__(self, keys: NodeKeys, ip: str):
         self._keys = keys
         self.signing_public = keys.signing.public
-        self.node_id = derive_id(self.signing_public)
+        self.key_bytes, self.node_id = key_and_id(self.signing_public)
         self.ip = ip
 
     @property

@@ -44,7 +44,7 @@ from .crypto import (
     sas_unwind_verify,
     RsaKeyPair,
 )
-from .identity import NodeIdentity, Registry, UnknownIdentityError, derive_id
+from .identity import NodeIdentity, Registry, UnknownIdentityError, key_and_id
 from .sim import Network
 
 MAX_CASE2_HOPS = 1
@@ -53,38 +53,43 @@ MAX_DISCOVERY_ATTEMPTS = 3
 SEND_QUEUE_LIMIT = 16         # segments held per target awaiting a route
 
 
-def originate(core: wire.RouteCore, key: RsaKeyPair, sec_level: int,
-              public: Optional[Tuple[int, int]] = None) -> wire.RouteMessage:
-    """`core` as a message with no hops, signed by signer 0 and bound to
-    `public`; at level 0 it also carries that signature standalone.
+# Every `encoded` here is wire.encode_core of its message's core, made once
+# per hop by the node that makes or accepts the message.
 
-    `public` defaults to the signer's own key; a forger names another
-    node's key here, which makes the signature claim that node as origin.
+def originate(core: wire.RouteCore, encoded: bytes, key: RsaKeyPair,
+              key_bytes: bytes, sec_level: int) -> wire.RouteMessage:
+    """`core` as a message with no hops, signed by signer 0 with `key` and
+    bound to the encoded public key `key_bytes`; at level 0 it also carries
+    that signature standalone.
+
+    `key_bytes` is the signer's own key; a forger names another node's key
+    here, which makes the signature claim that node as origin.
     """
-    h = wire.signer_hash(core, (), public or key.public)
+    h = wire.signer_hash(encoded, (), key_bytes)
     agg = rsa_sign_first(h, key)
     return wire.RouteMessage(core=core, hops=(), sec_level=sec_level,
                              aggregate=agg,
                              source_sig=agg.value if sec_level == 0 else None)
 
 
-def append_signer(msg: wire.RouteMessage, key: RsaKeyPair,
-                  node_id: bytes) -> wire.RouteMessage:
-    """`msg` with `node_id` appended as a hop and its signature folded in;
-    an unsigned message (aggregate None) gets the hop and stays unsigned."""
+def append_signer(msg: wire.RouteMessage, encoded: bytes, key: RsaKeyPair,
+                  key_bytes: bytes, node_id: bytes) -> wire.RouteMessage:
+    """`msg` with `node_id` appended as a hop and its signature under `key`
+    (encoded public key `key_bytes`) folded in; an unsigned message
+    (aggregate None) gets the hop and stays unsigned."""
     hops = msg.hops + (node_id,)
     agg = msg.aggregate
     if agg is not None:
-        h = wire.signer_hash(msg.core, hops, key.public)
+        h = wire.signer_hash(encoded, hops, key_bytes)
         agg = sas_aggregate_step(agg, h, key)
     return msg._replace(hops=hops, aggregate=agg)
 
 
-def send_message(node, msg: wire.RouteMessage,
+def send_message(node, msg: wire.RouteMessage, encoded: bytes,
                  to: Optional[str] = None) -> None:
     """Send `msg` from `node` (a router or an attacker: its `net` and `ip`)
     to the neighbour `to`, or broadcast it when `to` is None."""
-    payload = wire.encode_message(msg)
+    payload = wire.encode_message(msg, encoded)
     if to is None:
         node.net.broadcast(node.ip, payload)
     else:
@@ -140,7 +145,7 @@ class RouterNode:
         self.registry = registry
         self.net = net
         self.metrics = net.metrics
-        self.node_id = derive_id(config.keys.signing.public)
+        self.key_bytes, self.node_id = key_and_id(config.keys.signing.public)
         self.ip = config.name
         self.seq = 0
         self._bct_counter = 0
@@ -174,12 +179,13 @@ class RouterNode:
                 raise ValueError("exchange group too wide for peer key")
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
             exchange = dict(dh_p=params.p, dh_g=params.g, dh_payload=sealed)
-        msg = self._originate(wire.KIND_RREQ, bct, dst_ip, **exchange)
+        msg, encoded = self._originate(wire.KIND_RREQ, bct, dst_ip,
+                                       **exchange)
         self.wants[dst_ip].attempts[bct] = (params, _attempt)
         self.wants[dst_ip].rediscover = True
         self.net.log(self.ip, "discovery", target=dst_ip, bct=bct,
                      attempt=_attempt, seq=self.seq)
-        send_message(self, msg)
+        send_message(self, msg, encoded)
         self.net.schedule(DISCOVERY_TIMEOUT, self._retire, dst_ip, bct)
         return bct
 
@@ -191,21 +197,24 @@ class RouterNode:
     # --- sending ------------------------------------------------------------
 
     def _originate(self, kind: int, bct: int, dst_ip: str,
-                   **fields) -> wire.RouteMessage:
+                   **fields) -> Tuple[wire.RouteMessage, bytes]:
         """A message from this node under its next sequence number: signed
-        as origin, and seen."""
+        as origin, and seen; with its core's encoding."""
         self.seq += 1
         core = wire.RouteCore(kind=kind, src_ip=self.ip, src_id=self.node_id,
                               src_seq=self.seq, bct_id=bct, dst_ip=dst_ip,
                               **fields)
+        encoded = wire.encode_core(core)
         self.seen.add(self._seen_key(core))
         if not self.config.secure:
             return wire.RouteMessage(core, (), self.config.sec_level,
-                                     None, None)
+                                     None, None), encoded
         self.metrics.signed += 1
-        return originate(core, self.config.keys.signing, self.config.sec_level)
+        return originate(core, encoded, self.config.keys.signing,
+                         self.key_bytes, self.config.sec_level), encoded
 
-    def _forward(self, msg: wire.RouteMessage) -> wire.RouteMessage:
+    def _forward(self, msg: wire.RouteMessage,
+                 encoded: bytes) -> wire.RouteMessage:
         """`msg` with this node appended as the newest hop and signer."""
         if not self.config.secure:
             msg = msg._replace(aggregate=None, source_sig=None)
@@ -215,17 +224,17 @@ class RouterNode:
                 value=msg.source_sig, overflow_bits=()))
         else:   # level 1 relays no standalone origin signature
             msg = msg._replace(source_sig=None)
-        msg = append_signer(msg, self.config.keys.signing, self.node_id)
+        msg = append_signer(msg, encoded, self.config.keys.signing,
+                            self.key_bytes, self.node_id)
         if msg.aggregate is not None:
             self.metrics.signed += 1
         return msg
 
     # --- verification -------------------------------------------------------
 
-    def _verify(self, msg: wire.RouteMessage, sender: str, terminal: bool,
-                origin: NodeIdentity,
+    def _verify(self, msg: wire.RouteMessage, encoded: bytes, sender: str,
+                terminal: bool, origin: NodeIdentity,
                 hop_nodes: List[NodeIdentity]) -> Optional[str]:
-        core = msg.core
         if not self.config.secure:
             return None
         if msg.sec_level != self.config.sec_level:
@@ -239,10 +248,11 @@ class RouterNode:
         if self.config.sec_level == 1:
             if agg.signer_count != len(msg.hops) + 1:
                 return "malformed"
-            publics = [origin.signing_public]
-            publics += [node.signing_public for node in hop_nodes]
-            per_signer = list(zip(wire.signer_hashes(core, msg.hops, publics),
-                                  publics))
+            signers = [origin] + hop_nodes
+            hashes = wire.signer_hashes(encoded, msg.hops,
+                                        [node.key_bytes for node in signers])
+            per_signer = [(h, node.signing_public)
+                          for h, node in zip(hashes, signers)]
             ok = sas_unwind_verify(agg, per_signer)
             self.metrics.verified += agg.signer_count
             return None if ok else "verify_failed"
@@ -258,7 +268,7 @@ class RouterNode:
             n_last = last.signing_public[0]
             if not 0 <= agg.value < n_last:
                 return "verify_failed"
-            h = wire.signer_hash(core, msg.hops, last.signing_public)
+            h = wire.signer_hash(encoded, msg.hops, last.key_bytes)
             recovered = sas_unwind_step(agg.value, h, last.signing_public,
                                         agg.overflow_bits[0])
             self.metrics.verified += 1
@@ -270,7 +280,7 @@ class RouterNode:
             n0, e0 = origin.signing_public
             if not 0 <= msg.source_sig < n0:
                 return "verify_failed"
-            h0 = wire.signer_hash(core, (), origin.signing_public)
+            h0 = wire.signer_hash(encoded, (), origin.key_bytes)
             self.metrics.verified += 1
             if rsa_public(msg.source_sig, n0, e0) != h0 % n0:
                 return "verify_failed"
@@ -300,15 +310,20 @@ class RouterNode:
         except UnknownIdentityError:
             return "unknown_identity"
         terminal = core.dst_ip == self.ip
-        reason = self._verify(msg, sender, terminal, origin, hop_nodes)
+        # the one encoding of the core at this hop: every signer hash and
+        # the forwarded frame start with it
+        encoded = wire.encode_core(core)
+        reason = self._verify(msg, encoded, sender, terminal, origin,
+                              hop_nodes)
         if reason:
             return reason
         if core.kind == wire.KIND_RREQ:
-            reason = self._on_rreq(sender, msg, terminal, origin)
+            reason = self._on_rreq(sender, msg, encoded, terminal, origin)
         elif core.kind == wire.KIND_RREP:
-            reason = self._on_rrep(sender, msg, terminal, origin)
+            reason = self._on_rrep(sender, msg, encoded, terminal, origin)
         else:
-            reason = self._on_rerr(sender, msg, terminal, origin, unreachable)
+            reason = self._on_rerr(sender, msg, encoded, terminal, origin,
+                                   unreachable)
         if reason is None:
             self.seen.add(seen_key)
         return reason
@@ -328,8 +343,8 @@ class RouterNode:
     def _seen_key(self, core: wire.RouteCore):
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
 
-    def _on_rreq(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity) -> Optional[str]:
+    def _on_rreq(self, sender: str, msg: wire.RouteMessage, encoded: bytes,
+                 terminal: bool, origin: NodeIdentity) -> Optional[str]:
         core = msg.core
         theirs = 0
         if terminal and self.config.secure:
@@ -346,7 +361,7 @@ class RouterNode:
         if terminal:
             self._answer_request(core, origin, theirs)
             return None
-        send_message(self, self._forward(msg))
+        send_message(self, self._forward(msg, encoded), encoded)
         return None
 
     def _answer_request(self, core: wire.RouteCore, origin: NodeIdentity,
@@ -358,11 +373,12 @@ class RouterNode:
             params = make_dh_params(core.dh_p, core.dh_g, self.rng)
             self._store_key(origin, core.bct_id, dh_shared(theirs, params))
             sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
-        msg = self._originate(wire.KIND_RREP, core.bct_id, core.src_ip,
-                              dst_seq=core.src_seq, dh_payload=sealed)
+        msg, encoded = self._originate(wire.KIND_RREP, core.bct_id,
+                                       core.src_ip, dst_seq=core.src_seq,
+                                       dh_payload=sealed)
         route = self.routes.get(origin.ip)
         if route is not None:
-            send_message(self, msg, route.next_hop)
+            send_message(self, msg, encoded, route.next_hop)
 
     def _check_key_exchange(self, core: wire.RouteCore,
                             origin: NodeIdentity) -> Optional[int]:
@@ -397,8 +413,8 @@ class RouterNode:
         self.net.log(self.ip, "session_key", peer=peer.ip, bct=bct,
                      key=key.value, initiated=initiated)
 
-    def _on_rrep(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity) -> Optional[str]:
+    def _on_rrep(self, sender: str, msg: wire.RouteMessage, encoded: bytes,
+                 terminal: bool, origin: NodeIdentity) -> Optional[str]:
         core = msg.core
         if terminal:
             want = self.wants.get(origin.ip)
@@ -429,11 +445,12 @@ class RouterNode:
             for _ in range(len(want.queue)):
                 self.send_segment(origin.ip, want.queue.popleft())
             return None
-        send_message(self, self._forward(msg), route.next_hop)
+        send_message(self, self._forward(msg, encoded), encoded,
+                     route.next_hop)
         return None
 
-    def _on_rerr(self, sender: str, msg: wire.RouteMessage, terminal: bool,
-                 origin: NodeIdentity,
+    def _on_rerr(self, sender: str, msg: wire.RouteMessage, encoded: bytes,
+                 terminal: bool, origin: NodeIdentity,
                  unreachable: NodeIdentity) -> Optional[str]:
         core = msg.core
         flow = self.flows.get((core.dst_ip, unreachable.ip))
@@ -452,23 +469,24 @@ class RouterNode:
             if want is not None and want.rediscover:
                 self.start_discovery(unreachable.ip)
             return None
-        fwd = self._forward(msg)
+        fwd = self._forward(msg, encoded)
         target = flow.toward_src if flow is not None else None
         if target is None:
             route = self.routes.get(core.dst_ip)
             target = route.next_hop if route else None
         if target is not None:
-            send_message(self, fwd, target)
+            send_message(self, fwd, encoded, target)
         return None
 
     def _report_break(self, src_ip: str, dst_ip: str) -> None:
         flow = self.flows.get((src_ip, dst_ip))
         unreachable = self.registry.by_ip(dst_ip)
-        msg = self._originate(wire.KIND_RERR, flow.bct_id if flow else 0,
-                              src_ip, originator_id=unreachable.node_id)
+        msg, encoded = self._originate(wire.KIND_RERR,
+                                       flow.bct_id if flow else 0, src_ip,
+                                       originator_id=unreachable.node_id)
         self.net.log(self.ip, "rerr_sent")
         if flow is not None and flow.toward_src is not None:
-            send_message(self, msg, flow.toward_src)
+            send_message(self, msg, encoded, flow.toward_src)
 
     # --- data path ----------------------------------------------------------
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple
 
 from .crypto import derive_seed
@@ -35,8 +33,6 @@ DROP_REASONS = ("bad_ack_number", "duplicate", "id_mismatch", "malformed",
                 "tag_mismatch", "unknown_identity", "verify_failed")
 _DISPOSITION = {r: "dropped_by_receiver(%s)" % r for r in DROP_REASONS}
 _REASON = {d: r for r, d in _DISPOSITION.items()}
-_TRACE_LINE = "%d\t%s\t%s\t%s\t%d\t%s\n"
-_TRACE_FIELDS = attrgetter("tick", "src", "dst", "kind", "size", "disposition")
 
 
 class Event(NamedTuple):
@@ -255,8 +251,7 @@ class Network:
         self.metrics.events.append(Event(self.tick, node, kind, fields))
 
     def trace_text(self) -> str:
-        """One tab-separated line per record, each ending in a newline,
-        formatted in one pass from one flat tuple of the records' fields."""
-        trace = self.trace
-        return (_TRACE_LINE * len(trace)) % tuple(
-            chain.from_iterable(map(_TRACE_FIELDS, trace)))
+        """One tab-separated line per record, each ending in a newline: one
+        f-string per record, joined once."""
+        return "".join([f"{r.tick}\t{r.src}\t{r.dst}\t{r.kind}\t{r.size}"
+                        f"\t{r.disposition}\n" for r in self.trace])

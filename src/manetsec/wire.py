@@ -231,8 +231,8 @@ def _read_core(data: bytes, pos: int) -> Tuple[RouteCore, int]:
                      dh_p, dh_g, dh_payload, originator_id), pos
 
 
-def _encode_route_message(msg: RouteMessage) -> bytes:
-    out = bytearray(encode_core(msg.core))
+def _encode_route_message(msg: RouteMessage, encoded: bytes) -> bytes:
+    out = bytearray(encoded)
     out += _encode_uint(len(msg.hops), 4)
     for hop in msg.hops:
         if len(hop) != DIGEST_BYTES:
@@ -364,13 +364,18 @@ class _Frame(bytes):
 _CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
 
 
-def encode_message(msg: Message) -> bytes:
+def encode_message(msg: Message, encoded: Optional[bytes] = None) -> bytes:
+    """The frame of `msg`. A route message's frame starts with its core's
+    encoding: a caller that made encode_core(msg.core) for a signer hash
+    passes it as `encoded`, and it is not made again."""
     kind = type(msg)
     if kind is DataPacket:
         return _encode_envelope(msg)
     if kind is not RouteMessage:
         raise TypeError("cannot encode %r" % kind)
-    data = _encode_route_message(msg)
+    if encoded is None:
+        encoded = encode_core(msg.core)
+    data = _encode_route_message(msg, encoded)
     if _decodes_to_itself(msg):
         data = _Frame(data)
         data.msg = msg
@@ -500,32 +505,31 @@ def describe(data: bytes) -> str:
 
 # --- signer hashes -----------------------------------------------------------
 
-def signer_hash(core: RouteCore, hops: Tuple[bytes, ...],
-                public: Tuple[int, int]) -> int:
-    """Hash that the newest signer signs: the core, the hop records up to
-    and including its own (none for the originator), and its own key; each
-    appended hop extends the signed bytes by exactly its record."""
-    return digest_int(digest(encode_core(core) + b"".join(hops)
-                             + encode_public(public)))
+def signer_hash(encoded: bytes, hops: Tuple[bytes, ...], key: bytes) -> int:
+    """Hash that the newest signer signs: the encoded core (encode_core), the
+    hop records up to and including its own (none for the originator), and
+    its own encoded key (encode_public); each appended hop extends the signed
+    bytes by exactly its record."""
+    return digest_int(digest(encoded + b"".join(hops) + key))
 
 
-def signer_hashes(core: RouteCore, hops: Tuple[bytes, ...],
-                  publics: Sequence[Tuple[int, int]]) -> List[int]:
-    """signer_hash(core, hops[:i], publics[i]) for every signer i of a chain.
+def signer_hashes(encoded: bytes, hops: Tuple[bytes, ...],
+                  keys: Sequence[bytes]) -> List[int]:
+    """signer_hash(encoded, hops[:i], keys[i]) for every signer i of a chain.
 
-    One running hash takes the core and then one hop per signer, and is
-    copied for each signer's key, so a chain of k hops hashes O(k) bytes
-    instead of re-hashing every prefix.
+    One running hash takes the encoded core and then one hop per signer,
+    and is copied for each signer's encoded key, so a chain of k hops
+    hashes O(k) bytes instead of re-hashing every prefix.
     """
-    if len(publics) != len(hops) + 1:
+    if len(keys) != len(hops) + 1:
         raise ValueError("%d public keys for %d signers"
-                         % (len(publics), len(hops) + 1))
-    running = digest_stream(encode_core(core))
+                         % (len(keys), len(hops) + 1))
+    running = digest_stream(encoded)
     out = []
-    for i, public in enumerate(publics):
+    for i, key in enumerate(keys):
         if i:
             running.update(hops[i - 1])
         h = running.copy()
-        h.update(encode_public(public))
+        h.update(key)
         out.append(digest_int(h.digest()))
     return out

@@ -332,13 +332,18 @@ def test_powmod_on_one_prepared_modulus_many_times():
 def test_powmod_reuses_pool_slots_for_more_moduli_than_it_holds():
     rng = random.Random(4)
     # a modulus set up earlier is evicted and set up again on its return,
-    # while other moduli hold every slot in between
-    moduli = _odd_moduli(128, crypto.MONT_POOL_SIZE + 37, 5)
+    # while other moduli hold every slot in between; the widths cycle with
+    # a period that does not divide the pool's size, so each slot passes,
+    # in FIFO order, to a modulus narrower or wider than the one before
+    widths = (80, 1024, 128, 512, 96, 768, 256)
+    moduli = [_odd_moduli(widths[i % len(widths)], 1, 5 + i)[0]
+              for i in range(crypto.MONT_POOL_SIZE + 37)]
     for rounds in range(2):
         for i, m in enumerate(moduli):
             # interleave: an early modulus returns between later ones
             for n in (m, moduli[i // 2]):
-                x, e = rng.getrandbits(160), rng.getrandbits(128)
+                x = rng.getrandbits(n.bit_length() + 32)
+                e = rng.getrandbits(128)
                 assert crypto.powmod(x, e, n) == pow(x, e, n), (rounds, i)
 
 

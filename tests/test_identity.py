@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from manetsec import crypto, identity
+from manetsec import crypto, identity, wire
 from manetsec.identity import NodeIdentity, Registry, UnknownIdentityError
 
 
@@ -29,6 +29,12 @@ def test_derive_id_matches_documented_concatenation():
     blob = b"\x00\x00\x00\x01\xbb" + b"\x00\x00\x00\x01\x07"
     assert node_id == hashlib.sha256(blob).digest()
     assert len(node_id) == 32
+
+
+def test_an_identity_keeps_the_key_bytes_its_id_hashes():
+    ident, signing, _ = _node(3, "n0")
+    assert ident.key_bytes == wire.encode_public(signing.public)
+    assert ident.node_id == hashlib.sha256(ident.key_bytes).digest()
 
 
 def test_derive_id_distinguishes_keys():

@@ -34,6 +34,18 @@ def line(names):
     return list(zip(names, names[1:]))
 
 
+def signer_hash(core, hops, public):
+    """wire.signer_hash of `core` and `hops` for the holder of `public`."""
+    return wire.signer_hash(wire.encode_core(core), hops,
+                            wire.encode_public(public))
+
+
+def originate(core, key, sec_level):
+    """routing.originate of `core` by the holder of `key`, bound to it."""
+    return routing.originate(core, wire.encode_core(core), key,
+                             wire.encode_public(key.public), sec_level)
+
+
 @contextlib.contextmanager
 def registry_calls(*methods):
     """A list of (method, calling function) for each call made, inside the
@@ -101,7 +113,7 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
 
 def signed_by_origin(core, key, sec_level):
     """`core` as a correctly signed 0-hop message from its originator."""
-    return wire.encode_message(routing.originate(core, key, sec_level))
+    return wire.encode_message(originate(core, key, sec_level))
 
 
 # p = 23 = 2 * 11 + 1 is a safe prime and g = 5 lies in [2, p - 2]; each case
@@ -310,9 +322,9 @@ def test_impersonated_origin_fails_final_check():
                           dst_ip="b", dh_p=23, dh_g=5,
                           dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
     hops = (m_id,)
-    fake_origin = rsa_sign_first(wire.signer_hash(core, (), a_pub), m_sig)
+    fake_origin = rsa_sign_first(signer_hash(core, (), a_pub), m_sig)
     agg = sas_aggregate_step(fake_origin,
-                             wire.signer_hash(core, hops, m_sig.public),
+                             signer_hash(core, hops, m_sig.public),
                              m_sig)
     msg = wire.RouteMessage(core=core, hops=hops, sec_level=1,
                             aggregate=agg, source_sig=None)
@@ -335,9 +347,10 @@ def test_a_tampered_copy_fails_after_the_honest_copy_was_verified(sec_level):
                           src_id=reg.by_ip("a").node_id, src_seq=3,
                           bct_id=11, dst_ip="d", dh_p=23, dh_g=5,
                           dh_payload=9)
+    relay = reg.by_ip("m")
     honest = routing.append_signer(
-        routing.originate(core, keys["a"].signing, sec_level),
-        keys["m"].signing, reg.by_ip("m").node_id)
+        originate(core, keys["a"].signing, sec_level), wire.encode_core(core),
+        keys["m"].signing, relay.key_bytes, relay.node_id)
     agg = honest.aggregate
     tampered = honest._replace(
         aggregate=AggregateSignature(agg.value + 1, agg.overflow_bits))
@@ -367,7 +380,7 @@ def test_claimed_last_hop_must_match_physical_sender():
                           src_id=r["a"].node_id, src_seq=5, bct_id=42,
                           dst_ip="b", dh_p=23, dh_g=5,
                           dh_payload=rsa_encrypt(8, keys["b"].encryption.public))
-    sig = rsa_sign_first(wire.signer_hash(core, (), keys["a"].signing.public),
+    sig = rsa_sign_first(signer_hash(core, (), keys["a"].signing.public),
                          keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)
@@ -440,7 +453,7 @@ def test_unknown_origin_identity_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="zz",
                           src_id=b"\x42" * 32, src_seq=1, bct_id=1,
                           dst_ip="b", dh_p=23, dh_g=5, dh_payload=9)
-    sig = rsa_sign_first(wire.signer_hash(core, (), keys["m"].signing.public),
+    sig = rsa_sign_first(signer_hash(core, (), keys["m"].signing.public),
                          keys["m"].signing)
     msg = wire.RouteMessage(core=core, hops=(), sec_level=1,
                             aggregate=sig, source_sig=None)
@@ -633,7 +646,7 @@ def test_break_report_from_off_path_node_is_rejected():
     core = wire.RouteCore(kind=wire.KIND_RERR, src_ip="x", src_id=x.node_id,
                           src_seq=x.seq, bct_id=1, dst_ip="a",
                           originator_id=c_id)
-    msg = routing.originate(core, keys["x"].signing, sec_level=1)
+    msg = originate(core, keys["x"].signing, sec_level=1)
     net.unicast("x", "b", wire.encode_message(msg))
     net.run(until=20)
 
@@ -817,11 +830,16 @@ def test_two_discoveries_toward_one_target_run_side_by_side():
     assert discoveries(m) == ([(1, 1, 1), (2, 2, 1)], [(5, 1), (6, 2)])
 
 
-def test_a_give_up_drops_the_queue_but_not_another_chain():
-    # f is out of reach until tick 125, past the first chain's last
-    # broadcast (tick 101); the second chain's last attempt, at tick 130,
-    # crosses the slow link to f and is answered after the first chain gave
-    # up (tick 151), but before it would itself be retired (tick 180)
+def two_chains_toward_f():
+    """(net, routers, metrics) of a line a-b-f where a starts two chains of
+    discoveries toward f, which comes into reach after the first gives up.
+
+    f is out of reach until tick 125, past the first chain's last
+    broadcast (tick 101); the second chain's last attempt, at tick 130,
+    crosses the slow link to f and is answered after the first chain gave
+    up (tick 151), but before it would itself be retired (tick 180). A
+    segment for f is sent at tick 100, and one at tick 152.
+    """
     net, r, reg, m, keys = build(["a", "b", "f"],
                                  [("a", "b"), ("b", "f", {"latency": 12})],
                                  seed=3, key_bits=128, dh_bits=32)
@@ -832,6 +850,11 @@ def test_a_give_up_drops_the_queue_but_not_another_chain():
     net.schedule(125, net.set_link, "b", "f", True)
     # bct 6 is in flight here, so this segment is queued behind it
     net.schedule(152, send_payload, r["a"], "f", b"late")
+    return net, r, m
+
+
+def test_a_give_up_drops_the_queue_but_not_another_chain():
+    net, r, m = two_chains_toward_f()
     net.run(until=400)
     assert discoveries(m) == (
         [(1, 1, 1), (30, 2, 1), (51, 3, 2), (80, 4, 2), (101, 5, 3),
@@ -839,6 +862,40 @@ def test_a_give_up_drops_the_queue_but_not_another_chain():
         [(156, 6)])
     # the first chain's give-up dropped the segment queued before it
     assert r["f"].transport.received == [("a", b"late")]
+
+
+@pytest.mark.xfail(strict=True, reason="the first chain's give-up clears "
+                   "the restart flag, and the second chain's success does "
+                   "not set it again")
+def test_a_target_found_by_a_later_chain_is_rediscovered_on_a_break():
+    net, r, m = two_chains_toward_f()
+    net.run(until=200)
+    assert r["a"].routes["f"].next_hop == "b"
+    assert r["a"].wants["f"].rediscover
+
+
+def test_a_hop_encodes_each_route_core_once_and_no_key():
+    # on a secure level-1 line, a route message's core is encoded once where
+    # it is made and once at each node that accepts it, for every signer
+    # hash there and the frame sent on; every key is encoded when its node
+    # is built, never during the run
+    names = list("abcde")
+    net, r, reg, m, keys = build(names, line(names))
+    net.schedule(1, r["a"].start_discovery, "e")
+    publics = mock.Mock(wraps=wire.encode_public)
+    with mock.patch.object(wire, "encode_core",
+                           wraps=wire.encode_core) as cores, \
+            mock.patch.object(wire, "encode_public", publics), \
+            mock.patch.object(identity, "encode_public", publics):
+        net.run(until=40)
+    assert m.discovery_latency_ticks == [8]
+    accepted = [rec for rec in net.trace
+                if rec.kind in wire.ROUTE_KIND_NAMES.values()
+                and rec.disposition == "delivered"]
+    assert len(accepted) == 8
+    # a's request and e's reply, and each copy accepted
+    assert cores.call_count == 2 + len(accepted)
+    assert publics.call_count == 0
 
 
 @pytest.mark.parametrize("sec_level", [0, 1])

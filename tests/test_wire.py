@@ -237,19 +237,22 @@ def test_signing_view_grows_by_exactly_one_record():
     hops = (ID_A, ID_B, ID_C)
     public = (187, 7)
     key = b"\x00\x00\x00\x01\xbb" + b"\x00\x00\x00\x01\x07"
-    view = wire.encode_core(core)
+    encoded = wire.encode_core(core)
+    assert wire.encode_public(public) == key
+    view = encoded
     for i in range(4):
         if i:
             view += hops[i - 1]   # each hop adds exactly its record
         want = int.from_bytes(hashlib.sha256(view + key).digest(), "big")
-        assert wire.signer_hash(core, hops[:i], public) == want
+        assert wire.signer_hash(encoded, hops[:i], key) == want
     assert len(view) == len(wire.encode_core(core)) + 3 * 32
 
 
 def test_signer_hash_binds_public_key():
     core = _rreq()
-    h1 = wire.signer_hash(core, (), (187, 7))
-    h2 = wire.signer_hash(core, (), (143, 7))
+    encoded = wire.encode_core(core)
+    h1 = wire.signer_hash(encoded, (), wire.encode_public((187, 7)))
+    h2 = wire.signer_hash(encoded, (), wire.encode_public((143, 7)))
     assert h1 != h2
     # oracle: recompute with hashlib over the documented concatenation
     view = wire.encode_core(core)
@@ -262,15 +265,17 @@ def test_signer_hashes_equal_per_index_signer_hash():
     for k in range(15):
         hops = tuple(rng.randbytes(32) for _ in range(k))
         publics = [(rng.getrandbits(128) | 1, 65537) for _ in range(k + 1)]
-        core = _rreq(src_seq=k)
-        want = [wire.signer_hash(core, hops[:i], publics[i])
+        encoded = wire.encode_core(_rreq(src_seq=k))
+        keys = [wire.encode_public(public) for public in publics]
+        want = [wire.signer_hash(encoded, hops[:i], keys[i])
                 for i in range(k + 1)]
-        assert wire.signer_hashes(core, hops, publics) == want
+        assert wire.signer_hashes(encoded, hops, keys) == want
 
 
 def test_signer_hashes_need_one_key_per_signer():
     with pytest.raises(ValueError):
-        wire.signer_hashes(_rreq(), (ID_B,), [(187, 7)])
+        wire.signer_hashes(wire.encode_core(_rreq()), (ID_B,),
+                           [wire.encode_public((187, 7))])
 
 
 # --- segments ---------------------------------------------------------------
