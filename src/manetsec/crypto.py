@@ -66,7 +66,8 @@ def _has_factor_in(n: int, product: int) -> bool:
 
 
 # Deterministic Miller-Rabin bases. Together they decide primality only
-# below 3.18 * 10^23, about 2^78 (Sorenson and Webster, 2015). Above 78 bits
+# below 3.18 * 10^23, about 2^78 (Sorenson and Webster, 2015), so only
+# numbers of at most MR_FIXED_BITS bits run them all. Above 78 bits
 # they bound nothing against a crafted composite, which can be a strong
 # pseudoprime to every base up to a chosen limit (Arnault, 1995): there
 # base 2 is a cheap screen, and the 4^-8 bound comes from 8 bases drawn from
@@ -74,6 +75,7 @@ def _has_factor_in(n: int, product: int) -> bool:
 # draws differ from those of the full 12-base test only on a composite that
 # is a strong pseudoprime to base 2, where this test now draws.
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+MR_FIXED_BITS = 78
 
 
 # --- modular exponentiation -------------------------------------------------
@@ -319,7 +321,7 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
         return n in _SIEVE_PRIMES
     if _has_factor_in(n, _SIEVE_PRODUCT):
         return False
-    if n.bit_length() <= 78:
+    if n.bit_length() <= MR_FIXED_BITS:
         for base in _MR_BASES:
             if not _miller_rabin(n, base):
                 return False
@@ -542,14 +544,34 @@ def generate_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
 
 
 def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
+    """The search generate_dh_group memoizes.
+
+    Up to MR_FIXED_BITS bits, where both q and p are past the sieve and no
+    test draws from the stream, the pair is tested cheapest first: one
+    small-prime screen of q * p, then both base-2 rounds, then the other
+    fixed bases. Nearly every candidate q that is prime has a composite p,
+    which its base-2 round ends, so the pair pays one or two rounds where
+    testing q fully first paid twelve. Each test is a pure function of its
+    number, so the pair passes exactly when is_probable_prime passes both,
+    and the groups and the stream stay as they were. Wider pairs keep the
+    old order: p's screen by the primes up to 251 (a p that is itself a
+    small prime passes), then is_probable_prime on q and on p, since its
+    drawn bases move the stream."""
+    fixed = SIEVE_BOUND.bit_length() < bits <= MR_FIXED_BITS
     while True:
         q = rng.getrandbits(bits - 1)
         q |= (1 << (bits - 2)) | 1
         p = 2 * q + 1
-        # a p that is itself a small prime passes, as 8-bit groups need
-        if _has_factor_in(p, _DH_SCREEN_PRODUCT) and p not in _SIEVE_PRIMES:
-            continue
-        if not is_probable_prime(q, rng) or not is_probable_prime(p, rng):
+        if fixed:
+            if (_has_factor_in(q * p, _SIEVE_PRODUCT)
+                    or not all(_miller_rabin(q, base)
+                               and _miller_rabin(p, base)
+                               for base in _MR_BASES)):
+                continue
+        elif ((_has_factor_in(p, _DH_SCREEN_PRODUCT)
+               and p not in _SIEVE_PRIMES)   # as 8-bit groups need
+              or not is_probable_prime(q, rng)
+              or not is_probable_prime(p, rng)):
             continue
         for g in (2, 3, 5, 7, 11, 13):
             if powmod(g, 2, p) != 1 and powmod(g, q, p) != 1:

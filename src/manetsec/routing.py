@@ -76,13 +76,14 @@ def append_signer(msg: wire.RouteMessage, encoded: bytes, key: RsaKeyPair,
                   key_bytes: bytes, node_id: bytes) -> wire.RouteMessage:
     """`msg` with `node_id` appended as a hop and its signature under `key`
     (encoded public key `key_bytes`) folded in; an unsigned message
-    (aggregate None) gets the hop and stays unsigned."""
-    hops = msg.hops + (node_id,)
-    agg = msg.aggregate
+    (aggregate None) gets the hop and stays unsigned. Built once, by
+    position."""
+    core, hops, sec_level, agg, source_sig = msg
+    hops += (node_id,)
     if agg is not None:
         h = wire.signer_hash(encoded, hops, key_bytes)
         agg = sas_aggregate_step(agg, h, key)
-    return msg._replace(hops=hops, aggregate=agg)
+    return wire.RouteMessage(core, hops, sec_level, agg, source_sig)
 
 
 def send_message(node, msg: wire.RouteMessage, encoded: bytes,
@@ -215,20 +216,26 @@ class RouterNode:
 
     def _forward(self, msg: wire.RouteMessage,
                  encoded: bytes) -> wire.RouteMessage:
-        """`msg` with this node appended as the newest hop and signer."""
+        """`msg` with this node appended as the newest hop and signer, built
+        once, by position. A secure message reaches here verified at this
+        node's level, so it holds an aggregate, and at level 0 an origin
+        signature."""
+        core, hops, sec_level, agg, source_sig = msg
         if not self.config.secure:
-            msg = msg._replace(aggregate=None, source_sig=None)
-        elif self.config.sec_level == 0:
+            return wire.RouteMessage(core, hops + (self.node_id,), sec_level,
+                                     None, None)
+        if sec_level == 0:
             # strip the predecessor, rebind over the origin signature
-            msg = msg._replace(hops=(), aggregate=AggregateSignature(
-                value=msg.source_sig, overflow_bits=()))
+            hops, agg = (), AggregateSignature(value=source_sig,
+                                               overflow_bits=())
         else:   # level 1 relays no standalone origin signature
-            msg = msg._replace(source_sig=None)
-        msg = append_signer(msg, encoded, self.config.keys.signing,
-                            self.key_bytes, self.node_id)
-        if msg.aggregate is not None:
-            self.metrics.signed += 1
-        return msg
+            source_sig = None
+        hops += (self.node_id,)
+        h = wire.signer_hash(encoded, hops, self.key_bytes)
+        self.metrics.signed += 1
+        return wire.RouteMessage(
+            core, hops, sec_level,
+            sas_aggregate_step(agg, h, self.config.keys.signing), source_sig)
 
     # --- verification -------------------------------------------------------
 

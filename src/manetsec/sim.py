@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, NamedTuple
 
 from .crypto import derive_seed
 from . import wire
+from .wire import _Frame
 
 ROUTING_KINDS = frozenset(wire.ROUTE_KIND_NAMES.values())
 SEGMENT_KINDS = frozenset(wire.ROLE_NAMES.values())
@@ -33,6 +34,7 @@ DROP_REASONS = ("bad_ack_number", "duplicate", "id_mismatch", "malformed",
                 "tag_mismatch", "unknown_identity", "verify_failed")
 _DISPOSITION = {r: "dropped_by_receiver(%s)" % r for r in DROP_REASONS}
 _REASON = {d: r for r, d in _DISPOSITION.items()}
+TEXT_CHUNK = 4096   # trace records formatted per join in trace_text
 
 
 class Event(NamedTuple):
@@ -135,6 +137,7 @@ class Network:
         self._links: Dict[str, Dict[str, LinkState]] = {}
         self._neighbors: Dict[str, List[str]] = {}
         self._loss_rng = random.Random(derive_seed(seed, "loss"))
+        self._delivery = self._deliver   # bound once, queued per frame
 
     # --- topology ---------------------------------------------------------
 
@@ -175,25 +178,31 @@ class Network:
     def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
         """Call fn(*args) `delay` ticks from now, after every call already
         due then; a delay-0 call made during a tick runs later that tick."""
-        tick = self.tick + delay
+        self._calls_at(self.tick + delay).append((fn, args))
+
+    def _calls_at(self, tick: int) -> list:
+        """The list of calls due at `tick`, opened if it has none yet."""
         calls = self._due.get(tick)
         if calls is None:
-            self._due[tick] = [(fn, args)]
+            calls = self._due[tick] = []
             heapq.heappush(self._ticks, tick)
-        else:
-            calls.append((fn, args))
+        return calls
 
     # --- transmission -------------------------------------------------------
 
     def _transmit(self, src: str, dst: str, payload: bytes,
                   link: LinkState) -> None:
-        rec = TraceRecord(self.tick, src, dst, wire.describe(payload),
+        """Trace one frame and queue its delivery. A frame the encoder made
+        carries its label; other bytes are labelled by wire.describe."""
+        rec = TraceRecord(self.tick, src, dst,
+                          payload.label if type(payload) is _Frame
+                          else wire.describe(payload),
                           len(payload), "lost")
         self.trace.append(rec)
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
-        self.schedule(link.latency, self._deliver, src, dst, payload, link,
-                      rec)
+        self._calls_at(self.tick + link.latency).append(
+            (self._delivery, (src, dst, payload, link, rec)))
 
     def broadcast(self, src: str, payload: bytes) -> None:
         links = self._links[src]
@@ -252,6 +261,11 @@ class Network:
 
     def trace_text(self) -> str:
         """One tab-separated line per record, each ending in a newline: one
-        f-string per record, joined once."""
-        return "".join([f"{r.tick}\t{r.src}\t{r.dst}\t{r.kind}\t{r.size}"
-                        f"\t{r.disposition}\n" for r in self.trace])
+        f-string per record, joined per chunk of TEXT_CHUNK records, so at
+        most one chunk's line strings are alive at once, and the chunks
+        joined once."""
+        trace = self.trace
+        return "".join(["".join([
+            f"{r.tick}\t{r.src}\t{r.dst}\t{r.kind}\t{r.size}"
+            f"\t{r.disposition}\n" for r in trace[i:i + TEXT_CHUNK]])
+            for i in range(0, len(trace), TEXT_CHUNK)])

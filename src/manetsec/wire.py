@@ -167,31 +167,63 @@ class DataPacket(NamedTuple):
 Message = Union[RouteMessage, DataPacket]
 
 
+# The fixed-width runs of a core: kind and src_ip's length; src_seq,
+# bct_id and dst_ip's length; a reply's dst_seq. Of a route message: the
+# hop count; the signature-mode byte, the level and the signer count; the
+# overflow-bit count. An unsigned message's run is a constant per level.
+_CORE_HEAD = struct.Struct(">BH")
+_CORE_SEQS = struct.Struct(">QQH")
+_U64 = struct.Struct(">Q")
+_U32 = struct.Struct(">I")
+_CHAIN_HEAD = struct.Struct(">BBI")
+_UNSIGNED = (_CHAIN_HEAD.pack(1, 0, 0), _CHAIN_HEAD.pack(0, 1, 0))
+
+
 def encode_core(core: RouteCore) -> bytes:
-    if core.kind not in ROUTE_KIND_NAMES:
-        raise ValueError("unknown routing kind %r" % core.kind)
-    if len(core.src_id) != DIGEST_BYTES:
+    """A core's bytes, each run of fixed-width fields packed at once and the
+    whole joined once. A field that does not fit raises the ValueError of
+    the first bad field in frame order, from _raise_core_error."""
+    (kind, src_ip, src_id, src_seq, bct_id, dst_ip, dst_seq, dh_p, dh_g,
+     dh_payload, originator_id) = core
+    if kind not in ROUTE_KIND_NAMES:
+        raise ValueError("unknown routing kind %r" % kind)
+    if len(src_id) != DIGEST_BYTES:
         raise ValueError("source id must be %d bytes" % DIGEST_BYTES)
     _require_defaults(core)
-    out = bytearray()
-    out += bytes([core.kind])
-    out += _encode_token(core.src_ip)
-    out += core.src_id
-    out += _encode_uint(core.src_seq, 8)
-    out += _encode_uint(core.bct_id, 8)
-    out += _encode_token(core.dst_ip)
-    if core.kind == KIND_RREQ:
-        out += encode_bigint(core.dh_p)
-        out += encode_bigint(core.dh_g)
-        out += encode_bigint(core.dh_payload)
-    elif core.kind == KIND_RREP:
-        out += _encode_uint(core.dst_seq, 8)
-        out += encode_bigint(core.dh_payload)
-    else:
-        if len(core.originator_id) != DIGEST_BYTES:
+    try:
+        src = src_ip.encode("utf-8")
+        dst = dst_ip.encode("utf-8")
+        head = (_CORE_HEAD.pack(kind, len(src)), src, src_id,
+                _CORE_SEQS.pack(src_seq, bct_id, len(dst)), dst)
+        if kind == KIND_RREQ:
+            return b"".join(head + (encode_bigint(dh_p), encode_bigint(dh_g),
+                                    encode_bigint(dh_payload)))
+        if kind == KIND_RREP:
+            return b"".join(head + (_U64.pack(dst_seq),
+                                    encode_bigint(dh_payload)))
+        if len(originator_id) != DIGEST_BYTES:
             raise ValueError("error reports need a 32-byte originator id")
-        out += core.originator_id
-    return bytes(out)
+        return b"".join(head + (originator_id,))
+    except (struct.error, ValueError):
+        _raise_core_error(core)
+        raise
+
+
+def _raise_core_error(core: RouteCore) -> None:
+    """Raise the ValueError of a core's first bad field, in frame order:
+    each token, sequence number and integer checked one at a time."""
+    _encode_token(core.src_ip)
+    _encode_uint(core.src_seq, 8)
+    _encode_uint(core.bct_id, 8)
+    _encode_token(core.dst_ip)
+    if core.kind == KIND_RREQ:
+        for value in (core.dh_p, core.dh_g, core.dh_payload):
+            encode_bigint(value)
+    elif core.kind == KIND_RREP:
+        _encode_uint(core.dst_seq, 8)
+        encode_bigint(core.dh_payload)
+    elif len(core.originator_id) != DIGEST_BYTES:
+        raise ValueError("error reports need a 32-byte originator id")
 
 
 def _require_defaults(core: RouteCore) -> None:
@@ -232,38 +264,70 @@ def _read_core(data: bytes, pos: int) -> Tuple[RouteCore, int]:
 
 
 def _encode_route_message(msg: RouteMessage, encoded: bytes) -> bytes:
-    out = bytearray(encoded)
-    out += _encode_uint(len(msg.hops), 4)
-    for hop in msg.hops:
+    """A route message's frame after its core's `encoded`, checked and
+    packed in one pass, with the checks of a field-by-field encoder in
+    frame order: each hop's width, the level, the aggregate's value and
+    overflow bits, the standalone signature. Each run of fixed-width fields
+    is one struct pack and the frame is one join. As for an envelope, the
+    frame carries the message only when every field has its exact type, so
+    that a strict parse gives it back type for type: the core's fields
+    through chained `is` tests, each hop in the loop that checks its width,
+    and the overflow bits by a count made in C."""
+    core, hops, sec_level, agg, sig = msg
+    exact = (type(core) is RouteCore and type(hops) is tuple
+             and type(sec_level) is int and _exact_core(core))
+    for hop in hops:
         if len(hop) != DIGEST_BYTES:
             raise ValueError("hop records are 32-byte ids")
-        out += hop
-    if msg.sec_level not in (0, 1):
-        raise ValueError("bad security level %r" % msg.sec_level)
-    out += bytes([1 - msg.sec_level, msg.sec_level])
-    agg = msg.aggregate
+        if type(hop) is not bytes:
+            exact = False
+    if sec_level not in (0, 1):
+        raise ValueError("bad security level %r" % sec_level)
+    parts = [encoded, _U32.pack(len(hops)), *hops]
     if agg is None:
-        out += _encode_uint(0, 4)
+        parts.append(_UNSIGNED[sec_level])
     else:
-        out += _encode_uint(agg.signer_count, 4)
-        out += encode_bigint(agg.value)
-        out += _encode_uint(len(agg.overflow_bits), 4)
-        out += _pack_bits(agg.overflow_bits)
-    if msg.source_sig is None:
-        out += b"\x00"
+        bits = agg.overflow_bits
+        parts += (_CHAIN_HEAD.pack(1 - sec_level, sec_level,
+                                   agg.signer_count),
+                  encode_bigint(agg.value), _U32.pack(len(bits)),
+                  _pack_bits(bits))
+        exact = (exact and type(agg) is AggregateSignature
+                 and type(agg.value) is int and type(bits) is tuple
+                 and list(map(type, bits)).count(int) == len(bits))
+    if sig is None:
+        parts.append(b"\x00")
     else:
-        out += b"\x01" + encode_bigint(msg.source_sig)
-    return bytes(out)
+        parts.append(b"\x01" + encode_bigint(sig))
+        exact = exact and type(sig) is int
+    data = b"".join(parts)
+    if exact:
+        data = _Frame(data)
+        data.msg = msg
+        data.label = ROUTE_KIND_NAMES[core.kind]
+    return data
+
+
+def _exact_core(core: RouteCore) -> bool:
+    """Whether every field of `core` has the exact type a parse gives it."""
+    (kind, src_ip, src_id, src_seq, bct_id, dst_ip, dst_seq, dh_p, dh_g,
+     dh_payload, originator_id) = core
+    return (type(kind) is type(src_seq) is type(bct_id) is type(dst_seq)
+            is type(dh_p) is type(dh_g) is type(dh_payload) is int
+            and type(src_ip) is type(dst_ip) is str
+            and type(src_id) is type(originator_id) is bytes)
 
 
 def _pack_bits(bits: Tuple[int, ...]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
+    """The bits, first bit first, as one integer zero-padded to whole
+    bytes."""
+    value = 0
+    for bit in bits:
         if bit not in (0, 1):
             raise ValueError("overflow bits are 0 or 1")
-        if bit:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
+        value = value << 1 | (bit == 1)
+    n = len(bits)
+    return (value << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
 
 def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
@@ -355,13 +419,10 @@ def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
 # --- top level ---------------------------------------------------------------
 
 class _Frame(bytes):
-    """Frame bytes carrying `msg`, the message they encode. Only
-    encode_message makes one, for a message that a strict parse of the bytes
-    gives back type for type; a slice, join or copy of one is plain bytes."""
-
-
-# The field types of a RouteCore that parses back to itself.
-_CORE_TYPES = (int, str, bytes, int, int, str, int, int, int, int, bytes)
+    """Frame bytes carrying `msg`, the message they encode, and `label`, its
+    trace label. Only encode_message makes one, for a message that a strict
+    parse of the bytes gives back type for type; a slice, join or copy of
+    one is plain bytes."""
 
 
 def encode_message(msg: Message, encoded: Optional[bytes] = None) -> bytes:
@@ -375,11 +436,7 @@ def encode_message(msg: Message, encoded: Optional[bytes] = None) -> bytes:
         raise TypeError("cannot encode %r" % kind)
     if encoded is None:
         encoded = encode_core(msg.core)
-    data = _encode_route_message(msg, encoded)
-    if _decodes_to_itself(msg):
-        data = _Frame(data)
-        data.msg = msg
-    return data
+    return _encode_route_message(msg, encoded)
 
 
 def _encode_envelope(msg: DataPacket) -> bytes:
@@ -414,6 +471,7 @@ def _encode_envelope(msg: DataPacket) -> bytes:
             is type(ack) is int):
         data = _Frame(data)
         data.msg = msg
+        data.label = ROLE_NAMES[role]
     return data
 
 
@@ -426,28 +484,6 @@ def _raise_envelope_error(msg: DataPacket) -> NoReturn:
     if len(msg.segment.tag) != DIGEST_BYTES:
         raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
     _segment_head(msg.segment)
-
-
-def _decodes_to_itself(msg: RouteMessage) -> bool:
-    """Whether a strict parse of msg's encoding gives back msg type for type.
-
-    The parse builds every record as its own class, every sequence as a
-    tuple, and every field as an exact int, str or bytes. So an encodable
-    message parses back to itself unless it holds something else: a bool,
-    a bytearray, a list, a subclass.
-    """
-    agg, sig = msg.aggregate, msg.source_sig
-    return (type(msg.core) is RouteCore
-            and tuple(map(type, msg.core)) == _CORE_TYPES
-            and type(msg.hops) is tuple
-            and all(type(hop) is bytes for hop in msg.hops)
-            and type(msg.sec_level) is int
-            and (agg is None
-                 or (type(agg) is AggregateSignature
-                     and type(agg.value) is int
-                     and type(agg.overflow_bits) is tuple
-                     and all(type(bit) is int for bit in agg.overflow_bits)))
-            and (sig is None or type(sig) is int))
 
 
 def decode_message(data: bytes) -> Message:
@@ -492,10 +528,12 @@ def _parse(data: bytes) -> Message:
 def describe(data: bytes) -> str:
     """Human label for trace records; tolerant of undecodable payloads.
 
-    A frame encode_message returned is labelled from the message it
-    carries, with no call to decode_message."""
+    A frame encode_message returned carries its label; any other bytes are
+    labelled from decode_message's strict parse."""
+    if type(data) is _Frame:
+        return data.label
     try:
-        msg = data.msg if type(data) is _Frame else decode_message(data)
+        msg = decode_message(data)
     except ParseError:
         return "RAW"
     if type(msg) is DataPacket:

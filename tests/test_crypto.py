@@ -570,8 +570,11 @@ def test_primality_round_counts(monkeypatch):
         assert rounds == [2]
 
 
+# 72 to 78 bits are under the fixed-base bound, where the group search
+# tests q and p cheapest first; from 79 bits up both draw bases
 @pytest.mark.parametrize("bits,seeds", [(8, 60), (16, 60), (64, 30),
-                                        (128, 8), (256, 2)])
+                                        (72, 6), (78, 6), (79, 6), (80, 6),
+                                        (96, 4), (128, 8), (256, 2)])
 def test_prime_and_group_generation_match_reference(bits, seeds):
     for seed in range(seeds):
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -581,6 +584,37 @@ def test_prime_and_group_generation_match_reference(bits, seeds):
         assert crypto.generate_dh_group(bits, ours) == \
             reference_generate_dh_group(bits, theirs)
         assert ours.getstate() == theirs.getstate()
+
+
+def test_a_group_search_under_the_bound_runs_both_base_2_rounds_first(
+        monkeypatch):
+    # no base is drawn up to crypto.MR_FIXED_BITS, so the search screens
+    # q and p and runs both base-2 rounds before any other base; testing q
+    # in full before p made 7767 rounds for these 100 groups
+    assert crypto.MR_FIXED_BITS == 78
+    rounds = []
+    miller_rabin = crypto._miller_rabin
+
+    def counted(n, base):
+        rounds.append((n, base))
+        return miller_rabin(n, base)
+
+    monkeypatch.setattr(crypto, "_miller_rabin", counted)
+    ours, theirs = random.Random(3), random.Random(3)
+    for _ in range(100):
+        assert crypto._search_dh_group(64, ours) == \
+            reference_generate_dh_group(64, theirs)
+    assert ours.getstate() == theirs.getstate()
+    assert len(rounds) == 3655
+    # a q (63 bits) or p (64 bits) meets a base past 2 only after both
+    # numbers of its pair have run base 2
+    ran_base_2 = set()
+    for n, base in rounds:
+        if base == 2:
+            ran_base_2.add(n)
+        else:
+            q = n if n.bit_length() == 63 else n // 2
+            assert {q, 2 * q + 1} <= ran_base_2
 
 
 # --- session key bootstrap ------------------------------------------------

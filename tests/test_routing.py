@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from conftest import Puppet, build_network, pinned_group
-from manetsec import crypto, identity, routing, scenario, wire
+from manetsec import crypto, identity, routing, scenario, sim, wire
 from manetsec.crypto import (
     AggregateSignature,
     rsa_encrypt,
@@ -896,6 +896,40 @@ def test_a_hop_encodes_each_route_core_once_and_no_key():
     # a's request and e's reply, and each copy accepted
     assert cores.call_count == 2 + len(accepted)
     assert publics.call_count == 0
+
+
+def test_a_hop_builds_one_message_and_queues_its_frames_directly():
+    # on a secure level-1 line, inside Network.run: a forwarded message is
+    # built once, with no _replace; every frame sent carries its trace
+    # label, so none is passed to wire.describe; and each delivery goes
+    # straight into its tick's list, so Network.schedule sees only timers
+    names = list("abcde")
+    net, r, reg, m, keys = build(names, line(names))
+    net.schedule(1, r["a"].start_discovery, "e")
+    calls = []
+    replace = wire.RouteMessage._replace
+    describe = wire.describe
+    schedule = sim.Network.schedule
+
+    def spy_replace(self, **fields):
+        calls.append("_replace")
+        return replace(self, **fields)
+
+    def spy_describe(data):
+        calls.append(("describe", type(data)))
+        return describe(data)
+
+    def spy_schedule(self, delay, fn, *args):
+        calls.append(("schedule", fn.__name__))
+        return schedule(self, delay, fn, *args)
+
+    with mock.patch.object(wire.RouteMessage, "_replace", spy_replace), \
+            mock.patch.object(wire, "describe", spy_describe), \
+            mock.patch.object(sim.Network, "schedule", spy_schedule):
+        net.run(until=40)
+    assert m.discovery_latency_ticks == [8]
+    assert m.signed == 8 and len(net.trace) == 11
+    assert calls == [("schedule", "_retire")]
 
 
 @pytest.mark.parametrize("sec_level", [0, 1])

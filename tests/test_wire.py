@@ -711,6 +711,105 @@ def test_segment_frames_encode_like_the_field_by_field_encoder(msg):
             == _encoded_or_error(_old_segment_body, seg))
 
 
+def _old_encode_bigint(value):
+    if value < 0:
+        raise ValueError("big integers on the wire are unsigned")
+    width = (value.bit_length() + 7) // 8
+    return _old_encode_uint(width, 4) + value.to_bytes(width, "big")
+
+
+def _old_encode_core(core):
+    if core.kind not in wire.ROUTE_KIND_NAMES:
+        raise ValueError("unknown routing kind %r" % core.kind)
+    if len(core.src_id) != 32:
+        raise ValueError("source id must be 32 bytes")
+    wire._require_defaults(core)
+    out = (bytes([core.kind]) + _old_encode_token(core.src_ip) + core.src_id
+           + _old_encode_uint(core.src_seq, 8)
+           + _old_encode_uint(core.bct_id, 8) + _old_encode_token(core.dst_ip))
+    if core.kind == wire.KIND_RREQ:
+        return (out + _old_encode_bigint(core.dh_p)
+                + _old_encode_bigint(core.dh_g)
+                + _old_encode_bigint(core.dh_payload))
+    if core.kind == wire.KIND_RREP:
+        return (out + _old_encode_uint(core.dst_seq, 8)
+                + _old_encode_bigint(core.dh_payload))
+    if len(core.originator_id) != 32:
+        raise ValueError("error reports need a 32-byte originator id")
+    return out + core.originator_id
+
+
+def _old_encode_route(msg):
+    out = _old_encode_core(msg.core) + _old_encode_uint(len(msg.hops), 4)
+    for hop in msg.hops:
+        if len(hop) != 32:
+            raise ValueError("hop records are 32-byte ids")
+        out += hop
+    if msg.sec_level not in (0, 1):
+        raise ValueError("bad security level %r" % msg.sec_level)
+    out += bytes([1 - msg.sec_level, msg.sec_level])
+    agg = msg.aggregate
+    if agg is None:
+        out += _old_encode_uint(0, 4)
+    else:
+        bits = bytearray((len(agg.overflow_bits) + 7) // 8)
+        for i, bit in enumerate(agg.overflow_bits):
+            if bit not in (0, 1):
+                raise ValueError("overflow bits are 0 or 1")
+            if bit:
+                bits[i // 8] |= 0x80 >> (i % 8)
+        out += (_old_encode_uint(agg.signer_count, 4)
+                + _old_encode_bigint(agg.value)
+                + _old_encode_uint(len(agg.overflow_bits), 4) + bytes(bits))
+    if msg.source_sig is None:
+        return out + b"\x00"
+    return out + b"\x01" + _old_encode_bigint(msg.source_sig)
+
+
+@st.composite
+def _route_frames(draw):
+    """A RouteMessage of any kind and level with 0 to 20 hops; now and then
+    a sequence number, an integer or an overflow bit is out of range."""
+    def field(valid, invalid):
+        return draw(invalid if draw(_faulty()) else valid)
+
+    edge_u64 = st.one_of(st.sampled_from([0, 2**64 - 1]), u64)
+    bad_u64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+    big = st.one_of(st.sampled_from([0, 1, 2**64]), bigints)
+    kind = draw(st.sampled_from(sorted(wire.ROUTE_KIND_NAMES)))
+    fields = dict(kind=kind, src_ip=draw(_tokens()), src_id=draw(ids),
+                  src_seq=field(edge_u64, bad_u64),
+                  bct_id=field(edge_u64, bad_u64), dst_ip=draw(_tokens()))
+    if kind == wire.KIND_RREQ:
+        fields.update(dh_p=draw(big), dh_g=draw(big),
+                      dh_payload=field(big, st.integers(max_value=-1)))
+    elif kind == wire.KIND_RREP:
+        fields.update(dst_seq=field(edge_u64, bad_u64), dh_payload=draw(big))
+    else:
+        fields.update(originator_id=draw(ids))
+    hops = tuple(draw(st.lists(ids, max_size=20)))
+    aggregate = None
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=len(hops),
+                             max_size=len(hops)))
+        if bits and draw(_faulty()):
+            bits[draw(st.integers(0, len(bits) - 1))] = 2
+        aggregate = AggregateSignature(draw(big), tuple(bits))
+    return RouteMessage(core=RouteCore(**fields), hops=hops,
+                        sec_level=draw(st.sampled_from([0, 1])),
+                        aggregate=aggregate,
+                        source_sig=draw(st.one_of(st.none(), big)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_route_frames())
+def test_route_frames_encode_like_the_field_by_field_encoder(msg):
+    want = _encoded_or_error(_old_encode_route, msg)
+    assert _encoded_or_error(wire.encode_message, msg) == want
+    assert (_encoded_or_error(wire.encode_core, msg.core)
+            == _encoded_or_error(_old_encode_core, msg.core))
+
+
 class _Huge(bytes):
     """A payload that reports 2^32 bytes without holding them."""
 
