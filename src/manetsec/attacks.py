@@ -21,7 +21,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import wire
 from .crypto import (AggregateSignature, digest, rsa_encrypt, NodeKeys,
                      RsaKeyPair)
-from .identity import Registry, key_and_id
+from .identity import Registry
 from .routing import append_signer, originate, send_message
 from .sim import Network, dropped
 from .transport import CLIENT_ISN_BASE, MASK
@@ -79,9 +79,10 @@ class AttackerNode:
 
     def __init__(self, signing: RsaKeyPair, registry: Registry, net: Network,
                  spec: AttackSpec):
-        self.ip = spec.attacker
+        own = registry.by_ip(spec.attacker)
+        self.ip, self.node_id, self.key_bytes = \
+            own.ip, own.node_id, own.key_bytes
         self.signing = signing
-        self.key_bytes, self.node_id = key_and_id(signing.public)
         self.registry = registry
         self.net = net
         self.spec = spec

@@ -19,21 +19,18 @@ class UnknownIdentityError(KeyError):
     pass
 
 
-def key_and_id(signing_public: Tuple[int, int]) -> Tuple[bytes, bytes]:
-    """A signing key's encoding (wire.encode_public), which every signer
-    hash of its holder ends with, and the node id that hashes it."""
-    key_bytes = encode_public(signing_public)
-    return key_bytes, digest(key_bytes)
-
-
 def derive_id(signing_public: Tuple[int, int]) -> bytes:
-    return key_and_id(signing_public)[1]
+    """The node id of a signing key's holder: the hash of the key's
+    encoding (wire.encode_public)."""
+    return digest(encode_public(signing_public))
 
 
 class NodeIdentity:
     """One registered node, made from its keys, so its id is the hash of
     its signing key by construction. It keeps that key's encoding,
-    `key_bytes`, so no check of the node's signatures encodes it again.
+    `key_bytes`, which every signer hash of the node ends with, so no check
+    of the node's signatures encodes it again, and no router or attacker
+    derives its own id.
 
     `encryption_public` reads the keys on each access, so an encryption pair
     made on first use (see crypto.NodeKeys) is made only when someone
@@ -43,7 +40,8 @@ class NodeIdentity:
     def __init__(self, keys: NodeKeys, ip: str):
         self._keys = keys
         self.signing_public = keys.signing.public
-        self.key_bytes, self.node_id = key_and_id(self.signing_public)
+        self.key_bytes = encode_public(self.signing_public)
+        self.node_id = digest(self.key_bytes)
         self.ip = ip
 
     @property

@@ -37,14 +37,13 @@ from .crypto import (
     NodeKeys,
     rsa_decrypt,
     rsa_encrypt,
-    rsa_public,
     rsa_sign_first,
     sas_aggregate_step,
     sas_unwind_step,
     sas_unwind_verify,
     RsaKeyPair,
 )
-from .identity import NodeIdentity, Registry, UnknownIdentityError, key_and_id
+from .identity import NodeIdentity, Registry, UnknownIdentityError
 from .sim import Network
 
 MAX_CASE2_HOPS = 1
@@ -56,28 +55,30 @@ SEND_QUEUE_LIMIT = 16         # segments held per target awaiting a route
 # Every `encoded` here is wire.encode_core of its message's core, made once
 # per hop by the node that makes or accepts the message.
 
-def originate(core: wire.RouteCore, encoded: bytes, key: RsaKeyPair,
-              key_bytes: bytes, sec_level: int) -> wire.RouteMessage:
+def originate(core: wire.RouteCore, encoded: bytes,
+              key: Optional[RsaKeyPair], key_bytes: bytes,
+              sec_level: int) -> wire.RouteMessage:
     """`core` as a message with no hops, signed by signer 0 with `key` and
     bound to the encoded public key `key_bytes`; at level 0 it also carries
-    that signature standalone.
+    that signature standalone. With `key` None it is unsigned.
 
     `key_bytes` is the signer's own key; a forger names another node's key
     here, which makes the signature claim that node as origin.
     """
-    h = wire.signer_hash(encoded, (), key_bytes)
-    agg = rsa_sign_first(h, key)
-    return wire.RouteMessage(core=core, hops=(), sec_level=sec_level,
-                             aggregate=agg,
-                             source_sig=agg.value if sec_level == 0 else None)
+    agg = source_sig = None
+    if key is not None:
+        agg = rsa_sign_first(wire.signer_hash(encoded, (), key_bytes), key)
+        if sec_level == 0:
+            source_sig = agg.value
+    return wire.RouteMessage(core, (), sec_level, agg, source_sig)
 
 
-def append_signer(msg: wire.RouteMessage, encoded: bytes, key: RsaKeyPair,
+def append_signer(msg: Tuple, encoded: bytes, key: RsaKeyPair,
                   key_bytes: bytes, node_id: bytes) -> wire.RouteMessage:
-    """`msg` with `node_id` appended as a hop and its signature under `key`
-    (encoded public key `key_bytes`) folded in; an unsigned message
-    (aggregate None) gets the hop and stays unsigned. Built once, by
-    position."""
+    """`msg` (a RouteMessage, or its five fields) with `node_id` appended as
+    a hop and its signature under `key` (encoded public key `key_bytes`)
+    folded in; an unsigned message (aggregate None) gets the hop and stays
+    unsigned. Built once, by position."""
     core, hops, sec_level, agg, source_sig = msg
     hops += (node_id,)
     if agg is not None:
@@ -117,14 +118,14 @@ class RouteEntry:
 @dataclass
 class Want:
     """A wanted target: its attempts in flight (bct -> DH params, attempt
-    number), the newest segments waiting for a route, and whether a break
-    report restarts discovery. Each start sets that flag; a chain that gives
-    up clears it and the queue, and leaves other chains in flight."""
+    number) and the newest segments waiting for a route. A break report
+    restarts discovery toward a target that has a record; a chain that gives
+    up clears the queue, and deletes the record unless another attempt
+    toward the target is in flight."""
     attempts: Dict[int, Tuple[Optional[DhParams], int]] = field(
         default_factory=dict)
     queue: Deque[wire.Segment] = field(
         default_factory=lambda: deque(maxlen=SEND_QUEUE_LIMIT))
-    rediscover: bool = False
 
 
 class Session(NamedTuple):
@@ -146,8 +147,9 @@ class RouterNode:
         self.registry = registry
         self.net = net
         self.metrics = net.metrics
-        self.key_bytes, self.node_id = key_and_id(config.keys.signing.public)
-        self.ip = config.name
+        own = registry.by_ip(config.name)
+        self.ip, self.node_id, self.key_bytes = \
+            own.ip, own.node_id, own.key_bytes
         self.seq = 0
         self._bct_counter = 0
         # per-peer tables are keyed by address; flows by (originator, target)
@@ -183,7 +185,6 @@ class RouterNode:
         msg, encoded = self._originate(wire.KIND_RREQ, bct, dst_ip,
                                        **exchange)
         self.wants[dst_ip].attempts[bct] = (params, _attempt)
-        self.wants[dst_ip].rediscover = True
         self.net.log(self.ip, "discovery", target=dst_ip, bct=bct,
                      attempt=_attempt, seq=self.seq)
         send_message(self, msg, encoded)
@@ -207,35 +208,31 @@ class RouterNode:
                               **fields)
         encoded = wire.encode_core(core)
         self.seen.add(self._seen_key(core))
-        if not self.config.secure:
-            return wire.RouteMessage(core, (), self.config.sec_level,
-                                     None, None), encoded
-        self.metrics.signed += 1
-        return originate(core, encoded, self.config.keys.signing,
-                         self.key_bytes, self.config.sec_level), encoded
+        key = None
+        if self.config.secure:
+            key = self.config.keys.signing
+            self.metrics.signed += 1
+        return originate(core, encoded, key, self.key_bytes,
+                         self.config.sec_level), encoded
 
     def _forward(self, msg: wire.RouteMessage,
                  encoded: bytes) -> wire.RouteMessage:
-        """`msg` with this node appended as the newest hop and signer, built
-        once, by position. A secure message reaches here verified at this
-        node's level, so it holds an aggregate, and at level 0 an origin
-        signature."""
+        """`msg` cut to its level's chain, then signed on by append_signer.
+        A secure message reaches here verified at this node's level, so it
+        holds an aggregate, and at level 0 an origin signature."""
         core, hops, sec_level, agg, source_sig = msg
         if not self.config.secure:
-            return wire.RouteMessage(core, hops + (self.node_id,), sec_level,
-                                     None, None)
-        if sec_level == 0:
-            # strip the predecessor, rebind over the origin signature
-            hops, agg = (), AggregateSignature(value=source_sig,
-                                               overflow_bits=())
-        else:   # level 1 relays no standalone origin signature
-            source_sig = None
-        hops += (self.node_id,)
-        h = wire.signer_hash(encoded, hops, self.key_bytes)
-        self.metrics.signed += 1
-        return wire.RouteMessage(
-            core, hops, sec_level,
-            sas_aggregate_step(agg, h, self.config.keys.signing), source_sig)
+            agg = source_sig = None
+        else:
+            self.metrics.signed += 1
+            if sec_level == 0:
+                # strip the predecessor, rebind over the origin signature
+                hops, agg = (), AggregateSignature(source_sig, ())
+            else:   # level 1 relays no standalone origin signature
+                source_sig = None
+        return append_signer((core, hops, sec_level, agg, source_sig),
+                             encoded, self.config.keys.signing,
+                             self.key_bytes, self.node_id)
 
     # --- verification -------------------------------------------------------
 
@@ -284,12 +281,13 @@ class RouterNode:
         elif agg.value != msg.source_sig:
             return "verify_failed"
         if terminal:
-            n0, e0 = origin.signing_public
-            if not 0 <= msg.source_sig < n0:
+            # a value past the modulus fails before it counts as a check
+            if not 0 <= msg.source_sig < origin.signing_public[0]:
                 return "verify_failed"
             h0 = wire.signer_hash(encoded, (), origin.key_bytes)
             self.metrics.verified += 1
-            if rsa_public(msg.source_sig, n0, e0) != h0 % n0:
+            if not sas_unwind_verify(AggregateSignature(msg.source_sig, ()),
+                                     [(h0, origin.signing_public)]):
                 return "verify_failed"
         return None
 
@@ -337,15 +335,17 @@ class RouterNode:
 
     def _retire(self, dst_ip: str, bct: int) -> None:
         """Discovery timeout: retry the attempt, or give its chain up."""
-        want = self.wants[dst_ip]
-        attempt = want.attempts.pop(bct, None)
+        # get, not [], so a stale timer recreates no deleted record
+        want = self.wants.get(dst_ip)
+        attempt = want.attempts.pop(bct, None) if want else None
         if attempt is None:
             return
         if attempt[1] < MAX_DISCOVERY_ATTEMPTS:
             self.start_discovery(dst_ip, _attempt=attempt[1] + 1)
         else:
-            want.rediscover = False
             want.queue.clear()
+            if not want.attempts:
+                del self.wants[dst_ip]
 
     def _seen_key(self, core: wire.RouteCore):
         return (core.kind, core.src_id, core.bct_id, core.src_seq)
@@ -472,8 +472,7 @@ class RouterNode:
         if flow is not None:
             flow.toward_dst = None
         if terminal:
-            want = self.wants.get(unreachable.ip)
-            if want is not None and want.rediscover:
+            if unreachable.ip in self.wants:
                 self.start_discovery(unreachable.ip)
             return None
         fwd = self._forward(msg, encoded)

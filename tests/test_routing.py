@@ -447,6 +447,25 @@ def test_a_live_router_rejects_each_forgery_at_its_own_check(
     assert routing_state(r["v"]) == before
 
 
+def test_a_level_0_origin_signature_in_range_is_checked_and_counted():
+    # 7 lies below m's modulus but is not m's signature over the request:
+    # the target runs the origin check, counts it, and refuses the request
+    net, r, reg, m, keys = build(["m", "v"], [("m", "v")], sec_level=0,
+                                 key_bits=128, stubs=("m",))
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="m",
+                          src_id=reg.by_ip("m").node_id, src_seq=1,
+                          bct_id=1, dst_ip="v", dh_p=23, dh_g=5, dh_payload=9)
+    assert 7 < keys["m"].signing.n
+    net.unicast("m", "v", wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=0,
+        aggregate=AggregateSignature(7, ()), source_sig=7)))
+    net.run(until=5)
+    assert m.drops == {"verify_failed": 1}
+    assert m.verified == 1
+    assert r["v"].routes == {}
+    assert r["v"].sessions == {}
+
+
 def test_unknown_origin_identity_is_rejected():
     names = ["a", "b", "m"]
     net, r, reg, m, keys = build(names, [("a", "b"), ("m", "b")], stubs=("m",))
@@ -803,12 +822,13 @@ def test_discovery_gives_up_after_bounded_retries():
     attempts = [ev.fields for ev in m.of("discovery")
                 if ev.fields["target"] == "f"]
     assert [d["attempt"] for d in attempts] == [1, 2, 3]
-    # the record stays, with no attempt, no queue and no restart on a break
-    assert list(r["a"].wants) == ["f"]
-    want = r["a"].wants["f"]
-    assert (want.attempts, list(want.queue), want.rediscover) == \
-        ({}, [], False)
+    # the give-up deletes the record, so a later segment starts a fresh chain
+    assert r["a"].wants == {}
     assert r["f"].routes == {}
+    send_payload(r["a"], "f", b"again")
+    assert [(ev.fields["target"], ev.fields["attempt"])
+            for ev in m.of("discovery")[3:]] == [("f", 1)]
+    assert [seg.payload for seg in r["a"].wants["f"].queue] == [b"again"]
 
 
 def discoveries(m):
@@ -864,14 +884,19 @@ def test_a_give_up_drops_the_queue_but_not_another_chain():
     assert r["f"].transport.received == [("a", b"late")]
 
 
-@pytest.mark.xfail(strict=True, reason="the first chain's give-up clears "
-                   "the restart flag, and the second chain's success does "
-                   "not set it again")
 def test_a_target_found_by_a_later_chain_is_rediscovered_on_a_break():
+    # the first chain's give-up leaves the record of the second chain, which
+    # found f, so a break report restarts discovery toward f
     net, r, m = two_chains_toward_f()
+    net.schedule(200, net.set_link, "b", "f", False)
+    net.schedule(201, send_payload, r["a"], "f", b"broken")
     net.run(until=200)
     assert r["a"].routes["f"].next_hop == "b"
-    assert r["a"].wants["f"].rediscover
+    net.run(until=400)
+    assert [(ev.tick, ev.node) for ev in m.of("rerr_sent")] == [(202, "b")]
+    assert [(ev.tick, ev.node, ev.fields["reporter"])
+            for ev in m.of("rerr_accepted")] == [(203, "a", "b")]
+    assert discoveries(m)[0][6:] == [(203, 7, 1), (253, 8, 2), (303, 9, 3)]
 
 
 def test_a_hop_encodes_each_route_core_once_and_no_key():
