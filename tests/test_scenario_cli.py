@@ -3,6 +3,8 @@
 import json
 import os
 import string
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -64,6 +66,16 @@ def attacks_doc(*specs):
     return doc_two_nodes(nodes=["a", "b", "m", "m2"], events=[
         {"tick": 0, "kind": "attach_attack", "attack": spec}
         for spec in specs])
+
+
+def flows_doc(*flows):
+    """Nodes a and b, with one start_flow event per (tick, client, server,
+    client_port, server_port)."""
+    return doc_two_nodes(events=[
+        {"tick": tick, "kind": "start_flow", "client": client,
+         "server": server, "client_port": cport, "server_port": sport,
+         "payload": "flow %d" % tick}
+        for tick, client, server, cport, sport in flows])
 
 
 # A node named as an adversary twice, by one spec or by two; unless parse
@@ -267,6 +279,43 @@ BAD_DOCS = [
     (doc_with_node(name), "nodes[1]: node names may not contain tabs or line "
                           "breaks")
     for name in ["b%sc" % brk for brk in LINE_BREAKS] + ["b\r\nc", "b\r"]
+] + [
+    (doc_two_nodes(mode=5), "scenario.mode: expected a string, got 5"),
+    (doc_two_nodes(key_bits=65), "scenario.key_bits: must be even"),
+    (doc_two_nodes(links=["a-b"]), "links[0]: expected an object"),
+    (doc_two_nodes(events=[5]), "events[0]: expected an object"),
+    (doc_two_nodes(links=[{"a": "a", "b": "a"}]),
+     "links[0]: link endpoints must differ"),
+    (flows_doc((1, "a", "a", 5000, 80)),
+     "events[0]: flow endpoints must differ"),
+    (doc_two_nodes(links=[{"a": "a", "b": "b", "tunnel": 1}]),
+     "links[0].tunnel: expected true or false"),
+    (doc_two_nodes(events=[{"tick": 1, "kind": "start_flow", "client": "a",
+                            "server": "b", "close": "yes"}]),
+     "events[0].close: expected true or false"),
+    (doc_two_nodes(links=[{"a": "a", "b": "b", "loss": "0.1"}]),
+     "links[0].loss: expected a number"),
+    (doc_two_nodes(tcp=[]), "scenario.tcp: expected an object"),
+    (doc_two_nodes(events={}), "scenario.events: expected an array"),
+    (doc_two_nodes(events=[{"tick": 1, "kind": "start_discovery",
+                            "node": "a", "target": "a"}]),
+     "events[0]: a node cannot discover itself"),
+    (flows_doc((1, "a", "b", 65536, 80)),
+     "events[0]: ports must fit in 16 bits"),
+    (doc_two_nodes(events=[{"tick": 0, "kind": "attach_attack"}]),
+     "events[0]: missing 'attack' object"),
+    (attacks_doc({"kind": "syn_flood", "attacker": "m", "dst": "a"},
+                 {"kind": "syn_flood", "attacker": "m2", "dst": "b"}),
+     "events: at most one attack of each kind per scenario"),
+    (doc_two_nodes(nodes=["a", "b", "m"], events=[
+        {"tick": 1, "kind": "start_flow", "client": "m", "server": "b"},
+        {"tick": 0, "kind": "attach_attack",
+         "attack": {"kind": "syn_flood", "attacker": "m", "dst": "a"}}]),
+     "events: 'm' is an adversary and cannot be a flow endpoint"),
+    (attacks_doc({"kind": "syn_flood", "attacker": "m", "dst": "m2"},
+                 {"kind": "impersonate", "attacker": "m2", "src": "a",
+                  "dst": "b"}),
+     "events: attack 'syn_flood' names adversary 'm2' as a victim"),
 ]
 
 
@@ -440,11 +489,17 @@ def test_cli_rejects_malformed_scenarios_without_writing(tmp_path, capsys):
 @pytest.mark.parametrize("raw,fragment", [
     (b"\xff" + json.dumps(doc_two_nodes()).encode(), "scenario is not UTF-8"),
     (b"[" * 200000 + b"]" * 200000, "scenario nests too deeply to read"),
-], ids=["not-utf8", "too-deep"])
+    (None, "cannot read scenario: "),
+    (b'{"seed": 1,', "scenario is not valid JSON: "),
+    (json.dumps(doc_with_node("b\rc")).encode(),
+     "nodes[1]: node names may not contain tabs or line breaks"),
+], ids=["not-utf8", "too-deep", "missing", "not-json", "cr-name"])
 def test_cli_rejects_an_unreadable_scenario_file(tmp_path, capsys, raw,
                                                  fragment):
+    # raw None: no file at the path
     p = tmp_path / "bad.json"
-    p.write_bytes(raw)
+    if raw is not None:
+        p.write_bytes(raw)
     out = tmp_path / "out"
     rc = cli.main(["run", "--scenario", str(p), "--out", str(out)])
     assert rc == 2
@@ -581,16 +636,6 @@ def test_cli_rejects_a_flood_beyond_the_cap(tmp_path, capsys):
     assert "rate x duration" in capsys.readouterr().err
 
 
-def flows_doc(*flows):
-    """Nodes a and b, with one start_flow event per (tick, client, server,
-    client_port, server_port)."""
-    return doc_two_nodes(events=[
-        {"tick": tick, "kind": "start_flow", "client": client,
-         "server": server, "client_port": cport, "server_port": sport,
-         "payload": "flow %d" % tick}
-        for tick, client, server, cport, sport in flows])
-
-
 # a second flow on the same ports replaces the first one's connection at
 # both ends; a crossing pair shares one key at each end
 @pytest.mark.parametrize("second,shown", [
@@ -674,9 +719,15 @@ def test_cli_exit_flags_a_secure_mode_failure(tmp_path, capsys,
                         "dst": "b"}},
         ],
     }
-    rc = cli.main(["run", "--scenario", write(tmp_path, doc)])
+    path = write(tmp_path, doc)
+    rc = cli.main(["run", "--scenario", path])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
+    # a baseline run is expected to be harmed
+    rc = cli.main(["run", "--scenario", path, "--mode", "baseline"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "verdicts: ack_inject=succeeded" in err and "FAIL" not in err
 
 
 def test_cli_keygen_is_deterministic_and_loadable(tmp_path, capsys):
@@ -731,7 +782,10 @@ def test_cli_verify_trace_lints_structure_first(tmp_path, capsys):
             (good + "2\ta\t\tRREP\t10\tdelivered\n",
              "line 2: empty endpoint name"),
             (good + "2\ta\tb\tPING\t10\tdelivered\n",
-             "line 2: unknown message kind 'PING'")]:
+             "line 2: unknown message kind 'PING'"),
+            (good + "2\ta\tb\tRREP\t10\tdropped_by_receiver(bogus)\n",
+             "line 2: unrecognized disposition "
+             "'dropped_by_receiver(bogus)'")]:
         bad.write_text(text)
         rc = cli.main(["verify-trace", "--scenario", path,
                        "--trace", str(bad)])
@@ -795,6 +849,57 @@ def test_cli_verify_trace_rejects_a_trace_that_is_not_utf8(tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("lint:")] \
         == ["lint: trace is not UTF-8 (invalid continuation byte)"]
     assert "structurally invalid" in err
+
+
+# One child interpreter's loop over every shipped (scenario, mode, level)
+# run: argv is the command, the output root, then the scenario files. Every
+# cli.main call must exit 0.
+_CLI_LOOP = """
+import os, sys
+from manetsec import cli
+command, root, *paths = sys.argv[1:]
+for path in paths:
+    for mode in ("secure", "baseline"):
+        for level in ("0", "1"):
+            out = os.path.join(root, "%s-%s-%s" % (os.path.basename(path),
+                                                   mode, level))
+            args = [command, "--scenario", path, "--mode", mode,
+                    "--sec-level", level]
+            args += (["--out", out] if command == "run"
+                     else ["--trace", os.path.join(out, "trace.tsv")])
+            rc = cli.main(args)
+            if rc:
+                sys.exit("exit %d: %s" % (rc, " ".join(args)))
+"""
+
+
+def _child(args, hash_seed):
+    """Run `python args` with src importable and PYTHONHASHSEED set."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_a_trace_verifies_in_another_interpreter_and_hash_seed(tmp_path):
+    # a trace that depends on the iteration order of a set of names differs
+    # between two hash seeds, so its verification fails
+    paths = [os.path.join(SCEN, name) for name in sorted(os.listdir(SCEN))]
+    assert len(paths) * 4 == 48
+    for command, hash_seed in (("run", 1), ("verify-trace", 2)):
+        done = _child(["-c", _CLI_LOOP, command, str(tmp_path)] + paths,
+                      hash_seed)
+        assert done.returncode == 0, done.stderr
+    assert len(os.listdir(tmp_path)) == 48
+    # and once through the module's entry point
+    trace = tmp_path / "line5_discovery.json-secure-1" / "trace.tsv"
+    done = _child(["-m", "manetsec.cli", "verify-trace", "--scenario",
+                   os.path.join(SCEN, "line5_discovery.json"),
+                   "--trace", str(trace)], 3)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("trace matches the re-run")
 
 
 def test_trace_lint_accepts_the_drop_disposition_sim_writes():

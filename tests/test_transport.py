@@ -1,8 +1,11 @@
 """Connection setup, transfer, teardown, and the authenticated-segment rules."""
 
+import copy
 import sys
 from dataclasses import replace
 from unittest import mock
+
+import pytest
 
 from conftest import build_network
 from manetsec import identity, routing, scenario, transport, wire
@@ -420,3 +423,71 @@ def test_tagged_segment_is_a_plain_segment_its_frame_carries():
     with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
         assert wire.decode_message(frame).segment is got
     assert parse.call_count == 0
+
+
+# Segments each endpoint drops, on the connection a:5000 <-> b:80 that the
+# handshake established, a's SYN to b:81 (which b does not listen on) still
+# unanswered, and a's SYN to b:80 from port 5003 answered. Each case is
+# (receiver, the connection's (local, remote) ports at the receiver, a state
+# forced on that connection first or None, role, seq and ack as functions of
+# the receiver's connection, the drop reason).
+DROPPED_SEGMENTS = {
+    "syn-for-an-open-connection": (
+        "b", (80, 5000), None, wire.ROLE_SYN, lambda c: 7, lambda c: 0,
+        "out_of_phase"),
+    "syn-for-an-unlistened-port": (
+        "b", (81, 5001), None, wire.ROLE_SYN, lambda c: 7, lambda c: 0,
+        "out_of_phase"),
+    "syn-ack-with-no-connection": (
+        "a", (5009, 80), None, wire.ROLE_SYN_ACK, lambda c: 7, lambda c: 8,
+        "out_of_phase"),
+    "syn-ack-outside-syn-sent": (
+        "a", (5000, 80), "fin_wait", wire.ROLE_SYN_ACK,
+        lambda c: c.rcv_nxt - 1, lambda c: c.snd_nxt, "out_of_phase"),
+    "syn-ack-with-a-wrong-ack": (
+        "a", (5001, 81), None, wire.ROLE_SYN_ACK, lambda c: 7,
+        lambda c: c.snd_nxt + 1, "bad_ack_number"),
+    "promoting-ack-with-a-wrong-cookie": (
+        "b", (80, 5003), None, wire.ROLE_ACK, lambda c: 12,
+        lambda c: 4242, "out_of_phase"),
+    "data-ahead-of-rcv-nxt": (
+        "b", (80, 5000), None, wire.ROLE_DATA, lambda c: c.rcv_nxt + 1,
+        lambda c: c.snd_nxt, "out_of_phase"),
+    "fin-ack-outside-fin-wait": (
+        "a", (5000, 80), None, wire.ROLE_FIN_ACK, lambda c: c.rcv_nxt,
+        lambda c: c.snd_nxt, "out_of_phase"),
+    "fin-ack-with-a-wrong-ack": (
+        "a", (5000, 80), "fin_wait", wire.ROLE_FIN_ACK, lambda c: c.rcv_nxt,
+        lambda c: c.snd_nxt + 1, "bad_ack_number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_SEGMENTS))
+@pytest.mark.parametrize("secure", [True, False], ids=["secure", "plain"])
+def test_a_dropped_segment_changes_no_connection_state(secure, case):
+    receiver, (local, remote), state, role, seq, ack, reason = \
+        DROPPED_SEGMENTS[case]
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")], secure=secure)
+    if secure:
+        r["a"].start_discovery("b")
+        net.run(until=5)
+    ep["b"].listen(80)
+    ep["a"].connect("b", 5000, 80)
+    net.run(until=30)
+    assert ep["a"].conns[("b", 5000, 80)].state == "established"
+    ep["a"].connect("b", 5001, 81)
+    syn = wire.Segment(wire.ROLE_SYN, 5003, 80, 11, 0, b"", bytes(32))
+    assert ep["b"].on_segment("a", ep["a"]._tagged("b", syn)) is None
+
+    peer = "b" if receiver == "a" else "a"
+    conn = ep[receiver].conns.get((peer, local, remote))
+    if state is not None:
+        conn.state = state
+    seg = wire.Segment(role, remote, local, seq(conn) & MASK,
+                       ack(conn) & MASK, b"", bytes(32))
+    before = (copy.deepcopy(ep[receiver].conns),
+              list(ep[receiver].half_open.items()))
+    assert ep[receiver].on_segment(peer, ep[peer]._tagged(receiver, seg)) \
+        == reason
+    assert (ep[receiver].conns, list(ep[receiver].half_open.items())) \
+        == before

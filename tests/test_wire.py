@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import capture_frames
+from conftest import capture_frames, decode_or_error
 from manetsec import scenario, wire
 from manetsec.crypto import AggregateSignature
 from manetsec.wire import (
@@ -177,6 +177,42 @@ def test_decode_rejects_a_mode_byte_the_level_does_not_fix(sec_level):
     with pytest.raises(ParseError) as err:
         wire.decode_message(bytes(data))
     assert err.value.position == at
+
+
+def _edited(data, at, value):
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+def _broken_route_frames():
+    """{case: (bytes, position, reason)}: edits of a level-1 request with two
+    hops and three signers, at offsets counted by hand."""
+    msg = _msg(_rreq(), hops=(ID_B, ID_A),
+               aggregate=AggregateSignature(45, (0, 1)))
+    data = bytes(wire.encode_message(msg))
+    count_at = len(wire.encode_core(msg.core))
+    level_at = count_at + 4 + 2 * 32 + 1         # after the mode byte
+    bits_at = level_at + 1 + 4 + 5 + 4   # after signers, sigma=45, bit count
+    flag_at = bits_at + 1
+    assert len(data) == flag_at + 1
+    return {
+        "hop-list-truncated": (_edited(data, count_at + 3, 3), count_at + 4,
+                               "hop list truncated"),
+        "bad-level-byte": (_edited(data, level_at, 2), level_at,
+                           "bad security level 2"),
+        "overflow-bits-truncated": (data[:bits_at], bits_at,
+                                    "overflow bits truncated"),
+        "bad-standalone-signature-flag": (_edited(data, flag_at, 2), flag_at,
+                                          "bad standalone-signature flag"),
+    }
+
+
+BROKEN_ROUTE_FRAMES = _broken_route_frames()
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ROUTE_FRAMES))
+def test_a_broken_route_frame_fails_at_its_position(case):
+    data, position, reason = BROKEN_ROUTE_FRAMES[case]
+    assert decode_or_error(wire.decode_message, data) == (position, reason)
 
 
 def _cache_samples():
@@ -808,6 +844,34 @@ def test_route_frames_encode_like_the_field_by_field_encoder(msg):
     assert _encoded_or_error(wire.encode_message, msg) == want
     assert (_encoded_or_error(wire.encode_core, msg.core)
             == _encoded_or_error(_old_encode_core, msg.core))
+
+
+# Route messages the property test above does not draw: a field of the
+# wrong kind or width, and a hop that is a bytearray, which packs to the
+# bytes of plain bytes but makes a strict parse give back another type.
+ROUTE_ENCODER_CASES = {
+    "unknown-kind": _msg(_rreq(kind=9)),
+    "short-source-id": _msg(_rreq(src_id=ID_A[:31])),
+    "short-originator-id": _msg(RouteCore(
+        kind=wire.KIND_RERR, src_ip="n0", src_id=ID_A, src_seq=0, bct_id=7,
+        dst_ip="n4", originator_id=ID_C[:31])),
+    "short-hop": _msg(_rreq(), hops=(ID_B, ID_A[:31])),
+    "level-2": _msg(_rreq(), sec_level=2),
+    "bytearray-hop": _msg(_rreq(), hops=(ID_B, bytearray(ID_A))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_ENCODER_CASES))
+def test_route_frames_off_the_drawn_range_encode_like_the_reference(case):
+    msg = ROUTE_ENCODER_CASES[case]
+    want = _encoded_or_error(_old_encode_route, msg)
+    got = _encoded_or_error(wire.encode_message, msg)
+    assert got == want
+    assert (_encoded_or_error(wire.encode_core, msg.core)
+            == _encoded_or_error(_old_encode_core, msg.core))
+    if type(want) is bytes:
+        assert type(got) is bytes
+        _assert_decodes_as_a_fresh_parse(got)
 
 
 class _Huge(bytes):
