@@ -176,14 +176,12 @@ class AttackerNode:
                               src_seq=self.spec.inflate_to,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
-        encoded = wire.encode_core(core)
-        self._send_as_hop(self._fake_origin(core, encoded, target), encoded,
-                           victim)
+        self._send_as_hop(*self._fake_origin(core, target), victim)
 
-    def _fake_origin(self, core, encoded, claimed) -> wire.RouteMessage:
-        """`core` (encoded as `encoded`) signed as if `claimed` were its
-        origin, though with this node's key, so it cannot verify."""
-        return originate(core, encoded, self.signing, claimed.key_bytes,
+    def _fake_origin(self, core, claimed) -> Tuple[wire.RouteMessage, bytes]:
+        """`core` signed as if `claimed` were its origin, though with this
+        node's key, so it cannot verify; with the core's encoding."""
+        return originate(core, self.signing, claimed.key_bytes,
                          self.spec.sec_level)
 
     # --- timed forgeries ----------------------------------------------------------
@@ -196,8 +194,7 @@ class AttackerNode:
                               src_id=claimed.node_id, src_seq=50, bct_id=7700,
                               dst_ip=self.spec.dst, dh_p=23, dh_g=5,
                               dh_payload=sealed)
-        encoded = wire.encode_core(core)
-        self._send_as_hop(self._fake_origin(core, encoded, claimed), encoded)
+        self._send_as_hop(*self._fake_origin(core, claimed))
 
     def _fire_fake_rerr(self) -> None:
         reporter = self.registry.by_ip(self.spec.through)
@@ -206,9 +203,8 @@ class AttackerNode:
                               src_id=reporter.node_id, src_seq=7777, bct_id=0,
                               dst_ip=self.spec.src,
                               originator_id=unreachable.node_id)
-        encoded = wire.encode_core(core)
-        send_message(self, self._fake_origin(core, encoded, reporter),
-                     encoded, self.spec.through)
+        send_message(self, *self._fake_origin(core, reporter),
+                     self.spec.through)
 
     def _fire_session_hijack(self) -> None:
         # first connection, no data yet

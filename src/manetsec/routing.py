@@ -55,22 +55,24 @@ SEND_QUEUE_LIMIT = 16         # segments held per target awaiting a route
 # Every `encoded` here is wire.encode_core of its message's core, made once
 # per hop by the node that makes or accepts the message.
 
-def originate(core: wire.RouteCore, encoded: bytes,
-              key: Optional[RsaKeyPair], key_bytes: bytes,
-              sec_level: int) -> wire.RouteMessage:
+def originate(core: wire.RouteCore, key: Optional[RsaKeyPair],
+              key_bytes: bytes,
+              sec_level: int) -> Tuple[wire.RouteMessage, bytes]:
     """`core` as a message with no hops, signed by signer 0 with `key` and
     bound to the encoded public key `key_bytes`; at level 0 it also carries
-    that signature standalone. With `key` None it is unsigned.
+    that signature standalone. With `key` None it is unsigned. Returned
+    with the core's encoding.
 
     `key_bytes` is the signer's own key; a forger names another node's key
     here, which makes the signature claim that node as origin.
     """
+    encoded = wire.encode_core(core)
     agg = source_sig = None
     if key is not None:
         agg = rsa_sign_first(wire.signer_hash(encoded, (), key_bytes), key)
         if sec_level == 0:
             source_sig = agg.value
-    return wire.RouteMessage(core, (), sec_level, agg, source_sig)
+    return wire.RouteMessage(core, (), sec_level, agg, source_sig), encoded
 
 
 def append_signer(msg: Tuple, encoded: bytes, key: RsaKeyPair,
@@ -206,14 +208,12 @@ class RouterNode:
         core = wire.RouteCore(kind=kind, src_ip=self.ip, src_id=self.node_id,
                               src_seq=self.seq, bct_id=bct, dst_ip=dst_ip,
                               **fields)
-        encoded = wire.encode_core(core)
         self.seen.add(self._seen_key(core))
         key = None
         if self.config.secure:
             key = self.config.keys.signing
             self.metrics.signed += 1
-        return originate(core, encoded, key, self.key_bytes,
-                         self.config.sec_level), encoded
+        return originate(core, key, self.key_bytes, self.config.sec_level)
 
     def _forward(self, msg: wire.RouteMessage,
                  encoded: bytes) -> wire.RouteMessage:
@@ -413,6 +413,10 @@ class RouterNode:
         except ValueError:
             return None
         return theirs if 0 < theirs < p else None
+
+    def session(self, peer_ip: str) -> Optional[Session]:
+        """The transport's session with `peer_ip`: the newest agreed."""
+        return self.sessions.get(peer_ip)
 
     def _store_key(self, peer: NodeIdentity, bct: int, key: SessionKey,
                    initiated: bool = False) -> None:

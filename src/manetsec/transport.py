@@ -93,7 +93,7 @@ class TcpEndpoint:
                           close_after_drain=close)
         self.conns[key] = conn
         self._event("connect", conn)
-        if self.secure and peer_ip not in self.router.sessions:
+        if self.secure and self.router.session(peer_ip) is None:
             try:
                 self.router.ensure_discovery(peer_ip)
             except UnknownIdentityError:
@@ -120,14 +120,14 @@ class TcpEndpoint:
         self._connect_count += 1
         if not self.secure:
             return base
-        session = self.router.sessions[conn.peer_ip]
+        session = self.router.session(conn.peer_ip)
         return (base + _keyed_number(
             b"isn", conn.local_port, conn.remote_port, self.router.node_id,
             session.peer_id, session.key)) & MASK
 
     def _cookie(self, peer_ip: str, seg: wire.Segment) -> int:
         """The server's initial number for the client that sent `seg`."""
-        session = self.router.sessions[peer_ip]
+        session = self.router.session(peer_ip)
         return _keyed_number(b"cookie", seg.src_port, seg.dst_port,
                              session.peer_id, self.router.node_id, session.key)
 
@@ -143,7 +143,7 @@ class TcpEndpoint:
     def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
         if not self.secure:
             return seg
-        session = self.router.sessions[peer_ip]
+        session = self.router.session(peer_ip)
         tag = mac_tag(seg.tag_input() + self.router.node_id + session.peer_id,
                       session.key)
         # by position: _replace would build a second record on the way
@@ -175,7 +175,7 @@ class TcpEndpoint:
         if what == "kw":
             if conn.state != "key_wait":
                 return
-            if conn.peer_ip in self.router.sessions:
+            if self.router.session(conn.peer_ip) is not None:
                 self._begin_handshake(conn)
             elif detail + 1 >= KEY_WAIT_LIMIT:
                 conn.state = "failed"
@@ -229,7 +229,7 @@ class TcpEndpoint:
         return self._on_fin(seg, conn)
 
     def _tag_ok(self, peer_ip: str, seg: wire.Segment) -> bool:
-        session = self.router.sessions.get(peer_ip)
+        session = self.router.session(peer_ip)
         if session is None:
             return False
         return mac_verify(seg.tag_input() + session.peer_id

@@ -2,7 +2,8 @@
 called only by `routing.originate`, `sas_aggregate_step` only by
 `routing.append_signer`, and in `routing` a `RouteMessage` is built only by
 those two. Verification in `routing` goes through the aggregate checks of
-`crypto`, never through a bare RSA public operation. Calls are found by
+`crypto`, never through a bare RSA public operation. A peer's session key is
+read only through `RouterNode.session`. Calls and attribute uses are found by
 walking each module's syntax tree and named by their innermost function."""
 
 import ast
@@ -12,9 +13,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "manetsec")
 
 
-def calls(source, module):
-    """(callee name, qualified name of the innermost enclosing function or
-    of the module) of every call in source."""
+def owned(source, module):
+    """(node, qualified name of the innermost enclosing function or of the
+    module) of every node in source."""
     found = []
 
     def walk(node, owner, prefix):
@@ -25,16 +26,39 @@ def calls(source, module):
                 walk(child, owner if isinstance(child, ast.ClassDef)
                      else name, name + ".")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if isinstance(func, ast.Name):
-                    found.append((func.id, owner))
-                elif isinstance(func, ast.Attribute):
-                    found.append((func.attr, owner))
+            found.append((child, owner))
             walk(child, owner, prefix)
 
     walk(ast.parse(source), module, module + ".")
     return found
+
+
+def calls(source, module):
+    """(callee name, owner as in `owned`) of every call in source."""
+    found = []
+    for node, owner in owned(source, module):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.append((func.id, owner))
+            elif isinstance(func, ast.Attribute):
+                found.append((func.attr, owner))
+    return found
+
+
+def attribute_uses(source, module, attr):
+    """Sorted distinct (use, owner as in `owned`) of every `.attr` in source:
+    the use is "write" where it, or an item of it, is assigned or deleted,
+    else "read"."""
+    nodes = owned(source, module)
+    stored = (ast.Store, ast.Del)
+    items_written = {id(node.value) for node, _ in nodes
+                     if isinstance(node, ast.Subscript)
+                     and isinstance(node.ctx, stored)}
+    return sorted({("write" if isinstance(node.ctx, stored)
+                    or id(node) in items_written else "read", owner)
+                   for node, owner in nodes
+                   if isinstance(node, ast.Attribute) and node.attr == attr})
 
 
 def callers(sources, callee, modules=None):
@@ -67,6 +91,21 @@ def test_a_call_is_named_by_its_innermost_function():
     assert callers({"m": source}, "f") == ["m", "m.A.g", "m.A.g.h"]
 
 
+def test_an_attribute_use_is_a_write_only_where_it_or_an_item_is_stored():
+    source = ('class A:\n'
+              '    def __init__(self):\n'
+              '        self.t: dict = {}\n'
+              '    def put(self, k):\n'
+              '        self.t[k] = 1\n'
+              '    def drop(self, k):\n'
+              '        del self.t[k]\n'
+              '    def get(self, k):\n'
+              '        return self.t.get(k), self.t[k], o.t\n')
+    assert attribute_uses(source, "m", "t") == [
+        ("read", "m.A.get"), ("write", "m.A.__init__"),
+        ("write", "m.A.drop"), ("write", "m.A.put")]
+
+
 def test_each_signing_step_has_one_home():
     sources = package_sources()
     assert callers(sources, "rsa_sign_first") == ["routing.originate"]
@@ -76,3 +115,21 @@ def test_each_signing_step_has_one_home():
         ["routing.append_signer", "routing.originate"]
     assert callers(sources, "rsa_public", ["routing"]) == []
     assert callers(sources, "powmod", ["routing"]) == []
+
+
+def test_a_peers_session_key_has_one_reader():
+    # the transport's key choice lives in the router, so a change to which
+    # key a segment uses changes RouterNode.session alone
+    sources = package_sources()
+    assert [module for module, source in sources.items()
+            if attribute_uses(source, module, "sessions")] == ["routing"]
+    assert attribute_uses(sources["routing"], "routing", "sessions") == [
+        ("read", "routing.RouterNode.session"),
+        ("write", "routing.RouterNode.__init__"),
+        ("write", "routing.RouterNode._store_key")]
+
+
+def test_routing_encodes_a_core_where_it_is_made_or_accepted():
+    sources = package_sources()
+    assert callers(sources, "encode_core", ["routing"]) == \
+        ["routing.RouterNode.on_receive", "routing.originate"]

@@ -41,9 +41,11 @@ def signer_hash(core, hops, public):
 
 
 def originate(core, key, sec_level):
-    """routing.originate of `core` by the holder of `key`, bound to it."""
-    return routing.originate(core, wire.encode_core(core), key,
-                             wire.encode_public(key.public), sec_level)
+    """The message routing.originate makes of `core` for the holder of
+    `key`, bound to it."""
+    msg, _ = routing.originate(core, key, wire.encode_public(key.public),
+                               sec_level)
+    return msg
 
 
 @contextlib.contextmanager

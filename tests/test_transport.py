@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 from conftest import build_network
-from manetsec import identity, routing, scenario, transport, wire
+from manetsec import identity, routing, scenario, sim, transport, wire
 from manetsec.crypto import (SessionKey, digest, digest_int, mac_tag,
                              mac_verify)
 
@@ -402,6 +402,32 @@ def test_retransmission_retags_under_a_rotated_session_key():
     assert ep["b"]._tag_ok("a", resent)
     r["b"].sessions["a"] = r["b"].sessions["a"]._replace(key=old)
     assert not ep["b"]._tag_ok("a", resent)
+
+
+def test_the_router_session_method_is_the_transports_only_key_source(
+        monkeypatch):
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
+    r["a"].start_discovery("b")
+    net.run(until=5)
+    ep["b"].listen(80)
+    real = r["a"].session("b")
+    wrong = real._replace(key=SessionKey(real.key.value + 1))
+    monkeypatch.setattr(r["a"], "session", lambda peer_ip: wrong)
+    conn_key = ep["a"].connect("b", 5000, 80, b"hello")
+    net.run(until=5 + TCP.rto - 1)
+    assert [(rec.kind, rec.disposition) for rec in net.trace[2:]] == \
+        [("SYN", sim.dropped("tag_mismatch"))]
+    assert m.drops == {"tag_mismatch": 1}
+
+    # with the method restored, the retransmission is re-tagged under the
+    # agreed key, delivered, and the connection completes
+    monkeypatch.undo()
+    net.run(until=40)
+    syns = [rec.disposition for rec in net.trace if rec.kind == "SYN"]
+    assert syns == [sim.dropped("tag_mismatch"), "delivered"]
+    assert m.drops == {"tag_mismatch": 1}
+    assert ep["a"].conns[conn_key].state == "established"
+    assert m.delivered_payloads[("b", "a", 80, 5000)] == b"hello"
 
 
 def test_tagged_segment_is_a_plain_segment_its_frame_carries():
