@@ -78,6 +78,15 @@ _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 MR_FIXED_BITS = 78
 
 
+# The safe-pair test's first stage marks each residue r modulo 15015 at
+# which 3, 5, 7, 11 or 13 divides r or 2r + 1, and so q or 2q + 1 for every
+# q = r. About 90 % of odd q are marked; adding 17 would let 12 % fewer
+# through, at 17 times the width.
+_PAIR_MODULUS = 3 * 5 * 7 * 11 * 13
+_PAIR_MARKS = bytes(math.gcd(r * (2 * r + 1), _PAIR_MODULUS) > 1
+                    for r in range(_PAIR_MODULUS))
+
+
 # --- modular exponentiation -------------------------------------------------
 
 # powmod's width cut. An OpenSSL call pays about 3 us to convert and pass
@@ -104,12 +113,13 @@ def _bind_bn_mod_exp():
 
     The BN_* symbols resolve through CPython's _hashlib module, so they come
     from the libcrypto it already links: nothing is installed and no second
-    OpenSSL is loaded. The three registers and the BN_CTX are allocated here,
-    and each slot of the pool of prepared moduli when it is first filled;
-    all are reused by every call, for the life of the process. Each pointer
-    is wrapped in a c_void_p once, and every result is written to one
-    buffer, widened when a wider modulus is prepared, so a call allocates no
-    ctypes object.
+    OpenSSL is loaded. Two registers and the BN_CTX are allocated here, and
+    each slot of the pool of prepared moduli when it is first filled; all
+    are reused by every call, for the life of the process, and no ctypes
+    object is allocated per call. The base register and each slot's
+    exponent register keep their last value, so a call loads only the
+    operands that changed: a key's dp and dq, the x of both CRT halves and
+    a candidate's d over its Miller-Rabin rounds are each loaded once.
     """
     try:
         import _hashlib
@@ -131,14 +141,15 @@ def _bind_bn_mod_exp():
     mont_set.argtypes, mont_set.restype = [ptr] * 3, c_int
     mont_exp.argtypes, mont_exp.restype = [ptr] * 6, c_int
     ctx = ctx_new()
-    regs = [bn_new() for _ in range(3)]
+    regs = [bn_new() for _ in range(2)]
     if ctx is None or None in regs:
         return None
     ctx = ptr(ctx)
-    result, base, exponent = map(ptr, regs)
-    # each odd modulus held, mapped to the (BIGNUM, BN_MONT_CTX) slot that
-    # holds it and its Montgomery context; a dict keeps insertion order, so
-    # its first key is the modulus set up longest ago
+    result, base = map(ptr, regs)
+    held_base = None   # the value in base, or None if it may hold none
+    # each odd modulus held, mapped to its slot [BIGNUM, BN_MONT_CTX, exponent
+    # register, the exponent in it or None]; a dict keeps insertion order,
+    # so its first key is the modulus set up longest ago
     prepared = {}
     # results are written at the buffer's full width, zero-padded in front,
     # so it serves every modulus no wider than the widest prepared
@@ -155,15 +166,15 @@ def _bind_bn_mod_exp():
         slot = prepared.get(m)
         if slot is None:
             if len(prepared) < MONT_POOL_SIZE:
-                slot = bn_new(), mont_new()
+                slot = [bn_new(), mont_new(), bn_new()]
                 if None in slot:
                     raise MemoryError("BN_new or BN_MONT_CTX_new failed")
-                slot = tuple(map(ptr, slot))
+                slot = [*map(ptr, slot), None]
             else:
                 slot = prepared.pop(next(iter(prepared)))
-            reg, mont = slot
-            load(m, reg)
-            if not mont_set(mont, reg, ctx):
+                slot[3] = None
+            load(m, slot[0])
+            if not mont_set(slot[1], slot[0], ctx):
                 raise ArithmeticError("BN_MONT_CTX_set failed")
             prepared[m] = slot
             width = (m.bit_length() + 7) // 8
@@ -173,9 +184,17 @@ def _bind_bn_mod_exp():
 
     def bn_mod_exp(x: int, e: int, m: int) -> int:
         """x^e mod m for odd m: Montgomery reduction needs an odd modulus."""
-        load(x, base)
-        load(e, exponent)
-        reg, mont = prepare(m)
+        nonlocal held_base
+        if x != held_base:
+            held_base = None
+            load(x, base)
+            held_base = x
+        slot = prepare(m)
+        reg, mont, exponent, held = slot
+        if e != held:
+            slot[3] = None
+            load(e, exponent)
+            slot[3] = e
         if not mont_exp(result, base, exponent, reg, ctx, mont):
             raise ArithmeticError("BN_mod_exp_mont failed")
         size = len(out)
@@ -332,6 +351,31 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
         if not _miller_rabin(n, rng.randrange(2, n - 1)):
             return False
     return True
+
+
+def _is_safe_pair(q: int) -> bool:
+    """Whether q and p = 2q + 1 are prime, for q > SIEVE_BOUND and p of at
+    most MR_FIXED_BITS bits: the residue table, the screen of q * p, base 2
+    on q and on p, then the other fixed bases on q only. Once q is prime,
+    Pocklington's criterion (a = 2, p - 1 = 2q, 3 not dividing p) makes p
+    prime exactly when 2^(p - 1) = 1 mod p, which p's base-2 round implies,
+    so the verdicts are is_probable_prime's, and none draws a base."""
+    if _PAIR_MARKS[q % _PAIR_MODULUS]:
+        return False
+    p = 2 * q + 1
+    if (_has_factor_in(q * p, _SIEVE_PRODUCT)
+            or not (_miller_rabin(q, 2) and _miller_rabin(p, 2))):
+        return False
+    return all(_miller_rabin(q, base) for base in _MR_BASES[1:])
+
+
+def is_safe_prime(p: int, rng: random.Random) -> bool:
+    """Whether p and q = (p - 1) / 2 both pass is_probable_prime: by the
+    pair test where neither would draw a base, else p then q in full."""
+    q = (p - 1) // 2
+    if p & 1 and q > SIEVE_BOUND and p.bit_length() <= MR_FIXED_BITS:
+        return _is_safe_pair(q)
+    return is_probable_prime(p, rng) and is_probable_prime(q, rng)
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:
@@ -547,31 +591,22 @@ def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
     """The search generate_dh_group memoizes.
 
     Up to MR_FIXED_BITS bits, where both q and p are past the sieve and no
-    test draws from the stream, the pair is tested cheapest first: one
-    small-prime screen of q * p, then both base-2 rounds, then the other
-    fixed bases. Nearly every candidate q that is prime has a composite p,
-    which its base-2 round ends, so the pair pays one or two rounds where
-    testing q fully first paid twelve. Each test is a pure function of its
-    number, so the pair passes exactly when is_probable_prime passes both,
-    and the groups and the stream stay as they were. Wider pairs keep the
-    old order: p's screen by the primes up to 251 (a p that is itself a
-    small prime passes), then is_probable_prime on q and on p, since its
-    drawn bases move the stream."""
+    test draws from the stream, each q runs the exact pair test, cheapest
+    stage first, so the groups and the stream stay as they were. Wider
+    pairs keep the old order: p's screen by the primes up to 251 (a p that
+    is itself a small prime passes), then is_probable_prime on q and on p,
+    since its drawn bases move the stream."""
     fixed = SIEVE_BOUND.bit_length() < bits <= MR_FIXED_BITS
     while True:
         q = rng.getrandbits(bits - 1)
         q |= (1 << (bits - 2)) | 1
+        if fixed and not _is_safe_pair(q):
+            continue
         p = 2 * q + 1
-        if fixed:
-            if (_has_factor_in(q * p, _SIEVE_PRODUCT)
-                    or not all(_miller_rabin(q, base)
-                               and _miller_rabin(p, base)
-                               for base in _MR_BASES)):
-                continue
-        elif ((_has_factor_in(p, _DH_SCREEN_PRODUCT)
-               and p not in _SIEVE_PRIMES)   # as 8-bit groups need
-              or not is_probable_prime(q, rng)
-              or not is_probable_prime(p, rng)):
+        if not fixed and ((_has_factor_in(p, _DH_SCREEN_PRODUCT)
+                           and p not in _SIEVE_PRIMES)   # as 8-bit groups need
+                          or not is_probable_prime(q, rng)
+                          or not is_probable_prime(p, rng)):
             continue
         for g in (2, 3, 5, 7, 11, 13):
             if powmod(g, 2, p) != 1 and powmod(g, q, p) != 1:

@@ -32,7 +32,7 @@ from .crypto import (
     dh_public,
     dh_shared,
     generate_dh_group,
-    is_probable_prime,
+    is_safe_prime,
     make_dh_params,
     NodeKeys,
     rsa_decrypt,
@@ -398,10 +398,10 @@ class RouterNode:
         if theirs is None or p >= origin.encryption_public[0]:
             return None
         # p must be a safe prime 2q + 1, tested last so its width is bounded
-        # by the key check; random bases, because a requester can pick a
-        # composite that passes any fixed set
-        if not (is_probable_prime(p, self._group_rng)
-                and is_probable_prime((p - 1) // 2, self._group_rng)):
+        # by the key check; above 78 bits with bases drawn from a stream of
+        # this node's, because a requester can pick a composite that passes
+        # any fixed set there
+        if not is_safe_prime(p, self._group_rng):
             return None
         return theirs
 

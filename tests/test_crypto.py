@@ -347,6 +347,34 @@ def test_powmod_reuses_pool_slots_for_more_moduli_than_it_holds():
                 assert crypto.powmod(x, e, n) == pow(x, e, n), (rounds, i)
 
 
+def test_openssl_kernel_reloads_only_what_changed_and_equals_pow():
+    kernel = crypto._bn_mod_exp
+    if kernel is None:
+        pytest.skip("_hashlib does not resolve OpenSSL's BN_* symbols")
+    m1, m2 = _odd_moduli(256, 2, 21)
+    x = random.Random(22).getrandbits(300)
+    calls = [
+        (x, 65537, m1),
+        (x, 3, m1),                  # the same base with a new exponent
+        (x + 1, 3, m1),              # a new base, the slot's exponent held
+        (x + 1, 3, m2),              # the base held, a new modulus
+        (x, 3, m2),                  # a new base, m2's exponent held
+        (x, 5, m1),                  # m1 again with a new exponent
+        (int(str(x)), 5, m1),        # the base's value in another int
+        (x, 0, m1), (0, 5, m1), (x, 5, m1),
+    ]
+    assert calls[6][0] is not x
+    for i, (b, e, m) in enumerate(calls):
+        assert kernel(b, e, m) == pow(b, e, m), i
+    # every other slot is taken, so m1 returns to a slot whose register
+    # held another modulus' exponent, and must not keep m1's old one
+    for m in _odd_moduli(128, crypto.MONT_POOL_SIZE + 1, 23):
+        assert kernel(x, 7, m) == pow(x, 7, m)
+    for e in (9, 5, 7):
+        assert kernel(x, e, m1) == pow(x, e, m1), e
+    assert kernel(x, 5, m2) == pow(x, 5, m2)
+
+
 # --- primality --------------------------------------------------------------
 
 # A copy of is_probable_prime, generate_prime and generate_dh_group as they
@@ -589,8 +617,9 @@ def test_prime_and_group_generation_match_reference(bits, seeds):
 def test_a_group_search_under_the_bound_runs_both_base_2_rounds_first(
         monkeypatch):
     # no base is drawn up to crypto.MR_FIXED_BITS, so the search screens
-    # q and p and runs both base-2 rounds before any other base; testing q
-    # in full before p made 7767 rounds for these 100 groups
+    # q and p and runs both base-2 rounds before any other base, and the
+    # other bases on q only; testing q in full before p made 7767 rounds
+    # for these 100 groups, and running every fixed base on both 3655
     assert crypto.MR_FIXED_BITS == 78
     rounds = []
     miller_rabin = crypto._miller_rabin
@@ -605,16 +634,72 @@ def test_a_group_search_under_the_bound_runs_both_base_2_rounds_first(
         assert crypto._search_dh_group(64, ours) == \
             reference_generate_dh_group(64, theirs)
     assert ours.getstate() == theirs.getstate()
-    assert len(rounds) == 3655
-    # a q (63 bits) or p (64 bits) meets a base past 2 only after both
-    # numbers of its pair have run base 2
+    assert len(rounds) == 2533
+    # a q (63 bits) meets a base past 2 only after both numbers of its pair
+    # have run base 2, and a p (64 bits) never does
     ran_base_2 = set()
     for n, base in rounds:
         if base == 2:
             ran_base_2.add(n)
         else:
-            q = n if n.bit_length() == 63 else n // 2
-            assert {q, 2 * q + 1} <= ran_base_2
+            assert n.bit_length() == 63
+            assert {n, 2 * n + 1} <= ran_base_2
+
+
+def test_the_pair_table_marks_a_factor_from_3_to_13_in_r_or_2r_plus_1():
+    assert len(crypto._PAIR_MARKS) == crypto._PAIR_MODULUS == 15015
+    for r, mark in enumerate(crypto._PAIR_MARKS):
+        assert mark == any(r % ell == 0 or (2 * r + 1) % ell == 0
+                           for ell in (3, 5, 7, 11, 13)), r
+
+
+def test_the_pair_test_equals_two_prime_tests_on_every_odd_q_from_2049():
+    rng, accepted = random.Random(0), 0
+    for q in range(crypto.SIEVE_BOUND + 1, crypto.SIEVE_BOUND + 1 + 300000,
+                   2):
+        verdict = crypto._is_safe_pair(q)
+        assert verdict == (crypto.is_probable_prime(q, rng)
+                           and crypto.is_probable_prime(2 * q + 1, rng)), q
+        accepted += verdict
+    # no width here reaches the drawn bases
+    assert rng.getstate() == random.Random(0).getstate()
+    assert accepted > 1000
+
+
+def test_the_pair_test_equals_two_prime_tests_on_screened_63_bit_q():
+    # q = k * 30030 + r for an odd r the table leaves, kept when q * (2q + 1)
+    # passes the small-prime screen, so each q reaches a Miller-Rabin round
+    rng, draws = random.Random(63), random.Random(0)
+    residues = [r for r in range(1, 30030, 2)
+                if not crypto._PAIR_MARKS[r % 15015]]
+    low, high = (1 << 62) // 30030 + 1, (1 << 63) // 30030 - 1
+    tested = accepted = 0
+    while tested < 100000:
+        q = rng.randrange(low, high) * 30030 + rng.choice(residues)
+        if crypto._has_factor_in(q * (2 * q + 1), crypto._SIEVE_PRODUCT):
+            continue
+        verdict = crypto._is_safe_pair(q)
+        assert verdict == (crypto.is_probable_prime(q, draws)
+                           and crypto.is_probable_prime(2 * q + 1, draws)), q
+        assert q.bit_length() == 63
+        tested += 1
+        accepted += verdict
+    assert draws.getstate() == random.Random(0).getstate()
+    assert accepted > 10
+
+
+@pytest.mark.parametrize("bits", [8, 11, 12, 13, 64, 78, 79, 96, 128])
+def test_safe_prime_check_matches_reference_verdicts_and_draws(bits):
+    # safe primes on both sides of the sieve and of the fixed-base bound,
+    # each with composites of the same width beside it
+    for seed in range(4):
+        p, _ = reference_generate_dh_group(bits, random.Random(seed))
+        for n in (p, p + 2, p + 4, p - 2, 3 * p, 2 * p + 1):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert crypto.is_safe_prime(n, ours) == (
+                reference_is_probable_prime(n, theirs)
+                and reference_is_probable_prime(n // 2, theirs)), n
+            assert ours.getstate() == theirs.getstate(), n
 
 
 # --- session key bootstrap ------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import random
 import sys
 from unittest import mock
 
@@ -98,9 +99,12 @@ def test_two_node_discovery_with_pinned_key_exchange():
 
 # 3317044064679887385961981 is composite but a strong pseudoprime to every
 # prime base up to 37 (Sorenson and Webster, 2015); 2^101 - 1 is composite
-# but a strong pseudoprime to base 2; 29 is prime, 14 is not
+# but a strong pseudoprime to base 2; 29 is prime, 14 is not. Up to 78 bits
+# with q past the sieve, where the pair test decides: 3215031751 is
+# composite but a strong pseudoprime to bases 2, 3, 5 and 7; 4107 = 3 * 37^2
+# with q = 2053 prime; 4099 is prime with q = 2049 = 3 * 683
 @pytest.mark.parametrize("p", [3317044064679887385961981, (1 << 101) - 1,
-                               29])
+                               29, 3215031751, 4107, 4099])
 def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
     with pinned_group(r["a"], p=p, g=2, r=6):
@@ -111,6 +115,29 @@ def test_responder_refuses_a_group_that_is_not_a_safe_prime(p):
     assert m.of("session_key") == []
     assert r["b"].sessions == {}
     assert r["a"].sessions == {}
+
+
+def test_responder_accepts_a_64_bit_safe_prime_in_13_rounds(monkeypatch):
+    net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
+    p, g = crypto.generate_dh_group(64, random.Random(5))
+    q = p // 2
+    rounds = []
+    miller_rabin = crypto._miller_rabin
+
+    def counted(n, base):
+        rounds.append((n, base))
+        return miller_rabin(n, base)
+
+    monkeypatch.setattr(crypto, "_miller_rabin", counted)
+    with pinned_group(r["a"], p=p, g=g, r=6):
+        r["a"].start_discovery("b")
+    net.run(until=10)
+
+    assert m.drops == {}
+    assert r["a"].sessions["b"].key == r["b"].sessions["a"].key
+    # base 2 on q and on p, then the other 11 fixed bases on q alone
+    assert [(n, base) for n, base in rounds if n in (p, q)] == \
+        [(q, 2), (p, 2)] + [(q, base) for base in crypto._MR_BASES[1:]]
 
 
 def signed_by_origin(core, key, sec_level):
@@ -151,7 +178,7 @@ def test_responder_refuses_a_signed_request_with_a_bad_exchange(
     core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip="o",
                           src_id=reg.by_ip("o").node_id, src_seq=1, bct_id=1,
                           dst_ip="v", dh_p=p, dh_g=g, dh_payload=sealed)
-    with mock.patch.object(routing, "is_probable_prime") as group_check:
+    with mock.patch.object(routing, "is_safe_prime") as group_check:
         net.unicast("o", "v", signed_by_origin(core, keys["o"].signing,
                                                sec_level))
         net.run(until=5)
