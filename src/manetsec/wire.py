@@ -9,8 +9,7 @@ first offending field.
 from __future__ import annotations
 
 import struct
-from typing import (List, NamedTuple, NoReturn, Optional, Sequence, Tuple,
-                    Union)
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .crypto import (
     AggregateSignature, DIGEST_BYTES, digest, digest_int, digest_stream,
@@ -66,22 +65,6 @@ def _read_uint(data: bytes, pos: int, width: int) -> Tuple[int, int]:
     if pos + width > len(data):
         raise ParseError(pos, "truncated %d-byte integer" % width)
     return int.from_bytes(data[pos:pos + width], "big"), pos + width
-
-
-def _encode_uint(value: int, width: int) -> bytes:
-    if not 0 <= value < (1 << (8 * width)):
-        raise ValueError("field out of range for %d bytes: %r" % (width, value))
-    return value.to_bytes(width, "big")
-
-
-_TOKEN_LENGTH = struct.Struct(">H")
-
-
-def _encode_token(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("token too long")
-    return _TOKEN_LENGTH.pack(len(raw)) + raw
 
 
 def _read_token(data: bytes, pos: int) -> Tuple[str, int]:
@@ -181,8 +164,8 @@ _UNSIGNED = (_CHAIN_HEAD.pack(1, 0, 0), _CHAIN_HEAD.pack(0, 1, 0))
 
 def encode_core(core: RouteCore) -> bytes:
     """A core's bytes, each run of fixed-width fields packed at once and the
-    whole joined once. A field that does not fit raises the ValueError of
-    the first bad field in frame order, from _raise_core_error."""
+    whole joined once. A token or sequence number that does not fit its
+    width raises one ValueError that names the core."""
     (kind, src_ip, src_id, src_seq, bct_id, dst_ip, dst_seq, dh_p, dh_g,
      dh_payload, originator_id) = core
     if kind not in ROUTE_KIND_NAMES:
@@ -204,26 +187,8 @@ def encode_core(core: RouteCore) -> bytes:
         if len(originator_id) != DIGEST_BYTES:
             raise ValueError("error reports need a 32-byte originator id")
         return b"".join(head + (originator_id,))
-    except (struct.error, ValueError):
-        _raise_core_error(core)
-        raise
-
-
-def _raise_core_error(core: RouteCore) -> None:
-    """Raise the ValueError of a core's first bad field, in frame order:
-    each token, sequence number and integer checked one at a time."""
-    _encode_token(core.src_ip)
-    _encode_uint(core.src_seq, 8)
-    _encode_uint(core.bct_id, 8)
-    _encode_token(core.dst_ip)
-    if core.kind == KIND_RREQ:
-        for value in (core.dh_p, core.dh_g, core.dh_payload):
-            encode_bigint(value)
-    elif core.kind == KIND_RREP:
-        _encode_uint(core.dst_seq, 8)
-        encode_bigint(core.dh_payload)
-    elif len(core.originator_id) != DIGEST_BYTES:
-        raise ValueError("error reports need a 32-byte originator id")
+    except struct.error as err:
+        raise ValueError("route core field out of range: %s" % err) from None
 
 
 def _require_defaults(core: RouteCore) -> None:
@@ -265,14 +230,14 @@ def _read_core(data: bytes, pos: int) -> Tuple[RouteCore, int]:
 
 def _encode_route_message(msg: RouteMessage, encoded: bytes) -> bytes:
     """A route message's frame after its core's `encoded`, checked and
-    packed in one pass, with the checks of a field-by-field encoder in
-    frame order: each hop's width, the level, the aggregate's value and
-    overflow bits, the standalone signature. Each run of fixed-width fields
-    is one struct pack and the frame is one join. As for an envelope, the
-    frame carries the message only when every field has its exact type, so
-    that a strict parse gives it back type for type: the core's fields
-    through chained `is` tests, each hop in the loop that checks its width,
-    and the overflow bits by a count made in C."""
+    packed in one pass: each hop's width, the level, the aggregate's value
+    and overflow bits and the standalone signature are checked, each with
+    its own ValueError. Each run of fixed-width fields is one struct pack
+    and the frame is one join. As for an envelope, the frame carries the
+    message only when every field has its exact type, so that a strict
+    parse gives it back type for type: the core's fields through chained
+    `is` tests, each hop in the loop that checks its width, and the
+    overflow bits by a count made in C."""
     core, hops, sec_level, agg, sig = msg
     exact = (type(core) is RouteCore and type(hops) is tuple
              and type(sec_level) is int and _exact_core(core))
@@ -375,9 +340,10 @@ def _read_route_message(data: bytes, pos: int) -> Tuple[RouteMessage, int]:
 
 # --- transport segments -----------------------------------------------------
 
-# Kind byte, role, src_port, dst_port, seq, ack, payload length.
+# Kind byte, role, src_port, dst_port, seq, ack, payload length; an
+# envelope's address token length.
 _SEGMENT_HEAD = struct.Struct(">BBQQQQI")
-_SEGMENT_WIDTHS = (1, 8, 8, 8, 8, 4)   # the fields after the kind byte
+_TOKEN_LENGTH = struct.Struct(">H")
 _DATA_KIND = bytes([KIND_DATA])
 
 
@@ -390,13 +356,8 @@ def _segment_head(seg: Segment) -> bytes:
         return _SEGMENT_HEAD.pack(KIND_SEGMENT, role, seg.src_port,
                                   seg.dst_port, seg.seq, seg.ack,
                                   len(seg.payload))
-    except struct.error:
-        # raise the ValueError of the first field that does not fit
-        fields = (role, seg.src_port, seg.dst_port, seg.seq, seg.ack,
-                  len(seg.payload))
-        for value, width in zip(fields, _SEGMENT_WIDTHS):
-            _encode_uint(value, width)
-        raise
+    except struct.error as err:
+        raise ValueError("segment field out of range: %s" % err) from None
 
 
 def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:
@@ -447,13 +408,15 @@ def _encode_envelope(msg: DataPacket) -> bytes:
     carries the message only when every field has its exact type, so that
     a strict parse gives it back type for type (chained `is` tests); a
     bool, a bytearray or a subclass packs to the same bytes as plain bytes.
-    A bad tag, role or field raises the error of the first bad field, from
-    _raise_envelope_error.
+    A bad tag or role, or a token or segment field that does not fit its
+    width, raises one ValueError that names the segment or the envelope.
     """
     src_ip, dst_ip, seg = msg
     role, src_port, dst_port, seq, ack, payload, tag = seg
-    if len(tag) != DIGEST_BYTES or role not in ROLE_NAMES:
-        _raise_envelope_error(msg)
+    if len(tag) != DIGEST_BYTES:
+        raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
+    if role not in ROLE_NAMES:
+        raise ValueError("unknown segment role %r" % role)
     try:
         src = src_ip.encode("utf-8")
         src_length = _TOKEN_LENGTH.pack(len(src))
@@ -463,8 +426,8 @@ def _encode_envelope(msg: DataPacket) -> bytes:
             _SEGMENT_HEAD.pack(KIND_SEGMENT, role, src_port, dst_port, seq,
                                ack, len(payload)),
             payload, tag))
-    except struct.error:
-        _raise_envelope_error(msg)
+    except struct.error as err:
+        raise ValueError("envelope field out of range: %s" % err) from None
     if (type(src_ip) is type(dst_ip) is str and type(seg) is Segment
             and type(payload) is type(tag) is bytes
             and type(role) is type(src_port) is type(dst_port) is type(seq)
@@ -473,17 +436,6 @@ def _encode_envelope(msg: DataPacket) -> bytes:
         data.msg = msg
         data.label = ROLE_NAMES[role]
     return data
-
-
-def _raise_envelope_error(msg: DataPacket) -> NoReturn:
-    """Raise the ValueError of an envelope's first bad field, in frame
-    order: a token over 0xFFFF bytes, the tag length, the role, then the
-    first segment field that does not fit its width."""
-    _encode_token(msg.src_ip)
-    _encode_token(msg.dst_ip)
-    if len(msg.segment.tag) != DIGEST_BYTES:
-        raise ValueError("segment tag must be %d bytes" % DIGEST_BYTES)
-    _segment_head(msg.segment)
 
 
 def decode_message(data: bytes) -> Message:

