@@ -161,13 +161,18 @@ class RouterNode:
         self.seen: set = set()
         self.sessions: Dict[str, Session] = {}
         self.transport = None
-        self.rng = random.Random(
-            derive_seed(config.master_seed, "node", config.name))
-        # bases for testing requesters' groups; a stream of its own, so the
-        # checks move no other draw
-        self._group_rng = random.Random(
-            derive_seed(config.master_seed, "group-check", config.name))
+        # the exchange's groups and exponents; and bases for testing
+        # requesters' groups, a stream of its own so the checks move no
+        # other draw. Each is seeded by _stream at its first draw.
+        self.rng: Optional[random.Random] = None
+        self._group_rng: Optional[random.Random] = None
         net.add_node(config.name, self)
+
+    def _stream(self, label: str) -> random.Random:
+        """This node's stream `label`, seeded from the master seed, the
+        label and the node's name; most routers of a run draw from none."""
+        return random.Random(derive_seed(self.config.master_seed, label,
+                                         self.config.name))
 
     # --- discovery ----------------------------------------------------------
 
@@ -178,6 +183,8 @@ class RouterNode:
         params = None
         exchange = {}
         if self.config.secure:
+            if self.rng is None:
+                self.rng = self._stream("node")
             p, g = generate_dh_group(self.config.dh_bits, self.rng)
             params = make_dh_params(p, g, self.rng)
             if params.p >= dest.encryption_public[0]:
@@ -377,6 +384,8 @@ class RouterNode:
         exchange with the requester's checked half, `theirs`."""
         sealed = 0
         if self.config.secure:
+            if self.rng is None:
+                self.rng = self._stream("node")
             params = make_dh_params(core.dh_p, core.dh_g, self.rng)
             self._store_key(origin, core.bct_id, dh_shared(theirs, params))
             sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
@@ -401,6 +410,8 @@ class RouterNode:
         # by the key check; above 78 bits with bases drawn from a stream of
         # this node's, because a requester can pick a composite that passes
         # any fixed set there
+        if self._group_rng is None:
+            self._group_rng = self._stream("group-check")
         if not is_safe_prime(p, self._group_rng):
             return None
         return theirs

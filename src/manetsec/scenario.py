@@ -139,9 +139,9 @@ def _str_field(doc: dict, key: str, where: str, default=None):
     return v
 
 
-def _node_field(doc: dict, key: str, where: str, nodes) -> str:
+def _node_field(doc: dict, key: str, where: str, declared: set) -> str:
     name = _str_field(doc, key, where)
-    if name not in nodes:
+    if name not in declared:
         raise ScenarioError("%s.%s: %r is not a declared node"
                             % (where, key, name))
     return name
@@ -200,7 +200,8 @@ def parse(doc, **overrides) -> Scenario:
     nodes_raw = _need(doc, "nodes", "scenario")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         raise ScenarioError("scenario.nodes: expected a non-empty array")
-    nodes: List[str] = []
+    nodes: List[str] = []   # in order; membership is tested on `declared`
+    declared = set()
     for i, name in enumerate(nodes_raw):
         where = "nodes[%d]" % i
         if not isinstance(name, str) or not name:
@@ -214,9 +215,10 @@ def parse(doc, **overrides) -> Scenario:
             # a name travels as a wire token with a 16-bit length
             raise ScenarioError("%s: node names are at most 65535 UTF-8 "
                                 "bytes" % where)
-        if name in nodes:
+        if name in declared:
             raise ScenarioError("%s: duplicate node name %r" % (where, name))
         nodes.append(name)
+        declared.add(name)
 
     links_raw = doc.get("links", [])
     if not isinstance(links_raw, list):
@@ -228,8 +230,8 @@ def parse(doc, **overrides) -> Scenario:
         if not isinstance(item, dict):
             raise ScenarioError("%s: expected an object" % where)
         _known_fields(item, _LINK_FIELDS, where)
-        a = _node_field(item, "a", where, nodes)
-        b = _node_field(item, "b", where, nodes)
+        a = _node_field(item, "a", where, declared)
+        b = _node_field(item, "b", where, declared)
         if a == b:
             raise ScenarioError("%s: link endpoints must differ" % where)
         pair = frozenset((a, b))
@@ -277,15 +279,15 @@ def parse(doc, **overrides) -> Scenario:
             raise ScenarioError("%s: unknown event kind %r" % (where, kind))
         _known_fields(ev, _EVENT_FIELDS[kind] | {"tick", "kind"}, where)
         if kind == "start_discovery":
-            node = _node_field(ev, "node", where, nodes)
-            target = _node_field(ev, "target", where, nodes)
+            node = _node_field(ev, "node", where, declared)
+            target = _node_field(ev, "target", where, declared)
             if node == target:
                 raise ScenarioError("%s: a node cannot discover itself"
                                     % where)
             sc.discoveries.append((tick, node, target))
         elif kind == "start_flow":
-            client = _node_field(ev, "client", where, nodes)
-            server = _node_field(ev, "server", where, nodes)
+            client = _node_field(ev, "client", where, declared)
+            server = _node_field(ev, "server", where, declared)
             if client == server:
                 raise ScenarioError("%s: flow endpoints must differ" % where)
             cp = _int_field(ev, "client_port", where, default=5000, minimum=1)
@@ -301,8 +303,8 @@ def parse(doc, **overrides) -> Scenario:
                                      payload=payload.encode("utf-8"),
                                      close=close))
         elif kind in ("link_down", "link_up"):
-            a = _node_field(ev, "a", where, nodes)
-            b = _node_field(ev, "b", where, nodes)
+            a = _node_field(ev, "a", where, declared)
+            b = _node_field(ev, "b", where, declared)
             if frozenset((a, b)) not in seen_links:
                 raise ScenarioError("%s: no such link %s-%s" % (where, a, b))
             sc.link_changes.append((tick, a, b, kind == "link_up"))
@@ -310,14 +312,14 @@ def parse(doc, **overrides) -> Scenario:
             raw = ev.get("attack")
             if not isinstance(raw, dict):
                 raise ScenarioError("%s: missing 'attack' object" % where)
-            sc.attack_specs.append(_parse_attack(raw, tick, where, nodes))
+            sc.attack_specs.append(_parse_attack(raw, tick, where, declared))
 
     _cross_validate(sc)
     return sc
 
 
 def _parse_attack(raw: dict, tick: int, where: str,
-                  nodes) -> attacks.AttackSpec:
+                  declared: set) -> attacks.AttackSpec:
     """An AttackSpec from the fields its kind reads; a parameter left out
     keeps the AttackSpec default."""
     where = where + ".attack"
@@ -327,10 +329,10 @@ def _parse_attack(raw: dict, tick: int, where: str,
     reads = attacks.KINDS[kind]
     _known_fields(raw, {"kind", "attacker", *reads.nodes, *reads.params},
                   where, "%s attack: unexpected field" % kind)
-    attacker = _node_field(raw, "attacker", where, nodes)
+    attacker = _node_field(raw, "attacker", where, declared)
     fields = dict(kind=kind, attacker=attacker, start=max(tick, 1))
     for name in reads.nodes:
-        fields[name] = _node_field(raw, name, where, nodes)
+        fields[name] = _node_field(raw, name, where, declared)
     for name in reads.params:
         if name not in raw:
             continue

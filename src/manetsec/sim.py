@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .crypto import derive_seed
 from . import wire
@@ -136,7 +136,9 @@ class Network:
         # _links[a][b] is _links[b][a]: one state per undirected link
         self._links: Dict[str, Dict[str, LinkState]] = {}
         self._neighbors: Dict[str, List[str]] = {}
-        self._loss_rng = random.Random(derive_seed(seed, "loss"))
+        self._seed = seed
+        # seeded in add_link; set here as a later attribute slows each frame
+        self._loss_rng: Optional[random.Random] = None
         self._delivery = self._deliver   # bound once, queued per frame
 
     # --- topology ---------------------------------------------------------
@@ -160,6 +162,9 @@ class Network:
             raise ValueError("loss probability out of range")
         if b in self._links[a]:
             raise ValueError("duplicate link %s-%s" % (a, b))
+        if loss > 0.0 and self._loss_rng is None:
+            # only _transmit draws, and only over a lossy link
+            self._loss_rng = random.Random(derive_seed(self._seed, "loss"))
         link = LinkState(latency=latency, loss=loss, tunnel=tunnel)
         self._links[a][b] = self._links[b][a] = link
         if not tunnel:

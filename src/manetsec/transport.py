@@ -30,6 +30,7 @@ CLIENT_ISN_BASE = 1000
 SERVER_ISN_BASE = 2000
 ISN_STEP = 64
 KEY_WAIT_LIMIT = 20
+_UNTAGGED = b"\x00" * 32   # a plain endpoint's tag
 
 ConnKey = Tuple[str, int, int]   # (peer ip, local port, remote port)
 
@@ -136,18 +137,28 @@ class TcpEndpoint:
     def _make(self, conn: Connection, role: int,
               payload: bytes = b"") -> wire.Segment:
         """A tagged segment at the connection's send and receive points."""
-        seg = wire.Segment(role, conn.local_port, conn.remote_port,
-                           conn.snd_nxt, conn.rcv_nxt, payload, b"\x00" * 32)
-        return self._tagged(conn.peer_ip, seg)
+        return self._segment(conn.peer_ip, role, conn.local_port,
+                             conn.remote_port, conn.snd_nxt, conn.rcv_nxt,
+                             payload)
 
     def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
+        """`seg` tagged afresh for `peer_ip`; itself at a plain endpoint."""
         if not self.secure:
             return seg
-        session = self.router.session(peer_ip)
-        tag = mac_tag(seg.tag_input() + self.router.node_id + session.peer_id,
-                      session.key)
-        # by position: _replace would build a second record on the way
-        role, src_port, dst_port, seq, ack, payload, _ = seg
+        return self._segment(peer_ip, *seg[:6])
+
+    def _segment(self, peer_ip: str, role: int, src_port: int,
+                 dst_port: int, seq: int, ack: int,
+                 payload: bytes) -> wire.Segment:
+        """The segment of these fields to `peer_ip`, tagged if this endpoint
+        is secure: one record, built once its tag is made."""
+        tag = _UNTAGGED
+        if self.secure:
+            session = self.router.session(peer_ip)
+            tag = mac_tag(wire.segment_tag_input(role, src_port, dst_port,
+                                                 seq, ack, payload)
+                          + self.router.node_id + session.peer_id,
+                          session.key)
         return wire.Segment(role, src_port, dst_port, seq, ack, payload, tag)
 
     def _ship(self, conn: Connection, seg: wire.Segment,
@@ -254,9 +265,9 @@ class TcpEndpoint:
                 self.metrics.peak_half_open = len(self.half_open)
         if self.router.registry.find_ip(peer_ip) is None:
             return None   # a ghost: send_segment could not address a reply
-        reply = wire.Segment(wire.ROLE_SYN_ACK, seg.dst_port, seg.src_port,
-                             isn_s, (seg.seq + 1) & MASK, b"", b"\x00" * 32)
-        self.router.send_segment(peer_ip, self._tagged(peer_ip, reply))
+        self.router.send_segment(peer_ip, self._segment(
+            peer_ip, wire.ROLE_SYN_ACK, seg.dst_port, seg.src_port, isn_s,
+            (seg.seq + 1) & MASK, b""))
         return None
 
     def _on_syn_ack(self, seg: wire.Segment,

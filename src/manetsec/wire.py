@@ -136,7 +136,7 @@ class Segment(NamedTuple):
 
     def tag_input(self) -> bytes:
         """Everything the authentication tag covers: all fields but itself."""
-        return _segment_head(self) + self.payload
+        return segment_tag_input(*self[:6])
 
 
 class DataPacket(NamedTuple):
@@ -347,17 +347,19 @@ _TOKEN_LENGTH = struct.Struct(">H")
 _DATA_KIND = bytes([KIND_DATA])
 
 
-def _segment_head(seg: Segment) -> bytes:
-    """A segment record's kind byte and 37-byte header, packed at once."""
-    role = seg.role
+def segment_tag_input(role: int, src_port: int, dst_port: int, seq: int,
+                      ack: int, payload: bytes) -> bytes:
+    """What the tag of a segment of these fields covers, made from the
+    fields alone: the kind byte and 37-byte header, packed at once, then
+    the payload."""
     if role not in ROLE_NAMES:
         raise ValueError("unknown segment role %r" % role)
     try:
-        return _SEGMENT_HEAD.pack(KIND_SEGMENT, role, seg.src_port,
-                                  seg.dst_port, seg.seq, seg.ack,
-                                  len(seg.payload))
+        head = _SEGMENT_HEAD.pack(KIND_SEGMENT, role, src_port, dst_port,
+                                  seq, ack, len(payload))
     except struct.error as err:
         raise ValueError("segment field out of range: %s" % err) from None
+    return head + payload
 
 
 def _read_segment(data: bytes, pos: int) -> Tuple[Segment, int]:

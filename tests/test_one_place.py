@@ -3,8 +3,10 @@ called only by `routing.originate`, `sas_aggregate_step` only by
 `routing.append_signer`, and in `routing` a `RouteMessage` is built only by
 those two. Verification in `routing` goes through the aggregate checks of
 `crypto`, never through a bare RSA public operation. A peer's session key is
-read only through `RouterNode.session`. Calls and attribute uses are found by
-walking each module's syntax tree and named by their innermost function."""
+read only through `RouterNode.session`. A random stream is made only where it
+is first needed, and the classes on the per-frame path set every attribute in
+`__init__`. Calls and attribute uses are found by walking each module's
+syntax tree and named by their innermost function."""
 
 import ast
 import os
@@ -133,3 +135,42 @@ def test_routing_encodes_a_core_where_it_is_made_or_accepted():
     sources = package_sources()
     assert callers(sources, "encode_core", ["routing"]) == \
         ["routing.RouterNode.on_receive", "routing.originate"]
+
+
+def class_def(source, name):
+    """The ClassDef of `name` in source."""
+    return next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def self_attributes_set(function):
+    """Names of the `self.x` that `function` assigns."""
+    return {node.attr for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def test_a_random_stream_is_made_only_where_it_is_first_needed():
+    # a router seeds its streams at their first draw and a network its loss
+    # stream at its first lossy link (README "Benchmark")
+    assert callers(package_sources(), "Random") == [
+        "crypto.NodeKeys.__init__", "routing.RouterNode._stream",
+        "sim.Network.add_link"]
+
+
+def test_per_frame_classes_set_every_attribute_in_init():
+    # an attribute first set after __init__, or a cached_property's entry
+    # in the instance dict, costs every later read its fast path
+    sources = package_sources()
+    for module, name in (("routing", "RouterNode"), ("sim", "Network")):
+        cls = class_def(sources[module], name)
+        methods = [node for node in cls.body
+                   if isinstance(node, ast.FunctionDef)]
+        decorators = {ast.unparse(d) for m in methods
+                      for d in m.decorator_list}
+        assert not any("cached_property" in d for d in decorators), name
+        init = next(m for m in methods if m.name == "__init__")
+        for method in methods:
+            assert self_attributes_set(method) <= self_attributes_set(init), \
+                (name, method.name)

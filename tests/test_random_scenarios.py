@@ -5,15 +5,24 @@ links, flows, discoveries, link flaps, at most one attack of each kind and
 64- or 128-bit keys, in either mode at either level. Parsing succeeds or
 raises ScenarioError; a run ends, and verify-trace's lint accepts its trace;
 and in secure mode at level 1 no attack succeeds. Level 0 waits for ROADMAP
-item 1 (defect 2a).
+item 1 (defect 2a). Some documents run again with every random stream seeded
+as its router or network is built, and give the same trace, metrics and
+stream states as streams seeded at their first draw.
 """
 
+import json
+import os
 import random
 
-from manetsec import attacks, cli, scenario
+from manetsec import attacks, cli, routing, scenario, sim
+from manetsec.crypto import derive_seed
 from topology import random_connected
 
 DOCUMENTS = 200
+SEEDED_ONCE = 40   # documents also run with every stream seeded up front
+ROUTER_STREAMS = {"rng": "node", "_group_rng": "group-check"}
+FLOOD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scenarios", "attack_syn_flood.json")
 
 
 def _attack(kind, attacker, partner, honest, flows, rng):
@@ -106,3 +115,88 @@ def test_random_documents_run_to_a_clean_trace():
             verdicts = result.metrics.attack_verdicts
             assert "succeeded" not in verdicts.values(), (i, doc, verdicts)
     assert ran >= DOCUMENTS * 3 // 4
+
+
+def _parsed_documents(count):
+    """The first `count` documents of the seeded sequence that parse."""
+    rng, docs = random.Random(5), []
+    while len(docs) < count:
+        doc = random_document(rng)
+        try:
+            scenario.parse(doc)
+        except scenario.ScenarioError:
+            continue
+        docs.append(doc)
+    return docs
+
+
+def _seed_streams_at_construction(monkeypatch):
+    """Make every RouterNode and Network seed each of its streams as soon
+    as it is built, with the stream's own label."""
+    make_router, make_network = routing.RouterNode.__init__, \
+        sim.Network.__init__
+
+    def router(self, config, registry, net):
+        make_router(self, config, registry, net)
+        for attr, label in ROUTER_STREAMS.items():
+            setattr(self, attr, random.Random(
+                derive_seed(config.master_seed, label, config.name)))
+
+    def network(self, seed):
+        make_network(self, seed)
+        self._loss_rng = random.Random(derive_seed(seed, "loss"))
+
+    monkeypatch.setattr(routing.RouterNode, "__init__", router)
+    monkeypatch.setattr(sim.Network, "__init__", network)
+
+
+def _stream_states(result):
+    """{stream: (state, or None if never seeded; its seed)} of a run."""
+    seed = result.scenario.seed
+    streams = {"loss": (result.net._loss_rng, derive_seed(seed, "loss"))}
+    for name, router in result.routers.items():
+        for attr, label in ROUTER_STREAMS.items():
+            streams[name, attr] = (getattr(router, attr),
+                                   derive_seed(seed, label, name))
+    return {key: (None if rng is None else rng.getstate(), seed)
+            for key, (rng, seed) in streams.items()}
+
+
+def test_streams_seeded_at_first_draw_draw_what_eager_ones_draw(
+        monkeypatch):
+    # lossy links, flaps and attacks in both modes at both levels; the
+    # secure ones again with 96-bit groups, whose check draws its bases
+    docs = _parsed_documents(SEEDED_ONCE)
+    docs += [dict(doc, dh_bits=96) for doc in docs
+             if doc["mode"] == "secure" and doc["key_bits"] == 128]
+    assert {(d["mode"], d["sec_level"]) for d in docs} == {
+        (mode, level) for mode in scenario.MODES for level in (0, 1)}
+    assert any(l.get("loss") for d in docs for l in d["links"])
+    assert {"link_down", "attach_attack"} <= {
+        ev["kind"] for d in docs for ev in d["events"]}
+    deferred = [scenario.run_scenario(doc) for doc in docs]
+    with monkeypatch.context() as patch:
+        _seed_streams_at_construction(patch)
+        eager = [scenario.run_scenario(doc) for doc in docs]
+    drawn = set()
+    for i, (late, early) in enumerate(zip(deferred, eager)):
+        assert late.trace_text() == early.trace_text(), (i, docs[i])
+        assert late.metrics_json() == early.metrics_json(), (i, docs[i])
+        early_states = _stream_states(early)
+        for key, (state, seed) in _stream_states(late).items():
+            if state is None:   # never seeded: the eager twin never drew
+                assert early_states[key][0] == \
+                    random.Random(seed).getstate(), (i, key)
+            else:
+                assert state == early_states[key][0], (i, key)
+                if state != random.Random(seed).getstate():
+                    drawn.add(key if key == "loss" else key[1])
+    assert drawn == {"loss", *ROUTER_STREAMS}
+
+
+def test_a_baseline_flood_run_seeds_no_stream():
+    with open(FLOOD, encoding="utf-8") as fh:
+        result = scenario.run_scenario(json.load(fh), mode="baseline")
+    states = _stream_states(result)
+    assert len(states) == 1 + 2 * len(result.routers) > 1
+    assert all(state is None for state, _ in states.values()), states
