@@ -50,12 +50,8 @@ def _primes_to(bound: int) -> list:
 SIEVE_BOUND = 2048
 _SIEVE_PRIMES = frozenset(_primes_to(SIEVE_BOUND))
 _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
-# generate_dh_group screens p with the primes <= 251 only, as it always has:
-# a wider screen would skip some candidates whose q the prime test sees
-# today, and so move the stream's draws and the groups it gives.
-_DH_SCREEN_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if p <= 251)
 # The odd primes 3..47, whose product fits in 59 bits: the first stage of
-# both screens, is_probable_prime's and generate_dh_group's.
+# both screens, is_probable_prime's and _is_safe_pair's.
 _WORD_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if 2 < p <= 47)
 
 
@@ -353,29 +349,32 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     return True
 
 
-def _is_safe_pair(q: int) -> bool:
-    """Whether q and p = 2q + 1 are prime, for q > SIEVE_BOUND and p of at
-    most MR_FIXED_BITS bits: the residue table, the screen of q * p, base 2
-    on q and on p, then the other fixed bases on q only. Once q is prime,
-    Pocklington's criterion (a = 2, p - 1 = 2q, 3 not dividing p) makes p
-    prime exactly when 2^(p - 1) = 1 mod p, which p's base-2 round implies,
-    so the verdicts are is_probable_prime's, and none draws a base."""
+def _is_safe_pair(q: int, rng: random.Random) -> bool:
+    """Whether q and p = 2q + 1 are both prime. Up to the sieve bound q is
+    looked up and p, of at most 13 bits, runs is_probable_prime, which
+    draws nothing there. Past it: the residue table, the screen of q * p,
+    base 2 on q and on p, then q's other rounds, the fixed bases while p
+    has at most MR_FIXED_BITS bits and 8 drawn from rng above. Once q is
+    prime, Pocklington's criterion (a = 2, p - 1 = 2q, 3 not dividing p)
+    makes p prime exactly when 2^(p - 1) = 1 mod p, which p's base-2 round
+    implies. So a wrong pair passes only if q's rounds are fooled: never
+    up to the bound, with probability at most 4^-8 above it."""
+    if q <= SIEVE_BOUND:
+        return q in _SIEVE_PRIMES and is_probable_prime(2 * q + 1, rng)
     if _PAIR_MARKS[q % _PAIR_MODULUS]:
         return False
     p = 2 * q + 1
     if (_has_factor_in(q * p, _SIEVE_PRODUCT)
             or not (_miller_rabin(q, 2) and _miller_rabin(p, 2))):
         return False
-    return all(_miller_rabin(q, base) for base in _MR_BASES[1:])
+    if p.bit_length() <= MR_FIXED_BITS:
+        return all(_miller_rabin(q, base) for base in _MR_BASES[1:])
+    return all(_miller_rabin(q, rng.randrange(2, q - 1)) for _ in range(8))
 
 
 def is_safe_prime(p: int, rng: random.Random) -> bool:
-    """Whether p and q = (p - 1) / 2 both pass is_probable_prime: by the
-    pair test where neither would draw a base, else p then q in full."""
-    q = (p - 1) // 2
-    if p & 1 and q > SIEVE_BOUND and p.bit_length() <= MR_FIXED_BITS:
-        return _is_safe_pair(q)
-    return is_probable_prime(p, rng) and is_probable_prime(q, rng)
+    """Whether p and q = (p - 1) / 2 are both prime, by the pair test."""
+    return p % 2 == 1 and _is_safe_pair(p // 2, rng)
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:
@@ -588,26 +587,14 @@ def generate_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
 
 
 def _search_dh_group(bits: int, rng: random.Random) -> Tuple[int, int]:
-    """The search generate_dh_group memoizes.
-
-    Up to MR_FIXED_BITS bits, where both q and p are past the sieve and no
-    test draws from the stream, each q runs the exact pair test, cheapest
-    stage first, so the groups and the stream stay as they were. Wider
-    pairs keep the old order: p's screen by the primes up to 251 (a p that
-    is itself a small prime passes), then is_probable_prime on q and on p,
-    since its drawn bases move the stream."""
-    fixed = SIEVE_BOUND.bit_length() < bits <= MR_FIXED_BITS
+    """The search generate_dh_group memoizes: random q of bits - 1 bits,
+    top two set, until the pair test accepts q and 2q + 1."""
     while True:
         q = rng.getrandbits(bits - 1)
         q |= (1 << (bits - 2)) | 1
-        if fixed and not _is_safe_pair(q):
+        if not _is_safe_pair(q, rng):
             continue
         p = 2 * q + 1
-        if not fixed and ((_has_factor_in(p, _DH_SCREEN_PRODUCT)
-                           and p not in _SIEVE_PRIMES)   # as 8-bit groups need
-                          or not is_probable_prime(q, rng)
-                          or not is_probable_prime(p, rng)):
-            continue
         for g in (2, 3, 5, 7, 11, 13):
             if powmod(g, 2, p) != 1 and powmod(g, q, p) != 1:
                 return p, g

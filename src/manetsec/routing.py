@@ -161,18 +161,18 @@ class RouterNode:
         self.seen: set = set()
         self.sessions: Dict[str, Session] = {}
         self.transport = None
-        # the exchange's groups and exponents; and bases for testing
-        # requesters' groups, a stream of its own so the checks move no
-        # other draw. Each is seeded by _stream at its first draw.
+        # the exchange's stream, seeded by _stream at its first draw
         self.rng: Optional[random.Random] = None
-        self._group_rng: Optional[random.Random] = None
         net.add_node(config.name, self)
 
-    def _stream(self, label: str) -> random.Random:
-        """This node's stream `label`, seeded from the master seed, the
-        label and the node's name; most routers of a run draw from none."""
-        return random.Random(derive_seed(self.config.master_seed, label,
-                                         self.config.name))
+    def _stream(self) -> random.Random:
+        """This node's stream for the exchange's groups, its exponents and
+        the bases that test a requester's group, seeded from the master
+        seed and the node's name; most routers of a run draw from none."""
+        if self.rng is None:
+            self.rng = random.Random(derive_seed(self.config.master_seed,
+                                                 "node", self.config.name))
+        return self.rng
 
     # --- discovery ----------------------------------------------------------
 
@@ -183,10 +183,9 @@ class RouterNode:
         params = None
         exchange = {}
         if self.config.secure:
-            if self.rng is None:
-                self.rng = self._stream("node")
-            p, g = generate_dh_group(self.config.dh_bits, self.rng)
-            params = make_dh_params(p, g, self.rng)
+            rng = self._stream()
+            p, g = generate_dh_group(self.config.dh_bits, rng)
+            params = make_dh_params(p, g, rng)
             if params.p >= dest.encryption_public[0]:
                 raise ValueError("exchange group too wide for peer key")
             sealed = rsa_encrypt(dh_public(params), dest.encryption_public)
@@ -384,9 +383,7 @@ class RouterNode:
         exchange with the requester's checked half, `theirs`."""
         sealed = 0
         if self.config.secure:
-            if self.rng is None:
-                self.rng = self._stream("node")
-            params = make_dh_params(core.dh_p, core.dh_g, self.rng)
+            params = make_dh_params(core.dh_p, core.dh_g, self._stream())
             self._store_key(origin, core.bct_id, dh_shared(theirs, params))
             sealed = rsa_encrypt(dh_public(params), origin.encryption_public)
         msg, encoded = self._originate(wire.KIND_RREP, core.bct_id,
@@ -399,7 +396,9 @@ class RouterNode:
     def _check_key_exchange(self, core: wire.RouteCore,
                             origin: NodeIdentity) -> Optional[int]:
         """The requester's decrypted half, or None if the request's group or
-        half is unsound; tests only, so it changes no routing state."""
+        half is unsound; tests only, so it changes no routing state. Above
+        78 bits its prime test advances the node stream, from which the
+        reply's exponent is drawn next."""
         p, g = core.dh_p, core.dh_g
         if p < 7 or p % 2 == 0 or not 2 <= g <= p - 2:
             return None
@@ -407,12 +406,10 @@ class RouterNode:
         if theirs is None or p >= origin.encryption_public[0]:
             return None
         # p must be a safe prime 2q + 1, tested last so its width is bounded
-        # by the key check; above 78 bits with bases drawn from a stream of
-        # this node's, because a requester can pick a composite that passes
-        # any fixed set there
-        if self._group_rng is None:
-            self._group_rng = self._stream("group-check")
-        if not is_safe_prime(p, self._group_rng):
+        # by the key check; above 78 bits with bases drawn from the node
+        # stream, because a requester can pick a composite that passes any
+        # fixed set there
+        if not is_safe_prime(p, self._stream()):
             return None
         return theirs
 

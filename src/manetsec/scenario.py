@@ -20,9 +20,10 @@ MODES = ("secure", "baseline")
 
 # Widest keys and exchange groups a scenario may ask for. Every discovery
 # generates a fresh safe-prime group, steeply slower with width (on a 2-core
-# Xeon, median and worst of 20 seeds: 0.04 and 0.4 s at 256 bits, 0.24 and
-# 1.3 s at 512; up to 8 s at 1024), and a 2048-bit signing pair takes about
-# 0.06 s, so wider values would make a run hang rather than fail.
+# Xeon, median and worst of 40 seeds: 0.013 and 0.054 s at 256 bits, 0.048
+# and 0.36 s at 512; 0.68 and 3.2 s at 1024, of 6 seeds), and a 2048-bit
+# signing pair takes about 0.06 s, so wider values would make a run hang
+# rather than fail.
 MAX_KEY_BITS = 2048
 MAX_DH_BITS = 512
 

@@ -449,6 +449,39 @@ def reference_generate_dh_group(bits, rng):
                 return p, g
 
 
+# The primes up to 2048, by trial division: the pair test's sieve bound.
+_REF_SIEVE = [n for n in range(2, 2049)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def _reference_pair_passes_base_2(q):
+    """Whether q and 2q + 1, both past 2048, have no prime factor up to
+    2048 and pass base 2: past this point the pair test runs q's other
+    rounds, which draw above 78 bits."""
+    p = 2 * q + 1
+    return (all(q % s and p % s for s in _REF_SIEVE)
+            and _reference_miller_rabin(q, 2)
+            and _reference_miller_rabin(p, 2))
+
+
+def reference_generate_wide_dh_group(bits, rng):
+    """generate_dh_group above 78 bits, in the pair test's order: q and
+    p = 2q + 1 free of small primes and passing base 2, then 8 bases on q
+    drawn from the stream; a prime q and p's base-2 round prove p prime
+    (Pocklington), so p runs no other round."""
+    while True:
+        q = rng.getrandbits(bits - 1)
+        q |= (1 << (bits - 2)) | 1
+        if not _reference_pair_passes_base_2(q) or not all(
+                _reference_miller_rabin(q, rng.randrange(2, q - 1))
+                for _ in range(8)):
+            continue
+        p = 2 * q + 1
+        for g in (2, 3, 5, 7, 11, 13):
+            if pow(g, 2, p) != 1 and pow(g, q, p) != 1:
+                return p, g
+
+
 def _same_verdict_and_draws(n, seed):
     ours, theirs = random.Random(seed), random.Random(seed)
     assert crypto.is_probable_prime(n, ours) == \
@@ -598,19 +631,21 @@ def test_primality_round_counts(monkeypatch):
         assert rounds == [2]
 
 
-# 72 to 78 bits are under the fixed-base bound, where the group search
-# tests q and p cheapest first; from 79 bits up both draw bases
+# up to 78 bits, the fixed-base bound, no test of the group search draws,
+# so it finds the groups of the old order; from 79 bits up q draws 8 bases
+# once both base-2 rounds pass
 @pytest.mark.parametrize("bits,seeds", [(8, 60), (16, 60), (64, 30),
                                         (72, 6), (78, 6), (79, 6), (80, 6),
                                         (96, 4), (128, 8), (256, 2)])
 def test_prime_and_group_generation_match_reference(bits, seeds):
+    group = (reference_generate_dh_group if bits <= crypto.MR_FIXED_BITS
+             else reference_generate_wide_dh_group)
     for seed in range(seeds):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert crypto.generate_prime(bits, ours) == \
             reference_generate_prime(bits, theirs)
         assert ours.getstate() == theirs.getstate()
-        assert crypto.generate_dh_group(bits, ours) == \
-            reference_generate_dh_group(bits, theirs)
+        assert crypto.generate_dh_group(bits, ours) == group(bits, theirs)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -654,10 +689,12 @@ def test_the_pair_table_marks_a_factor_from_3_to_13_in_r_or_2r_plus_1():
 
 
 def test_the_pair_test_equals_two_prime_tests_on_every_odd_q_from_2049():
+    # and on every q up to the sieve bound, which the sieve answers
     rng, accepted = random.Random(0), 0
-    for q in range(crypto.SIEVE_BOUND + 1, crypto.SIEVE_BOUND + 1 + 300000,
-                   2):
-        verdict = crypto._is_safe_pair(q)
+    for q in [*range(crypto.SIEVE_BOUND + 1),
+              *range(crypto.SIEVE_BOUND + 1, crypto.SIEVE_BOUND + 1 + 300000,
+                     2)]:
+        verdict = crypto._is_safe_pair(q, rng)
         assert verdict == (crypto.is_probable_prime(q, rng)
                            and crypto.is_probable_prime(2 * q + 1, rng)), q
         accepted += verdict
@@ -678,7 +715,7 @@ def test_the_pair_test_equals_two_prime_tests_on_screened_63_bit_q():
         q = rng.randrange(low, high) * 30030 + rng.choice(residues)
         if crypto._has_factor_in(q * (2 * q + 1), crypto._SIEVE_PRODUCT):
             continue
-        verdict = crypto._is_safe_pair(q)
+        verdict = crypto._is_safe_pair(q, draws)
         assert verdict == (crypto.is_probable_prime(q, draws)
                            and crypto.is_probable_prime(2 * q + 1, draws)), q
         assert q.bit_length() == 63
@@ -691,14 +728,20 @@ def test_the_pair_test_equals_two_prime_tests_on_screened_63_bit_q():
 @pytest.mark.parametrize("bits", [8, 11, 12, 13, 64, 78, 79, 96, 128])
 def test_safe_prime_check_matches_reference_verdicts_and_draws(bits):
     # safe primes on both sides of the sieve and of the fixed-base bound,
-    # each with composites of the same width beside it
+    # each with composites of the same width beside it; an n past 78 bits
+    # draws 8 bases for q once the screens and base 2 on q and on n pass,
+    # and any other n draws none
     for seed in range(4):
         p, _ = reference_generate_dh_group(bits, random.Random(seed))
         for n in (p, p + 2, p + 4, p - 2, 3 * p, 2 * p + 1):
+            q = n // 2
             ours, theirs = random.Random(seed), random.Random(seed)
             assert crypto.is_safe_prime(n, ours) == (
-                reference_is_probable_prime(n, theirs)
-                and reference_is_probable_prime(n // 2, theirs)), n
+                reference_is_probable_prime(n, random.Random(seed))
+                and reference_is_probable_prime(q, random.Random(seed))), n
+            if n.bit_length() > 78 and _reference_pair_passes_base_2(q):
+                for _ in range(8):
+                    theirs.randrange(2, q - 1)
             assert ours.getstate() == theirs.getstate(), n
 
 
@@ -752,7 +795,8 @@ def test_dh_group_memo_hit_equals_a_fresh_search(bits, group_searches):
     for seed in range(5):
         crypto._dh_groups.clear()
         want_rng = random.Random(seed)
-        want = reference_generate_dh_group(bits, want_rng)
+        want = crypto._search_dh_group(bits, want_rng)
+        group_searches.clear()
         fresh = _CountingRandom(seed)
         assert crypto.generate_dh_group(bits, fresh) == want
         assert fresh.getstate() == want_rng.getstate()
@@ -762,7 +806,7 @@ def test_dh_group_memo_hit_equals_a_fresh_search(bits, group_searches):
         assert crypto.generate_dh_group(bits, hit) == want
         assert hit.randranges == 0
         assert hit.getstate() == want_rng.getstate()
-        assert len(group_searches) == seed + 1
+        assert group_searches == [bits]   # by the miss, not the hit
         # every later draw is the one a fresh search leaves
         assert crypto.make_dh_params(*want, hit) == \
             crypto.make_dh_params(*want, want_rng)

@@ -152,7 +152,7 @@ def self_attributes_set(function):
 
 
 def test_a_random_stream_is_made_only_where_it_is_first_needed():
-    # a router seeds its streams at their first draw and a network its loss
+    # a router seeds its stream at its first draw and a network its loss
     # stream at its first lossy link (README "Benchmark")
     assert callers(package_sources(), "Random") == [
         "crypto.NodeKeys.__init__", "routing.RouterNode._stream",

@@ -20,7 +20,7 @@ from topology import random_connected
 
 DOCUMENTS = 200
 SEEDED_ONCE = 40   # documents also run with every stream seeded up front
-ROUTER_STREAMS = {"rng": "node", "_group_rng": "group-check"}
+ROUTER_STREAMS = {"rng": "node"}
 FLOOD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "scenarios", "attack_syn_flood.json")
 
@@ -166,6 +166,7 @@ def test_streams_seeded_at_first_draw_draw_what_eager_ones_draw(
         monkeypatch):
     # lossy links, flaps and attacks in both modes at both levels; the
     # secure ones again with 96-bit groups, whose check draws its bases
+    # from the node stream
     docs = _parsed_documents(SEEDED_ONCE)
     docs += [dict(doc, dh_bits=96) for doc in docs
              if doc["mode"] == "secure" and doc["key_bits"] == 128]
@@ -198,5 +199,5 @@ def test_a_baseline_flood_run_seeds_no_stream():
     with open(FLOOD, encoding="utf-8") as fh:
         result = scenario.run_scenario(json.load(fh), mode="baseline")
     states = _stream_states(result)
-    assert len(states) == 1 + 2 * len(result.routers) > 1
+    assert len(states) == 1 + len(result.routers) > 1
     assert all(state is None for state, _ in states.values()), states

@@ -140,6 +140,37 @@ def test_responder_accepts_a_64_bit_safe_prime_in_13_rounds(monkeypatch):
         [(q, 2), (p, 2)] + [(q, base) for base in crypto._MR_BASES[1:]]
 
 
+def test_responder_checks_a_96_bit_safe_prime_with_8_bases_it_draws(
+        monkeypatch):
+    net, r, reg, m, keys = build(["a", "b"], [("a", "b")], key_bits=128)
+    p, g = crypto.generate_dh_group(96, random.Random(5))
+    q = p // 2
+    rounds = []
+    miller_rabin = crypto._miller_rabin
+
+    def counted(n, base):
+        rounds.append((n, base))
+        return miller_rabin(n, base)
+
+    monkeypatch.setattr(crypto, "_miller_rabin", counted)
+    with pinned_group(r["a"], p=p, g=g, r=6):
+        r["a"].start_discovery("b")
+    net.run(until=10)
+
+    assert m.drops == {}
+    assert r["a"].sessions["b"].key == r["b"].sessions["a"].key
+    # base 2 on q and on p, then 8 bases on q alone, drawn from b's node
+    # stream, whose next draw is b's exponent
+    stream = random.Random(crypto.derive_seed(7, "node", "b"))
+    bases = [stream.randrange(2, q - 1) for _ in range(8)]
+    assert all(2 <= base <= q - 2 for base in bases)
+    assert [(n, base) for n, base in rounds if n in (p, q)] == \
+        [(q, 2), (p, 2)] + [(q, base) for base in bases]
+    assert r["b"].sessions["a"].key.value == \
+        pow(g, 6 * stream.randrange(2, p - 1), p)
+    assert r["b"].rng.getstate() == stream.getstate()
+
+
 def signed_by_origin(core, key, sec_level):
     """`core` as a correctly signed 0-hop message from its originator."""
     return wire.encode_message(originate(core, key, sec_level))

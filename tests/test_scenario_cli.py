@@ -320,10 +320,21 @@ BAD_DOCS = [
 
 
 def test_widest_allowed_widths_parse():
-    # parse only: a run at these widths takes seconds per key and group
-    sc = scenario.parse(doc_two_nodes(key_bits=scenario.MAX_KEY_BITS,
-                                      dh_bits=scenario.MAX_DH_BITS))
+    # and run: a secure flow over two hops agrees a key over a 512-bit
+    # group, checked with drawn bases, at either level
+    doc = doc_two_nodes(
+        key_bits=scenario.MAX_KEY_BITS, dh_bits=scenario.MAX_DH_BITS,
+        nodes=["a", "b", "c"],
+        links=[{"a": "a", "b": "b"}, {"a": "b", "b": "c"}],
+        events=[{"tick": 1, "kind": "start_flow", "client": "a",
+                 "server": "c", "payload": "wide"}])
+    sc = scenario.parse(doc)
     assert (sc.key_bits, sc.dh_bits) == (2048, 512)
+    for sec_level in (1, 0):
+        r = scenario.run_scenario(doc, sec_level=sec_level)
+        assert r.metrics.delivered_payloads[("c", "a", 80, 5000)] == b"wide"
+        assert len(r.metrics.of("session_key")) == 2
+        assert json.loads(r.metrics_json())["key_agreement"] is True
 
 
 @pytest.mark.parametrize("doc,fragment", BAD_DOCS)
