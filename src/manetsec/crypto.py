@@ -55,10 +55,10 @@ _SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
 _WORD_PRODUCT = math.prod(p for p in _SIEVE_PRIMES if 2 < p <= 47)
 
 
-def _has_factor_in(n: int, product: int) -> bool:
-    """Whether n shares a prime with product, which _WORD_PRODUCT divides."""
+def _has_factor_in(n: int) -> bool:
+    """Whether n has a prime factor of at most SIEVE_BOUND."""
     return (math.gcd(n % _WORD_PRODUCT, _WORD_PRODUCT) != 1
-            or math.gcd(n, product) != 1)
+            or math.gcd(n, _SIEVE_PRODUCT) != 1)
 
 
 # Deterministic Miller-Rabin bases. Together they decide primality only
@@ -334,7 +334,7 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_probable_prime(n: int, rng: random.Random) -> bool:
     if n <= SIEVE_BOUND:
         return n in _SIEVE_PRIMES
-    if _has_factor_in(n, _SIEVE_PRODUCT):
+    if _has_factor_in(n):
         return False
     if n.bit_length() <= MR_FIXED_BITS:
         for base in _MR_BASES:
@@ -364,7 +364,7 @@ def _is_safe_pair(q: int, rng: random.Random) -> bool:
     if _PAIR_MARKS[q % _PAIR_MODULUS]:
         return False
     p = 2 * q + 1
-    if (_has_factor_in(q * p, _SIEVE_PRODUCT)
+    if (_has_factor_in(q * p)
             or not (_miller_rabin(q, 2) and _miller_rabin(p, 2))):
         return False
     if p.bit_length() <= MR_FIXED_BITS:

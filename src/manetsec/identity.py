@@ -41,7 +41,7 @@ class NodeIdentity:
         self._keys = keys
         self.signing_public = keys.signing.public
         self.key_bytes = encode_public(self.signing_public)
-        self.node_id = digest(self.key_bytes)
+        self.node_id = derive_id(self.signing_public)
         self.ip = ip
 
     @property

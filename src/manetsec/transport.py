@@ -141,12 +141,6 @@ class TcpEndpoint:
                              conn.remote_port, conn.snd_nxt, conn.rcv_nxt,
                              payload)
 
-    def _tagged(self, peer_ip: str, seg: wire.Segment) -> wire.Segment:
-        """`seg` tagged afresh for `peer_ip`; itself at a plain endpoint."""
-        if not self.secure:
-            return seg
-        return self._segment(peer_ip, *seg[:6])
-
     def _segment(self, peer_ip: str, role: int, src_port: int,
                  dst_port: int, seq: int, ack: int,
                  payload: bytes) -> wire.Segment:
@@ -161,14 +155,13 @@ class TcpEndpoint:
                           session.key)
         return wire.Segment(role, src_port, dst_port, seq, ack, payload, tag)
 
-    def _ship(self, conn: Connection, seg: wire.Segment,
-              arm: bool = True) -> None:
+    def _ship(self, conn: Connection, seg: wire.Segment) -> None:
+        """Send `seg`, which awaits its ack, and arm its retransmission:
+        the one path of a first send and of every resend."""
         self.router.send_segment(conn.peer_ip, seg)
-        if arm:
-            conn.inflight = seg
-            conn.retries = 0
-            self._arm("rx", (conn.peer_ip, conn.local_port,
-                             conn.remote_port), (seg.seq, seg.role))
+        conn.inflight = seg
+        self._arm("rx", (conn.peer_ip, conn.local_port, conn.remote_port),
+                  (seg.seq, seg.role))
 
     def _arm(self, what: str, key: ConnKey, detail) -> None:
         # perfbench/tracer.py counts a retransmission timer from this call's
@@ -205,12 +198,9 @@ class TcpEndpoint:
             self._event("failed", conn)
             return
         conn.retries += 1
-        # re-tag: a route repair may have rotated the session key since the
-        # original send, and the old tag would no longer verify
-        cur = self._tagged(conn.peer_ip, cur)
-        conn.inflight = cur
-        self.router.send_segment(conn.peer_ip, cur)
-        self._arm("rx", key, detail)
+        # built afresh: a route repair may have rotated the session key
+        # since the original send, and the old tag would no longer verify
+        self._ship(conn, self._segment(conn.peer_ip, *cur[:6]))
 
     # --- receive path -------------------------------------------------------------
 
@@ -340,11 +330,12 @@ class TcpEndpoint:
         return "out_of_phase"
 
     def _ack(self, conn: Connection) -> None:
-        self._ship(conn, self._make(conn, wire.ROLE_ACK), arm=False)
+        self.router.send_segment(conn.peer_ip, self._make(conn, wire.ROLE_ACK))
 
     def _on_fin(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
         conn.rcv_nxt = (seg.seq + 1) & MASK
-        self._ship(conn, self._make(conn, wire.ROLE_FIN_ACK), arm=False)
+        self.router.send_segment(conn.peer_ip,
+                                 self._make(conn, wire.ROLE_FIN_ACK))
         conn.state = "closed"
         self._event("closed", conn)
         return None
@@ -366,6 +357,7 @@ class TcpEndpoint:
     def _pump(self, conn: Connection) -> None:
         if conn.state != "established" or conn.inflight is not None:
             return
+        conn.retries = 0   # a new segment: its resends count from here
         if conn.send_buf:
             chunk = bytes(conn.send_buf[:self.config.mss])
             del conn.send_buf[:len(chunk)]

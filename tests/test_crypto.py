@@ -713,7 +713,7 @@ def test_the_pair_test_equals_two_prime_tests_on_screened_63_bit_q():
     tested = accepted = 0
     while tested < 100000:
         q = rng.randrange(low, high) * 30030 + rng.choice(residues)
-        if crypto._has_factor_in(q * (2 * q + 1), crypto._SIEVE_PRODUCT):
+        if crypto._has_factor_in(q * (2 * q + 1)):
             continue
         verdict = crypto._is_safe_pair(q, draws)
         assert verdict == (crypto.is_probable_prime(q, draws)

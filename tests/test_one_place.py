@@ -3,10 +3,11 @@ called only by `routing.originate`, `sas_aggregate_step` only by
 `routing.append_signer`, and in `routing` a `RouteMessage` is built only by
 those two. Verification in `routing` goes through the aggregate checks of
 `crypto`, never through a bare RSA public operation. A peer's session key is
-read only through `RouterNode.session`. A random stream is made only where it
-is first needed, and the classes on the per-frame path set every attribute in
-`__init__`. Calls and attribute uses are found by walking each module's
-syntax tree and named by their innermost function."""
+read only through `RouterNode.session`. A transport segment that awaits its
+ack is sent and armed only by `TcpEndpoint._ship`. A random stream is made
+only where it is first needed, and the classes on the per-frame path set
+every attribute in `__init__`. Calls and attribute uses are found by walking
+each module's syntax tree and named by their innermost function."""
 
 import ast
 import os
@@ -129,6 +130,28 @@ def test_a_peers_session_key_has_one_reader():
         ("read", "routing.RouterNode.session"),
         ("write", "routing.RouterNode.__init__"),
         ("write", "routing.RouterNode._store_key")]
+
+
+def test_a_segment_that_awaits_its_ack_has_one_send_path():
+    # a resend is the first send again, so a change to how such a segment
+    # is tagged or timed changes TcpEndpoint._ship alone; other handlers
+    # only clear `inflight`
+    nodes = owned(package_sources()["transport"], "transport")
+    arms = [(node.args[0], owner) for node, owner in nodes
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_arm"]
+    assert all(isinstance(what, ast.Constant) for what, _ in arms)
+    assert sorted(owner for what, owner in arms if what.value == "rx") == \
+        ["transport.TcpEndpoint._ship"]
+    stores = [(node.value, owner) for node, owner in nodes
+              if isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Attribute)
+                      and target.attr == "inflight"
+                      for target in node.targets)]
+    assert sorted(owner for value, owner in stores
+                  if not (isinstance(value, ast.Constant)
+                          and value.value is None)) == \
+        ["transport.TcpEndpoint._ship"]
 
 
 def test_routing_encodes_a_core_where_it_is_made_or_accepted():

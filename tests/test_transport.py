@@ -437,7 +437,7 @@ def test_tagged_segment_is_a_plain_segment_its_frame_carries():
     key = r["a"].sessions["b"].key
     seg = wire.Segment(wire.ROLE_DATA, 5000, 80, 7, 9, b"payload",
                        b"\x00" * 32)
-    got = ep["a"]._tagged("b", seg)
+    got = ep["a"]._segment("b", *seg[:6])
     want = seg._replace(tag=mac_tag(
         seg.tag_input() + r["a"].node_id + r["b"].node_id, key))
     assert type(got) is wire.Segment
@@ -449,6 +449,34 @@ def test_tagged_segment_is_a_plain_segment_its_frame_carries():
     with mock.patch.object(wire, "_parse", wraps=wire._parse) as parse:
         assert wire.decode_message(frame).segment is got
     assert parse.call_count == 0
+
+
+def test_a_tag_binds_the_sender_id_then_the_receiver_id():
+    # on a connection from port 80 to port 80 a segment turned back to its
+    # sender names the sender's own connection, so only the order of the
+    # ids under the tag tells it from the peer's
+    net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")])
+    r["a"].start_discovery("b")
+    net.run(until=5)
+    ep["b"].listen(80)
+    ep["a"].connect("b", 80, 80)
+    net.run(until=30)
+    conn = ep["a"].conns[("b", 80, 80)]
+    assert conn.state == "established"
+    fields = (wire.ROLE_DATA, 80, 80, conn.rcv_nxt, conn.snd_nxt, b"hello")
+    own = ep["a"]._segment("b", *fields)
+
+    assert ep["a"].on_segment("b", own) == "tag_mismatch"
+    assert m.of("deliver") == []
+    # the same tag verifies in the a -> b order
+    key = r["a"].sessions["b"].key
+    assert mac_verify(own.tag_input() + r["a"].node_id + r["b"].node_id,
+                      key, own.tag)
+    assert ep["b"]._tag_ok("a", own)
+    # and the same fields under b's tag are in phase at a
+    assert ep["a"].on_segment("b", ep["b"]._segment("a", *fields)) is None
+    assert [(ev.node, ev.fields["data"]) for ev in m.of("deliver")] == \
+        [("a", b"hello")]
 
 
 # Segments each endpoint drops, on the connection a:5000 <-> b:80 that the
@@ -503,7 +531,7 @@ def test_a_dropped_segment_changes_no_connection_state(secure, case):
     assert ep["a"].conns[("b", 5000, 80)].state == "established"
     ep["a"].connect("b", 5001, 81)
     syn = wire.Segment(wire.ROLE_SYN, 5003, 80, 11, 0, b"", bytes(32))
-    assert ep["b"].on_segment("a", ep["a"]._tagged("b", syn)) is None
+    assert ep["b"].on_segment("a", ep["a"]._segment("b", *syn[:6])) is None
 
     peer = "b" if receiver == "a" else "a"
     conn = ep[receiver].conns.get((peer, local, remote))
@@ -513,7 +541,42 @@ def test_a_dropped_segment_changes_no_connection_state(secure, case):
                        ack(conn) & MASK, b"", bytes(32))
     before = (copy.deepcopy(ep[receiver].conns),
               list(ep[receiver].half_open.items()))
-    assert ep[receiver].on_segment(peer, ep[peer]._tagged(receiver, seg)) \
-        == reason
+    tagged = ep[peer]._segment(receiver, *seg[:6])
+    assert ep[receiver].on_segment(peer, tagged) == reason
     assert (ep[receiver].conns, list(ep[receiver].half_open.items())) \
         == before
+
+
+@pytest.mark.parametrize("secure", [True, False], ids=["secure", "plain"])
+def test_a_closed_connections_client_frames_replayed_deliver_nothing(
+        frames, secure):
+    # every client frame of a closed flow, replayed verbatim at delays from
+    # one tick to a hundred timeouts after the close: no second delivery and
+    # no allocation, whatever refuses each frame
+    net, r, ep, reg, m, keys = build(["a", "b", "x"],
+                                     [("a", "b"), ("x", "b")], secure=secure,
+                                     stubs=("x",))
+    ep["b"].listen(80)
+    ep["a"].connect("b", 5000, 80, data=b"once", close=True)
+    while len(m.of("closed")) < 2 and net.tick < 200:
+        net.run(until=net.tick + 1)
+    assert sorted(ev.node for ev in m.of("closed")) == ["a", "b"]
+    client = [bytes(p) for s, d, p in frames
+              if s == "a" and isinstance(wire.decode_message(p),
+                                         wire.DataPacket)]
+    assert [wire.describe(f) for f in client] == ["SYN", "ACK", "DATA", "FIN"]
+    delivered, allocated = m.of("deliver"), m.of("alloc")
+    assert [ev.node for ev in delivered + allocated] == ["b", "b"]
+
+    delays = (1, TCP.rto, 10 * TCP.rto, 100 * TCP.rto)
+    for delay in delays:
+        for frame in client:
+            net.schedule(delay, net.unicast, "x", "b", frame)
+    replayed = len(net.trace)
+    net.run(until=net.tick + delays[-1] + 10 * TCP.rto)
+
+    assert [(rec.src, rec.kind) for rec in net.trace[replayed:]
+            if rec.src == "x"] == \
+        [("x", wire.describe(f)) for f in client] * len(delays)
+    assert all(rec.disposition != "lost" for rec in net.trace[replayed:])
+    assert (m.of("deliver"), m.of("alloc")) == (delivered, allocated)
