@@ -27,9 +27,12 @@ MODES = ("secure", "baseline")
 MAX_KEY_BITS = 2048
 MAX_DH_BITS = 512
 
-# Most SYNs one syn_flood may forge (rate x duration). The trace keeps a
-# record per frame, at about 50 us and 0.5 KB each, so this bounds a flood
-# near 5 s and 50 MB; it is 20 times the shipped flood of 50 x 100.
+# Most SYNs one syn_flood may forge (rate x duration). A forged SYN costs
+# about 5 us and 64 B, the trace's six list entries included: a flood of
+# 1000 x 100 on scenarios/attack_syn_flood.json runs in 0.55 s (baseline)
+# and 0.47 s (secure) with a 6.1 MiB tracemalloc peak, CPython 3.11 on a
+# 2-core Xeon. So this bounds a flood near 0.6 s and 7 MiB; it is 20 times
+# the shipped flood of 50 x 100.
 MAX_FLOOD_SYNS = 100_000
 
 _TOP_FIELDS = {"seed", "key_bits", "dh_bits", "mode", "sec_level",

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .crypto import derive_seed
@@ -37,6 +41,48 @@ _REASON = {d: r for r, d in _DISPOSITION.items()}
 TEXT_CHUNK = 4096   # trace records formatted per join in trace_text
 
 
+class TraceRecord(NamedTuple):
+    """One frame hop of the trace, made on demand by TraceView."""
+    tick: int
+    src: str
+    dst: str
+    kind: str
+    size: int
+    disposition: str
+
+
+# A record from a row of the zipped columns, made in C: half the cost of
+# calling TraceRecord, whose __new__ is a Python function.
+_record = partial(tuple.__new__, TraceRecord)
+
+
+class TraceView(Sequence):
+    """Read-only records over a Metrics' trace columns, made as they are
+    read: indexing, slicing, iteration and == with a list of records."""
+
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: Metrics):
+        self._metrics = metrics
+
+    def __len__(self) -> int:
+        return len(self._metrics.ticks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(_record,
+                            zip(*[c[i] for c in self._metrics.columns()])))
+        return TraceRecord(*[c[i] for c in self._metrics.columns()])
+
+    def __iter__(self):
+        return map(_record, zip(*self._metrics.columns()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 class Event(NamedTuple):
     """One entry of the run's event log; README "Event log" lists the kinds."""
     tick: int
@@ -47,9 +93,16 @@ class Event(NamedTuple):
 
 @dataclass
 class Metrics:
-    """A run's one record; drops, bytes and latencies are read off its logs."""
+    """A run's one record; drops, bytes and latencies are read off its logs.
+    The trace is kept as one list per field, a frame hop at one index of
+    each, so a run makes no object per frame; `trace` reads it as records."""
 
-    trace: List[TraceRecord] = field(default_factory=list)
+    ticks: List[int] = field(default_factory=list)
+    srcs: List[str] = field(default_factory=list)
+    dsts: List[str] = field(default_factory=list)
+    kinds: List[str] = field(default_factory=list)
+    sizes: List[int] = field(default_factory=list)
+    ends: List[str] = field(default_factory=list)   # the dispositions
     signed: int = 0
     verified: int = 0
     attack_verdicts: Dict[str, str] = field(default_factory=dict)
@@ -58,24 +111,35 @@ class Metrics:
     # append-only through Network.log, kept out of the exported document
     events: List[Event] = field(default_factory=list)
 
+    @property
+    def trace(self) -> TraceView:
+        return TraceView(self)
+
+    def columns(self) -> tuple:
+        """The trace's lists, in TraceRecord's field order."""
+        return (self.ticks, self.srcs, self.dsts, self.kinds, self.sizes,
+                self.ends)
+
     def of(self, kind: str) -> List[Event]:
         return [ev for ev in self.events if ev.kind == kind]
 
     def trace_totals(self) -> Dict[str, object]:
-        """control_bytes, data_bytes and drops (by reason) in one pass."""
-        sizes, ends = {}, {}
-        for rec in self.trace:
-            sizes[rec.kind] = sizes.get(rec.kind, 0) + rec.size
-            ends[rec.disposition] = ends.get(rec.disposition, 0) + 1
-        drops = {_REASON[end]: n for end, n in ends.items()
+        """control_bytes, data_bytes and drops (by reason)."""
+        sizes = {}
+        for kind, size in zip(self.kinds, self.sizes):
+            sizes[kind] = sizes.get(kind, 0) + size
+        return {"control_bytes": sum(sizes.get(k, 0) for k in ROUTING_KINDS),
+                "data_bytes": sum(sizes.get(k, 0) for k in SEGMENT_KINDS),
+                "drops": self.drops}
+
+    @property
+    def drops(self) -> Dict[str, int]:
+        """Frames dropped, by reason, in the order each reason first shows."""
+        drops = {_REASON[end]: n for end, n in Counter(self.ends).items()
                  if end in _REASON}
         if self.evictions:   # the evicting SYN itself is delivered
             drops["table_full"] = self.evictions
-        return {"control_bytes": sum(sizes.get(k, 0) for k in ROUTING_KINDS),
-                "data_bytes": sum(sizes.get(k, 0) for k in SEGMENT_KINDS),
-                "drops": drops}
-
-    drops = property(lambda self: self.trace_totals()["drops"])
+        return drops
 
     @property
     def discovery_latency_ticks(self) -> List[int]:
@@ -113,16 +177,6 @@ def dropped(reason: str) -> str:
         return _DISPOSITION[reason]
     except KeyError:
         raise ValueError("unknown drop reason %r" % (reason,)) from None
-
-
-@dataclass(slots=True)
-class TraceRecord:
-    tick: int
-    src: str
-    dst: str
-    kind: str
-    size: int
-    disposition: str
 
 
 class Network:
@@ -199,15 +253,19 @@ class Network:
                   link: LinkState) -> None:
         """Trace one frame and queue its delivery. A frame the encoder made
         carries its label; other bytes are labelled by wire.describe."""
-        rec = TraceRecord(self.tick, src, dst,
-                          payload.label if type(payload) is _Frame
-                          else wire.describe(payload),
-                          len(payload), "lost")
-        self.trace.append(rec)
+        m = self.metrics
+        i = len(m.ticks)
+        m.ticks.append(self.tick)
+        m.srcs.append(src)
+        m.dsts.append(dst)
+        m.kinds.append(payload.label if type(payload) is _Frame
+                       else wire.describe(payload))
+        m.sizes.append(len(payload))
+        m.ends.append("lost")
         if link.loss > 0.0 and self._loss_rng.random() < link.loss:
             return   # disposition stays "lost"
         self._calls_at(self.tick + link.latency).append(
-            (self._delivery, (src, dst, payload, link, rec)))
+            (self._delivery, (src, dst, payload, link, i)))
 
     def broadcast(self, src: str, payload: bytes) -> None:
         links = self._links[src]
@@ -249,14 +307,13 @@ class Network:
         self.tick = max(self.tick, until)
 
     def _deliver(self, src: str, dst: str, payload: bytes, link: LinkState,
-                 rec: TraceRecord) -> None:
+                 i: int) -> None:
+        """Deliver trace record i's frame and write its disposition."""
         if not link.up:
             return   # went down in flight; stays "lost"
         reason = self._handlers[dst].on_receive(src, payload)
-        if reason is None:
-            rec.disposition = "delivered"
-        else:
-            rec.disposition = dropped(reason)
+        self.metrics.ends[i] = ("delivered" if reason is None
+                                else dropped(reason))
 
     # --- outputs ------------------------------------------------------------
 
@@ -266,11 +323,11 @@ class Network:
 
     def trace_text(self) -> str:
         """One tab-separated line per record, each ending in a newline: one
-        f-string per record, joined per chunk of TEXT_CHUNK records, so at
-        most one chunk's line strings are alive at once, and the chunks
-        joined once."""
-        trace = self.trace
+        f-string per row of the zipped columns, joined per chunk of
+        TEXT_CHUNK rows, so at most one chunk's line strings are alive at
+        once, and the chunks joined once."""
+        rows = zip(*self.metrics.columns())
         return "".join(["".join([
-            f"{r.tick}\t{r.src}\t{r.dst}\t{r.kind}\t{r.size}"
-            f"\t{r.disposition}\n" for r in trace[i:i + TEXT_CHUNK]])
-            for i in range(0, len(trace), TEXT_CHUNK)])
+            f"{tick}\t{src}\t{dst}\t{kind}\t{size}\t{end}\n"
+            for tick, src, dst, kind, size, end in islice(rows, TEXT_CHUNK)])
+            for _ in range(0, len(self.trace), TEXT_CHUNK)])

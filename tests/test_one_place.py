@@ -6,7 +6,8 @@ those two. Verification in `routing` goes through the aggregate checks of
 read only through `RouterNode.session`. A transport segment that awaits its
 ack is sent and armed only by `TcpEndpoint._ship`. A random stream is made
 only where it is first needed, and the classes on the per-frame path set
-every attribute in `__init__`. Calls and attribute uses are found by walking
+every attribute in `__init__`. Only `Network._transmit` grows the trace's
+columns and only `Network._deliver` writes a disposition. Calls and attribute uses are found by walking
 each module's syntax tree and named by their innermost function."""
 
 import ast
@@ -197,3 +198,31 @@ def test_per_frame_classes_set_every_attribute_in_init():
         for method in methods:
             assert self_attributes_set(method) <= self_attributes_set(init), \
                 (name, method.name)
+
+
+TRACE_COLUMNS = ("ticks", "srcs", "dsts", "kinds", "sizes", "ends")
+LIST_MUTATORS = {"append", "clear", "extend", "insert", "pop", "remove",
+                 "reverse", "sort"}
+
+
+def test_a_frame_is_traced_in_one_place():
+    # the trace's columns grow only where a frame is sent, and a frame's
+    # disposition changes only where it is delivered, so the columns stay
+    # one record per index
+    sources = package_sources()
+    changed = sorted({(node.func.attr, node.func.value.attr, owner)
+                      for module, source in sources.items()
+                      for node, owner in owned(source, module)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Attribute)
+                      and node.func.value.attr in TRACE_COLUMNS
+                      and node.func.attr in LIST_MUTATORS})
+    assert changed == sorted(("append", column, "sim.Network._transmit")
+                             for column in TRACE_COLUMNS)
+    for column in TRACE_COLUMNS:
+        writes = [owner for module, source in sources.items()
+                  for use, owner in attribute_uses(source, module, column)
+                  if use == "write"]
+        assert writes == (["sim.Network._deliver"] if column == "ends"
+                          else []), column

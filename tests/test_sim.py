@@ -1,6 +1,7 @@
 """Event loop tests: ordering, latency, loss, link churn, trace conservation."""
 
 import ast
+import gc
 import heapq
 import os
 import random
@@ -350,6 +351,86 @@ def test_trace_text_is_stable_and_tab_separated():
                          for rec in trace)
     assert {rec.disposition for rec in trace} == {
         "lost", "dropped_by_receiver(replay)"}
+
+
+def _mixed_run(a="a", b="b", c="c"):
+    """A run over a lossy link to a receiver that drops, and a link to c
+    that flaps with frames in flight: every disposition, both byte kinds."""
+    net = _net(seed=5)
+    net.add_node(a, Recorder())
+    net.add_node(b, Recorder(drop_with="replay"))
+    net.add_node(c, Recorder())
+    net.add_link(a, b, latency=1, loss=0.3)
+    net.add_link(a, c, latency=3)
+    core = wire.RouteCore(kind=wire.KIND_RREQ, src_ip=a, src_id=bytes(32),
+                          src_seq=1, bct_id=1, dst_ip=c)
+    rreq = wire.encode_message(wire.RouteMessage(
+        core=core, hops=(), sec_level=0, aggregate=None, source_sig=None))
+    data = wire.encode_message(wire.DataPacket(
+        src_ip=a, dst_ip=c, segment=wire.Segment(
+            role=wire.ROLE_DATA, src_port=1, dst_port=2, seq=0, ack=0,
+            payload=b"x" * 4, tag=bytes(32))))
+    for tick in range(30):
+        net.schedule(tick, net.broadcast, a, (rreq, data, b"raw")[tick % 3])
+    net.schedule(6, net.set_link, a, c, False)
+    net.schedule(14, net.set_link, a, c, True)
+    net.run(until=60)
+    return net
+
+
+def test_the_trace_view_reads_what_the_text_writes():
+    net = _mixed_run()
+    text = net.trace_text()
+    records = [sim.TraceRecord(int(tick), src, dst, kind, int(size), end)
+               for tick, src, dst, kind, size, end
+               in (line.split("\t") for line in text.splitlines())]
+    for chunk in (1, 7, len(records) - 1, len(records)):
+        with mock.patch.object(sim, "TEXT_CHUNK", chunk):
+            assert net.trace_text() == text
+    assert list(net.trace) == records
+    assert net.trace == records and len(net.trace) == len(records)
+    assert {rec.disposition for rec in records} == {
+        "delivered", "lost", "dropped_by_receiver(replay)"}
+    # the flap lost frames in flight to c; the loss lost frames to b
+    assert {rec.dst for rec in records if rec.disposition == "lost"} == \
+        {"b", "c"}
+    drops = {}
+    for rec in records:
+        if rec.disposition.startswith("dropped_by_receiver("):
+            reason = rec.disposition[len("dropped_by_receiver("):-1]
+            drops[reason] = drops.get(reason, 0) + 1
+    assert net.metrics.trace_totals() == {
+        "control_bytes": sum(rec.size for rec in records
+                             if rec.kind in sim.ROUTING_KINDS),
+        "data_bytes": sum(rec.size for rec in records
+                          if rec.kind in sim.SEGMENT_KINDS),
+        "drops": drops}
+    assert net.metrics.drops == drops
+    assert net.trace[0] == records[0] and net.trace[-1] == records[-1]
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            net.trace[i]
+    assert net.trace[3:9] == records[3:9]
+    assert net.trace[::-4] == records[::-4]
+    assert net.trace[len(records):] == []
+    with pytest.raises(AttributeError):
+        net.trace[0].disposition = "delivered"   # records are immutable
+    assert not hasattr(net.trace, "append")
+    assert Network(seed=1).trace == []
+
+
+def test_no_per_frame_object_outlives_its_frame():
+    names = ("gc_a", "gc_b", "gc_c")
+    net = _mixed_run(*names)
+    held = [obj for obj in gc.get_objects()
+            if isinstance(obj, sim.TraceRecord) and obj.src in names]
+    assert held == []
+    m = net.metrics
+    assert len(m.ticks) > 0
+    for column, kind in ((m.ticks, int), (m.srcs, str), (m.dsts, str),
+                         (m.kinds, str), (m.sizes, int), (m.ends, str)):
+        assert len(column) == len(m.ticks)
+        assert all(type(value) is kind for value in column)
 
 
 def test_every_record_reaches_a_terminal_disposition():
