@@ -33,24 +33,25 @@ class Kind(NamedTuple):
     # defense works by denying it any effect rather than by flagging
     # packets, so a clean run is judged neutralized
     telltale: Tuple[str, ...]
-    params: Tuple[str, ...] = ()   # AttackSpec parameters this kind reads
 
 
 KINDS: Dict[str, Kind] = {
-    "seq_inflate": Kind(("src", "dst"), ("verify_failed",), ("inflate_to",)),
-    "hop_shorten": Kind(("src", "dst"), ("verify_failed", "malformed"),
-                        ("max_distance",)),
-    # the forged reply claims seq inflate_to
-    "redirect": Kind(("src", "dst"), ("verify_failed", "id_mismatch"),
-                     ("inflate_to",)),
+    "seq_inflate": Kind(("src", "dst"), ("verify_failed",)),
+    "hop_shorten": Kind(("src", "dst"), ("verify_failed", "malformed")),
+    "redirect": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
     "tunnel": Kind(("partner", "src", "dst"), ()),
     "impersonate": Kind(("src", "dst"), ("verify_failed", "id_mismatch")),
     "fake_rerr": Kind(("src", "dst", "through"),
                       ("verify_failed", "id_mismatch")),
-    "syn_flood": Kind(("dst",), (), ("rate", "duration")),
-    "session_hijack": Kind(("src", "dst"), ("tag_mismatch",), ("marker",)),
+    "syn_flood": Kind(("dst",), ()),
+    "session_hijack": Kind(("src", "dst"), ("tag_mismatch",)),
     "ack_inject": Kind(("src", "dst"), ("tag_mismatch",)),
 }
+
+FORGED_SEQ = 900000           # the origin seq seq_inflate and redirect claim
+HIJACK_MARKER = b"HIJACKED"   # the data a session_hijack injects
+FLOOD_RATE = 50               # SYNs a syn_flood forges per tick,
+FLOOD_TICKS = 100             # for this many ticks: 5000 in all
 
 
 @dataclass
@@ -65,12 +66,7 @@ class AttackSpec:
     sec_level: int = 1
     client_port: int = 5000
     server_port: int = 80
-    rate: int = 50
-    duration: int = 5
     capacity: int = 8
-    marker: bytes = b"HIJACKED"
-    inflate_to: int = 900000
-    max_distance: int = 2
     expected_payload: bytes = b""
 
 
@@ -91,7 +87,7 @@ class AttackerNode:
         self._ghost = 0
         net.add_node(self.ip, self)
         if hasattr(self, "_fire_" + spec.kind):
-            rounds = spec.duration if spec.kind == "syn_flood" else 1
+            rounds = FLOOD_TICKS if spec.kind == "syn_flood" else 1
             net.schedule(spec.start, self.on_timer, rounds)
 
     # --- sim handler interface ----------------------------------------------
@@ -146,7 +142,7 @@ class AttackerNode:
         if core.kind == wire.KIND_RREQ:
             if self.spec.kind == "seq_inflate":
                 msg = msg._replace(
-                    core=core._replace(src_seq=self.spec.inflate_to))
+                    core=core._replace(src_seq=FORGED_SEQ))
             else:
                 if msg.hops:   # the oracle credits only requests actually cut
                     self.net.log(self.ip, "shortened", origin=core.src_ip,
@@ -173,7 +169,7 @@ class AttackerNode:
         target = self.registry.by_ip(self.spec.dst)
         core = wire.RouteCore(kind=wire.KIND_RREP, src_ip=self.spec.dst,
                               src_id=target.node_id,
-                              src_seq=self.spec.inflate_to,
+                              src_seq=FORGED_SEQ,
                               bct_id=req.bct_id, dst_ip=req.src_ip,
                               dst_seq=req.src_seq, dh_payload=0)
         self._send_as_hop(*self._fake_origin(core, target), victim)
@@ -209,7 +205,7 @@ class AttackerNode:
     def _fire_session_hijack(self) -> None:
         # first connection, no data yet
         self._inject(wire.ROLE_DATA, self.spec.src, self.spec.dst,
-                     (CLIENT_ISN_BASE + 1) & MASK, 0, self.spec.marker)
+                     (CLIENT_ISN_BASE + 1) & MASK, 0, HIJACK_MARKER)
 
     def _fire_ack_inject(self) -> None:
         # race the real responder with a forged second handshake segment
@@ -227,7 +223,7 @@ class AttackerNode:
 
     def _fire_syn_flood(self) -> None:
         port, dst, tag = self.spec.server_port, self.spec.dst, b"\x5a" * 32
-        for _ in range(self.spec.rate):
+        for _ in range(FLOOD_RATE):
             n = self._ghost
             self._ghost += 1
             # positional: building a NamedTuple by keyword costs more
@@ -287,8 +283,7 @@ def _harm(spec: AttackSpec, metrics) -> bool:
                if n == spec.attacker and i["origin"] == spec.src}
         return any(n == spec.dst and i["dst"] == spec.src
                    and i["via"] == "RREQ" and i["next_hop"] == spec.attacker
-                   and i["seq"] in cut and i["distance"] <= spec.max_distance
-                   for n, i in installs)
+                   and i["seq"] in cut for n, i in installs)
     if kind == "redirect":
         return routed(spec.src, spec.dst, {spec.attacker})
     if kind == "tunnel":
@@ -305,7 +300,7 @@ def _harm(spec: AttackSpec, metrics) -> bool:
     if kind == "syn_flood":
         return metrics.peak_half_open >= spec.capacity
     if kind == "session_hijack":
-        return any(spec.marker in v
+        return any(HIJACK_MARKER in v
                    for v in metrics.delivered_payloads.values())
     if kind == "ack_inject":   # src took the forgery and the flow broke
         forged = any((r.src, r.dst, r.kind, r.disposition)

@@ -27,14 +27,6 @@ MODES = ("secure", "baseline")
 MAX_KEY_BITS = 2048
 MAX_DH_BITS = 512
 
-# Most SYNs one syn_flood may forge (rate x duration). A forged SYN costs
-# about 5 us and 64 B, the trace's six list entries included: a flood of
-# 1000 x 100 on scenarios/attack_syn_flood.json runs in 0.55 s (baseline)
-# and 0.47 s (secure) with a 6.1 MiB tracemalloc peak, CPython 3.11 on a
-# 2-core Xeon. So this bounds a flood near 0.6 s and 7 MiB; it is 20 times
-# the shipped flood of 50 x 100.
-MAX_FLOOD_SYNS = 100_000
-
 _TOP_FIELDS = {"seed", "key_bits", "dh_bits", "mode", "sec_level",
                "half_open_capacity", "run_until", "nodes", "links", "events",
                "tcp"}
@@ -324,35 +316,16 @@ def parse(doc, **overrides) -> Scenario:
 
 def _parse_attack(raw: dict, tick: int, where: str,
                   declared: set) -> attacks.AttackSpec:
-    """An AttackSpec from the fields its kind reads; a parameter left out
-    keeps the AttackSpec default."""
+    """An AttackSpec of the attacker and the node fields its kind names."""
     where = where + ".attack"
     kind = _str_field(raw, "kind", where)
     if kind not in attacks.KINDS:
         raise ScenarioError("%s.kind: unknown attack kind %r" % (where, kind))
-    reads = attacks.KINDS[kind]
-    _known_fields(raw, {"kind", "attacker", *reads.nodes, *reads.params},
-                  where, "%s attack: unexpected field" % kind)
-    attacker = _node_field(raw, "attacker", where, declared)
-    fields = dict(kind=kind, attacker=attacker, start=max(tick, 1))
-    for name in reads.nodes:
-        fields[name] = _node_field(raw, name, where, declared)
-    for name in reads.params:
-        if name not in raw:
-            continue
-        if name == "marker":
-            fields[name] = _str_field(raw, name, where).encode("utf-8")
-        else:
-            # the forged inflate_to travels as an 8-byte src_seq
-            fields[name] = _int_field(
-                raw, name, where, minimum=1,
-                maximum=(1 << 64) - 1 if name == "inflate_to" else None)
-    spec = attacks.AttackSpec(**fields)
-    syns = spec.rate * spec.duration
-    if kind == "syn_flood" and syns > MAX_FLOOD_SYNS:
-        raise ScenarioError("%s: rate x duration must be <= %d forged SYNs, "
-                            "got %d" % (where, MAX_FLOOD_SYNS, syns))
-    return spec
+    names = ("attacker", *attacks.KINDS[kind].nodes)
+    _known_fields(raw, {"kind", *names}, where,
+                  "%s attack: unexpected field" % kind)
+    nodes = {name: _node_field(raw, name, where, declared) for name in names}
+    return attacks.AttackSpec(kind=kind, start=max(tick, 1), **nodes)
 
 
 def _cross_validate(sc: Scenario) -> None:
@@ -408,7 +381,7 @@ def _cross_validate(sc: Scenario) -> None:
                                     "from %r to %r to target"
                                     % (s.kind, s.src, s.dst))
             if s.kind == "session_hijack":
-                _check_marker(s.marker, sc.flows)
+                _check_marker(sc.flows)
             s = replace(s, client_port=flow.client_port,
                         server_port=flow.server_port,
                         expected_payload=flow.payload)
@@ -420,18 +393,15 @@ def _flow_text(f: FlowSpec) -> str:
                                         f.server_port, f.tick)
 
 
-def _check_marker(marker: bytes, flows: List[FlowSpec]) -> None:
+def _check_marker(flows: List[FlowSpec]) -> None:
     """A hijack counts as harm once its marker shows up in delivered bytes,
     so no honest payload, the targeted flow's included, may contain it."""
-    if not marker:
-        raise ScenarioError("events: attack 'session_hijack' needs a "
-                            "non-empty marker")
     for f in flows:
-        if marker in f.payload:
+        if attacks.HIJACK_MARKER in f.payload:
             raise ScenarioError("events: attack 'session_hijack' marker %r "
                                 "occurs in the payload of the flow %s->%s"
-                                % (marker.decode("utf-8"), f.client,
-                                   f.server))
+                                % (attacks.HIJACK_MARKER.decode("utf-8"),
+                                   f.client, f.server))
 
 
 @dataclass

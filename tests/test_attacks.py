@@ -41,8 +41,7 @@ def topology(kind):
                    attacker="m", src="a", dst="d")
     if kind == "hop_shorten":
         return doc(["a", "f", "d", "m"], [("a", "f"), ("f", "m"), ("m", "d")],
-                   discovery("d"), attacker="m", src="a", dst="d",
-                   max_distance=2)
+                   discovery("d"), attacker="m", src="a", dst="d")
     if kind == "redirect":
         return doc(["a", "b", "d", "m"], [("a", "b"), ("b", "d"), ("a", "m")],
                    discovery("d"), attacker="m", src="a", dst="d")
@@ -62,7 +61,7 @@ def topology(kind):
                    through="b")
     if kind == "syn_flood":
         return doc(["b", "m"], [("m", "b")], [], start=2, attacker="m",
-                   dst="b", rate=50, duration=5)
+                   dst="b")
     if kind == "session_hijack":
         return doc(["a", "b", "m"], [("a", "b"), ("m", "b")],
                    flow(2, close=False), start=40, attacker="m", src="a",
@@ -96,12 +95,13 @@ def test_every_kind_is_countered_on_the_secure_network(kind):
 
 
 def test_flood_fills_the_plain_table_but_allocates_nothing_secure():
+    syns = attacks.FLOOD_RATE * attacks.FLOOD_TICKS
     _, m, r, ep, reg, spec = run_attack("syn_flood", secure=False)
     assert m.peak_half_open == spec.capacity
-    assert m.drops.get("table_full", 0) == spec.rate * spec.duration - spec.capacity
+    assert m.drops.get("table_full", 0) == syns - spec.capacity
     _, m2, r2, ep2, _, _ = run_attack("syn_flood", secure=True)
     assert m2.peak_half_open == 0
-    assert m2.drops.get("tag_mismatch", 0) == spec.rate * spec.duration
+    assert m2.drops.get("tag_mismatch", 0) == syns
     assert not ep2["b"].conns
 
 
@@ -150,7 +150,8 @@ def test_only_drops_of_the_attackers_own_frames_count_as_detection(sec_level):
 
 
 @pytest.mark.parametrize("sec_level", [0, 1])
-def test_inflating_to_a_seq_the_source_issued_is_no_harm(sec_level):
+def test_inflating_to_a_seq_the_source_issued_is_no_harm(sec_level,
+                                                         monkeypatch):
     # every honest install has seq >= 1, so an attacker that "inflates" the
     # source's seq to 1 forged nothing a node could be harmed by
     doc = scenario.load_file(os.path.join(SCEN, "attack_seq_inflate.json"))
@@ -161,8 +162,30 @@ def test_inflating_to_a_seq_the_source_issued_is_no_harm(sec_level):
 
     assert verdict("baseline") == "succeeded"
     assert verdict("secure") == "detected"
-    doc["events"][0]["attack"]["inflate_to"] = 1
+    monkeypatch.setattr(attacks, "FORGED_SEQ", 1)
     assert verdict("secure") != "succeeded"
+
+
+@pytest.mark.parametrize("sec_level", [0, 1])
+def test_a_cut_request_teaches_dst_a_route_of_distance_two(sec_level):
+    # why the hop_shorten oracle needs no distance rule: whatever the
+    # attacker cut, its neighbour dst counts the route through it as 2
+    path = os.path.join(SCEN, "attack_hop_shorten.json")
+    for mode in scenario.MODES:
+        result = scenario.run_scenario(scenario.load_file(path), mode=mode,
+                                       sec_level=sec_level)
+        spec, = result.scenario.attack_specs
+        cut = {ev.fields["seq"] for ev in result.metrics.of("shortened")
+               if ev.node == spec.attacker
+               and ev.fields["origin"] == spec.src}
+        taught = [ev.fields["distance"] for ev in result.metrics.of("route")
+                  if ev.node == spec.dst and ev.fields["dst"] == spec.src
+                  and ev.fields["via"] == "RREQ"
+                  and ev.fields["next_hop"] == spec.attacker
+                  and ev.fields["seq"] in cut]
+        assert set(taught) <= {2}, (mode, taught)
+        if mode == "baseline":
+            assert taught, mode
 
 
 def _hop_to_a_neighbour(doc):

@@ -21,7 +21,8 @@ field that names a node holds a declared node name. They, and runs on seeded
 random graphs, also guard the message each frame carries: each frame
 decodes, after the run ends, to what a fresh strict parse of its bytes
 gives, type for type, and no frame of a shipped run takes the strict parse
-at all. Three scenarios run once more in secure mode with crypto.powmod's
+at all; and with every receiver made to strict-parse, each run gives its
+golden digests. Three scenarios run once more in secure mode with crypto.powmod's
 OpenSSL binding off and crypto's memos empty, so builtin pow alone must
 give the same digests.
 """
@@ -136,6 +137,21 @@ def test_builtin_pow_fallback_matches_the_golden_digests(name, monkeypatch):
         path = os.path.join(SCEN, name + ".json")
         assert _digests(path, "secure", level, _run.__wrapped__) == \
             (PINNED[key], PINNED_FRAMES[key])
+
+
+def test_a_strict_parse_of_every_frame_gives_the_golden_digests(
+        monkeypatch):
+    # the frame carrier is exact: with every receiver reading a fresh strict
+    # parse of a frame's bytes, not the message the frame carries, each
+    # shipped run gives its golden trace and metrics (ROADMAP item 6)
+    monkeypatch.setattr(wire, "decode_message",
+                        lambda data: wire._parse(bytes(data)))
+    for key, path, mode, level in _runs():
+        trace, metrics, *_, parses = _run.__wrapped__(path, mode, level)
+        assert parses, key
+        assert {"trace": hashlib.sha256(trace.encode()).hexdigest(),
+                "metrics": hashlib.sha256(metrics.encode()).hexdigest()} \
+            == PINNED[key], key
 
 
 def _keygen_digest(name):

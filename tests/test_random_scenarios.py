@@ -7,12 +7,16 @@ raises ScenarioError; a run ends, and verify-trace's lint accepts its trace;
 and in secure mode at level 1 no attack succeeds. Level 0 waits for ROADMAP
 item 1 (defect 2a). Some documents run again with every random stream seeded
 as its router or network is built, and give the same trace, metrics and
-stream states as streams seeded at their first draw.
+stream states as streams seeded at their first draw. Static, loss-free
+documents with no attacker deliver the same payloads in every mode and at
+every level (ROADMAP item 25's oracle; it fails until the item lands).
 """
 
 import json
 import os
 import random
+
+import pytest
 
 from manetsec import attacks, cli, routing, scenario, sim
 from manetsec.crypto import derive_seed
@@ -20,6 +24,7 @@ from topology import random_connected
 
 DOCUMENTS = 200
 SEEDED_ONCE = 40   # documents also run with every stream seeded up front
+DELIVERY_DOCUMENTS = 100   # documents that every mode must deliver alike
 ROUTER_STREAMS = {"rng": "node"}
 FLOOD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "scenarios", "attack_syn_flood.json")
@@ -40,13 +45,6 @@ def _attack(kind, attacker, partner, honest, flows, rng):
         if fields[name] is None:
             return None
         spec[name] = fields[name]
-    params = {"inflate_to": rng.choice([5, 900000, 2**64 - 1]),
-              "max_distance": rng.randint(1, 4),
-              "rate": rng.randint(1, 80), "duration": rng.randint(1, 8),
-              "marker": "XYZZY"}
-    for name in attacks.KINDS[kind].params:
-        if rng.random() < 0.5:
-            spec[name] = params[name]
     return spec
 
 
@@ -201,3 +199,38 @@ def test_a_baseline_flood_run_seeds_no_stream():
     states = _stream_states(result)
     assert len(states) == 1 + len(result.routers) > 1
     assert all(state is None for state, _ in states.values()), states
+
+
+def delivery_document(rng):
+    """A static, loss-free document with no attacker: 3 to 12 nodes on a
+    random connected graph, links of latency 1 to 3, and 1 to 3 flows under
+    the default tcp block."""
+    names = ["n%d" % i for i in range(rng.randint(3, 12))]
+    links = [{"a": a, "b": b, "latency": rng.randint(1, 3)}
+             for a, b in random_connected(names, rng)]
+    events = []
+    for i in range(rng.randint(1, 3)):
+        client, server = rng.sample(names, 2)
+        events.append({"tick": rng.randrange(50), "kind": "start_flow",
+                       "client": client, "server": server,
+                       "client_port": 5000 + i,
+                       "payload": "payload %d " % i * rng.randint(1, 200)})
+    return {"seed": rng.randrange(1 << 16), "key_bits": 64, "dh_bits": 32,
+            "nodes": names, "links": links, "events": events}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 25: the transport's fixed timers, "
+                   "not security, decide which flows deliver")
+def test_every_mode_and_level_delivers_what_baseline_delivers():
+    rng = random.Random(25)
+    differ = []
+    for i in range(DELIVERY_DOCUMENTS):
+        doc = delivery_document(rng)
+        delivered = [scenario.run_scenario(doc, mode=mode, sec_level=level)
+                     .metrics.delivered_payloads
+                     for mode, level in (("baseline", 1), ("secure", 1),
+                                         ("secure", 0))]
+        if not delivered[0] == delivered[1] == delivered[2]:
+            differ.append(i)
+    assert not differ, differ

@@ -99,15 +99,16 @@ TWICE_ADVERSARY_DOCS = [
 # Values of the right JSON type that the wire or UTF-8 cannot carry; unless
 # parse rejects them (exit 2), the run fails inside (exit 3).
 UNENCODABLE_DOCS = [
-    (doc_with_attack(kind="seq_inflate", inflate_to=1 << 64),
-     "inflate_to: must be <= 18446744073709551615"),
+    (flows_doc((1, "a", "b", 5000, 65536)),
+     "events[0]: ports must fit in 16 bits"),
     (doc_with_node("x" * 70000), "at most 65535 UTF-8 bytes"),
     (doc_with_node("\ud800"), "nodes[1]: not encodable as UTF-8"),
     (doc_two_nodes(events=[{"tick": 1, "kind": "start_flow", "client": "a",
                             "server": "b", "payload": "\ud800"}]),
      "events[0].payload: not encodable as UTF-8"),
-    (doc_with_attack(marker="x\ud800"),
-     "events[1].attack.marker: not encodable as UTF-8"),
+    # 32768 characters, but 65536 bytes: the limit counts bytes
+    (doc_with_node("\u00e9" * 32768),
+     "nodes[1]: node names are at most 65535 UTF-8 bytes"),
 ]
 
 
@@ -244,19 +245,25 @@ BAD_DOCS = [
                                        "dst": "a"}}]),
      "events[0]: unexpected field 'dst'"),
 ] + UNENCODABLE_DOCS + [
+    # a field that once set an attack's parameter is refused by name, on
+    # the kind that read it (hop_shorten's max_distance ends the table)
+    (doc_with_attack(marker="HIJACKED"),
+     "events[1].attack: session_hijack attack: unexpected field 'marker'"),
     # a hijack marker that honest traffic already delivers proves nothing
-    (doc_with_attack(payload="hi", marker=""), "needs a non-empty marker"),
     (doc_with_attack(payload="say HIJACKED now"),
      "marker 'HIJACKED' occurs in the payload of the flow a->b"),
-    (doc_with_attack(marker="ell"), "marker 'ell' occurs in the payload"),
-    (flood_doc(rate=1000000000),
-     "rate x duration must be <= 100000 forged SYNs, got 5000000000"),
-    (flood_doc(rate=20001, duration=5), "rate x duration must be <= 100000"),
+    (attacks_doc({"kind": "seq_inflate", "attacker": "m", "src": "a",
+                  "dst": "b", "inflate_to": 900000}),
+     "events[0].attack: seq_inflate attack: unexpected field 'inflate_to'"),
+    (flood_doc(rate=50),
+     "events[0].attack: syn_flood attack: unexpected field 'rate'"),
+    (flood_doc(duration=100),
+     "events[0].attack: syn_flood attack: unexpected field 'duration'"),
 ] + TWICE_ADVERSARY_DOCS + [
     (doc_two_nodes(links=links), "scenario.links: expected an array")
     for links in NOT_ARRAYS
 ] + [
-    # a parameter or node field the attack's kind never reads
+    # a field the attack's kind does not name
     (attacks_doc({"kind": "impersonate", "attacker": "m", "src": "a",
                   "dst": "b", "rate": 7}),
      "events[0].attack: impersonate attack: unexpected field 'rate'"),
@@ -316,6 +323,9 @@ BAD_DOCS = [
                  {"kind": "impersonate", "attacker": "m2", "src": "a",
                   "dst": "b"}),
      "events: attack 'syn_flood' names adversary 'm2' as a victim"),
+    (attacks_doc({"kind": "hop_shorten", "attacker": "m", "src": "a",
+                  "dst": "b", "max_distance": 2}),
+     "events[0].attack: hop_shorten attack: unexpected field 'max_distance'"),
 ]
 
 
@@ -592,7 +602,7 @@ def test_values_at_the_wire_limits_run_and_lint(mode, sec_level):
         nodes=[a, m, d], links=[{"a": a, "b": m}, {"a": m, "b": d}],
         events=[{"tick": 0, "kind": "attach_attack",
                  "attack": {"kind": "seq_inflate", "attacker": m, "src": a,
-                            "dst": d, "inflate_to": (1 << 64) - 1}},
+                            "dst": d}},
                 {"tick": 1, "kind": "start_discovery", "node": a,
                  "target": d}])
     runs = [scenario.run_scenario(doc, mode=mode, sec_level=sec_level)
@@ -667,19 +677,17 @@ def test_attack_specs_are_bound_to_their_flow_at_parse():
         (6001, 8080, b"hello")
 
 
-def test_flood_at_the_cap_parses():
-    spec, = scenario.parse(flood_doc(rate=20000, duration=5)).attack_specs
-    assert spec.rate * spec.duration == scenario.MAX_FLOOD_SYNS == 100_000
-
-
 def test_cli_rejects_a_flood_beyond_the_cap(tmp_path, capsys):
+    # every flood forges FLOOD_RATE SYNs a tick for FLOOD_TICKS ticks; a
+    # document that asks for another size is refused for the field
     out = tmp_path / "out"
     rc = cli.main(["run", "--scenario",
                    write(tmp_path, flood_doc(rate=1000000000)),
                    "--out", str(out)])
     assert rc == 2
     assert not out.exists()
-    assert "rate x duration" in capsys.readouterr().err
+    assert "syn_flood attack: unexpected field 'rate'" in \
+        capsys.readouterr().err
 
 
 # a second flow on the same ports replaces the first one's connection at
@@ -713,13 +721,17 @@ def test_flows_between_one_pair_on_distinct_client_ports_parse():
                                             ("say HIJACKED now", None)])
 def test_cli_rejects_a_hijack_marker_honest_traffic_delivers(
         tmp_path, capsys, payload, marker):
+    # the marker is attacks.HIJACK_MARKER: a document that sets one, even
+    # the empty marker every payload holds, is refused for the field
     doc = scenario.load_file(os.path.join(SCEN, "attack_session_hijack.json"))
     doc["events"][0]["payload"] = payload
     if marker is not None:
         doc["events"][1]["attack"]["marker"] = marker
     rc = cli.main(["run", "--scenario", write(tmp_path, doc)])
     assert rc == 2
-    assert "marker" in capsys.readouterr().err
+    assert ("unexpected field 'marker'" if marker is not None else
+            "marker 'HIJACKED' occurs in the payload") in \
+        capsys.readouterr().err
 
 
 def test_cli_rejects_exchange_group_as_wide_as_keys(tmp_path, capsys):
