@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -56,9 +55,9 @@ class TraceRecord(NamedTuple):
 _record = partial(tuple.__new__, TraceRecord)
 
 
-class TraceView(Sequence):
-    """Read-only records over a Metrics' trace columns, made as they are
-    read: indexing, slicing, iteration and == with a list of records."""
+class TraceView:
+    """A Metrics' trace columns read as records, made as they are iterated;
+    `len` counts them. `list(view)` gives a list to index or compare."""
 
     __slots__ = ("_metrics",)
 
@@ -68,19 +67,8 @@ class TraceView(Sequence):
     def __len__(self) -> int:
         return len(self._metrics.ticks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(_record,
-                            zip(*[c[i] for c in self._metrics.columns()])))
-        return TraceRecord(*[c[i] for c in self._metrics.columns()])
-
     def __iter__(self):
         return map(_record, zip(*self._metrics.columns()))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
 
 
 class Event(NamedTuple):

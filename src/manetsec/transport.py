@@ -57,7 +57,6 @@ class Connection:
     local_port: int
     remote_port: int
     state: str = "key_wait"
-    isn: int = 0
     snd_nxt: int = 0
     snd_una: int = 0
     rcv_nxt: int = 0
@@ -98,8 +97,7 @@ class TcpEndpoint:
             try:
                 self.router.ensure_discovery(peer_ip)
             except UnknownIdentityError:
-                conn.state = "failed"
-                self._event("failed", conn)
+                self._end(conn, "failed")
                 return key
             self._arm("kw", key, 0)
             return key
@@ -109,11 +107,11 @@ class TcpEndpoint:
     # --- handshake ------------------------------------------------------------
 
     def _begin_handshake(self, conn: Connection) -> None:
-        conn.isn = conn.snd_una = conn.snd_nxt = self._client_isn(conn)
+        conn.snd_una = conn.snd_nxt = self._client_isn(conn)
         conn.state = "syn_sent"
         self._event("syn_sent", conn)
         syn = self._make(conn, wire.ROLE_SYN)
-        conn.snd_nxt = (conn.isn + 1) & MASK   # the SYN takes one number
+        conn.snd_nxt = (conn.snd_nxt + 1) & MASK   # the SYN takes one number
         self._ship(conn, syn)
 
     def _client_isn(self, conn: Connection) -> int:
@@ -182,8 +180,7 @@ class TcpEndpoint:
             if self.router.session(conn.peer_ip) is not None:
                 self._begin_handshake(conn)
             elif detail + 1 >= KEY_WAIT_LIMIT:
-                conn.state = "failed"
-                self._event("failed", conn)
+                self._end(conn, "failed")
             else:
                 self._arm("kw", key, detail + 1)
             return
@@ -193,9 +190,7 @@ class TcpEndpoint:
         if cur is None or cur.seq != seq or cur.role != role:
             return
         if conn.retries >= self.config.max_retries:
-            conn.state = "failed"
-            conn.inflight = None
-            self._event("failed", conn)
+            self._end(conn, "failed")
             return
         conn.retries += 1
         # built afresh: a route repair may have rotated the session key
@@ -269,11 +264,10 @@ class TcpEndpoint:
             return None
         if conn.state != "syn_sent":
             return "out_of_phase"
-        if seg.ack != conn.snd_nxt:
-            return "bad_ack_number"
+        reason = self._take_ack(seg, conn)
+        if reason is not None:
+            return reason
         conn.rcv_nxt = (seg.seq + 1) & MASK
-        conn.snd_una = seg.ack
-        conn.inflight = None
         conn.state = "established"
         self._event("established", conn)
         self._ack(conn)
@@ -296,23 +290,29 @@ class TcpEndpoint:
             del self.half_open[key]
         conn = Connection(peer_ip=peer_ip, local_port=seg.dst_port,
                           remote_port=seg.src_port, state="established",
-                          isn=isn_s, snd_nxt=(isn_s + 1) & MASK,
+                          snd_nxt=(isn_s + 1) & MASK,
                           snd_una=(isn_s + 1) & MASK, rcv_nxt=seg.seq)
         self.conns[key] = conn
         self._event("alloc", conn)
         self._event("established", conn)
         return conn
 
-    def _on_ack(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
-        if seg.ack == conn.snd_una:
-            return None   # stale duplicate, harmless
-        window = (conn.snd_nxt - conn.snd_una) & MASK
-        if not 0 < (seg.ack - conn.snd_una) & MASK <= window:
+    def _take_ack(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
+        """Complete the segment in flight if `seg` acks all of it: the one
+        place an ack of any role moves `snd_una`."""
+        if seg.ack != conn.snd_nxt:
             return "bad_ack_number"
         conn.snd_una = seg.ack
         conn.inflight = None
-        self._pump(conn)
         return None
+
+    def _on_ack(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
+        if seg.ack == conn.snd_una:
+            return None   # stale duplicate, harmless
+        reason = self._take_ack(seg, conn)
+        if reason is None:
+            self._pump(conn)
+        return reason
 
     def _on_data(self, seg: wire.Segment, conn: Connection) -> Optional[str]:
         if seg.seq == conn.rcv_nxt:
@@ -336,21 +336,17 @@ class TcpEndpoint:
         conn.rcv_nxt = (seg.seq + 1) & MASK
         self.router.send_segment(conn.peer_ip,
                                  self._make(conn, wire.ROLE_FIN_ACK))
-        conn.state = "closed"
-        self._event("closed", conn)
+        self._end(conn, "closed")
         return None
 
     def _on_fin_ack(self, seg: wire.Segment,
                     conn: Connection) -> Optional[str]:
         if conn.state != "fin_wait":
             return "out_of_phase"
-        if seg.ack != conn.snd_nxt:
-            return "bad_ack_number"
-        conn.snd_una = seg.ack
-        conn.inflight = None
-        conn.state = "closed"
-        self._event("closed", conn)
-        return None
+        reason = self._take_ack(seg, conn)
+        if reason is None:
+            self._end(conn, "closed")
+        return reason
 
     # --- send side --------------------------------------------------------------
 
@@ -365,13 +361,19 @@ class TcpEndpoint:
             conn.snd_nxt = (conn.snd_nxt + len(chunk)) & MASK
             self._ship(conn, seg)
             return
-        if conn.close_after_drain and conn.snd_una == conn.snd_nxt:
+        if conn.close_after_drain:
             seg = self._make(conn, wire.ROLE_FIN)
             conn.snd_nxt = (conn.snd_nxt + 1) & MASK
             conn.state = "fin_wait"
             self._ship(conn, seg)
 
     # --- bookkeeping --------------------------------------------------------------
+
+    def _end(self, conn: Connection, state: str) -> None:
+        """Set `conn` "closed" or "failed": the one place a connection ends."""
+        conn.state = state
+        conn.inflight = None
+        self._event(state, conn)
 
     def _event(self, kind: str, conn: Connection, **fields) -> None:
         self.net.log(self.router.ip, kind, peer=conn.peer_ip,

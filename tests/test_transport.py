@@ -48,7 +48,7 @@ def test_secure_handshake_is_three_segments_with_late_allocation():
     assert b_conn.state == "established"
 
     allocs = [ev for ev in m.of("alloc") if ev.node == "b"]
-    ack_send_tick = net.trace[4].tick
+    ack_send_tick = list(net.trace)[4].tick
     assert len(allocs) == 1
     assert allocs[0].tick == ack_send_tick + 1   # only after the third segment
     assert allocs[0].fields == {"peer": "a", "local_port": 80,
@@ -220,6 +220,36 @@ def test_nonsense_ack_number_is_rejected():
     assert m.drops.get("bad_ack_number") == 1
 
 
+def test_a_partial_ack_drops_and_the_whole_segment_is_resent():
+    # only an ack of the whole segment in flight completes it: an ack that
+    # a stub forges for part of a's first DATA must not let a skip the
+    # bytes b never got
+    config = transport.TcpConfig(mss=4, rto=10, max_retries=3,
+                                 half_open_capacity=8)
+    net, r, ep, reg, m, keys = build(
+        ["a", "b", "x"], [("a", "b", {"latency": 3}), ("x", "a")],
+        secure=False, stubs=("x",), tcp_config=config)
+    ep["b"].listen(80)
+    ep["a"].connect("b", 5000, 80, data=b"abcdefgh", close=True)
+    net.run(until=12)
+    conn = ep["a"].conns[("b", 5000, 80)]
+    assert (conn.inflight.role, conn.inflight.payload) == \
+        (wire.ROLE_DATA, b"abcd")
+    # the handshake's last ACK and the first DATA are lost with the link
+    net.set_link("a", "b", up=False)
+    net.schedule(5, net.set_link, "a", "b", True)
+    seg = wire.Segment(wire.ROLE_ACK, 80, 5000, conn.rcv_nxt,
+                       (conn.snd_una + 1) & MASK, b"", bytes(32))
+    net.unicast("x", "a", wire.encode_message(
+        wire.DataPacket(src_ip="b", dst_ip="a", segment=seg)))
+    net.run(until=200)
+
+    assert m.delivered_payloads[("b", "a", 80, 5000)] == b"abcdefgh"
+    assert [rec.disposition for rec in net.trace if rec.src == "x"] == \
+        [sim.dropped("bad_ack_number")]
+    assert [ev.node for ev in m.of("closed")] == ["b", "a"]
+
+
 def test_syn_flood_fills_plain_table_and_evicts_oldest():
     cfg = replace(TCP, half_open_capacity=8)
     net, r, ep, reg, m, keys = build(["b", "x"], [("x", "b")], secure=False,
@@ -348,30 +378,39 @@ def test_connect_to_an_unregistered_peer_logs_its_failure():
                                 "remote_port": 2}
 
 
+def syn_seqs(on_segment):
+    """The seq of each SYN that the wrapped `on_segment` took, in order."""
+    return [call.args[1].seq for call in on_segment.call_args_list
+            if call.args[1].role == wire.ROLE_SYN]
+
+
 def test_initial_numbers_plain_counter_vs_keyed_offset():
     net, r, ep, reg, m, keys = build(["a", "b"], [("a", "b")], secure=False)
     ep["b"].listen(80)
     ep["b"].listen(81)
-    ep["a"].connect("b", 5000, 80)
-    net.run(until=30)
-    ep["a"].connect("b", 5001, 81)
-    net.run(until=60)
-    assert ep["a"].conns[("b", 5000, 80)].isn == 1000
-    assert ep["a"].conns[("b", 5001, 81)].isn == 1064
+    with mock.patch.object(ep["b"], "on_segment",
+                           wraps=ep["b"].on_segment) as received:
+        ep["a"].connect("b", 5000, 80)
+        net.run(until=30)
+        ep["a"].connect("b", 5001, 81)
+        net.run(until=60)
+    assert syn_seqs(received) == [1000, 1064]
 
     net2, r2, ep2, reg2, m2, keys2 = build(["a", "b"], [("a", "b")])
     r2["a"].start_discovery("b")
     net2.run(until=5)
     ep2["b"].listen(80)
-    ep2["a"].connect("b", 5000, 80)
-    net2.run(until=30)
+    with mock.patch.object(ep2["b"], "on_segment",
+                           wraps=ep2["b"].on_segment) as received2:
+        ep2["a"].connect("b", 5000, 80)
+        net2.run(until=30)
     key = r2["a"].sessions["b"].key
     a_id = r2["a"].node_id
     b_id = r2["b"].node_id
     offset = digest_int(digest(b"isn" + (5000).to_bytes(8, "big")
                                + (80).to_bytes(8, "big") + a_id + b_id
                                + key.key_bytes)) & MASK
-    assert ep2["a"].conns[("b", 5000, 80)].isn == (1000 + offset) & MASK
+    assert syn_seqs(received2) == [(1000 + offset) & MASK]
     assert ep2["a"].conns[("b", 5000, 80)].state == "established"
 
 
@@ -415,7 +454,7 @@ def test_the_router_session_method_is_the_transports_only_key_source(
     monkeypatch.setattr(r["a"], "session", lambda peer_ip: wrong)
     conn_key = ep["a"].connect("b", 5000, 80, b"hello")
     net.run(until=5 + TCP.rto - 1)
-    assert [(rec.kind, rec.disposition) for rec in net.trace[2:]] == \
+    assert [(rec.kind, rec.disposition) for rec in list(net.trace)[2:]] == \
         [("SYN", sim.dropped("tag_mismatch"))]
     assert m.drops == {"tag_mismatch": 1}
 
@@ -575,8 +614,8 @@ def test_a_closed_connections_client_frames_replayed_deliver_nothing(
     replayed = len(net.trace)
     net.run(until=net.tick + delays[-1] + 10 * TCP.rto)
 
-    assert [(rec.src, rec.kind) for rec in net.trace[replayed:]
+    assert [(rec.src, rec.kind) for rec in list(net.trace)[replayed:]
             if rec.src == "x"] == \
         [("x", wire.describe(f)) for f in client] * len(delays)
-    assert all(rec.disposition != "lost" for rec in net.trace[replayed:])
+    assert all(rec.disposition != "lost" for rec in list(net.trace)[replayed:])
     assert (m.of("deliver"), m.of("alloc")) == (delivered, allocated)
